@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import CensoredError, DepthExceededError, OutOfDomainError
+from .errors import CensoredError, CensorReport, DepthExceededError, OutOfDomainError
 from .ratio import format_ratio, parse_ratio
 
 ZERO = Fraction(0)
@@ -115,8 +115,8 @@ class ChaconSystem:
 
 def tower_heights(n_max: int) -> list[int]:
     """Heights h_1..h_{n_max} under the recurrence h' = 2*(3*h + 1)."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    if not isinstance(n_max, int) or n_max < 1:
+        raise ValueError("n_max must be a positive integer")
     heights = [1]
     for _ in range(n_max - 1):
         heights.append(2 * (3 * heights[-1] + 1))
@@ -269,13 +269,13 @@ def return_time(
         except DepthExceededError:
             raise CensoredError(
                 f"depth exceeded after {p - 1} steps",
-                report={"reason": "DepthExceeded", "steps_completed": p - 1},
+                report=CensorReport(survived=0, censored=1, reasons={"DepthExceeded": 1}),
             ) from None
         if any(cur in t for t in targets):
             return p
     raise CensoredError(
         f"no visit within {p_max} steps",
-        report={"reason": "PMaxExceeded", "steps_completed": p_max},
+        report=CensorReport(survived=1, censored=0, reasons={"PMaxExceeded": 1}),
     )
 
 

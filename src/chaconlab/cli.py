@@ -125,13 +125,26 @@ class UsageError(Exception):
     pass
 
 
+# JSON types a config-file value may take: the type its flag converts to,
+# with an integer allowed for a float, a number for --window and a list for
+# --k; null counts as absent
+FILE_TYPES = {
+    "samples": int, "seed": int, "n_max": int, "p_max": int, "workers": int,
+    "n_scan": int, "m_max": int, "alpha": (int, float), "window": (str, int),
+    "k": (str, list), "spec": str, "out": str,
+}
+
+
 def _merge(args: argparse.Namespace, file_cfg: dict, key: str, default):
     """Flag wins over config file wins over default."""
     flag = getattr(args, key, None)
     if flag is not None:
         return flag
-    if key in file_cfg:
-        return file_cfg[key]
+    value = file_cfg.get(key)
+    if value is not None:
+        if isinstance(value, bool) or not isinstance(value, FILE_TYPES[key]):
+            raise UsageError(f"config file value {key}={value!r} has the wrong type")
+        return value
     return default
 
 

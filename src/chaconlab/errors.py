@@ -6,6 +6,8 @@ so it gets its own exception carrying a tally report.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 
 class ChaconlabError(Exception):
     """Base class for all package errors."""
@@ -27,10 +29,33 @@ class DepthExceededError(ChaconlabError):
         self.steps_completed = steps_completed
 
 
+@dataclass(frozen=True)
+class CensorReport:
+    """How many atoms survived a censored step, and why the rest did not.
+
+    ``reasons`` maps ``DepthExceeded`` or ``PMaxExceeded`` to a count.
+    """
+
+    survived: int
+    censored: int
+    reasons: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.survived < 0 or self.censored < 0:
+            raise ValueError("counts must be nonnegative")
+
+    @property
+    def total(self) -> int:
+        return self.survived + self.censored
+
+    def to_jsonable(self) -> dict:
+        return {"survived": self.survived, "censored": self.censored, "reasons": dict(self.reasons)}
+
+
 class CensoredError(ChaconlabError):
     """A sampled quantity could not be resolved within the given budget.
 
-    ``report`` is a :class:`chaconlab.suspension.CensorReport`.
+    ``report`` is a :class:`CensorReport`.
     """
 
     def __init__(self, message: str, report=None):

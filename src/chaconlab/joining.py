@@ -30,6 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InsufficientDataError
+from .parallel import fan_out
 from .ratio import format_ratio
 from .stats import (
     DiscreteLaw,
@@ -402,26 +403,11 @@ def verify_joining(
     ("marginal2"), designed rejection of independence between copied pairs
     ("dependence"), and the copied fraction with a 99% interval.
     """
-    from .parallel import fan_out
-
     if law is None:
         law = uniform_law(2)
-    parts = fan_out(
+    tot = fan_out(
         collect_joining, n_samples, workers, half_width, seed, law, empty_first_family
     )
-    tot = parts[0]
-    for p in parts[1:]:
-        for key in ("marginal", "adjacent", "copied_pairs"):
-            tot[key] = tot[key] + p[key]
-        for key in (
-            "copied",
-            "decided",
-            "excluded",
-            "resamples",
-            "rank_failures",
-            "equivariance_failures",
-        ):
-            tot[key] += p[key]
 
     probs = [w / law.total for w in law.weights]
     marginal = chi2_gof(tot["marginal"], probs, alpha=alpha, name="marks2_marginal")

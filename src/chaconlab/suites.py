@@ -2,8 +2,9 @@
 
 Each suite is a pure function of its configuration: per-sample randomness
 is keyed by (seed, sample index), samples fan out across workers as
-contiguous ranges, and partial results merge by concatenation or
-summation, so reports are identical for any worker count.
+contiguous ranges, and ``fan_out`` merges the partial results in range
+order by one rule (dicts key by key, all else with ``+``), so reports are
+identical for any worker count.
 
 The ``poisson`` suite checks the sampler's distributional contract: the
 first atom is Exp(1), early inter-atom gaps are Exp(1) (early ones, so
@@ -15,9 +16,11 @@ by sample: splitting off the k lowest atoms, advancing by the induced
 first-return map, and recombining must equal advancing the whole
 configuration by its rank-prefix return time — and the two return times
 must agree.  Accumulated group marks are checked against the k-vector of
-cocycle sums, and mark uniformity is tested statistically.  Samples whose
-orbits outrun the truncation depth or the step budget are censored and
-reported, never silently dropped.
+cocycle sums, and mark uniformity is tested statistically.  Route A
+(split, induced return, recombine) is computed on its own; everything
+else comes from one walk of the marked skew product per sample.  Samples
+whose orbits outrun the truncation depth or the step budget are censored
+and reported, never silently dropped.
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .chacon import ChaconSystem, Interval, build_system
-from .cocycle import CocycleSpec, single_spacer_indicator
+import numpy as np
+
+from .chacon import Interval, build_system, tower_heights
+from .cocycle import CocycleSpec, phi_iter, single_spacer_indicator
 from .errors import CensoredError, InsufficientDataError
 from .parallel import fan_out
 from .stats import (
@@ -40,17 +45,16 @@ from .stats import (
 )
 from .suspension import (
     MarkedConfig,
+    RankPermutation,
     distinguish_k,
     induced_return,
-    phi_k_vector,
-    push_forward,
     recombine,
-    return_time_N_k,
     sample_poisson,
     skew_apply_group,
 )
 
 GAPS_PER_CONFIG = 5
+FAILURE_KEYS = ("conjugacy_failures", "return_time_mismatches", "phi_transport_failures")
 
 
 def collect_poisson(start: int, stop: int, seed: int, window_hi: int, sup_hi: int) -> dict:
@@ -94,23 +98,14 @@ def run_poisson_suite(
     sup_hi: int = 10,
     workers: int = 1,
 ) -> dict:
-    parts = fan_out(collect_poisson, n_samples, workers, seed, window_hi, sup_hi)
-    t1: list[float] = []
-    gaps: list[float] = []
-    sup_counts: list[int] = []
-    skipped_empty = skipped_short = 0
-    for p in parts:
-        t1.extend(p["t1"])
-        gaps.extend(p["gaps"])
-        sup_counts.extend(p["sup_counts"])
-        skipped_empty += p["skipped_empty"]
-        skipped_short += p["skipped_short"]
+    tot = fan_out(collect_poisson, n_samples, workers, seed, window_hi, sup_hi)
+    t1, gaps = tot["t1"], tot["gaps"]
 
     tests = {
         "t1_exponential": ks_exponential(t1, alpha=alpha, name="t1_exponential"),
         "gaps_exponential": ks_exponential(gaps, alpha=alpha, name="gaps_exponential"),
         "superposition_counts": chi2_poisson(
-            sup_counts, mean=2.0 * sup_hi, alpha=alpha, name="superposition_counts"
+            tot["sup_counts"], mean=2.0 * sup_hi, alpha=alpha, name="superposition_counts"
         ),
     }
     for k in range(1, 6):
@@ -126,16 +121,14 @@ def run_poisson_suite(
         "alpha": alpha,
         "window": [0, window_hi],
         "superposition_window": [0, sup_hi],
-        "skipped": {"empty": skipped_empty, "too_short_for_gaps": skipped_short},
+        "skipped": {"empty": tot["skipped_empty"], "too_short_for_gaps": tot["skipped_short"]},
         "tests": {k: v.to_jsonable() for k, v in tests.items()},
         "holds": bool(holds),
     }
 
 
-def _advance(system: ChaconSystem, config, steps: int):
-    for _ in range(steps):
-        config, _, _ = push_forward(system, config)
-    return config
+def _censor(tally: dict, reason: str) -> None:
+    tally["censored"][reason] = tally["censored"].get(reason, 0) + 1
 
 
 def collect_suspension(
@@ -149,7 +142,15 @@ def collect_suspension(
     spec: CocycleSpec,
     mark_steps: int,
 ) -> dict:
-    """Exact conjugacy/return-time/cocycle checks plus mark draws per sample."""
+    """Exact conjugacy/return-time/cocycle checks plus mark draws per sample.
+
+    Route A (split, induced return, recombine) runs on its own for each k.
+    One walk of the marked skew product then serves everything else: the
+    first step whose accumulated permutation fixes ranks 1..k is k's
+    return time, the walk's configuration there is route B, its marks are
+    checked against per-point cocycle sums, and its marks at step
+    ``mark_steps`` feed the mark tests.
+    """
     system = build_system(n_max)
     window = Interval(Fraction(0), Fraction(window_hi))
     group = spec.group
@@ -159,73 +160,83 @@ def collect_suspension(
     sym = {g: j for j, g in enumerate(elements)}
 
     per_k = {
-        k: {
-            "uncensored": 0,
-            "conjugacy_failures": 0,
-            "return_time_mismatches": 0,
-            "phi_transport_failures": 0,
-            "censored": {},
-        }
+        k: {"uncensored": 0, **dict.fromkeys(FAILURE_KEYS, 0), "censored": {}}
         for k in k_values
     }
-    mark_counts = [0] * group.order
-    mark_pairs = [[0] * group.order for _ in range(group.order)]
+    mark_counts = np.zeros(group.order, dtype=np.int64)
+    mark_pairs = np.zeros((group.order, group.order), dtype=np.int64)
     mark_censored = 0
 
     for i in range(start, stop):
         config = sample_poisson(window, seed, stream=i)
+        route_a = {}  # k -> (induced return time, recombined configuration)
         for k in k_values:
-            tally = per_k[k]
             if config.count < k:
-                tally["censored"]["TooFewAtoms"] = (
-                    tally["censored"].get("TooFewAtoms", 0) + 1
-                )
+                _censor(per_k[k], "TooFewAtoms")
                 continue
+            points, remainder = distinguish_k(config, k)
             try:
-                points, remainder = distinguish_k(config, k)
                 m_steps, adv_pts, adv_rem = induced_return(
                     system, points, remainder, p_max
                 )
-                route_a = recombine(adv_pts, adv_rem)
-                n_steps = return_time_N_k(system, config, k, p_max)
-                route_b = _advance(system, config, n_steps)
-                vec = phi_k_vector(system, spec, config, k, p_max)
-                zero_marks = MarkedConfig(
-                    config, (group.identity(),) * config.count
-                )
-                marked = zero_marks
-                for _ in range(n_steps):
-                    marked, _, _ = skew_apply_group(system, spec, marked)
             except CensoredError as exc:
-                reason = max(exc.report.reasons, key=exc.report.reasons.get) if (
-                    exc.report and exc.report.reasons
-                ) else "DepthExceeded"
-                tally["censored"][reason] = tally["censored"].get(reason, 0) + 1
+                reasons = exc.report.reasons
+                _censor(per_k[k], max(reasons, key=reasons.get))
                 continue
-            tally["uncensored"] += 1
-            if m_steps != n_steps:
-                tally["return_time_mismatches"] += 1
-            if not route_a.same_positions(route_b):
-                tally["conjugacy_failures"] += 1
-            if tuple(marked.marks[:k]) != vec:
-                tally["phi_transport_failures"] += 1
+            route_a[k] = (m_steps, recombine(adv_pts, adv_rem))
 
         # mark invariance: uniform starting marks stay uniform and pairwise
         # independent after a few skew steps
-        if config.count >= 2:
-            start_marks = tuple(
-                elements[law.draw(stream, i, 9, atom.id)] for atom in config.atoms
-            )
-            marked = MarkedConfig(config, start_marks)
+        tests_marks = config.count >= 2
+        start_marks = tuple(
+            elements[law.draw(stream, i, 9, atom.id)] if tests_marks else group.identity()
+            for atom in config.atoms
+        )
+        marked = MarkedConfig(config, start_marks)
+        total = RankPermutation.identity(config.count)
+        returns = {}  # k -> (return time, marked configuration then)
+        at_mark_steps = marked if mark_steps == 0 else None
+        walked, broke = 0, False
+        while (tests_marks and walked < mark_steps) or (
+            walked < p_max and len(returns) < len(route_a)
+        ):
             try:
-                for _ in range(mark_steps):
-                    marked, _, _ = skew_apply_group(system, spec, marked)
+                marked, perm, _ = skew_apply_group(system, spec, marked)
             except CensoredError:
+                broke = True
+                break
+            walked += 1
+            total = perm.after(total)
+            if walked <= p_max:
+                for k in route_a:
+                    if k not in returns and total.fixes_prefix(k):
+                        returns[k] = (walked, marked)
+            if walked == mark_steps:
+                at_mark_steps = marked
+
+        for k, (m_steps, route_a_config) in route_a.items():
+            tally = per_k[k]
+            if k not in returns:
+                depth = broke and walked < p_max
+                _censor(tally, "DepthExceeded" if depth else "PMaxExceeded")
+                continue
+            n_steps, route_b = returns[k]
+            sums = tuple(
+                start_marks[j] + phi_iter(spec, system, config.t(j + 1), n_steps)
+                for j in range(k)
+            )
+            tally["uncensored"] += 1
+            tally["return_time_mismatches"] += m_steps != n_steps
+            tally["conjugacy_failures"] += not route_a_config.same_positions(route_b.config)
+            tally["phi_transport_failures"] += route_b.marks[:k] != sums
+
+        if tests_marks:
+            if at_mark_steps is None:
                 mark_censored += 1
             else:
-                for g in marked.marks:
+                for g in at_mark_steps.marks:
                     mark_counts[sym[g]] += 1
-                mark_pairs[sym[marked.marks[0]]][sym[marked.marks[1]]] += 1
+                mark_pairs[sym[at_mark_steps.marks[0]], sym[at_mark_steps.marks[1]]] += 1
     return {
         "per_k": per_k,
         "mark_counts": mark_counts,
@@ -250,40 +261,14 @@ def run_suspension_suite(
     if spec is None:
         spec = single_spacer_indicator(1)
     window_hi = Fraction(window_hi)
-    covered_hi = build_system(n_max).covered.hi
+    # the covered set is [0, h·w) for the top tower; no need to build it
+    covered_hi = Fraction(tower_heights(n_max)[-1], 3 ** (n_max - 1))
     if window_hi > covered_hi:
         raise ValueError(f"window must fit inside [0, {covered_hi})")
-    parts = fan_out(
-        collect_suspension,
-        n_samples,
-        workers,
-        seed,
-        n_max,
-        p_max,
-        window_hi,
-        tuple(k_values),
-        spec,
-        mark_steps,
+    tot = fan_out(
+        collect_suspension, n_samples, workers,
+        seed, n_max, p_max, window_hi, tuple(k_values), spec, mark_steps,
     )
-    tot = parts[0]
-    for p in parts[1:]:
-        for k in k_values:
-            dst, src = tot["per_k"][k], p["per_k"][k]
-            for key in (
-                "uncensored",
-                "conjugacy_failures",
-                "return_time_mismatches",
-                "phi_transport_failures",
-            ):
-                dst[key] += src[key]
-            for reason, cnt in src["censored"].items():
-                dst["censored"][reason] = dst["censored"].get(reason, 0) + cnt
-        tot["mark_counts"] = [a + b for a, b in zip(tot["mark_counts"], p["mark_counts"])]
-        tot["mark_pairs"] = [
-            [a + b for a, b in zip(ra, rb)]
-            for ra, rb in zip(tot["mark_pairs"], p["mark_pairs"])
-        ]
-        tot["mark_censored"] += p["mark_censored"]
 
     group = spec.group
     per_k_report = {}
@@ -295,18 +280,11 @@ def run_suspension_suite(
         ok = (
             t["uncensored"] >= min_uncensored
             and fraction < 0.5
-            and t["conjugacy_failures"] == 0
-            and t["return_time_mismatches"] == 0
-            and t["phi_transport_failures"] == 0
+            and not any(t[key] for key in FAILURE_KEYS)
         )
         exact_ok = exact_ok and ok
         per_k_report[str(k)] = {
-            **{key: t[key] for key in (
-                "uncensored",
-                "conjugacy_failures",
-                "return_time_mismatches",
-                "phi_transport_failures",
-            )},
+            **{key: t[key] for key in ("uncensored", *FAILURE_KEYS)},
             "censored": dict(sorted(t["censored"].items())),
             "censored_fraction": fraction,
             "holds": ok,

@@ -28,7 +28,7 @@ from typing import Any, Iterable, NamedTuple, Sequence
 from . import chacon
 from .chacon import ChaconSystem, Interval
 from .cocycle import CocycleSpec, GroupElem, eval_phi, phi_iter
-from .errors import CensoredError, DepthExceededError, InsufficientDataError
+from .errors import CensoredError, CensorReport, DepthExceededError, InsufficientDataError
 from .ratio import format_ratio, parse_ratio
 from .stats import RngSpec, make_rng
 
@@ -119,24 +119,6 @@ class RankPermutation:
 
 
 @dataclass(frozen=True)
-class CensorReport:
-    survived: int
-    censored: int
-    reasons: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.survived < 0 or self.censored < 0:
-            raise ValueError("counts must be nonnegative")
-
-    @property
-    def total(self) -> int:
-        return self.survived + self.censored
-
-    def to_jsonable(self) -> dict:
-        return {"survived": self.survived, "censored": self.censored, "reasons": dict(self.reasons)}
-
-
-@dataclass(frozen=True)
 class MarkedConfig:
     """A configuration with one mark per rank (group elements or plain symbols)."""
 
@@ -221,11 +203,6 @@ def psi_iter(system: ChaconSystem, config: PointConfig, p: int) -> RankPermutati
     return total
 
 
-def _advance_with_perm(system, config, total):
-    cur, step, _ = push_forward(system, config)
-    return cur, step.after(total)
-
-
 def return_time_N_k(system: ChaconSystem, config: PointConfig, k: int, p_max: int) -> int:
     """Least p in 1..p_max whose accumulated permutation fixes ranks 1..k.
 
@@ -239,7 +216,8 @@ def return_time_N_k(system: ChaconSystem, config: PointConfig, k: int, p_max: in
     total = RankPermutation.identity(config.count)
     cur = config
     for p in range(1, p_max + 1):
-        cur, total = _advance_with_perm(system, cur, total)
+        cur, step, _ = push_forward(system, cur)
+        total = step.after(total)
         if total.fixes_prefix(k):
             return p
     raise CensoredError(

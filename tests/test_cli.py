@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report plumbing, config precedence."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -184,6 +185,18 @@ def test_config_file_must_be_object(tmp_path):
     assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [{"samples": "5"}, {"seed": "x"}, {"seed": 1.5}, {"p_max": "x"}, {"window": [1]}],
+)
+def test_config_file_value_of_wrong_type_is_usage_error(tmp_path, entry):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(entry))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "suspension", "--config", str(cfg)])
+    assert exc.value.code == EXIT_USAGE
+
+
 def test_same_run_config_reruns_byte_identical(tmp_path):
     argv = ["verify", "joining", "--samples", "120", "--window", "12",
             "--seed", "5"]
@@ -210,3 +223,33 @@ def test_starved_statistics_report_as_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "poisson", "--samples", "40", "--window", "1"])
     assert exc.value.code == EXIT_USAGE
+
+
+# SHA-256 of json.dumps(report["suites"], sort_keys=True) for small runs.
+# Pinned before the suspension walk and the fan-out merge were rewritten;
+# the last two suspension runs censor for every reason the suite knows.
+PINNED_SUITES = [
+    (["poisson", "--samples", "200"],
+     "43f4452ea1b2861e7452911ec2ed6234cd7590288016bc8dd3b7a9529e7ff7d4"),
+    (["suspension", "--samples", "40"],
+     "7064d5984d53d3e46f3f0c4ae846fd7db88f764678073b3396e01091fcef7efb"),
+    (["joining", "--samples", "100"],
+     "376b790d064c9258bdb0db028fec8761222d56328aa3b8e337a3c7faee11cdec"),
+    (["all", "--samples", "60"],
+     "cfde5999761851155618b4cf167e8e107c62a9dc1ecb2af844b51ed2e45d8975"),
+    (["suspension", "--samples", "60", "--n-max", "3", "--p-max", "10",
+      "--window", "5", "--k", "0,1,2,3"],
+     "d74e3885d6f583c390ca4b017e78853f76235ff146ee92dd4da124c309970132"),
+    (["suspension", "--samples", "60", "--n-max", "2", "--p-max", "2",
+      "--window", "2", "--k", "0,1,2,3"],
+     "315649716a587fc80275b2e3060105079dedc1a9ac4f32122a79946caff54d15"),
+]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("argv, digest", PINNED_SUITES)
+def test_verify_suites_match_pinned_hashes(capsys, argv, digest, workers):
+    main(["verify", *argv, "--workers", workers])
+    doc = json.loads(capsys.readouterr().out)
+    text = json.dumps(doc["suites"], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

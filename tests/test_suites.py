@@ -1,11 +1,18 @@
 """Distributional suites: report shape, determinism, worker invariance."""
 
 import json
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from chaconlab.suites import run_poisson_suite, run_suspension_suite
+from chaconlab import suites
+from chaconlab.cocycle import single_spacer_indicator
+from chaconlab.parallel import merge
+from chaconlab.suites import collect_suspension, run_poisson_suite, run_suspension_suite
+from chaconlab.suspension import RankPermutation
+from oracles import four_walk_suspension
 
 POISSON_TESTS = {
     "t1_exponential",
@@ -99,3 +106,112 @@ def test_suspension_suite_reports_starved_mark_tests():
     assert marks["pair_independence"]["verdict"] == "insufficient data"
     assert rep["holds"] is False
     json.dumps(rep)
+
+
+@pytest.mark.parametrize("n_max", range(1, 7))
+def test_suspension_window_bound_is_the_tower_mass(get_system, n_max):
+    # the suite reads the bound off the heights; the built tower must agree
+    high_water = get_system(n_max).high_water
+    with pytest.raises(ValueError, match=re.escape(f"[0, {high_water})")):
+        run_suspension_suite(n_samples=1, n_max=n_max, window_hi=high_water + Fraction(1, 10**9))
+    rep = run_suspension_suite(
+        n_samples=1, n_max=n_max, p_max=1, window_hi=high_water, k_values=(0,)
+    )
+    assert rep["window"] == [0, str(high_water)]
+
+
+def test_suspension_suite_rejects_non_integer_depth():
+    with pytest.raises(ValueError):
+        run_suspension_suite(n_samples=1, n_max="7")
+
+
+# n_max, p_max, window, mark_steps: between them every censor reason shows,
+# mark walks are censored, and p_max falls below mark_steps
+ORACLE_SETTINGS = [
+    (3, 2, Fraction(1, 2), 3),
+    (3, 10, Fraction(5), 3),
+    (2, 2, Fraction(2), 3),
+    (3, 4, Fraction(3), 0),
+    (4, 30, Fraction(4), 5),
+]
+
+
+@pytest.mark.parametrize("n_max, p_max, window, mark_steps", ORACLE_SETTINGS)
+def test_one_walk_matches_four_walk_oracle(n_max, p_max, window, mark_steps):
+    args = (7, n_max, p_max, window, (0, 1, 2, 3), single_spacer_indicator(1), mark_steps)
+    check_against_oracle(args)
+
+
+@pytest.mark.parametrize(
+    "p_max, mark_steps, expected",
+    [(10, 3, {"DepthExceeded", "PMaxExceeded"}),
+     # the walk goes on past p_max for the marks and may then run out of
+     # depth; the returns it missed still ran out of budget first
+     (2, 6, {"PMaxExceeded"})],
+)
+def test_walk_censors_like_the_oracle_when_no_return_comes(
+    monkeypatch, p_max, mark_steps, expected
+):
+    # a broken conjugacy: route A returns but no prefix ever comes back, so
+    # the walk itself must censor, by depth or by budget as the oracle does
+    monkeypatch.setattr(RankPermutation, "fixes_prefix", lambda self, k: False)
+    args = (7, 3, p_max, Fraction(5), (1, 2), single_spacer_indicator(1), mark_steps)
+    got = check_against_oracle(args)
+    reasons = set().union(*(tally["censored"] for tally in got["per_k"].values()))
+    assert reasons - {"TooFewAtoms"} == expected
+    if mark_steps > p_max:
+        assert got["mark_censored"] > 0  # some walks did run out of depth past p_max
+
+
+def check_against_oracle(args):
+    got = collect_suspension(0, 60, *args)
+    want = four_walk_suspension(0, 60, *args)
+    assert got["per_k"] == want["per_k"]
+    assert got["mark_counts"].tolist() == want["mark_counts"]
+    assert got["mark_pairs"].tolist() == want["mark_pairs"]
+    assert got["mark_censored"] == want["mark_censored"]
+    return got
+
+
+def test_oracle_settings_force_every_censor_reason():
+    reasons, mark_censored = set(), 0
+    for n_max, p_max, window, mark_steps in ORACLE_SETTINGS:
+        rep = collect_suspension(
+            0, 60, 7, n_max, p_max, window, (0, 1, 2, 3),
+            single_spacer_indicator(1), mark_steps,
+        )
+        for tally in rep["per_k"].values():
+            reasons.update(tally["censored"])
+        mark_censored += rep["mark_censored"]
+    assert reasons == {"TooFewAtoms", "DepthExceeded", "PMaxExceeded"}
+    assert mark_censored > 0
+
+
+def test_fan_out_merge_rule():
+    a = {"n": 1, "xs": [1], "arr": np.array([1, 2]), "d": {"x": 1}}
+    b = {"n": 2, "xs": [2, 3], "arr": np.array([3, 4]), "d": {"x": 1, "y": 5}}
+    got = merge(a, b)
+    assert got["n"] == 3 and got["xs"] == [1, 2, 3]
+    assert got["arr"].tolist() == [4, 6]
+    assert got["d"] == {"x": 2, "y": 5}
+    assert a["d"] == {"x": 1}  # inputs are left alone
+
+
+def test_each_exact_check_can_fail(monkeypatch):
+    # corrupt route A's return time, route A's configuration and the
+    # cocycle sums; each corruption reaches exactly one check
+    real_return = suites.induced_return
+
+    def late_return(system, points, remainder, p_max):
+        m_steps, pts, rem = real_return(system, points, remainder, p_max)
+        return m_steps + 1, pts, rem
+
+    monkeypatch.setattr(suites, "induced_return", late_return)
+    monkeypatch.setattr(suites, "recombine", lambda points, remainder: remainder)
+    monkeypatch.setattr(suites, "phi_iter", lambda spec, system, x, p: spec.group.identity())
+    rep = collect_suspension(
+        0, 40, 7, 3, 10, Fraction(5), (1,), single_spacer_indicator(1), 3
+    )
+    assert rep["per_k"][1]["uncensored"] > 0
+    for key in ("return_time_mismatches", "conjugacy_failures", "phi_transport_failures"):
+        assert rep["per_k"][1][key] > 0, key
