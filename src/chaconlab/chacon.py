@@ -1,4 +1,4 @@
-"""Exact rank-one cutting-and-stacking tower engine.
+"""Exact rank-one cutting-and-stacking tower engine on an integer lattice.
 
 The construction starts from the unit interval and repeatedly cuts every
 level of the current tower into three equal thirds, inserts one new spacer
@@ -13,43 +13,50 @@ Spacers are always allocated contiguously from the current high-water
 mark (middle spacer first, then the right-column spacers bottom-up), so
 the covered set stays an initial segment of the half-line at every stage.
 
-All arithmetic is exact: positions are `fractions.Fraction` with
-denominators that are powers of three times small integers.  The point
-map ``apply_T`` climbs one level per application and is undefined only on
-the top level of the deepest tower (``DepthExceededError``); its inverse
-is undefined only on the bottom level.
+Positions are Python ints over one lattice denominator per system,
+``denom = 3**(n_max - 1) * 2**53``: every level endpoint is a multiple of
+``3**-(n_max - 1)`` and every sampled position a multiple of ``2**-53``,
+so the map is exact integer addition.  No level is stored.  A system
+keeps O(n_max) integers (heights, level widths, high-water marks), and a
+point's level in tower n + 1 follows from its level k in tower n and the
+third it sits in (left k, middle h + k, right 2h + 1 + k), or, for a
+spacer, from its distance to its stage's high-water mark.  This is the
+rank-one coding of Chacon (Proc. AMS 22, 1969) and del Junco–Rahe–Swanson
+(J. Analyse Math. 37, 1980).  ``levels`` lists one tower's levels on
+demand, for printing.
+
+The point map ``apply_T`` climbs one level per application and is
+undefined only on the top level of the deepest tower
+(``DepthExceededError``); its inverse is undefined only on the bottom
+level.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable
 
 from .errors import CensoredError, CensorReport, DepthExceededError, OutOfDomainError
-from .ratio import format_ratio, parse_ratio
+from .ratio import format_lattice
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+# sampled positions are multiples of 1/SNAP_DENOM
+SNAP_DENOM = 2**53
 
 
 @dataclass(frozen=True)
 class Interval:
-    """Half-open interval [lo, hi) with exact rational endpoints."""
+    """Half-open interval [lo, hi)."""
 
-    lo: Fraction
-    hi: Fraction
+    lo: int
+    hi: int
 
     def __post_init__(self):
-        if not (isinstance(self.lo, Fraction) and isinstance(self.hi, Fraction)):
-            object.__setattr__(self, "lo", Fraction(self.lo))
-            object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo >= self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi})")
 
     @property
-    def width(self) -> Fraction:
+    def width(self) -> int:
         return self.hi - self.lo
 
     def __contains__(self, x) -> bool:
@@ -57,60 +64,28 @@ class Interval:
 
 
 @dataclass(frozen=True)
-class Tower:
-    """One stage of the construction: a stack of disjoint equal-width levels.
-
-    ``levels[k]`` is the (k+1)-th level from the bottom; the map sends
-    each level onto the next by translation.  ``search_order`` /
-    ``search_los`` index the levels by position for O(log h) lookup and
-    carry no information beyond ``levels``.
-    """
-
-    order: int
-    height: int
-    level_width: Fraction
-    levels: tuple[Interval, ...]
-    search_order: tuple[int, ...] = field(repr=False, compare=False, default=())
-    search_los: tuple[Fraction, ...] = field(repr=False, compare=False, default=())
-
-    def __post_init__(self):
-        if self.height != len(self.levels):
-            raise ValueError("height must equal the number of levels")
-        if not self.search_order:
-            order = tuple(sorted(range(self.height), key=lambda i: self.levels[i].lo))
-            object.__setattr__(self, "search_order", order)
-            object.__setattr__(self, "search_los", tuple(self.levels[i].lo for i in order))
-
-
-@dataclass(frozen=True)
-class SpacerStage:
-    """Spacer levels added while building stage ``n + 1`` from stage ``n``."""
-
-    stage: int
-    middle: Interval
-    right: tuple[Interval, ...]
-
-
-@dataclass(frozen=True)
 class ChaconSystem:
-    """A finite-depth stack of towers sharing one ambient interval.
+    """Towers of orders 1..n_max on the lattice of step ``1 / denom``.
 
-    ``towers[i]`` has order ``i + 1``; each tower's levels refine the
-    previous tower's levels plus that stage's spacers.  ``high_water`` is
-    the total mass, and the covered set is exactly ``[0, high_water)``.
+    ``heights[n-1]``, ``widths[n-1]`` and ``marks[n-1]`` are tower n's
+    height, level width and high-water mark ``h_n * w_n``.  Stage n, which
+    builds tower n + 1, puts its spacers (width ``widths[n]``) in
+    ``[marks[n-1], marks[n])``; the covered set is ``[0, high_water)``.
     """
 
-    towers: tuple[Tower, ...]
-    spacer_stages: tuple[SpacerStage, ...]
-    high_water: Fraction
+    n_max: int
+    denom: int
+    heights: tuple[int, ...]
+    widths: tuple[int, ...]
+    marks: tuple[int, ...]
 
     @property
-    def n_max(self) -> int:
-        return len(self.towers)
+    def high_water(self) -> int:
+        return self.marks[-1]
 
-    @property
+    @cached_property
     def covered(self) -> Interval:
-        return Interval(ZERO, self.high_water)
+        return Interval(0, self.high_water)
 
 
 def tower_heights(n_max: int) -> list[int]:
@@ -124,122 +99,181 @@ def tower_heights(n_max: int) -> list[int]:
 
 
 def build_system(n_max: int) -> ChaconSystem:
-    """Build towers of orders 1..n_max with exact rational levels."""
-    if not isinstance(n_max, int) or n_max < 1:
-        raise ValueError("n_max must be a positive integer")
-
-    towers = [Tower(order=1, height=1, level_width=ONE, levels=(Interval(ZERO, ONE),))]
-    stages: list[SpacerStage] = []
-    high_water = ONE
-
-    for n in range(1, n_max):
-        prev = towers[-1]
-        w = prev.level_width / 3
-        left = [Interval(lv.lo, lv.lo + w) for lv in prev.levels]
-        middle = [Interval(lv.lo + w, lv.lo + 2 * w) for lv in prev.levels]
-        right = [Interval(lv.lo + 2 * w, lv.hi) for lv in prev.levels]
-
-        mid_spacer = Interval(high_water, high_water + w)
-        high_water += w
-        right_spacers = []
-        for _ in range(3 * prev.height + 1):
-            right_spacers.append(Interval(high_water, high_water + w))
-            high_water += w
-
-        levels = left + middle + [mid_spacer] + right + right_spacers
-        towers.append(
-            Tower(
-                order=n + 1,
-                height=2 * (3 * prev.height + 1),
-                level_width=w,
-                levels=tuple(levels),
-            )
-        )
-        stages.append(SpacerStage(stage=n, middle=mid_spacer, right=tuple(right_spacers)))
-
-    system = ChaconSystem(
-        towers=tuple(towers), spacer_stages=tuple(stages), high_water=high_water
+    """The depth-n_max system: O(n_max) integers, no levels."""
+    heights = tower_heights(n_max)
+    denom = 3 ** (n_max - 1) * SNAP_DENOM
+    widths = tuple(denom // 3**n for n in range(n_max))
+    return ChaconSystem(
+        n_max=n_max,
+        denom=denom,
+        heights=tuple(heights),
+        widths=widths,
+        marks=tuple(h * w for h, w in zip(heights, widths)),
     )
-    top = towers[-1]
-    assert high_water == top.height * top.level_width
-    return system
 
 
-def _find(tower: Tower, x: Fraction) -> int | None:
-    """1-based level index of x in the tower, or None."""
-    i = bisect_right(tower.search_los, x) - 1
-    if i < 0:
+def _check_domain(system: ChaconSystem, x: int) -> None:
+    if not 0 <= x < system.marks[-1]:
+        raise OutOfDomainError(f"{x} is outside [0, {system.marks[-1]})")
+
+
+def spacer_of(system: ChaconSystem, x: int) -> tuple[int, int, int] | None:
+    """(stage n, spacer j, offset) for a covered x at or above 1; None below 1.
+
+    Stage n's spacer 0 is its middle spacer and spacers 1..3h_n + 1 are
+    its right spacers bottom-up, the last of them the top of tower n + 1.
+    """
+    marks = system.marks
+    if x < marks[0]:
         return None
-    k = tower.search_order[i]
-    if x < tower.levels[k].hi:
-        return k + 1
-    return None
+    n = 1
+    while x >= marks[n]:
+        n += 1
+    j, offset = divmod(x - marks[n - 1], system.widths[n])
+    return n, j, offset
 
 
-def locate(system: ChaconSystem, x: Fraction, n: int) -> tuple[int, Fraction]:
-    """Locate x in tower n: (1-based level index, offset from the level's left end)."""
-    if not 1 <= n <= system.n_max:
-        raise ValueError(f"tower order {n} not in 1..{system.n_max}")
-    tower = system.towers[n - 1]
-    k = _find(tower, Fraction(x))
-    if k is None:
-        raise OutOfDomainError(f"{x} is not in the order-{n} tower")
-    return k, Fraction(x) - tower.levels[k - 1].lo
-
-
-def translate_at_order(system: ChaconSystem, x: Fraction, n: int) -> Fraction:
-    """Image of x using tower n alone.  Requires x in a non-top level of tower n."""
-    tower = system.towers[n - 1]
-    k = _find(tower, Fraction(x))
-    if k is None:
-        raise OutOfDomainError(f"{x} is not in the order-{n} tower")
-    if k == tower.height:
-        raise DepthExceededError(f"{x} is in the top level of the order-{n} tower")
-    return Fraction(x) + (tower.levels[k].lo - tower.levels[k - 1].lo)
-
-
-def apply_T(system: ChaconSystem, x: Fraction) -> Fraction:
+def apply_T(system: ChaconSystem, x: int) -> int:
     """One step of the point map.
 
     Uses the smallest tower order at which x sits in a non-top level; the
     result does not depend on the order chosen because deeper towers
-    refine shallower ones column by column.  Undefined exactly on the top
-    level of the deepest tower.
+    refine shallower ones column by column.  That order is the first
+    tower holding x, or the next one when x is that tower's top.
+    Undefined exactly on the top level of the deepest tower.
     """
-    x = Fraction(x)
-    if x < 0 or x >= system.high_water:
-        raise OutOfDomainError(f"{x} is outside [0, {system.high_water})")
-    for tower in system.towers:
-        k = _find(tower, x)
-        if k is not None and k < tower.height:
-            return x + (tower.levels[k].lo - tower.levels[k - 1].lo)
-    raise DepthExceededError(
-        f"{x} is in the top level of the deepest tower (order {system.n_max})"
-    )
+    _check_domain(system, x)
+    widths = system.widths
+    spacer = spacer_of(system, x)
+    if spacer is None:
+        order, offset = 1, x  # [0, 1) is tower 1's only level, its top
+    else:
+        n, j, offset = spacer
+        if j == 0:  # middle spacer -> right third of the bottom level
+            return 2 * widths[n] + offset
+        if j <= 3 * system.heights[n - 1]:  # right spacer -> the next one up
+            return x + widths[n]
+        order = n + 1  # the last right spacer is the top of tower n + 1
+    if order == system.n_max:
+        raise DepthExceededError(
+            f"{x} is in the top level of the deepest tower (order {system.n_max})"
+        )
+    # the next stage cuts the top level in thirds; none of them is on top
+    w = widths[order]
+    third, offset = divmod(offset, w)
+    if third == 0:  # -> middle third of the bottom level
+        return w + offset
+    # middle third -> the stage's middle spacer, right third -> its first right spacer
+    return system.marks[order - 1] + (third - 1) * w + offset
 
 
-def apply_T_inv(system: ChaconSystem, x: Fraction) -> Fraction:
+def apply_T_inv(system: ChaconSystem, x: int) -> int:
     """One step of the inverse map.  Undefined exactly on the bottom level."""
-    x = Fraction(x)
-    if x < 0 or x >= system.high_water:
-        raise OutOfDomainError(f"{x} is outside [0, {system.high_water})")
-    for tower in system.towers:
-        k = _find(tower, x)
-        if k is not None and k > 1:
-            return x + (tower.levels[k - 2].lo - tower.levels[k - 1].lo)
+    _check_domain(system, x)
+    marks, widths = system.marks, system.widths
+    spacer = spacer_of(system, x)
+    if spacer is not None:
+        n, j, offset = spacer
+        if j >= 2:
+            return x - widths[n]
+        # middle spacer <- middle third of tower n's top, first right spacer <- right third
+        return marks[n - 1] - widths[n - 1] + (j + 1) * widths[n] + offset
+    # x stays in the bottom level for as long as it falls in left thirds
+    offset = x
+    for n in range(1, system.n_max):
+        third, offset = divmod(offset, widths[n])
+        if third == 1:  # middle third of the bottom <- left third of tower n's top
+            return marks[n - 1] - widths[n - 1] + offset
+        if third == 2:  # right third of the bottom <- stage n's middle spacer
+            return marks[n - 1] + offset
     raise DepthExceededError(
         f"{x} is in the bottom level of the deepest tower (order {system.n_max})"
     )
 
 
-def orbit(system: ChaconSystem, x: Fraction, p: int) -> list[Fraction]:
+def _level(system: ChaconSystem, x: int, n: int) -> tuple[int, int] | None:
+    """(0-based level, offset) of x in tower n, or None when tower n misses x."""
+    if not 0 <= x < system.marks[-1]:
+        return None
+    heights, widths = system.heights, system.widths
+    spacer = spacer_of(system, x)
+    if spacer is None:
+        order, k, offset = 1, 0, x
+    else:
+        stage, j, offset = spacer
+        h = heights[stage - 1]
+        order, k = stage + 1, (2 * h if j == 0 else 3 * h + j)
+    if order > n:
+        return None
+    for m in range(order, n):  # stage m: left third k, middle h + k, right 2h + 1 + k
+        h = heights[m - 1]
+        third, offset = divmod(offset, widths[m])
+        k += (0, h, 2 * h + 1)[third]
+    return k, offset
+
+
+def _level_lo(system: ChaconSystem, n: int, k: int) -> int:
+    """Left end of tower n's level k (0-based, bottom up)."""
+    lo = 0
+    while n > 1:
+        h, w, mark = system.heights[n - 2], system.widths[n - 1], system.marks[n - 2]
+        if k == 2 * h:  # the middle spacer
+            return lo + mark
+        if k > 3 * h:  # a right spacer
+            return lo + mark + (k - 3 * h) * w
+        third = 0 if k < h else 1 if k < 2 * h else 2
+        lo += third * w
+        k -= (0, h, 2 * h + 1)[third]
+        n -= 1
+    return lo
+
+
+def _check_order(system: ChaconSystem, n: int) -> None:
+    if not 1 <= n <= system.n_max:
+        raise ValueError(f"tower order {n} not in 1..{system.n_max}")
+
+
+def locate(system: ChaconSystem, x: int, n: int) -> tuple[int, int]:
+    """Locate x in tower n: (1-based level index, offset from the level's left end)."""
+    _check_order(system, n)
+    found = _level(system, x, n)
+    if found is None:
+        raise OutOfDomainError(f"{x} is not in the order-{n} tower")
+    return found[0] + 1, found[1]
+
+
+def translate_at_order(system: ChaconSystem, x: int, n: int) -> int:
+    """Image of x using tower n alone.  Requires x in a non-top level of tower n."""
+    _check_order(system, n)
+    found = _level(system, x, n)
+    if found is None:
+        raise OutOfDomainError(f"{x} is not in the order-{n} tower")
+    k, offset = found
+    if k == system.heights[n - 1] - 1:
+        raise DepthExceededError(f"{x} is in the top level of the order-{n} tower")
+    return _level_lo(system, n, k + 1) + offset
+
+
+def levels(system: ChaconSystem, n: int) -> list[Interval]:
+    """Tower n's levels bottom-up; O(h_n) time and space, for printing."""
+    _check_order(system, n)
+    los = [0]
+    for m in range(1, n):
+        w, mark = system.widths[m], system.marks[m - 1]
+        spacers = [mark + j * w for j in range(3 * len(los) + 2)]
+        los = los + [lo + w for lo in los] + spacers[:1] + [lo + 2 * w for lo in los] + spacers[1:]
+    w = system.widths[n - 1]
+    return [Interval(lo, lo + w) for lo in los]
+
+
+def orbit(system: ChaconSystem, x: int, p: int) -> list[int]:
     """[x, Tx, ..., T^p x] for p >= 0; inverse steps for p < 0.
 
     On failure raises DepthExceededError with ``steps_completed`` set to
     the number of successful steps.
     """
     step = apply_T if p >= 0 else apply_T_inv
-    xs = [Fraction(x)]
+    xs = [x]
     for i in range(abs(p)):
         try:
             xs.append(step(system, xs[-1]))
@@ -250,7 +284,7 @@ def orbit(system: ChaconSystem, x: Fraction, p: int) -> list[Fraction]:
 
 def return_time(
     system: ChaconSystem,
-    x: Fraction,
+    x: int,
     targets: Iterable[Interval],
     p_max: int,
 ) -> int:
@@ -262,7 +296,7 @@ def return_time(
     targets = tuple(targets)
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
-    cur = Fraction(x)
+    cur = x
     for p in range(1, p_max + 1):
         try:
             cur = apply_T(system, cur)
@@ -279,41 +313,42 @@ def return_time(
     )
 
 
-def translation_pieces(system: ChaconSystem) -> list[tuple[Interval, Fraction]]:
+def translation_pieces(system: ChaconSystem) -> list[tuple[Interval, int]]:
     """Maximal translation pieces of the map: (domain level, offset) pairs.
 
     The domains are the non-top levels of the deepest tower; they
     partition the covered set minus the top level, and each piece maps
     onto the next level up, an interval of the same width.
     """
-    top = system.towers[-1]
-    return [
-        (top.levels[k], top.levels[k + 1].lo - top.levels[k].lo)
-        for k in range(top.height - 1)
-    ]
+    top = levels(system, system.n_max)
+    return [(lv, nxt.lo - lv.lo) for lv, nxt in zip(top, top[1:])]
 
 
 def system_to_json(system: ChaconSystem) -> dict:
+    d = system.denom
     return {
         "n_max": system.n_max,
         "towers": [
             {
-                "order": t.order,
-                "height": t.height,
-                "level_width": format_ratio(t.level_width),
-                "levels": [[format_ratio(lv.lo), format_ratio(lv.hi)] for lv in t.levels],
+                "order": n,
+                "height": system.heights[n - 1],
+                "level_width": format_lattice(system.widths[n - 1], d),
+                "levels": [
+                    [format_lattice(lv.lo, d), format_lattice(lv.hi, d)]
+                    for lv in levels(system, n)
+                ],
             }
-            for t in system.towers
+            for n in range(1, system.n_max + 1)
         ],
-        "high_water": format_ratio(system.high_water),
+        "high_water": format_lattice(system.high_water, d),
     }
 
 
 def system_from_json(payload: dict) -> ChaconSystem:
-    """Rebuild a system from its JSON form and re-derive spacer stages.
+    """Rebuild a system from its JSON form.
 
-    The spacer registry is reconstructed by rebuilding from scratch and
-    checking the levels agree, which doubles as a format check.
+    The system is rebuilt from scratch and its JSON compared with the
+    payload, which doubles as a format check.
     """
     system = build_system(int(payload["n_max"]))
     if system_to_json(system) != payload:
@@ -321,6 +356,6 @@ def system_from_json(payload: dict) -> ChaconSystem:
     return system
 
 
-def random_point(system: ChaconSystem, rng, grid: int = 2**53) -> Fraction:
-    """Uniform random rational in the covered set, on a 1/grid lattice."""
-    return system.high_water * Fraction(int(rng.integers(0, grid)), grid)
+def random_point(system: ChaconSystem, rng, grid: int = 2**53) -> int:
+    """Random covered lattice point: high_water * u / grid, u uniform in [0, grid), floored."""
+    return system.high_water * int(rng.integers(0, grid)) // grid

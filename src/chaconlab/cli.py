@@ -24,10 +24,11 @@ from fractions import Fraction
 from importlib import resources
 
 from . import __version__
-from .chacon import build_system, system_to_json, tower_heights
+from .chacon import build_system, system_to_json
 from .cocycle import check_condition_i, check_condition_ii, cocycle_spec_from_json
 from .errors import InsufficientDataError
 from .joining import verify_joining
+from .ratio import format_lattice
 from .suites import run_poisson_suite, run_suspension_suite
 
 EXIT_OK = 0
@@ -156,21 +157,21 @@ def cmd_build_chacon(args: argparse.Namespace) -> int:
         raise UsageError("--n-max must be at least 1")
     system = build_system(n_max)
     run = RunConfig(command="build-chacon", n_max=n_max)
-    heights = tower_heights(n_max)
+    d = system.denom
     rows = [
         {
-            "order": t.order,
-            "height": t.height,
-            "level_width": str(t.level_width),
-            "mass": str(t.height * t.level_width),
+            "order": n,
+            "height": h,
+            "level_width": format_lattice(w, d),
+            "mass": format_lattice(mark, d),
         }
-        for t in system.towers
+        for n, h, w, mark in zip(range(1, n_max + 1), system.heights, system.widths, system.marks)
     ]
     report = {
         "version": __version__,
         "run_config": run.to_jsonable(),
-        "heights": heights,
-        "covered": [str(system.covered.lo), str(system.covered.hi)],
+        "heights": list(system.heights),
+        "covered": [format_lattice(0, d), format_lattice(system.high_water, d)],
         "towers": rows,
         "system": system_to_json(system),
     }

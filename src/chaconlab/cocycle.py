@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .chacon import ChaconSystem, tower_heights
 from .errors import DepthExceededError, OutOfDomainError
@@ -206,30 +205,25 @@ def derived_sequence(spec: CocycleSpec, count: int) -> list[StageRow]:
     return rows
 
 
-def eval_phi(spec: CocycleSpec, system: ChaconSystem, x: Fraction) -> GroupElem:
-    """Level-function value at x: constant on the level that first contained x."""
-    x = Fraction(x)
-    if x < 0 or x >= system.high_water:
+def eval_phi(spec: CocycleSpec, system: ChaconSystem, x: int) -> GroupElem:
+    """Level-function value at lattice point x: constant on the level that first contained x."""
+    if not 0 <= x < system.high_water:
         raise OutOfDomainError(f"{x} is outside [0, {system.high_water})")
-    if x < 1:
+    spacer = chacon.spacer_of(system, x)
+    if spacer is None:
         return spec.base_value
-    for st in system.spacer_stages:
-        lo = st.middle.lo
-        hi = st.right[-1].hi
-        if lo <= x < hi:
-            j = int((x - lo) / st.middle.width)
-            if j == 0:
-                return spec.middle_value(st.stage)
-            return spec.right_value(st.stage, j - 1)
-    raise OutOfDomainError(f"{x} is not covered by any stage of this system")
+    stage, j, _ = spacer
+    if j == 0:
+        return spec.middle_value(stage)
+    return spec.right_value(stage, j - 1)
 
 
-def phi_iter(spec: CocycleSpec, system: ChaconSystem, x: Fraction, p: int) -> GroupElem:
+def phi_iter(spec: CocycleSpec, system: ChaconSystem, x: int, p: int) -> GroupElem:
     """Sum of the level function along x, Tx, ..., T^(p-1)x (identity when p == 0)."""
     if p < 0:
         raise ValueError("p must be >= 0")
     total = spec.group.identity()
-    cur = Fraction(x)
+    cur = x
     for i in range(p):
         total = total + eval_phi(spec, system, cur)
         if i + 1 < p:

@@ -44,13 +44,6 @@ class CensorReport:
         if self.survived < 0 or self.censored < 0:
             raise ValueError("counts must be nonnegative")
 
-    @property
-    def total(self) -> int:
-        return self.survived + self.censored
-
-    def to_jsonable(self) -> dict:
-        return {"survived": self.survived, "censored": self.censored, "reasons": dict(self.reasons)}
-
 
 class CensoredError(ChaconlabError):
     """A sampled quantity could not be resolved within the given budget.

@@ -41,7 +41,7 @@ from .stats import (
     make_rng,
     uniform_law,
 )
-from .suspension import SNAP_DENOM
+from .suspension import SNAP_DENOM, snapped_arrivals
 
 _D = SNAP_DENOM
 
@@ -108,28 +108,15 @@ class BiConfig:
         return self.ids[self._slot(n)]
 
 
-def _side_nums(rng: np.random.Generator, half_width: int) -> list[int]:
-    """Strictly increasing snapped cumulative exponential gaps below W."""
-    bound = half_width * _D
-    out: list[int] = []
-    cum = 0
-    while True:
-        gaps = np.maximum(1, np.rint(rng.exponential(1.0, size=half_width + 8) * _D))
-        for g in gaps:
-            cum += int(g)
-            if cum >= bound:
-                return out
-            out.append(cum)
-
-
 def _sample_biconfig_counted(
     half_width: int, seed: int, stream: int
 ) -> tuple[BiConfig, int]:
     rng = make_rng(RngSpec(seed=seed, stream=stream))
+    bound, chunk = half_width * _D, half_width + 8
     retries = 0
     for _ in range(1000):
-        right = _side_nums(rng, half_width)
-        left = [-c for c in reversed(_side_nums(rng, half_width))]
+        right = snapped_arrivals(rng, bound, chunk)
+        left = [-c for c in reversed(snapped_arrivals(rng, bound, chunk))]
         if not right or not left:
             retries += 1
             continue

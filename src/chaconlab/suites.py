@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chacon import Interval, build_system, tower_heights
+from .chacon import SNAP_DENOM, build_system, tower_heights
 from .cocycle import CocycleSpec, phi_iter, single_spacer_indicator
 from .errors import CensoredError, InsufficientDataError
 from .parallel import fan_out
@@ -48,9 +48,11 @@ from .suspension import (
     RankPermutation,
     distinguish_k,
     induced_return,
+    lattice_window,
     recombine,
     sample_poisson,
     skew_apply_group,
+    superpose,
 )
 
 GAPS_PER_CONFIG = 5
@@ -59,8 +61,8 @@ FAILURE_KEYS = ("conjugacy_failures", "return_time_mismatches", "phi_transport_f
 
 def collect_poisson(start: int, stop: int, seed: int, window_hi: int, sup_hi: int) -> dict:
     """Raw draws for the distributional suite, three streams per sample."""
-    window = Interval(Fraction(0), Fraction(window_hi))
-    sup_window = Interval(Fraction(0), Fraction(sup_hi))
+    window = lattice_window(0, window_hi)
+    sup_window = lattice_window(0, sup_hi)
     t1: list[float] = []
     gaps: list[float] = []
     sup_counts: list[int] = []
@@ -70,17 +72,18 @@ def collect_poisson(start: int, stop: int, seed: int, window_hi: int, sup_hi: in
         if config.count == 0:
             skipped_empty += 1
         else:
-            t1.append(float(config.t(1)))
+            # int / int is correctly rounded, as float(Fraction) is
+            t1.append(config.t(1) / SNAP_DENOM)
             if config.count > GAPS_PER_CONFIG:
                 pos = config.positions()
                 gaps.extend(
-                    float(pos[j + 1] - pos[j]) for j in range(GAPS_PER_CONFIG)
+                    (pos[j + 1] - pos[j]) / SNAP_DENOM for j in range(GAPS_PER_CONFIG)
                 )
             else:
                 skipped_short += 1
         a = sample_poisson(sup_window, seed, stream=3 * i + 1)
         b = sample_poisson(sup_window, seed, stream=3 * i + 2)
-        sup_counts.append(a.count + b.count)
+        sup_counts.append(superpose(a, b).count)
     return {
         "t1": t1,
         "gaps": gaps,
@@ -152,7 +155,7 @@ def collect_suspension(
     ``mark_steps`` feed the mark tests.
     """
     system = build_system(n_max)
-    window = Interval(Fraction(0), Fraction(window_hi))
+    window = lattice_window(0, window_hi, system.denom)
     group = spec.group
     stream = KeyedStream(seed)
     law = uniform_law(group.order)
@@ -168,7 +171,7 @@ def collect_suspension(
     mark_censored = 0
 
     for i in range(start, stop):
-        config = sample_poisson(window, seed, stream=i)
+        config = sample_poisson(window, seed, stream=i, denom=system.denom)
         route_a = {}  # k -> (induced return time, recombined configuration)
         for k in k_values:
             if config.count < k:

@@ -8,9 +8,11 @@ is only piecewise order-preserving the atoms get re-ranked, and the
 induced rank permutation is the combinatorial shadow of the dynamics.
 
 Everything here is exact except sampling itself: exponential gaps are
-drawn in double precision and snapped to rationals with denominator 2**53,
-after which the whole pipeline is integer arithmetic on Fractions, so
-rank comparisons and permutation identities hold exactly, never up to
+drawn in double precision and snapped to multiples of 2**-53, after which
+the whole pipeline is integer arithmetic.  A configuration's positions
+and window are integers over its lattice denominator ``denom``; pushed
+through a tower system they live on the system's lattice, so rank
+comparisons and permutation identities hold exactly, never up to
 floating error.
 
 Whole-configuration censoring: the tower map is partial (depth-bounded),
@@ -22,30 +24,38 @@ not.  Budget exhaustion in search loops is reported the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
+
+import numpy as np
 
 from . import chacon
-from .chacon import ChaconSystem, Interval
+from .chacon import SNAP_DENOM, ChaconSystem, Interval
 from .cocycle import CocycleSpec, GroupElem, eval_phi, phi_iter
 from .errors import CensoredError, CensorReport, DepthExceededError, InsufficientDataError
-from .ratio import format_ratio, parse_ratio
+from .ratio import ceil_lattice, format_lattice, parse_ratio, to_lattice
 from .stats import RngSpec, make_rng
-
-SNAP_DENOM = 2**53
 
 
 class Atom(NamedTuple):
     id: int
-    pos: Fraction
+    pos: int
+
+
+def lattice_window(lo, hi, denom: int = SNAP_DENOM) -> Interval:
+    """The lattice interval holding exactly the multiples of 1/denom in [lo, hi)."""
+    return Interval(ceil_lattice(lo, denom), ceil_lattice(hi, denom))
 
 
 @dataclass(frozen=True)
 class PointConfig:
-    """Strictly increasing atoms with unique permanent ids inside a window."""
+    """Strictly increasing atoms with unique permanent ids inside a window.
+
+    Positions and the window are integers over ``denom``.
+    """
 
     window: Interval
     atoms: tuple[Atom, ...]
+    denom: int = SNAP_DENOM
     provenance: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -65,10 +75,10 @@ class PointConfig:
     def count(self) -> int:
         return len(self.atoms)
 
-    def positions(self) -> tuple[Fraction, ...]:
+    def positions(self) -> tuple[int, ...]:
         return tuple(a.pos for a in self.atoms)
 
-    def t(self, n: int) -> Fraction:
+    def t(self, n: int) -> int:
         """Position of the rank-n atom, 1-based."""
         if not 1 <= n <= self.count:
             raise IndexError(f"rank {n} not in 1..{self.count}")
@@ -130,25 +140,42 @@ class MarkedConfig:
             raise ValueError("need exactly one mark per atom")
 
 
-def sample_poisson(window: Interval, seed: int, stream: int = 0) -> PointConfig:
-    """Unit-intensity sample on the window via cumulative exponential gaps.
+def snapped_arrivals(rng: np.random.Generator, bound: int, chunk: int) -> list[int]:
+    """Unit-rate arrival times below bound / 2**53, as numerators over 2**53.
 
-    Gaps are snapped to multiples of 1/2**53 (and floored at one step so
-    order stays strict); positions are exact sums of snapped gaps.
+    Exp(1) gaps are drawn ``chunk`` at a time, snapped to the nearest
+    multiple of 2**-53 and floored at one step, so arrivals strictly
+    increase.  The rest of the chunk that crosses the bound is discarded:
+    a caller that goes on drawing from ``rng`` depends on ``chunk``.
     """
-    rng = make_rng(RngSpec(seed=seed, stream=stream))
-    width = window.width
-    cum = Fraction(0)
-    atoms = []
-    next_id = 1
+    out: list[int] = []
+    cum = 0
     while True:
-        for g in rng.exponential(1.0, size=max(16, int(float(width)) + 8)):
-            num = max(1, round(g * SNAP_DENOM))
-            cum += Fraction(num, SNAP_DENOM)
-            if cum >= width:
-                return PointConfig(window=window, atoms=tuple(atoms))
-            atoms.append(Atom(next_id, window.lo + cum))
-            next_id += 1
+        gaps = np.maximum(1.0, np.rint(rng.exponential(1.0, size=chunk) * SNAP_DENOM))
+        for g in gaps.tolist():
+            cum += int(g)
+            if cum >= bound:
+                return out
+            out.append(cum)
+
+
+def sample_poisson(
+    window: Interval, seed: int, stream: int = 0, denom: int = SNAP_DENOM
+) -> PointConfig:
+    """Unit-intensity sample on a window given in lattice units of 1/denom.
+
+    Positions are window.lo plus exact sums of snapped gaps (see
+    ``snapped_arrivals``); ``denom`` must be a multiple of 2**53.
+    """
+    scale, rest = divmod(denom, SNAP_DENOM)
+    if rest:
+        raise ValueError(f"lattice denominator {denom} is not a multiple of 2**53")
+    rng = make_rng(RngSpec(seed=seed, stream=stream))
+    # lo + cum * scale >= hi exactly when cum >= ceil((hi - lo) / scale)
+    bound = -(-window.width // scale)
+    arrivals = snapped_arrivals(rng, bound, max(16, window.width // denom + 8))
+    atoms = tuple(Atom(i, window.lo + c * scale) for i, c in enumerate(arrivals, start=1))
+    return PointConfig(window=window, atoms=atoms, denom=denom)
 
 
 def push_forward(
@@ -160,6 +187,8 @@ def push_forward(
     image censors the whole configuration: raises CensoredError carrying
     the tally.
     """
+    if config.denom != system.denom:
+        raise ValueError("the configuration and the system use different lattices")
     mapped = []
     failed = 0
     for a in config.atoms:
@@ -184,8 +213,9 @@ def push_forward(
     for new_rank, old_idx in enumerate(order, start=1):
         images[old_idx] = new_rank
     out = PointConfig(
-        window=Interval(Fraction(0), system.high_water),
+        window=system.covered,
         atoms=tuple(mapped[i] for i in order),
+        denom=system.denom,
     )
     report = CensorReport(survived=config.count, censored=0, reasons={})
     return out, RankPermutation(tuple(images)), report
@@ -226,22 +256,22 @@ def return_time_N_k(system: ChaconSystem, config: PointConfig, k: int, p_max: in
     )
 
 
-def distinguish_k(config: PointConfig, k: int) -> tuple[tuple[Fraction, ...], PointConfig]:
+def distinguish_k(config: PointConfig, k: int) -> tuple[tuple[int, ...], PointConfig]:
     """Split off the k lowest atoms as bare positions; keep the rest."""
     if not 0 <= k <= config.count:
         raise InsufficientDataError(f"k={k} not in 0..{config.count}")
     points = tuple(a.pos for a in config.atoms[:k])
-    remainder = PointConfig(window=config.window, atoms=config.atoms[k:])
+    remainder = PointConfig(window=config.window, atoms=config.atoms[k:], denom=config.denom)
     return points, remainder
 
 
-def recombine(points: Sequence[Fraction], remainder: PointConfig) -> PointConfig:
+def recombine(points: Sequence[int], remainder: PointConfig) -> PointConfig:
     """Inverse of distinguish_k on positions: re-adjoin the points as atoms.
 
     Ids are relabeled 1..n in rank order, so equality with an original
     configuration is equality of positions.
     """
-    pts = [Fraction(p) for p in points]
+    pts = list(points)
     if any(b <= a for a, b in zip(pts, pts[1:])):
         raise ValueError("points must be strictly increasing")
     if pts and remainder.count and pts[-1] >= remainder.t(1):
@@ -250,10 +280,11 @@ def recombine(points: Sequence[Fraction], remainder: PointConfig) -> PointConfig
     return PointConfig(
         window=remainder.window,
         atoms=tuple(Atom(i + 1, p) for i, p in enumerate(merged)),
+        denom=remainder.denom,
     )
 
 
-def in_split_order(points: Sequence[Fraction], remainder: PointConfig) -> bool:
+def in_split_order(points: Sequence[int], remainder: PointConfig) -> bool:
     """Are the points strictly increasing and strictly below the remainder?"""
     pts = list(points)
     if any(b <= a for a, b in zip(pts, pts[1:])):
@@ -263,10 +294,10 @@ def in_split_order(points: Sequence[Fraction], remainder: PointConfig) -> bool:
 
 def induced_return(
     system: ChaconSystem,
-    points: Sequence[Fraction],
+    points: Sequence[int],
     remainder: PointConfig,
     p_max: int,
-) -> tuple[int, tuple[Fraction, ...], PointConfig]:
+) -> tuple[int, tuple[int, ...], PointConfig]:
     """First return of (map x ... x map, pushforward) to the split-order set.
 
     Advances the distinguished points and the remainder in lockstep and
@@ -274,7 +305,7 @@ def induced_return(
     p >= 1 where the split order x_1 < ... < x_k < min(remainder) holds
     again.  Censoring mirrors return_time_N_k.
     """
-    pts = [Fraction(p) for p in points]
+    pts = list(points)
     cur = remainder
     for p in range(1, p_max + 1):
         nxt_pts = []
@@ -319,10 +350,10 @@ def induced_return(
 def superpose(c1: PointConfig, c2: PointConfig) -> PointConfig:
     """Merge two configurations on one window; fresh ids, provenance kept.
 
-    Exact rational positions make collisions a hard error rather than a
+    Exact lattice positions make collisions a hard error rather than a
     silent tie-break; they have probability zero under sampling.
     """
-    if c1.window != c2.window:
+    if c1.window != c2.window or c1.denom != c2.denom:
         raise ValueError("superposition needs a common window")
     tagged = [(a.pos, 1, a.id) for a in c1.atoms] + [(a.pos, 2, a.id) for a in c2.atoms]
     tagged.sort(key=lambda t: t[0])
@@ -331,7 +362,7 @@ def superpose(c1: PointConfig, c2: PointConfig) -> PointConfig:
             raise AssertionError("superposition collision at identical positions")
     atoms = tuple(Atom(i + 1, pos) for i, (pos, _, _) in enumerate(tagged))
     provenance = tuple((src, old) for _, src, old in tagged)
-    return PointConfig(window=c1.window, atoms=atoms, provenance=provenance)
+    return PointConfig(window=c1.window, atoms=atoms, denom=c1.denom, provenance=provenance)
 
 
 def skew_apply_perm(perm: RankPermutation, marks: Sequence[Any]) -> tuple:
@@ -375,20 +406,24 @@ def phi_k_vector(
 
 
 def config_to_json(config: PointConfig, marks: Sequence[Any] | None = None) -> dict:
+    d = config.denom
     atoms = []
     for i, a in enumerate(config.atoms):
-        entry = {"id": a.id, "pos": format_ratio(a.pos)}
+        entry = {"id": a.id, "pos": format_lattice(a.pos, d)}
         if marks is not None:
             m = marks[i]
             entry["mark"] = list(m.coords) if isinstance(m, GroupElem) else m
         atoms.append(entry)
     return {
-        "window": [format_ratio(config.window.lo), format_ratio(config.window.hi)],
+        "window": [format_lattice(config.window.lo, d), format_lattice(config.window.hi, d)],
         "atoms": atoms,
     }
 
 
-def config_from_json(payload: dict) -> PointConfig:
-    window = Interval(parse_ratio(payload["window"][0]), parse_ratio(payload["window"][1]))
-    atoms = tuple(Atom(int(a["id"]), parse_ratio(a["pos"])) for a in payload["atoms"])
-    return PointConfig(window=window, atoms=atoms)
+def config_from_json(payload: dict, denom: int = SNAP_DENOM) -> PointConfig:
+    """Read a configuration onto the lattice of step 1/denom; atoms must lie on it."""
+    window = lattice_window(*(parse_ratio(end) for end in payload["window"]), denom)
+    atoms = tuple(
+        Atom(int(a["id"]), to_lattice(parse_ratio(a["pos"]), denom)) for a in payload["atoms"]
+    )
+    return PointConfig(window=window, atoms=atoms, denom=denom)

@@ -1,16 +1,18 @@
 """Independent test oracles, kept deliberately naive."""
 
 import itertools
+from bisect import bisect_right
 from fractions import Fraction
 
-from chaconlab.chacon import Interval, build_system
+from chaconlab.chacon import build_system
 from chaconlab.cocycle import FinAbGroup, combine_pairs
-from chaconlab.errors import CensoredError
+from chaconlab.errors import CensoredError, DepthExceededError, OutOfDomainError
 from chaconlab.stats import KeyedStream, uniform_law
 from chaconlab.suspension import (
     MarkedConfig,
     distinguish_k,
     induced_return,
+    lattice_window,
     phi_k_vector,
     push_forward,
     recombine,
@@ -59,7 +61,7 @@ def four_walk_suspension(start, stop, seed, n_max, p_max, window_hi, k_values, s
     with plain-list mark counts.
     """
     system = build_system(n_max)
-    window = Interval(Fraction(0), Fraction(window_hi))
+    window = lattice_window(0, window_hi, system.denom)
     group = spec.group
     stream = KeyedStream(seed)
     law = uniform_law(group.order)
@@ -73,7 +75,7 @@ def four_walk_suspension(start, stop, seed, n_max, p_max, window_hi, k_values, s
     mark_censored = 0
 
     for i in range(start, stop):
-        config = sample_poisson(window, seed, stream=i)
+        config = sample_poisson(window, seed, stream=i, denom=system.denom)
         for k in k_values:
             tally = per_k[k]
             if config.count < k:
@@ -119,3 +121,96 @@ def four_walk_suspension(start, stop, seed, n_max, p_max, window_hi, k_values, s
         "mark_pairs": mark_pairs,
         "mark_censored": mark_censored,
     }
+
+
+class FractionTower:
+    """The tower engine as first written: every level of every tower
+    stored as a pair of Fractions and found by ``bisect``.
+
+    Positions are Fractions in real units.  Each method reproduces the
+    matching ``chaconlab.chacon`` (or ``cocycle.eval_phi``) function,
+    errors included, from the stored levels alone.
+    """
+
+    def __init__(self, n_max: int):
+        one = Fraction(1)
+        towers = [[(Fraction(0), one)]]
+        widths = [one]
+        stages = []  # (first spacer's left end, stage high-water mark)
+        high_water = one
+        for _ in range(1, n_max):
+            w = widths[-1] / 3
+            prev = towers[-1]
+            left = [(lo, lo + w) for lo, _ in prev]
+            middle = [(lo + w, lo + 2 * w) for lo, _ in prev]
+            right = [(lo + 2 * w, hi) for lo, hi in prev]
+            start = high_water
+            spacers = []
+            for _ in range(3 * len(prev) + 2):
+                spacers.append((high_water, high_water + w))
+                high_water += w
+            towers.append(left + middle + spacers[:1] + right + spacers[1:])
+            widths.append(w)
+            stages.append((start, high_water))
+        self.n_max = n_max
+        self.towers = towers
+        self.widths = widths
+        self.stages = stages
+        self.high_water = high_water
+        self._order = [sorted(range(len(t)), key=lambda k, t=t: t[k][0]) for t in towers]
+        self._los = [[t[k][0] for k in order] for t, order in zip(towers, self._order)]
+
+    def find(self, n: int, x) -> int | None:
+        """1-based level index of x in tower n, or None."""
+        i = bisect_right(self._los[n - 1], x) - 1
+        if i < 0:
+            return None
+        k = self._order[n - 1][i]
+        return k + 1 if x < self.towers[n - 1][k][1] else None
+
+    def locate(self, x, n: int):
+        if not 1 <= n <= self.n_max:
+            raise ValueError(f"tower order {n} not in 1..{self.n_max}")
+        k = self.find(n, x)
+        if k is None:
+            raise OutOfDomainError(f"{x} is not in the order-{n} tower")
+        return k, x - self.towers[n - 1][k - 1][0]
+
+    def translate_at_order(self, x, n: int):
+        levels = self.towers[n - 1]
+        k = self.find(n, x)
+        if k is None:
+            raise OutOfDomainError(f"{x} is not in the order-{n} tower")
+        if k == len(levels):
+            raise DepthExceededError(f"{x} is in the top level of the order-{n} tower")
+        return x + (levels[k][0] - levels[k - 1][0])
+
+    def _step(self, x, up: bool):
+        if x < 0 or x >= self.high_water:
+            raise OutOfDomainError(f"{x} is outside [0, {self.high_water})")
+        for n, levels in enumerate(self.towers, start=1):
+            k = self.find(n, x)
+            if k is None:
+                continue
+            if up and k < len(levels):
+                return x + (levels[k][0] - levels[k - 1][0])
+            if not up and k > 1:
+                return x + (levels[k - 2][0] - levels[k - 1][0])
+        raise DepthExceededError(f"{x} is at the edge of the deepest tower")
+
+    def apply_T(self, x):
+        return self._step(x, up=True)
+
+    def apply_T_inv(self, x):
+        return self._step(x, up=False)
+
+    def eval_phi(self, spec, x):
+        if x < 0 or x >= self.high_water:
+            raise OutOfDomainError(f"{x} is outside [0, {self.high_water})")
+        if x < 1:
+            return spec.base_value
+        for stage, (lo, hi) in enumerate(self.stages, start=1):
+            if lo <= x < hi:
+                j = int((x - lo) / self.widths[stage])
+                return spec.middle_value(stage) if j == 0 else spec.right_value(stage, j - 1)
+        raise OutOfDomainError(f"{x} is not covered by any stage of this system")

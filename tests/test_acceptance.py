@@ -16,6 +16,7 @@ from chaconlab.chacon import (
     apply_T,
     apply_T_inv,
     build_system,
+    levels,
     random_point,
     tower_heights,
     translate_at_order,
@@ -35,7 +36,7 @@ from chaconlab.cocycle import (
 from chaconlab.errors import CensoredError, DepthExceededError, OutOfDomainError
 from chaconlab.joining import verify_joining
 from chaconlab.suites import run_poisson_suite, run_suspension_suite
-from chaconlab.suspension import Interval, psi_iter, push_forward, sample_poisson
+from chaconlab.suspension import lattice_window, psi_iter, push_forward, sample_poisson
 
 from oracles import brute_reachable, random_span_instance
 
@@ -65,13 +66,15 @@ def test_acceptance_1_tower_construction(announce):
     assert recurrence == [1, 8, 50, 302, 1814, 10886]
     assert tower_heights(6) == recurrence
     system = build_system(6)
-    for tower in system.towers:
-        levels = sorted(tower.levels, key=lambda iv: iv.lo)
-        assert levels[0].lo == 0
-        for a, b in zip(levels, levels[1:]):
+    for order in range(1, system.n_max + 1):
+        tower = sorted(levels(system, order), key=lambda iv: iv.lo)
+        width = system.widths[order - 1]
+        assert len(tower) == system.heights[order - 1]
+        assert tower[0].lo == 0
+        for a, b in zip(tower, tower[1:]):
             assert a.hi == b.lo  # no gap, no overlap
-        assert levels[-1].hi == tower.height * tower.level_width
-        assert tower.level_width == Fraction(3) ** (1 - tower.order)
+        assert tower[-1].hi == len(tower) * width
+        assert Fraction(width, system.denom) == Fraction(3) ** (1 - order)
     elapsed = time.perf_counter() - t0
     announce(
         1,
@@ -127,7 +130,7 @@ def test_acceptance_3_cocycle_identities(announce):
     system = build_system(3)
     spec = _bundled_spec()
     rng = np.random.default_rng(30303)
-    window = Interval(Fraction(0), Fraction(3))
+    window = lattice_window(0, 3, system.denom)
     phi_checked = psi_checked = failures = 0
     stream = 0
     while min(phi_checked, psi_checked) < 1_000:
@@ -149,7 +152,7 @@ def test_acceptance_3_cocycle_identities(announce):
                 if full != split:
                     failures += 1
         if psi_checked < 1_000:
-            config = sample_poisson(window, seed=777, stream=stream)
+            config = sample_poisson(window, seed=777, stream=stream, denom=system.denom)
             if config.count == 0:
                 continue
             try:

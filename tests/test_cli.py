@@ -36,9 +36,8 @@ def test_build_chacon_stdout_is_pure_json(capsys):
     rc, doc = run_json(capsys, ["build-chacon", "--n-max", "2"])
     assert rc == EXIT_OK
     assert doc["heights"] == tower_heights(2)
-    system = build_system(2)
-    assert doc["covered"] == [str(system.covered.lo), str(system.covered.hi)]
-    assert len(doc["towers"]) == len(system.towers)
+    assert doc["covered"] == ["0", "8/3"]
+    assert len(doc["towers"]) == build_system(2).n_max
     assert doc["run_config"]["command"] == "build-chacon"
     assert doc["version"] == __version__
 
@@ -51,7 +50,7 @@ def test_build_chacon_out_writes_json_csv_and_table(tmp_path, capsys):
     assert doc["heights"] == [1, 8]
     with open(tmp_path / "towers.csv") as fh:
         rows = list(csv.DictReader(fh))
-    assert [int(r["order"]) for r in rows] == [t.order for t in build_system(2).towers]
+    assert [int(r["order"]) for r in rows] == [1, 2]
     assert rows[1]["height"] == "8"
     # the human-readable table still lands on the screen
     assert "order 1: height 1" in capsys.readouterr().out
@@ -243,6 +242,13 @@ PINNED_SUITES = [
     (["suspension", "--samples", "60", "--n-max", "2", "--p-max", "2",
       "--window", "2", "--k", "0,1,2,3"],
      "315649716a587fc80275b2e3060105079dedc1a9ac4f32122a79946caff54d15"),
+    # pinned before positions moved from Fractions to lattice integers: the
+    # benchmark's depth-7 run, and a window whose end is off the lattice
+    (["suspension", "--samples", "40", "--n-max", "7", "--window", "4", "--k", "1",
+      "--p-max", "500"],
+     "ed7d87c5272163b8f3e845c11068255a115ca02860066b1300d346620d6624e5"),
+    (["suspension", "--samples", "60", "--n-max", "3", "--window", "10/7"],
+     "f5389189bc2cf92af8bf96f9b8d0ab232373a5d9767efdbad0fa4a6913578b12"),
 ]
 
 
@@ -253,3 +259,21 @@ def test_verify_suites_match_pinned_hashes(capsys, argv, digest, workers):
     doc = json.loads(capsys.readouterr().out)
     text = json.dumps(doc["suites"], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# SHA-256 of the whole build-chacon stdout, pinned while the tower still
+# stored every level as a pair of Fractions
+PINNED_BUILDS = {
+    1: "92bf5eae9e9a1b96ebb5213085525d9c8e510da009545b4399984ce790143b4f",
+    2: "19db134dee0995b0799fa35bdf6a1449c45f5be10c415fc4d59413aced97b6b5",
+    3: "66310eb37d431ba18be28aebdc505860e65c7d2daa22f7d624e6e7dabec326a6",
+    4: "a8e02d176115c418c1061ce4da3926f9bc91c0af78d65e9d2cab3113e1f8b107",
+    5: "46bc63f6f1b669e83874609e12e4a5fe907a77055e715fb595a90a3045c55ec3",
+}
+
+
+@pytest.mark.parametrize("n_max, digest", sorted(PINNED_BUILDS.items()))
+def test_build_chacon_matches_pinned_hash(capsys, n_max, digest):
+    assert main(["build-chacon", "--n-max", str(n_max)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

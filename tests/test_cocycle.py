@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from chaconlab.chacon import apply_T, random_point
+from chaconlab.ratio import to_lattice
 from chaconlab.cocycle import (
     CocycleSpec,
     FinAbGroup,
@@ -92,14 +93,19 @@ def test_eval_phi_constant_on_levels(get_system):
     spec = single_spacer_indicator(1)
     sys3 = get_system(3)
     one, zero = Z2.element((1,)), Z2.identity()
-    assert eval_phi(spec, sys3, F(0)) == zero
-    assert eval_phi(spec, sys3, F(99, 100)) == zero
-    assert eval_phi(spec, sys3, F(1)) == one  # marked spacer [1, 4/3)
-    assert eval_phi(spec, sys3, F(9, 8)) == one
-    assert eval_phi(spec, sys3, F(4, 3)) == zero  # right spacers carry 0
-    assert eval_phi(spec, sys3, F(5, 2)) == zero  # stage-2 spacers carry 0
+
+    def phi(x):
+        return eval_phi(spec, sys3, to_lattice(x, sys3.denom))
+
+    assert phi(F(0)) == zero
+    assert phi(1 - F(1, 2**53)) == zero
+    assert phi(F(1)) == one  # marked spacer [1, 4/3)
+    assert phi(F(9, 8)) == one
+    assert phi(F(4, 3) - F(1, 2**53)) == one
+    assert phi(F(4, 3)) == zero  # right spacers carry 0
+    assert phi(F(5, 2)) == zero  # stage-2 spacers carry 0
     with pytest.raises(OutOfDomainError):
-        eval_phi(spec, sys3, F(-1, 10))
+        eval_phi(spec, sys3, -1)
     with pytest.raises(OutOfDomainError):
         eval_phi(spec, sys3, sys3.high_water)
 
@@ -108,14 +114,14 @@ def test_phi_iter_hand_traced(get_system):
     spec = single_spacer_indicator(1)
     sys2 = get_system(2)
     # orbit of 0 passes the marked spacer at step 2 (level 3 of the stage-2 tower)
-    assert phi_iter(spec, sys2, F(0), 0) == Z2.identity()
-    assert phi_iter(spec, sys2, F(0), 2) == Z2.identity()
-    assert phi_iter(spec, sys2, F(0), 3).coords == (1,)
-    assert phi_iter(spec, sys2, F(0), 8).coords == (1,)  # whole column sums to 1
+    assert phi_iter(spec, sys2, 0, 0) == Z2.identity()
+    assert phi_iter(spec, sys2, 0, 2) == Z2.identity()
+    assert phi_iter(spec, sys2, 0, 3).coords == (1,)
+    assert phi_iter(spec, sys2, 0, 8).coords == (1,)  # whole column sums to 1
     with pytest.raises(DepthExceededError):
-        phi_iter(spec, sys2, F(0), 9)
+        phi_iter(spec, sys2, 0, 9)
     with pytest.raises(ValueError):
-        phi_iter(spec, sys2, F(0), -1)
+        phi_iter(spec, sys2, 0, -1)
 
 
 def test_cocycle_identity_random(get_system):

@@ -111,7 +111,8 @@ def test_suspension_suite_reports_starved_mark_tests():
 @pytest.mark.parametrize("n_max", range(1, 7))
 def test_suspension_window_bound_is_the_tower_mass(get_system, n_max):
     # the suite reads the bound off the heights; the built tower must agree
-    high_water = get_system(n_max).high_water
+    system = get_system(n_max)
+    high_water = Fraction(system.high_water, system.denom)
     with pytest.raises(ValueError, match=re.escape(f"[0, {high_water})")):
         run_suspension_suite(n_samples=1, n_max=n_max, window_hi=high_water + Fraction(1, 10**9))
     rep = run_suspension_suite(

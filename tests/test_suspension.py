@@ -2,16 +2,18 @@
 
 The hand-traced cases all live over the depth-2 tower system, whose stack
 order is [0,1/3), [1/3,2/3), [1,4/3), [2/3,1), [4/3,5/3), [5/3,2),
-[2,7/3), [7/3,8/3).
+[2,7/3), [7/3,8/3).  Hand values are written as Fractions and put on a
+system's lattice by ``cfg`` and ``lat``.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from chaconlab.chacon import Interval, build_system
+from chaconlab.chacon import build_system
 from chaconlab.cocycle import FinAbGroup, single_spacer_indicator, zero_cocycle
 from chaconlab.errors import CensoredError, InsufficientDataError
+from chaconlab.ratio import to_lattice
 from chaconlab.suspension import (
     SNAP_DENOM,
     Atom,
@@ -23,6 +25,7 @@ from chaconlab.suspension import (
     distinguish_k,
     in_split_order,
     induced_return,
+    lattice_window,
     phi_k_vector,
     psi_iter,
     push_forward,
@@ -35,13 +38,24 @@ from chaconlab.suspension import (
 )
 
 F = Fraction
+D2 = build_system(2).denom
+D3 = build_system(3).denom
 
 
-def cfg(window_hi, *positions):
+def lat(*xs, denom=D2):
+    return tuple(to_lattice(x, denom) for x in xs)
+
+
+def cfg(window_hi, *positions, denom=D2):
     return PointConfig(
-        window=Interval(F(0), F(window_hi)),
-        atoms=tuple(Atom(i + 1, F(p)) for i, p in enumerate(positions)),
+        window=lattice_window(0, window_hi, denom),
+        atoms=tuple(Atom(i + 1, p) for i, p in enumerate(lat(*positions, denom=denom))),
+        denom=denom,
     )
+
+
+def window(hi, denom=D3):
+    return lattice_window(0, hi, denom)
 
 
 @pytest.fixture(scope="module")
@@ -61,11 +75,11 @@ def test_point_config_validation():
         cfg(2, F(5, 2))  # outside window
     with pytest.raises(ValueError):
         PointConfig(
-            window=Interval(F(0), F(2)),
-            atoms=(Atom(1, F(1, 2)), Atom(1, F(3, 2))),  # duplicate id
+            window=lattice_window(0, 2),
+            atoms=(Atom(1, 2**52), Atom(1, 3 * 2**52)),  # duplicate id
         )
     c = cfg(2, F(1, 4), F(1, 2))
-    assert c.count == 2 and c.t(1) == F(1, 4) and c.t(2) == F(1, 2)
+    assert c.count == 2 and (c.t(1), c.t(2)) == lat(F(1, 4), F(1, 2))
     with pytest.raises(IndexError):
         c.t(3)
 
@@ -90,7 +104,7 @@ def test_push_forward_hand_trace(sys2):
     c = cfg(F(8, 3), F(1, 6), F(1, 2), F(9, 8))
     out, perm, report = push_forward(sys2, c)
     assert perm.images == (1, 3, 2)
-    assert out.positions() == (F(1, 2), F(19, 24), F(7, 6))
+    assert out.positions() == lat(F(1, 2), F(19, 24), F(7, 6))
     assert [a.id for a in out.atoms] == [1, 3, 2]  # ids ride along
     assert report.survived == 3 and report.censored == 0
 
@@ -108,12 +122,15 @@ def test_censoring_monotone_in_depth(sys2, sys3):
     c = cfg(F(8, 3), F(1, 6), F(5, 2))
     with pytest.raises(CensoredError):
         push_forward(sys2, c)
-    out, _, _ = push_forward(sys3, c)  # deeper towers absorb the same orbit
+    with pytest.raises(ValueError):
+        push_forward(sys3, c)  # a depth-2 lattice configuration
+    # deeper towers absorb the same orbit
+    out, _, _ = push_forward(sys3, cfg(F(8, 3), F(1, 6), F(5, 2), denom=D3))
     assert out.count == 2
     # and the shallow-map image is reproduced where both are defined
     ok, _, _ = push_forward(sys2, cfg(F(8, 3), F(1, 6), F(1, 2)))
-    deep, _, _ = push_forward(sys3, cfg(F(8, 3), F(1, 6), F(1, 2)))
-    assert ok.positions() == deep.positions()
+    deep, _, _ = push_forward(sys3, cfg(F(8, 3), F(1, 6), F(1, 2), denom=D3))
+    assert [F(x, D2) for x in ok.positions()] == [F(x, D3) for x in deep.positions()]
 
 
 def test_psi_iter_hand_trace(sys2):
@@ -127,7 +144,7 @@ def test_psi_cocycle_identity(sys3):
     # accumulated permutation after p+q steps = (q-step perm of the advanced
     # configuration) composed after the p-step perm
     for i in range(40):
-        c = sample_poisson(Interval(F(0), F(3)), seed=500, stream=i)
+        c = sample_poisson(window(3), seed=500, stream=i, denom=D3)
         if c.count == 0:
             continue
         p, q = 1 + i % 3, 1 + (i // 3) % 3
@@ -156,8 +173,8 @@ def test_return_time_hand_cases(sys2):
 def test_distinguish_recombine_roundtrip():
     c = cfg(F(8, 3), F(1, 8), F(1, 2), F(9, 8), F(2))
     pts, rem = distinguish_k(c, 2)
-    assert pts == (F(1, 8), F(1, 2))
-    assert rem.positions() == (F(9, 8), F(2))
+    assert pts == lat(F(1, 8), F(1, 2))
+    assert rem.positions() == lat(F(9, 8), F(2))
     assert in_split_order(pts, rem)
     assert recombine(pts, rem).same_positions(c)
     pts0, rem0 = distinguish_k(c, 0)
@@ -165,14 +182,14 @@ def test_distinguish_recombine_roundtrip():
     with pytest.raises(InsufficientDataError):
         distinguish_k(c, 5)
     with pytest.raises(ValueError):
-        recombine((F(3, 2),), rem)  # not below the remainder
+        recombine(lat(F(3, 2)), rem)  # not below the remainder
 
 
 def test_induced_return_matches_whole_configuration(sys3):
     # split route and whole-configuration route agree exactly when uncensored
     checked = 0
     for i in range(60):
-        c = sample_poisson(Interval(F(0), F(2)), seed=321, stream=i)
+        c = sample_poisson(window(2), seed=321, stream=i, denom=D3)
         for k in (1, 2):
             if c.count < k:
                 continue
@@ -195,7 +212,7 @@ def test_superpose(sys2):
     a = cfg(F(8, 3), F(1, 6), F(1, 2))
     b = cfg(F(8, 3), F(1, 4), F(5, 4))
     both = superpose(a, b)
-    assert both.positions() == (F(1, 6), F(1, 4), F(1, 2), F(5, 4))
+    assert both.positions() == lat(F(1, 6), F(1, 4), F(1, 2), F(5, 4))
     assert [x.id for x in both.atoms] == [1, 2, 3, 4]  # fresh ids
     assert both.provenance == ((1, 1), (2, 1), (1, 2), (2, 2))
     flipped = superpose(b, a)
@@ -206,6 +223,28 @@ def test_superpose(sys2):
         superpose(a, cfg(F(8, 3), F(1, 6)))  # identical position collides
     with pytest.raises(ValueError):
         superpose(a, cfg(2, F(1, 4)))  # window mismatch
+    with pytest.raises(ValueError):
+        superpose(a, cfg(F(8, 3), F(1, 4), denom=D3))  # lattice mismatch
+
+
+def test_superpose_sampled_pairs():
+    # the merged configuration keeps every atom of both sides, in order,
+    # and its provenance splits exactly by side
+    merged_any = False
+    for i in range(40):
+        a = sample_poisson(lattice_window(0, 3), seed=8, stream=2 * i)
+        b = sample_poisson(lattice_window(0, 3), seed=8, stream=2 * i + 1)
+        both = superpose(a, b)
+        pos = both.positions()
+        assert both.count == len(pos) == a.count + b.count
+        assert all(x < y for x, y in zip(pos, pos[1:]))
+        assert sorted(pos) == sorted(a.positions() + b.positions())
+        sides = [src for src, _ in both.provenance]
+        assert sides.count(1) == a.count and sides.count(2) == b.count
+        assert sorted(old for src, old in both.provenance if src == 1) == [x.id for x in a.atoms]
+        assert sorted(old for src, old in both.provenance if src == 2) == [x.id for x in b.atoms]
+        merged_any = merged_any or (a.count and b.count)
+    assert merged_any
 
 
 def test_skew_apply_perm_action():
@@ -238,7 +277,7 @@ def test_skew_apply_group_hand_trace(sys2):
     # new rank 1 <- atom from 1/6 (level value 0), rank 2 <- atom from 9/8
     # (inside the marked spacer, +1), rank 3 <- atom from 1/2 (0)
     assert out.marks == (one, zero, zero)
-    assert out.config.positions() == (F(1, 2), F(19, 24), F(7, 6))
+    assert out.config.positions() == lat(F(1, 2), F(19, 24), F(7, 6))
 
 
 def test_skew_group_zero_cocycle_is_pure_permutation(sys2):
@@ -281,7 +320,7 @@ def test_phi_transport_through_skew_steps(sys3):
     spec = single_spacer_indicator(2)
     checked = 0
     for i in range(40):
-        c = sample_poisson(Interval(F(0), F(3)), seed=77, stream=i)
+        c = sample_poisson(window(3), seed=77, stream=i, denom=D3)
         for k in (1, 2):
             if c.count < k:
                 continue
@@ -299,22 +338,40 @@ def test_phi_transport_through_skew_steps(sys3):
 
 
 def test_sampling_determinism_and_grid():
-    w = Interval(F(0), F(6))
+    w = lattice_window(0, 6)
     a = sample_poisson(w, seed=9, stream=2)
     assert a == sample_poisson(w, seed=9, stream=2)
     assert a != sample_poisson(w, seed=9, stream=3)
     assert a != sample_poisson(w, seed=10, stream=2)
     for atom in a.atoms:
-        assert F(0) <= atom.pos < F(6)
-        assert (atom.pos * SNAP_DENOM).denominator == 1  # dyadic grid
+        assert 0 <= atom.pos < 6 * SNAP_DENOM
+        assert isinstance(atom.pos, int)  # dyadic grid
     gaps = [b.pos - a_.pos for a_, b in zip(a.atoms, a.atoms[1:])]
     assert all(g > 0 for g in gaps)
+    # the same draws on a finer lattice are the same points
+    fine = sample_poisson(lattice_window(0, 6, D3), seed=9, stream=2, denom=D3)
+    assert [F(x, D3) for x in fine.positions()] == [F(x, SNAP_DENOM) for x in a.positions()]
+    assert all(x % (D3 // SNAP_DENOM) == 0 for x in fine.positions())
+    with pytest.raises(ValueError):
+        sample_poisson(lattice_window(0, 6, 3), seed=9, denom=3)
 
 
 def test_offset_window_sampling():
-    w = Interval(F(5), F(8))
-    c = sample_poisson(w, seed=4, stream=0)
-    assert all(F(5) <= atom.pos < F(8) for atom in c.atoms)
+    # stream 0 alone draws no atom at this seed; ten streams draw some
+    w = lattice_window(5, 8)
+    configs = [sample_poisson(w, seed=4, stream=i) for i in range(10)]
+    assert sum(c.count for c in configs) > 0
+    for c in configs:
+        assert all(5 * SNAP_DENOM <= atom.pos < 8 * SNAP_DENOM for atom in c.atoms)
+
+
+def test_off_lattice_window_end_is_exact():
+    # 10/7 is not a lattice point; an atom is kept exactly when it lies below 10/7
+    hi = F(10, 7)
+    for i in range(40):
+        c = sample_poisson(lattice_window(0, hi, D3), seed=3, stream=i, denom=D3)
+        wide = sample_poisson(lattice_window(0, 2, D3), seed=3, stream=i, denom=D3)
+        assert c.positions() == tuple(x for x in wide.positions() if F(x, D3) < hi)
 
 
 def test_config_json_roundtrip():
@@ -322,7 +379,7 @@ def test_config_json_roundtrip():
     payload = config_to_json(c)
     assert payload["window"] == ["0", "8/3"]
     assert payload["atoms"][0] == {"id": 1, "pos": "1/6"}
-    assert config_from_json(payload) == c
+    assert config_from_json(payload, denom=D2) == c
     spec = single_spacer_indicator(1)
     marked = config_to_json(c, marks=(spec.group.element((1,)),) * 3)
     assert marked["atoms"][0]["mark"] == [1]
