@@ -115,7 +115,7 @@ def _load_config_file(path: str | None) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         raise UsageError(f"cannot read config file {path}: {exc}")
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
@@ -193,7 +193,7 @@ def _load_cocycle_spec(path: str | None):
         with open(path) as fh:
             payload = json.load(fh)
         return cocycle_spec_from_json(payload), path
-    except (OSError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise UsageError(f"cannot load cocycle spec {path}: {exc}")
 
 
@@ -229,16 +229,23 @@ def cmd_check_cocycle(args: argparse.Namespace) -> int:
 
 
 def _parse_k(value) -> tuple[int, ...]:
-    if isinstance(value, (list, tuple)):
-        ks = tuple(int(v) for v in value)
-    else:
-        try:
+    try:
+        if isinstance(value, (list, tuple)):
+            ks = tuple(int(v) for v in value)
+        else:
             ks = tuple(int(part) for part in str(value).split(",") if part.strip())
-        except ValueError:
-            raise UsageError(f"cannot parse --k value {value!r}")
+    except (TypeError, ValueError, OverflowError):  # a list may hold null, lists, inf
+        raise UsageError(f"cannot parse --k value {value!r}")
     if not ks or any(k < 0 for k in ks):
         raise UsageError("--k needs a comma-separated list of nonnegative integers")
     return ks
+
+
+def _parse_window(value) -> Fraction:
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise UsageError(f"cannot parse --window value {value!r}")
 
 
 SUITES = ("poisson", "suspension", "joining", "all")
@@ -275,7 +282,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 seed=seed,
                 n_max=n_max,
                 p_max=p_max,
-                window_hi=Fraction(window) if window is not None else Fraction(4),
+                window_hi=_parse_window(window) if window is not None else Fraction(4),
                 k_values=k,
                 alpha=alpha,
                 workers=workers,

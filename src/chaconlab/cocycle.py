@@ -130,8 +130,13 @@ class CocycleSpec:
         if self.zero_beyond < 0:
             raise ValueError("zero_beyond must be >= 0")
         seen = {}
+        # stage n has 3*h_n + 1 right spacers, so heights past the longest
+        # right list cannot match: a huge stage number builds no huge tower
         max_stage = max((s.stage for s in self.stages), default=0)
-        heights = tower_heights(max_stage) if max_stage >= 1 else []
+        longest = max((len(s.right) for s in self.stages), default=0)
+        heights = [1]
+        while len(heights) < max_stage and 3 * heights[-1] + 1 < longest:
+            heights.append(2 * (3 * heights[-1] + 1))
         for s in self.stages:
             if s.stage < 1:
                 raise ValueError("stage numbers start at 1")
@@ -141,10 +146,11 @@ class CocycleSpec:
                 raise ValueError(f"stage {s.stage} declared past the zero cutoff {self.zero_beyond}")
             if s.middle.group != self.group or any(r.group != self.group for r in s.right):
                 raise ValueError("stage values belong to a different group")
-            expected = 3 * heights[s.stage - 1] + 1
+            expected = 3 * heights[s.stage - 1] + 1 if s.stage <= len(heights) else None
             if len(s.right) != expected:
+                need = expected if expected is not None else f"more than {longest}"
                 raise ValueError(
-                    f"stage {s.stage} needs {expected} right-spacer values, got {len(s.right)}"
+                    f"stage {s.stage} needs {need} right-spacer values, got {len(s.right)}"
                 )
             seen[s.stage] = s
         object.__setattr__(self, "stages", tuple(sorted(self.stages, key=lambda s: s.stage)))

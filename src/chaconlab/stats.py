@@ -12,6 +12,12 @@ Test verdicts are reported, never printed: a TestReport records the
 statistic, the p-value, and whether the outcome is a pass under the
 declared design (goodness-of-fit tests pass on p >= alpha, tests designed
 to reject pass on p < alpha).
+
+Each statistic and p-value is computed as SciPy's stats module computes
+it, through the same scipy.special function (chdtrc, kolmogorov, pdtr,
+pdtrik, ndtr), without importing that module, which takes about a
+second. tests/test_stats.py checks on generated inputs that statistic
+and p-value are bit-identical to SciPy's.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
 from .errors import InsufficientDataError
 
@@ -151,13 +157,42 @@ def _report(name, statistic, p_value, n, alpha, expect_reject, params=None) -> T
     )
 
 
+def _pearson(observed, expected, dof) -> tuple[float, float]:
+    """Pearson statistic over all cells and its chi-square(dof) upper tail."""
+    observed = np.ravel(np.asarray(observed, dtype=float))
+    expected = np.ravel(expected)
+    stat = ((observed - expected) ** 2 / expected).sum()
+    return stat, special.chdtrc(dof, stat)
+
+
+def _poisson_pmf(ks, mean: float):
+    return np.exp(special.xlogy(ks, mean) - special.gammaln(ks + 1) - mean)
+
+
+def _poisson_cdf(k: int, mean: float) -> float:
+    return special.pdtr(k, mean) if k >= 0 else 0.0  # pdtr(-1, mean) is NaN
+
+
+def _poisson_ppf(q: float, mean: float) -> int:
+    """Least k with cdf(k) >= q: pdtrik's real root, rounded up, then checked one below."""
+    k = np.ceil(special.pdtrik(q, mean))
+    below = max(k - 1, 0)
+    return int(below if special.pdtr(below, mean) >= q else k)
+
+
 def ks_exponential(samples, alpha: float = 0.01, name: str = "ks_exponential") -> TestReport:
     """Kolmogorov-Smirnov against the unit exponential, asymptotic p-value."""
     arr = np.asarray(samples, dtype=float)
     if arr.size < 8:
         raise InsufficientDataError(f"{name}: need at least 8 samples, got {arr.size}")
-    res = sps.kstest(arr, "expon", method="asymp")
-    return _report(name, res.statistic, res.pvalue, arr.size, alpha, expect_reject=False)
+    x = np.sort(arr)
+    n = x.size
+    cdf = -special.expm1(-np.maximum(x, 0.0))  # zero below the support
+    d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
+    d_minus = (cdf - np.arange(0.0, n) / n).max()
+    d = d_plus if d_plus > d_minus else d_minus
+    p_value = np.clip(special.kolmogorov(d * math.sqrt(n)), 0.0, 1.0)
+    return _report(name, d, p_value, n, alpha, expect_reject=False)
 
 
 def chi2_poisson(
@@ -178,8 +213,8 @@ def chi2_poisson(
         raise InsufficientDataError(f"{name}: no samples")
     if mean <= 0:
         raise ValueError("mean must be positive")
-    kmax = int(sps.poisson.ppf(1 - 1e-9, mean)) + 1
-    probs = sps.poisson.pmf(np.arange(kmax), mean)
+    kmax = _poisson_ppf(1 - 1e-9, mean) + 1
+    probs = _poisson_pmf(np.arange(kmax), mean)
     probs = np.append(probs, max(1.0 - probs.sum(), 0.0))  # tail bin [kmax, inf)
 
     edges = []  # inclusive upper count value per bin; last bin catches the rest
@@ -200,17 +235,17 @@ def chi2_poisson(
     for j, hi in enumerate(edges):
         last = j == len(edges) - 1
         if last:
-            p = 1.0 - sps.poisson.cdf(lo - 1, mean) if lo > 0 else 1.0
+            p = 1.0 - _poisson_cdf(lo - 1, mean) if lo > 0 else 1.0
             obs = int(np.sum(arr >= lo))
         else:
-            p = sps.poisson.cdf(hi, mean) - sps.poisson.cdf(lo - 1, mean)
+            p = _poisson_cdf(hi, mean) - _poisson_cdf(lo - 1, mean)
             obs = int(np.sum((arr >= lo) & (arr <= hi)))
         expected.append(p * n)
         observed.append(obs)
         lo = hi + 1
     expected = np.asarray(expected)
     expected *= n / expected.sum()
-    stat, p_value = sps.chisquare(observed, expected)
+    stat, p_value = _pearson(observed, expected, len(edges) - 1)
     return _report(
         name, stat, p_value, n, alpha, expect_reject=False,
         params={"bins": len(edges), "mean": mean},
@@ -234,7 +269,7 @@ def chi2_gof(
     if n == 0 or expected.min() < min_expected:
         raise InsufficientDataError(f"{name}: expected cell count below {min_expected}")
     expected *= n / expected.sum()
-    stat, p_value = sps.chisquare(obs, expected)
+    stat, p_value = _pearson(obs, expected, obs.size - 1)
     return _report(name, stat, p_value, int(n), alpha, expect_reject=False,
                    params={"cells": int(obs.size)})
 
@@ -249,13 +284,17 @@ def chi2_independence(
     arr = np.asarray(table, dtype=float)
     if arr.ndim != 2:
         raise InsufficientDataError(f"{name}: need a 2-d table")
+    if (arr < 0).any():
+        raise ValueError(f"{name}: counts must be nonnegative")
     arr = arr[arr.sum(axis=1) > 0][:, arr.sum(axis=0) > 0]
     if arr.shape[0] < 2 or arr.shape[1] < 2:
         raise InsufficientDataError(f"{name}: table degenerates below 2x2")
-    stat, p_value, dof, _ = sps.chi2_contingency(arr, correction=False)
+    expected = arr.sum(axis=1, keepdims=True) * arr.sum(axis=0, keepdims=True) / arr.sum()
+    dof = (arr.shape[0] - 1) * (arr.shape[1] - 1)
+    stat, p_value = _pearson(arr, expected, dof)
     return _report(
         name, stat, p_value, int(arr.sum()), alpha, expect_reject,
-        params={"shape": list(arr.shape), "dof": int(dof)},
+        params={"shape": list(arr.shape), "dof": dof},
     )
 
 
@@ -276,17 +315,11 @@ def mc_mean(
         z = 0.0 if mean == target else math.inf
     else:
         z = (mean - target) / se
-    p_value = float(2 * sps.norm.sf(abs(z)))
-    alpha = float(2 * sps.norm.sf(tol_sigmas))
+    p_value = float(2 * special.ndtr(-abs(z)))
+    alpha = float(2 * special.ndtr(-tol_sigmas))
     rep = _report(
         name, z, p_value, arr.size, alpha, expect_reject=False,
         params={"target": target, "mean": mean, "se": se, "tol_sigmas": tol_sigmas},
     )
     return rep
 
-
-def binom_interval(n: int, p: float, conf: float = 0.99) -> tuple[int, int]:
-    """Central exact-binomial interval, used to calibrate rejection rates."""
-    lo = int(sps.binom.ppf((1 - conf) / 2, n, p))
-    hi = int(sps.binom.ppf(1 - (1 - conf) / 2, n, p))
-    return lo, hi

@@ -4,9 +4,17 @@ import itertools
 from bisect import bisect_right
 from fractions import Fraction
 
+import numpy as np
+from scipy import stats as sps
+
 from chaconlab.chacon import build_system
 from chaconlab.cocycle import FinAbGroup, combine_pairs
-from chaconlab.errors import CensoredError, DepthExceededError, OutOfDomainError
+from chaconlab.errors import (
+    CensoredError,
+    DepthExceededError,
+    InsufficientDataError,
+    OutOfDomainError,
+)
 from chaconlab.stats import KeyedStream, uniform_law
 from chaconlab.suspension import (
     MarkedConfig,
@@ -20,6 +28,42 @@ from chaconlab.suspension import (
     sample_poisson,
     skew_apply_group,
 )
+
+
+def scipy_chi2_poisson(counts, mean: float, min_expected: float = 5.0):
+    """(statistic, p-value) of stats.chi2_poisson, computed through scipy.stats."""
+    arr = np.asarray(counts, dtype=int)
+    n = arr.size
+    if n == 0:
+        raise InsufficientDataError("no samples")
+    kmax = int(sps.poisson.ppf(1 - 1e-9, mean)) + 1
+    probs = sps.poisson.pmf(np.arange(kmax), mean)
+    probs = np.append(probs, max(1.0 - probs.sum(), 0.0))
+    edges = []
+    acc = 0.0
+    for k in range(kmax + 1):
+        acc += probs[k]
+        if acc * n >= min_expected:
+            edges.append(k)
+            acc = 0.0
+    if len(edges) < 2:
+        raise InsufficientDataError("too few samples to form two bins")
+    if acc > 0:
+        edges[-1] = kmax
+    expected, observed = [], []
+    lo = 0
+    for j, hi in enumerate(edges):
+        if j == len(edges) - 1:
+            p = 1.0 - sps.poisson.cdf(lo - 1, mean) if lo > 0 else 1.0
+            observed.append(int(np.sum(arr >= lo)))
+        else:
+            p = sps.poisson.cdf(hi, mean) - sps.poisson.cdf(lo - 1, mean)
+            observed.append(int(np.sum((arr >= lo) & (arr <= hi))))
+        expected.append(p * n)
+        lo = hi + 1
+    expected = np.asarray(expected)
+    expected *= n / expected.sum()
+    return sps.chisquare(observed, expected)
 
 
 def brute_reachable(gens, group: FinAbGroup, bound: int) -> set:

@@ -3,9 +3,14 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chaconlab
 from chaconlab import __version__
 from chaconlab.chacon import build_system, tower_heights
 from chaconlab.cli import (
@@ -23,6 +28,20 @@ def run_json(capsys, argv):
     rc = main(argv)
     out = capsys.readouterr().out
     return rc, json.loads(out)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # importing scipy.stats takes about a second on every run; p-values need only scipy.special
+    code = (
+        "import sys, chaconlab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
+    )
+    src = Path(chaconlab.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_version_flag(capsys):

@@ -1,0 +1,221 @@
+"""Malformed --config and --spec files: exit 2 with a message, never a traceback."""
+
+import contextlib
+import io
+import json
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
+
+from chaconlab import cli
+from chaconlab.cli import EXIT_USAGE, FILE_TYPES, UsageError, main
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),  # json writes NaN and Infinity, and Python's json reads them back
+    st.text(max_size=8),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+BUNDLED_SPEC = {
+    "group": [2],
+    "base_value": [0],
+    "stages": [{"n": 1, "middle": [1], "right": [[0], [0], [0], [0]]}],
+    "zero_beyond": 1,
+}
+
+# keys `verify` reads from a config file, in the order it merges them
+VERIFY_KEYS = ["samples", "seed", "alpha", "window", "n_max", "p_max", "k", "workers", "out"]
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("loaders")
+
+
+def exits_with_usage(argv) -> str:
+    """Run main(argv); assert it exits 2 and return the message it wrote."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    message = err.getvalue()
+    assert message.startswith("error: ") and len(message) > len("error: \n")
+    return message
+
+
+def write(path, data: bytes):
+    path.write_bytes(data)
+    return str(path)
+
+
+def _is_json_object(data: bytes) -> bool:
+    try:
+        return isinstance(json.loads(data), dict)
+    except (ValueError, RecursionError):
+        return False
+
+
+def wrong_type(key):
+    """JSON values a config file may not give for key (null counts as absent)."""
+    return json_values.filter(
+        lambda v: v is not None and (isinstance(v, bool) or not isinstance(v, FILE_TYPES[key]))
+    )
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=40),
+        json_values.filter(lambda v: not isinstance(v, dict)).map(lambda v: json.dumps(v).encode()),
+    )
+)
+@example(b"\xff\xfe{}")  # not UTF-8
+@example(b"[" * 100_000)  # nested past the recursion limit
+@example(b"")
+def test_config_file_that_is_no_object_exits_2(scratch, data):
+    assume(not _is_json_object(data))
+    exits_with_usage(["verify", "poisson", "--config", write(scratch / "run.json", data)])
+
+
+@given(st.sampled_from(sorted(FILE_TYPES)), json_values)
+def test_merge_returns_the_declared_type_or_raises_usage_error(key, value):
+    args = cli.build_parser().parse_args(["verify", "poisson"])
+    try:
+        merged = cli._merge(args, {key: value}, key, "default")
+    except UsageError:
+        return
+    if value is None:  # null counts as absent
+        assert merged == "default"
+    else:
+        assert merged is value
+        assert isinstance(merged, FILE_TYPES[key]) and not isinstance(merged, bool)
+
+
+@given(
+    st.dictionaries(st.sampled_from(VERIFY_KEYS), json_values),
+    st.sampled_from(VERIFY_KEYS).flatmap(lambda key: st.tuples(st.just(key), wrong_type(key))),
+)
+@example({"k": [None]}, ("out", 1))
+@example({"k": [[1]]}, ("out", 1))
+@example({"k": [float("inf")]}, ("out", 1))
+def test_config_file_with_a_wrong_value_exits_2(scratch, cfg, bad):
+    # one value of the wrong type stops the run before any suite starts, and
+    # the others, of any type, must not crash the merge on the way there
+    key, value = bad
+    cfg = {**cfg, key: value}
+    path = write(scratch / "run.json", json.dumps(cfg).encode())
+    exits_with_usage(["verify", "suspension", "--config", path])
+
+
+@given(st.one_of(json_values, st.text(alphabet="0123456789,- x", max_size=12)))
+@example([None])
+@example([[1]])
+@example([float("inf")])
+@example(["1", "two"])
+def test_parse_k_gives_nonnegative_ints_or_usage_error(value):
+    try:
+        ks = cli._parse_k(value)
+    except UsageError:
+        return
+    assert ks and all(isinstance(k, int) and k >= 0 for k in ks)
+
+
+@given(st.one_of(st.from_regex(r"\A-?\d{0,3}(/-?\d{0,2})?\Z"), st.text(max_size=8), st.integers()))
+@example("1/0")
+def test_window_gives_a_fraction_or_usage_error(value):
+    try:
+        window = cli._parse_window(value)
+    except UsageError:
+        return
+    assert window == Fraction(value)
+
+
+def test_window_with_zero_denominator_exits_2():
+    assert "--window" in exits_with_usage(["verify", "suspension", "--window", "1/0"])
+
+
+def _spec_paths(spec, prefix=()):
+    """Every place in a spec a value sits: (path, value) pairs."""
+    yield prefix, spec
+    if isinstance(spec, dict):
+        items = spec.items()
+    elif isinstance(spec, list):
+        items = enumerate(spec)
+    else:
+        items = ()
+    for k, v in items:
+        yield from _spec_paths(v, prefix + (k,))
+
+
+def _replace(spec, path, value):
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    if isinstance(spec, dict):
+        return {**spec, head: _replace(spec[head], rest, value)}
+    return [_replace(v, rest, value) if i == head else v for i, v in enumerate(spec)]
+
+
+SPEC_PLACES = [path for path, _ in _spec_paths(BUNDLED_SPEC)]
+
+
+@st.composite
+def mutated_specs(draw):
+    """The bundled spec with up to three of its values replaced by any JSON value."""
+    spec = BUNDLED_SPEC
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(SPEC_PLACES))
+        try:
+            spec = _replace(spec, path, draw(json_values))
+        except (KeyError, IndexError, TypeError):  # an earlier mutation removed the place
+            pass
+    return spec
+
+
+@given(mutated_specs())
+@example({**BUNDLED_SPEC, "zero_beyond": math.inf})
+@example({**BUNDLED_SPEC, "group": [1e300 * 1e300]})
+@example({**BUNDLED_SPEC, "stages": [{**BUNDLED_SPEC["stages"][0], "n": 10**9}]})
+@example({**BUNDLED_SPEC, "zero_beyond": 10**9, "stages": [{**BUNDLED_SPEC["stages"][0], "n": 10**9}]})
+def test_spec_loads_or_raises_usage_error(scratch, spec):
+    path = write(scratch / "spec.json", json.dumps(spec).encode())
+    try:
+        cli._load_cocycle_spec(path)
+    except UsageError:
+        pass
+
+
+@given(
+    mutated_specs(),
+    st.sampled_from(sorted(BUNDLED_SPEC)),
+    st.sampled_from([None, math.inf, -math.inf, math.nan, "x", "delete"]),
+)
+def test_spec_with_a_broken_field_exits_2(scratch, spec, key, broken):
+    # null, a non-finite number, a word or its absence breaks any required
+    # field; the rest of the spec may be anything
+    assume(isinstance(spec, dict))
+    spec = {k: v for k, v in spec.items() if k != key}
+    if broken != "delete":
+        spec[key] = broken
+    path = write(scratch / "spec.json", json.dumps(spec).encode())
+    exits_with_usage(["check-cocycle", "--spec", path])
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"[1, 2]", b"\xff", b"[" * 100_000],
+    ids=["not-an-object", "not-utf8", "too-deep"],
+)
+def test_spec_file_that_is_no_spec_exits_2(scratch, data):
+    exits_with_usage(["check-cocycle", "--spec", write(scratch / "spec.json", data)])

@@ -5,13 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
+from scipy import special
+from scipy import stats as sps
 
+from chaconlab import stats
 from chaconlab.errors import InsufficientDataError
 from chaconlab.stats import (
     DiscreteLaw,
     KeyedStream,
     RngSpec,
-    binom_interval,
     chi2_gof,
     chi2_independence,
     chi2_poisson,
@@ -21,6 +25,7 @@ from chaconlab.stats import (
     splitmix64,
     uniform_law,
 )
+from oracles import scipy_chi2_poisson
 
 
 def test_splitmix64_reference_vector():
@@ -130,6 +135,8 @@ def test_chi2_independence_cases():
         chi2_independence([[5, 5]])
     with pytest.raises(InsufficientDataError):
         chi2_independence([[5, 5], [0, 0]])  # zero row drops, degenerates
+    with pytest.raises(ValueError):
+        chi2_independence([[5, -1], [2, 3]])  # counts cannot be negative
 
 
 def test_mc_mean():
@@ -144,6 +151,13 @@ def test_mc_mean():
     assert not off.passed
     with pytest.raises(InsufficientDataError):
         mc_mean([1.0], target=1.0)
+
+
+def binom_interval(n: int, p: float, conf: float = 0.99) -> tuple[int, int]:
+    """Central exact-binomial interval, used to calibrate rejection rates."""
+    lo = int(sps.binom.ppf((1 - conf) / 2, n, p))
+    hi = int(sps.binom.ppf(1 - (1 - conf) / 2, n, p))
+    return lo, hi
 
 
 def test_binom_interval_hand_case():
@@ -209,3 +223,172 @@ def test_calibration_mc_mean():
 
     # two-sided 3-sigma design: rejection probability 2*(1 - Phi(3))
     _calibrate(2 * (1 - 0.99865010196837), run)
+
+
+# The harness computes each statistic and p-value through the scipy.special
+# function that scipy.stats uses; reports are only byte-identical if every
+# one of them is the same double, so these compare with ==, never approx.
+
+
+def assert_same_double(ours, theirs):
+    # == alone would let -0.0 stand for 0.0, which json writes differently
+    assert ours == theirs and math.copysign(1.0, ours) == math.copysign(1.0, theirs), (ours, theirs)
+
+
+def _draws(kind):
+    """Seeded numpy draws as a list: kind(rng, size) for a generated seed and size."""
+    return st.builds(
+        lambda seed, size: kind(make_rng(RngSpec(seed=seed)), size).tolist(),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 400),
+    )
+
+
+ks_samples = st.one_of(
+    # few points, many of them tied, some at or below the support's edge
+    st.lists(
+        st.one_of(st.integers(0, 5).map(float), st.floats(-1.0, 30.0)),
+        min_size=8,
+        max_size=40,
+    ),
+    _draws(lambda rng, size: rng.exponential(1.0, size=size + 8)),
+    _draws(lambda rng, size: rng.exponential(1.4, size=size + 8)),
+)
+
+
+@given(ks_samples)
+@example([1.0] * 8)
+@example([-0.5, 0.0, 0.1, 0.2, 0.3, 1.0, 2.0, 3.0])  # below the support
+@example([0.0, 0.0, 0.5, 0.5, 0.5, 2.0, 2.0, 2.0, 7.0])
+def test_ks_exponential_matches_scipy(samples):
+    ours = ks_exponential(samples)
+    theirs = sps.kstest(np.asarray(samples, dtype=float), "expon", method="asymp")
+    assert_same_double(ours.statistic, theirs.statistic)
+    assert_same_double(ours.p_value, theirs.pvalue)
+
+
+@st.composite
+def poisson_cases(draw):
+    mean = draw(st.floats(0.05, 60.0))
+    shift = draw(st.sampled_from([1.0, 0.7, 1.4]))
+    counts = draw(
+        st.one_of(
+            _draws(lambda rng, size: rng.poisson(mean * shift, size=size)),
+            st.lists(st.integers(0, 90), min_size=1, max_size=300),
+        )
+    )
+    return counts, mean
+
+
+@given(poisson_cases())
+@example(([0] * 40 + [1] * 30 + [2] * 20 + [3] * 10, 1.2))
+def test_chi2_poisson_matches_scipy(case):
+    # every binning starts at count 0, so the first bin's cdf(-1) is always taken
+    counts, mean = case
+    try:
+        statistic, p_value = scipy_chi2_poisson(counts, mean)
+    except InsufficientDataError:
+        with pytest.raises(InsufficientDataError):
+            chi2_poisson(counts, mean)
+        return
+    ours = chi2_poisson(counts, mean)
+    assert_same_double(ours.statistic, statistic)
+    assert_same_double(ours.p_value, p_value)
+
+
+@st.composite
+def ppf_cases(draw):
+    mean = draw(st.floats(0.01, 200.0))
+    # a level that is itself a cdf value makes pdtrik's root land on an
+    # integer, where the answer is the count one below the rounded-up root
+    q = draw(
+        st.one_of(
+            st.floats(1e-12, 1 - 1e-12),
+            st.just(1 - 1e-9),
+            st.integers(0, 400).map(lambda k: float(special.pdtr(k, mean))),
+        )
+    )
+    assume(0.0 < q < 1.0)
+    return mean, q
+
+
+@given(ppf_cases())
+@example((123.08086844513596, 0.9157401147790551))
+def test_poisson_ppf_matches_scipy(case):
+    mean, q = case
+    assert stats._poisson_ppf(q, mean) == int(sps.poisson.ppf(q, mean))
+
+
+@given(st.floats(0.01, 200.0), st.integers(1, 400))
+def test_poisson_pmf_matches_scipy(mean, kmax):
+    ours = stats._poisson_pmf(np.arange(kmax), mean)
+    theirs = sps.poisson.pmf(np.arange(kmax), mean)
+    assert ours.tobytes() == theirs.tobytes()
+
+
+@given(st.floats(0.01, 200.0), st.integers(-3, 400))
+def test_poisson_cdf_matches_scipy(mean, k):
+    assert_same_double(stats._poisson_cdf(k, mean), sps.poisson.cdf(k, mean))
+
+
+@given(
+    st.integers(2, 6).flatmap(
+        lambda cells: st.tuples(
+            st.lists(st.integers(0, 300), min_size=cells, max_size=cells),
+            st.lists(st.integers(1, 20), min_size=cells, max_size=cells),
+        )
+    )
+)
+def test_chi2_gof_matches_scipy(case):
+    observed, weights = case
+    probs = np.asarray(weights, dtype=float) / sum(weights)
+    if sum(observed) == 0:
+        with pytest.raises(InsufficientDataError):
+            chi2_gof(observed, probs, min_expected=0.0)
+        return
+    ours = chi2_gof(observed, probs, min_expected=0.0)
+    n = float(sum(observed))
+    expected = probs * n
+    expected *= n / expected.sum()
+    theirs = sps.chisquare(np.asarray(observed, dtype=float), expected)
+    assert_same_double(ours.statistic, theirs.statistic)
+    assert_same_double(ours.p_value, theirs.pvalue)
+
+
+@st.composite
+def contingency_tables(draw):
+    rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    cells = st.lists(st.integers(0, 60), min_size=cols, max_size=cols)
+    table = np.array(draw(st.lists(cells, min_size=rows, max_size=rows)))
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=rows - 1)):
+        table[i, :] = 0
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=cols - 1)):
+        table[:, j] = 0
+    return table
+
+
+@given(contingency_tables())
+@example(np.array([[5, 0, 3], [0, 0, 0], [2, 0, 9]]))
+def test_chi2_independence_matches_scipy(table):
+    kept = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0].astype(float)
+    if min(kept.shape) < 2:
+        with pytest.raises(InsufficientDataError):
+            chi2_independence(table)
+        return
+    ours = chi2_independence(table)
+    theirs = sps.chi2_contingency(kept, correction=False)
+    assert_same_double(ours.statistic, theirs.statistic)
+    assert_same_double(ours.p_value, theirs.pvalue)
+    assert ours.params == {"shape": list(kept.shape), "dof": int(theirs.dof)}
+
+
+@given(
+    st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=40),
+    st.floats(-50.0, 50.0),
+    st.floats(0.5, 6.0),
+)
+@example([2.0, 2.0, 2.0], 1.0, 3.0)  # zero spread: z is infinite
+def test_mc_mean_matches_scipy(values, target, tol_sigmas):
+    ours = mc_mean(values, target, tol_sigmas=tol_sigmas)
+    assert_same_double(ours.p_value, float(2 * sps.norm.sf(abs(ours.statistic))))
+    assert_same_double(ours.alpha, float(2 * sps.norm.sf(tol_sigmas)))

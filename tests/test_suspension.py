@@ -8,12 +8,14 @@ system's lattice by ``cfg`` and ``lat``.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from chaconlab.chacon import build_system
 from chaconlab.cocycle import FinAbGroup, single_spacer_indicator, zero_cocycle
 from chaconlab.errors import CensoredError, InsufficientDataError
 from chaconlab.ratio import to_lattice
+from chaconlab.stats import chi2_gof, chi2_independence, ks_exponential
 from chaconlab.suspension import (
     SNAP_DENOM,
     Atom,
@@ -245,6 +247,54 @@ def test_superpose_sampled_pairs():
         assert sorted(old for src, old in both.provenance if src == 2) == [x.id for x in b.atoms]
         merged_any = merged_any or (a.count and b.count)
     assert merged_any
+
+
+def _superposed(seed, samples, hi):
+    """(a, b, superpose(a, b)) for unit-rate samples on [0, hi), two streams each."""
+    for i in range(samples):
+        a = sample_poisson(lattice_window(0, hi), seed=seed, stream=2 * i)
+        b = sample_poisson(lattice_window(0, hi), seed=seed, stream=2 * i + 1)
+        yield a, b, superpose(a, b)
+
+
+def test_superposed_gaps_are_exp2():
+    # The first 10 gaps from the window's start are iid Exp(2). A window of
+    # 20 holds them all except with probability P(Poisson(40) < 10) < 1e-9,
+    # so stopping at the window's end biases nothing measurable.
+    gaps = []
+    for _, _, both in _superposed(seed=21, samples=60, hi=20):
+        pos = [both.window.lo, *both.positions()[:10]]
+        assert len(pos) == 11
+        gaps += [(y - x) / both.denom for x, y in zip(pos, pos[1:])]
+    assert ks_exponential([2 * g for g in gaps], alpha=0.01).passed
+    # the same gaps read at unit rate must be rejected
+    assert not ks_exponential(gaps, alpha=0.01).passed
+
+
+def test_superposed_provenance_is_a_fair_coin():
+    # Each merged atom comes from either side with probability 1/2,
+    # independently of its neighbour: pooled counts pass a Binomial(1/2)
+    # check and consecutive sides pass an independence check.
+    def sides_and_pairs(configs):
+        sides, pairs = [0, 0], np.zeros((2, 2), dtype=int)
+        for both in configs:
+            seq = [src - 1 for src, _ in both.provenance]
+            for x in seq:
+                sides[x] += 1
+            for x, y in zip(seq, seq[1:]):
+                pairs[x, y] += 1
+        return sides, pairs
+
+    sides, pairs = sides_and_pairs(both for _, _, both in _superposed(seed=22, samples=200, hi=3))
+    assert sum(sides) > 1000
+    assert chi2_gof(sides, [0.5, 0.5], alpha=0.01).passed
+    assert chi2_independence(pairs, alpha=0.01).passed
+    # against a rate-2 second side the split is 1:2, and the check must reject
+    thirds, _ = sides_and_pairs(
+        superpose(a, superpose(b, sample_poisson(lattice_window(0, 3), seed=23, stream=i)))
+        for i, (a, b, _) in enumerate(_superposed(seed=22, samples=200, hi=3))
+    )
+    assert not chi2_gof(thirds, [0.5, 0.5], alpha=0.01).passed
 
 
 def test_skew_apply_perm_action():
