@@ -229,13 +229,16 @@ def cmd_check_cocycle(args: argparse.Namespace) -> int:
 
 
 def _parse_k(value) -> tuple[int, ...]:
-    try:
-        if isinstance(value, (list, tuple)):
-            ks = tuple(int(v) for v in value)
-        else:
+    if isinstance(value, (list, tuple)):
+        # a config-file list holds JSON integers; 1.5 or true is not truncated into one
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in value):
+            raise UsageError(f"--k list entries must be integers, not {value!r}")
+        ks = tuple(value)
+    else:
+        try:
             ks = tuple(int(part) for part in str(value).split(",") if part.strip())
-    except (TypeError, ValueError, OverflowError):  # a list may hold null, lists, inf
-        raise UsageError(f"cannot parse --k value {value!r}")
+        except ValueError:
+            raise UsageError(f"cannot parse --k value {value!r}")
     if not ks or any(k < 0 for k in ks):
         raise UsageError("--k needs a comma-separated list of nonnegative integers")
     return ks

@@ -547,19 +547,32 @@ def cocycle_spec_to_json(spec: CocycleSpec) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer as it is: 1.5, true and "2" are rejected, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _json_ints(values, what: str) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list of integers, not {values!r}")
+    return tuple(_json_int(v, what) for v in values)
+
+
 def cocycle_spec_from_json(payload: dict) -> CocycleSpec:
-    group = FinAbGroup(tuple(payload["group"]))
+    group = FinAbGroup(_json_ints(payload["group"], "group"))
     stages = tuple(
         StageValues(
-            stage=int(item["n"]),
-            middle=group.element(item["middle"]),
-            right=tuple(group.element(r) for r in item["right"]),
+            stage=_json_int(item["n"], "stage n"),
+            middle=group.element(_json_ints(item["middle"], "middle")),
+            right=tuple(group.element(_json_ints(r, "right")) for r in item["right"]),
         )
         for item in payload["stages"]
     )
     return CocycleSpec(
         group=group,
-        base_value=group.element(payload["base_value"]),
+        base_value=group.element(_json_ints(payload["base_value"], "base_value")),
         stages=stages,
-        zero_beyond=int(payload["zero_beyond"]),
+        zero_beyond=_json_int(payload["zero_beyond"], "zero_beyond"),
     )

@@ -16,14 +16,18 @@ whole coupling a pure function of the pair, so advancing the coupled
 sample and re-running the coupling on the advanced pair must agree
 exactly, index by index.
 
-Positions are exact rationals with denominator 2**53; internally they are
-stored as raw integer numerators so that comparisons, the +1 shift, and
-interval scans are plain integer arithmetic.
+Positions are exact rationals with denominator 2**53, held as integer
+numerators in numpy arrays, so comparisons, the +1 shift and the interval
+search are integer array operations.  The arrays are int64 while every
+position and its shift by one fit, that is for (W + 1) * 2**53 < 2**63
+(W <= 1022), and object arrays of Python ints for wider windows; both run
+through the same code.  A sample's marks, copied sources and excluded
+entries are arrays of two-sided indices, and the keyed draws for one
+(sample, side) take one array pass (``DiscreteLaw.draw_indices``).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,40 +50,54 @@ from .suspension import SNAP_DENOM, snapped_arrivals
 _D = SNAP_DENOM
 
 
-@dataclass(frozen=True)
+def position_dtype(half_width: int):
+    """int64 when every position of the window, shifted by one, fits; else object."""
+    return np.int64 if (half_width + 1) * _D < 2**63 else object
+
+
+@dataclass(frozen=True, eq=False)
 class BiConfig:
     """Atoms on [-W, W) with two-sided indexing around the origin.
 
-    ``pos_nums`` are positions scaled by 2**53 (ascending, strict);
-    ``ids`` are permanent and parallel to ``pos_nums``.  The atom at list
-    slot i carries index i - neg_count + 1, so negative-side atoms get
-    indices <= 0 and the first atom at or right of 0 gets index 1.
+    ``pos_nums`` are positions scaled by 2**53 (ascending, strict), in the
+    array dtype ``position_dtype(half_width)``; ``ids`` are permanent int64
+    ids parallel to them.  The atom at slot i carries index
+    i - neg_count + 1, so negative-side atoms get indices <= 0 and the
+    first atom at or right of 0 gets index 1.  Compare with
+    ``same_biconfig``.
     """
 
     half_width: int
-    ids: tuple[int, ...]
-    pos_nums: tuple[int, ...]
+    ids: np.ndarray
+    pos_nums: np.ndarray
     neg_count: int
 
     def __post_init__(self):
         if self.half_width <= 0:
             raise ValueError("half width must be positive")
-        if len(self.ids) != len(self.pos_nums) or len(set(self.ids)) != len(self.ids):
-            raise ValueError("ids must be unique and parallel to positions")
         bound = self.half_width * _D
-        prev = None
-        for p in self.pos_nums:
-            if not -bound <= p < bound:
-                raise ValueError("atom outside the window")
-            if prev is not None and p <= prev:
-                raise ValueError("positions must be strictly increasing")
-            prev = p
-        if self.neg_count != sum(1 for p in self.pos_nums if p < 0):
+        try:
+            pos = np.asarray(self.pos_nums, dtype=position_dtype(self.half_width))
+        except OverflowError:
+            raise ValueError("atom outside the window")
+        ids = np.asarray(self.ids, dtype=np.int64)
+        object.__setattr__(self, "pos_nums", pos)
+        object.__setattr__(self, "ids", ids)
+        if ids.shape != pos.shape or pos.ndim != 1:
+            raise ValueError("ids must be parallel to positions")
+        by_id = np.sort(ids)
+        if not (by_id[1:] != by_id[:-1]).all():
+            raise ValueError("ids must be unique")
+        if not (pos[1:] > pos[:-1]).all():
+            raise ValueError("positions must be strictly increasing")
+        if pos.size and not (-bound <= pos[0] and pos[-1] < bound):
+            raise ValueError("atom outside the window")
+        if self.neg_count != np.count_nonzero(pos < 0):
             raise ValueError("neg_count does not match the positions")
 
     @property
     def count(self) -> int:
-        return len(self.pos_nums)
+        return self.pos_nums.size
 
     @property
     def min_index(self) -> int:
@@ -92,6 +110,10 @@ class BiConfig:
     def indices(self) -> range:
         return range(self.min_index, self.max_index + 1)
 
+    def index_array(self) -> np.ndarray:
+        """Every two-sided index, in slot order."""
+        return np.arange(self.min_index, self.max_index + 1)
+
     def _slot(self, n: int) -> int:
         slot = self.neg_count + n - 1
         if not 0 <= slot < self.count:
@@ -99,13 +121,23 @@ class BiConfig:
         return slot
 
     def t(self, n: int) -> Fraction:
-        return Fraction(self.pos_nums[self._slot(n)], _D)
+        return Fraction(int(self.pos_nums[self._slot(n)]), _D)
 
     def pos_num(self, n: int) -> int:
-        return self.pos_nums[self._slot(n)]
+        return int(self.pos_nums[self._slot(n)])
 
     def id_at(self, n: int) -> int:
-        return self.ids[self._slot(n)]
+        return int(self.ids[self._slot(n)])
+
+
+def same_biconfig(a: BiConfig, b: BiConfig) -> bool:
+    """Equal window, atoms and split at the origin."""
+    return (
+        a.half_width == b.half_width
+        and a.neg_count == b.neg_count
+        and np.array_equal(a.ids, b.ids)
+        and np.array_equal(a.pos_nums, b.pos_nums)
+    )
 
 
 def _sample_biconfig_counted(
@@ -120,11 +152,10 @@ def _sample_biconfig_counted(
         if not right or not left:
             retries += 1
             continue
-        nums = left + right
         config = BiConfig(
             half_width=half_width,
-            ids=tuple(range(1, len(nums) + 1)),
-            pos_nums=tuple(nums),
+            ids=np.arange(1, len(left) + len(right) + 1),
+            pos_nums=left + right,
             neg_count=len(left),
         )
         return config, retries
@@ -148,58 +179,70 @@ def empty_biconfig(half_width: int) -> BiConfig:
 
 def shift_cocycle(config: BiConfig) -> int:
     """Number of atoms in [-1, 0): how far every index climbs under one shift."""
-    return sum(1 for p in config.pos_nums if -_D <= p < 0)
+    p = config.pos_nums
+    return int(np.count_nonzero((p >= -_D) & (p < 0)))
 
 
-def advance_biconfig(config: BiConfig) -> tuple[BiConfig, tuple[int, ...]]:
+def advance_biconfig(config: BiConfig) -> tuple[BiConfig, np.ndarray]:
     """Shift every atom by +1, dropping atoms that leave the window.
 
     Returns the advanced configuration and the ids that exited on the
     right edge.  Indices of survivors all climb by the shift cocycle.
     """
-    bound = config.half_width * _D
-    kept_ids = []
-    kept_nums = []
-    exited = []
-    for i, p in zip(config.ids, config.pos_nums):
-        q = p + _D
-        if q < bound:
-            kept_ids.append(i)
-            kept_nums.append(q)
-        else:
-            exited.append(i)
+    moved = config.pos_nums + _D
+    kept = moved < config.half_width * _D
     advanced = BiConfig(
         half_width=config.half_width,
-        ids=tuple(kept_ids),
-        pos_nums=tuple(kept_nums),
-        neg_count=sum(1 for q in kept_nums if q < 0),
+        ids=config.ids[kept],
+        pos_nums=moved[kept],
+        neg_count=int(np.count_nonzero(moved[kept] < 0)),
     )
-    return advanced, tuple(exited)
+    return advanced, config.ids[~kept]
 
 
 COPIED = "copied"
 FRESH = "fresh"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JoiningSample:
     """A coupled pair: marks on both configurations plus provenance.
 
-    ``marks1``/``marks2`` map two-sided indices to symbols.  Every decided
-    second-family index has provenance (COPIED, source index) or
-    (FRESH,); ``excluded`` lists indices whose governing interval is not
-    observable in the window (the top index, lacking a successor atom).
+    Marks are symbol numbers (positions in ``law.symbols``).  ``marks1``
+    is parallel to the two-sided indices ``index1`` of the first
+    configuration.  ``index2`` lists every decided second-family index,
+    ascending, with its mark in ``marks2``; where ``copied2`` is set the
+    mark was copied from first-family index ``source2`` (0 elsewhere),
+    otherwise it was drawn fresh.  ``excluded`` lists indices whose
+    governing interval is not observable in the window (the top index,
+    lacking a successor atom).  Compare with ``same_sample``.
     """
 
     omega1: BiConfig
     omega2: BiConfig
-    marks1: dict
-    marks2: dict
-    provenance2: dict
-    excluded: tuple[int, ...]
+    index1: np.ndarray
+    marks1: np.ndarray
+    index2: np.ndarray
+    marks2: np.ndarray
+    copied2: np.ndarray
+    source2: np.ndarray
+    excluded: np.ndarray
     law: DiscreteLaw
     seed: int
     sample_idx: int
+
+
+_SAMPLE_ARRAYS = ("index1", "marks1", "index2", "marks2", "copied2", "source2", "excluded")
+
+
+def same_sample(a: JoiningSample, b: JoiningSample) -> bool:
+    """Equal configurations, marks, provenance and exclusions, index by index."""
+    return (
+        (a.law, a.seed, a.sample_idx) == (b.law, b.seed, b.sample_idx)
+        and same_biconfig(a.omega1, b.omega1)
+        and same_biconfig(a.omega2, b.omega2)
+        and all(np.array_equal(getattr(a, f), getattr(b, f)) for f in _SAMPLE_ARRAYS)
+    )
 
 
 def couple_marks(
@@ -218,33 +261,27 @@ def couple_marks(
     id), so the result is reproducible atom by atom.
     """
     stream = KeyedStream(seed)
-    marks1 = {
-        n: law.draw(stream, sample_idx, 1, omega1.id_at(n)) for n in omega1.indices()
-    }
-    marks2: dict = {}
-    provenance2: dict = {}
-    excluded = []
-    for n in omega2.indices():
-        if n + 1 > omega2.max_index:
-            excluded.append(n)
-            continue
-        lo = omega2.pos_num(n)
-        hi = omega2.pos_num(n + 1)
-        j = bisect_left(omega1.pos_nums, lo)
-        if j < omega1.count and omega1.pos_nums[j] < hi:
-            src = j - omega1.neg_count + 1
-            marks2[n] = marks1[src]
-            provenance2[n] = (COPIED, src)
-        else:
-            marks2[n] = law.draw(stream, sample_idx, 2, omega2.id_at(n))
-            provenance2[n] = (FRESH,)
+    marks1 = law.draw_indices(stream, (sample_idx, 1), omega1.ids)
+    p1, p2 = omega1.pos_nums, omega2.pos_nums
+    # slot of the lowest first-family atom at or right of each t(n)
+    first = np.searchsorted(p1, p2[:-1])
+    copied = first < omega1.count
+    copied[copied] = p1[first[copied]] < p2[1:][copied]
+    index2 = omega2.index_array()
+    marks2 = np.empty(copied.size, dtype=np.int64)
+    marks2[copied] = marks1[first[copied]]
+    fresh = ~copied
+    marks2[fresh] = law.draw_indices(stream, (sample_idx, 2), omega2.ids[:-1][fresh])
     return JoiningSample(
         omega1=omega1,
         omega2=omega2,
+        index1=omega1.index_array(),
         marks1=marks1,
+        index2=index2[:-1],
         marks2=marks2,
-        provenance2=provenance2,
-        excluded=tuple(excluded),
+        copied2=copied,
+        source2=np.where(copied, first + omega1.min_index, 0),
+        excluded=index2[-1:],
         law=law,
         seed=seed,
         sample_idx=sample_idx,
@@ -254,42 +291,40 @@ def couple_marks(
 def advance_joint(sample: JoiningSample) -> JoiningSample:
     """Advance both configurations one shift and transport marks by index.
 
-    Surviving marks keep their values at climbed indices; copied links are
-    re-targeted by the first family's climb.  Entries whose successor atom
-    exited are dropped (they are no longer decidable in the window), which
-    keeps the result equal to re-running the coupling on the advanced pair.
+    Surviving marks keep their values at indices climbed by the second
+    family's cocycle; copied sources climb by the first family's.  Entries
+    whose successor atom exited are dropped (they are no longer decidable
+    in the window), which keeps the result equal to re-running the
+    coupling on the advanced pair.
     """
-    c1 = shift_cocycle(sample.omega1)
-    c2 = shift_cocycle(sample.omega2)
-    adv1, _ = advance_biconfig(sample.omega1)
-    adv2, _ = advance_biconfig(sample.omega2)
-    bound1 = sample.omega1.half_width * _D - _D
-    bound2 = sample.omega2.half_width * _D - _D
+    w1, w2 = sample.omega1, sample.omega2
+    c1 = shift_cocycle(w1)
+    c2 = shift_cocycle(w2)
+    adv1, _ = advance_biconfig(w1)
+    adv2, _ = advance_biconfig(w2)
+    bound1 = w1.half_width * _D - _D
+    bound2 = w2.half_width * _D - _D
 
-    marks1 = {
-        n + c1: v for n, v in sample.marks1.items() if sample.omega1.pos_num(n) < bound1
-    }
-    marks2: dict = {}
-    provenance2: dict = {}
-    excluded = []
-    for n, v in sample.marks2.items():
-        if sample.omega2.pos_num(n) >= bound2:
-            continue
-        if sample.omega2.pos_num(n + 1) >= bound2:
-            excluded.append(n + c2)
-            continue
-        marks2[n + c2] = v
-        prov = sample.provenance2[n]
-        provenance2[n + c2] = (COPIED, prov[1] + c1) if prov[0] == COPIED else prov
-    if adv2.count and adv2.max_index not in marks2 and adv2.max_index not in excluded:
-        excluded.append(adv2.max_index)
+    kept1 = w1.pos_nums[sample.index1 - w1.min_index] < bound1
+    slot2 = sample.index2 - w2.min_index
+    stays = w2.pos_nums[slot2] < bound2
+    successor_stays = w2.pos_nums[slot2 + 1] < bound2
+    kept2 = stays & successor_stays
+    copied2 = sample.copied2[kept2]
+    index2 = sample.index2[kept2] + c2
+    excluded = sample.index2[stays & ~successor_stays] + c2
+    if adv2.count and adv2.max_index not in index2 and adv2.max_index not in excluded:
+        excluded = np.append(excluded, adv2.max_index)
     return JoiningSample(
         omega1=adv1,
         omega2=adv2,
-        marks1=marks1,
-        marks2=marks2,
-        provenance2=provenance2,
-        excluded=tuple(sorted(excluded)),
+        index1=sample.index1[kept1] + c1,
+        marks1=sample.marks1[kept1],
+        index2=index2,
+        marks2=sample.marks2[kept2],
+        copied2=copied2,
+        source2=np.where(copied2, sample.source2[kept2] + c1, 0),
+        excluded=np.sort(excluded),
         law=sample.law,
         seed=sample.seed,
         sample_idx=sample.sample_idx,
@@ -300,15 +335,14 @@ def rank_tracking_consistent(config: BiConfig) -> bool:
     """Exact oracle: advancing climbs every surviving index by the cocycle."""
     shift = shift_cocycle(config)
     advanced, exited = advance_biconfig(config)
-    exited_set = set(exited)
-    for n in config.indices():
-        if config.id_at(n) in exited_set:
-            continue
-        if advanced.id_at(n + shift) != config.id_at(n):
-            return False
-        if advanced.pos_num(n + shift) != config.pos_num(n) + _D:
-            return False
-    return True
+    stays = ~np.isin(config.ids, exited, kind="sort")
+    # slot in the advanced configuration of each survivor's climbed index
+    slot = config.index_array()[stays] + shift - advanced.min_index
+    if not ((slot >= 0) & (slot < advanced.count)).all():
+        return False
+    return np.array_equal(advanced.ids[slot], config.ids[stays]) and np.array_equal(
+        advanced.pos_nums[slot], config.pos_nums[stays] + _D
+    )
 
 
 def collect_joining(
@@ -325,7 +359,6 @@ def collect_joining(
     empty one, the degenerate regime where no mark can be copied.
     """
     k = len(law.symbols)
-    sym_index = {s: i for i, s in enumerate(law.symbols)}
     marginal = np.zeros(k, dtype=np.int64)
     adjacent = np.zeros((k, k), dtype=np.int64)
     copied_pairs = np.zeros((k, k), dtype=np.int64)
@@ -343,22 +376,23 @@ def collect_joining(
 
         if not (rank_tracking_consistent(w1) and rank_tracking_consistent(w2)):
             rank_failures += 1
-        if advance_joint(sample) != couple_marks(
+        recoupled = couple_marks(
             advance_biconfig(w1)[0], advance_biconfig(w2)[0], law, seed, sample_idx=i
-        ):
+        )
+        if not same_sample(advance_joint(sample), recoupled):
             equivariance_failures += 1
 
-        decided += len(sample.marks2)
-        excluded += len(sample.excluded)
-        for n, v in sample.marks2.items():
-            marginal[sym_index[v]] += 1
-            if sample.provenance2[n][0] == COPIED:
-                copied += 1
-                copied_pairs[sym_index[sample.marks1[sample.provenance2[n][1]]], sym_index[v]] += 1
-        lo = min(sample.marks2) if sample.marks2 else 0
-        for n in range(lo, max(sample.marks2, default=lo - 1), 2):
-            if n in sample.marks2 and n + 1 in sample.marks2:
-                adjacent[sym_index[sample.marks2[n]], sym_index[sample.marks2[n + 1]]] += 1
+        # decided indices run without gaps, so marks2 is in index order
+        m2 = sample.marks2
+        decided += m2.size
+        excluded += sample.excluded.size
+        marginal += np.bincount(m2, minlength=k)
+        hit = sample.copied2
+        copied += int(np.count_nonzero(hit))
+        np.add.at(copied_pairs, (sample.marks1[sample.source2[hit] - w1.min_index], m2[hit]), 1)
+        # disjoint adjacent pairs (n, n + 1) from the lowest decided index
+        even = m2.size - m2.size % 2
+        np.add.at(adjacent, (m2[0:even:2], m2[1:even:2]), 1)
     return {
         "marginal": marginal,
         "adjacent": adjacent,
@@ -448,8 +482,7 @@ def verify_joining(
 
 def biconfig_to_json(config: BiConfig, marks: dict | None = None) -> dict:
     atoms = []
-    for slot, (i, p) in enumerate(zip(config.ids, config.pos_nums)):
-        n = slot - config.neg_count + 1
+    for n, i, p in zip(config.indices(), config.ids.tolist(), config.pos_nums.tolist()):
         entry = {"id": i, "index": n, "pos": format_ratio(Fraction(p, _D))}
         if marks is not None and n in marks:
             entry["mark"] = marks[n]
@@ -461,11 +494,20 @@ def biconfig_to_json(config: BiConfig, marks: dict | None = None) -> dict:
 
 
 def joining_sample_to_json(sample: JoiningSample) -> dict:
+    symbols = sample.law.symbols
+    marks1 = {n: symbols[m] for n, m in zip(sample.index1.tolist(), sample.marks1.tolist())}
+    marks2 = {n: symbols[m] for n, m in zip(sample.index2.tolist(), sample.marks2.tolist())}
+    provenance = {
+        str(n): [COPIED, src] if copied else [FRESH]
+        for n, copied, src in zip(
+            sample.index2.tolist(), sample.copied2.tolist(), sample.source2.tolist()
+        )
+    }
     return {
-        "omega1": biconfig_to_json(sample.omega1, sample.marks1),
-        "omega2": biconfig_to_json(sample.omega2, sample.marks2),
-        "provenance": {str(n): list(v) for n, v in sample.provenance2.items()},
-        "excluded": list(sample.excluded),
+        "omega1": biconfig_to_json(sample.omega1, marks1),
+        "omega2": biconfig_to_json(sample.omega2, marks2),
+        "provenance": provenance,
+        "excluded": sample.excluded.tolist(),
         "law": {"symbols": list(sample.law.symbols), "weights": list(sample.law.weights)},
         "seed": sample.seed,
         "sample_idx": sample.sample_idx,

@@ -6,7 +6,9 @@ Every randomized procedure in the package draws from one of two sources:
   fan-out gets independent, reproducible streams;
 * per-item draws (fresh marks and the like) use a counter-based splitmix64
   hash of an integer key tuple, so a value is a pure function of its key
-  and survives reordering, resampling, and parallel evaluation.
+  and survives reordering, resampling, and parallel evaluation.  Keys
+  that differ only in their last part (one per atom id) are drawn in one
+  uint64 array pass with the same values (``DiscreteLaw.draw_indices``).
 
 Test verdicts are reported, never printed: a TestReport records the
 statistic, the p-value, and whether the outcome is a pass under the
@@ -40,6 +42,26 @@ def splitmix64(state: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (x ^ (x >> 31)) & _MASK64
+
+
+def splitmix64_array(state: np.ndarray) -> np.ndarray:
+    """``splitmix64`` on every entry of a uint64 array.
+
+    numpy's uint64 arithmetic wraps modulo 2**64, which is exactly the
+    ``& _MASK64`` of the scalar version, so the values agree bit for bit.
+    """
+    x = state + np.uint64(_GOLDEN)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _as_uint64(values) -> np.ndarray:
+    """Key parts reduced modulo 2**64, as ``_state`` reduces each one."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values.astype(np.uint64)  # a cast from int64 wraps two's complement
+    # anything else part by part: numpy would read a list mixing 2**63 and -1 as floats
+    return np.array([int(v) & _MASK64 for v in values], dtype=np.uint64)
 
 
 class KeyedStream:
@@ -94,6 +116,22 @@ class DiscreteLaw:
             if u < acc:
                 return s
         raise AssertionError("unreachable")
+
+    def draw_indices(self, stream: KeyedStream, prefix: tuple[int, ...], last) -> np.ndarray:
+        """Symbol numbers of ``draw(stream, *prefix, x)`` for every x in ``last``.
+
+        The result indexes ``symbols``; the values equal ``draw``'s, draw for
+        draw.  The prefix state is hashed once, and one uint64 array pass
+        mixes in the last part of every key.
+        """
+        u = splitmix64_array(np.uint64(stream._state(prefix)) ^ _as_uint64(last))
+        if self.total < 2**64:
+            u = u % np.uint64(self.total)
+            cum = np.cumsum(np.array(self.weights, dtype=np.uint64))
+        else:  # every state is already below the total
+            u = u.astype(object)
+            cum = np.cumsum(np.array(self.weights, dtype=object))
+        return np.searchsorted(cum, u, side="right")
 
 
 def uniform_law(k: int) -> DiscreteLaw:

@@ -1,7 +1,8 @@
 """Independent test oracles, kept deliberately naive."""
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from chaconlab.errors import (
     InsufficientDataError,
     OutOfDomainError,
 )
+from chaconlab.joining import _sample_biconfig_counted
 from chaconlab.stats import KeyedStream, uniform_law
 from chaconlab.suspension import (
     MarkedConfig,
@@ -258,3 +260,224 @@ class FractionTower:
                 j = int((x - lo) / self.widths[stage])
                 return spec.middle_value(stage) if j == 0 else spec.right_value(stage, j - 1)
         raise OutOfDomainError(f"{x} is not covered by any stage of this system")
+
+
+# -- the joining suite as first written: tuples, dicts and one atom at a time
+
+JOIN_D = 2**53
+
+
+@dataclass(frozen=True)
+class TupleBiConfig:
+    """``joining.BiConfig`` as first written: ids and numerators as tuples."""
+
+    half_width: int
+    ids: tuple[int, ...]
+    pos_nums: tuple[int, ...]
+    neg_count: int
+
+    @classmethod
+    def of(cls, config) -> "TupleBiConfig":
+        """The same atoms as an array ``joining.BiConfig``."""
+        return cls(
+            config.half_width,
+            tuple(int(i) for i in config.ids),
+            tuple(int(p) for p in config.pos_nums),
+            config.neg_count,
+        )
+
+    @property
+    def count(self) -> int:
+        return len(self.pos_nums)
+
+    @property
+    def min_index(self) -> int:
+        return 1 - self.neg_count
+
+    @property
+    def max_index(self) -> int:
+        return self.count - self.neg_count
+
+    def indices(self) -> range:
+        return range(self.min_index, self.max_index + 1)
+
+    def _slot(self, n: int) -> int:
+        slot = self.neg_count + n - 1
+        if not 0 <= slot < self.count:
+            raise IndexError(f"index {n} not in {self.min_index}..{self.max_index}")
+        return slot
+
+    def pos_num(self, n: int) -> int:
+        return self.pos_nums[self._slot(n)]
+
+    def id_at(self, n: int) -> int:
+        return self.ids[self._slot(n)]
+
+
+def tuple_shift_cocycle(config: TupleBiConfig) -> int:
+    return sum(1 for p in config.pos_nums if -JOIN_D <= p < 0)
+
+
+def tuple_advance_biconfig(config: TupleBiConfig) -> tuple[TupleBiConfig, tuple[int, ...]]:
+    bound = config.half_width * JOIN_D
+    kept_ids, kept_nums, exited = [], [], []
+    for i, p in zip(config.ids, config.pos_nums):
+        q = p + JOIN_D
+        if q < bound:
+            kept_ids.append(i)
+            kept_nums.append(q)
+        else:
+            exited.append(i)
+    advanced = TupleBiConfig(
+        half_width=config.half_width,
+        ids=tuple(kept_ids),
+        pos_nums=tuple(kept_nums),
+        neg_count=sum(1 for q in kept_nums if q < 0),
+    )
+    return advanced, tuple(exited)
+
+
+@dataclass(frozen=True)
+class DictJoiningSample:
+    """A coupled pair with marks and provenance held in dicts keyed by index.
+
+    ``marks1``/``marks2`` map two-sided indices to symbols; provenance is
+    ("copied", source index) or ("fresh",).
+    """
+
+    omega1: TupleBiConfig
+    omega2: TupleBiConfig
+    marks1: dict
+    marks2: dict
+    provenance2: dict
+    excluded: tuple[int, ...]
+
+
+def joining_dicts(sample) -> tuple:
+    """An array ``joining.JoiningSample`` in the oracle's dict form."""
+    symbols = sample.law.symbols
+    marks1 = {int(n): symbols[m] for n, m in zip(sample.index1, sample.marks1)}
+    marks2, provenance2 = {}, {}
+    for n, m, copied, src in zip(sample.index2, sample.marks2, sample.copied2, sample.source2):
+        marks2[int(n)] = symbols[m]
+        provenance2[int(n)] = ("copied", int(src)) if copied else ("fresh",)
+    return marks1, marks2, provenance2, tuple(int(n) for n in sample.excluded)
+
+
+def dict_sample_parts(sample: DictJoiningSample) -> tuple:
+    return sample.marks1, sample.marks2, sample.provenance2, sample.excluded
+
+
+def dict_couple_marks(omega1, omega2, law, seed: int, sample_idx: int = 0) -> DictJoiningSample:
+    stream = KeyedStream(seed)
+    marks1 = {
+        n: law.draw(stream, sample_idx, 1, omega1.id_at(n)) for n in omega1.indices()
+    }
+    marks2, provenance2, excluded = {}, {}, []
+    for n in omega2.indices():
+        if n + 1 > omega2.max_index:
+            excluded.append(n)
+            continue
+        lo = omega2.pos_num(n)
+        hi = omega2.pos_num(n + 1)
+        j = bisect_left(omega1.pos_nums, lo)
+        if j < omega1.count and omega1.pos_nums[j] < hi:
+            src = j - omega1.neg_count + 1
+            marks2[n] = marks1[src]
+            provenance2[n] = ("copied", src)
+        else:
+            marks2[n] = law.draw(stream, sample_idx, 2, omega2.id_at(n))
+            provenance2[n] = ("fresh",)
+    return DictJoiningSample(omega1, omega2, marks1, marks2, provenance2, tuple(excluded))
+
+
+def dict_advance_joint(sample: DictJoiningSample) -> DictJoiningSample:
+    c1 = tuple_shift_cocycle(sample.omega1)
+    c2 = tuple_shift_cocycle(sample.omega2)
+    adv1, _ = tuple_advance_biconfig(sample.omega1)
+    adv2, _ = tuple_advance_biconfig(sample.omega2)
+    bound1 = sample.omega1.half_width * JOIN_D - JOIN_D
+    bound2 = sample.omega2.half_width * JOIN_D - JOIN_D
+    marks1 = {
+        n + c1: v for n, v in sample.marks1.items() if sample.omega1.pos_num(n) < bound1
+    }
+    marks2, provenance2, excluded = {}, {}, []
+    for n, v in sample.marks2.items():
+        if sample.omega2.pos_num(n) >= bound2:
+            continue
+        if sample.omega2.pos_num(n + 1) >= bound2:
+            excluded.append(n + c2)
+            continue
+        marks2[n + c2] = v
+        prov = sample.provenance2[n]
+        provenance2[n + c2] = ("copied", prov[1] + c1) if prov[0] == "copied" else prov
+    if adv2.count and adv2.max_index not in marks2 and adv2.max_index not in excluded:
+        excluded.append(adv2.max_index)
+    return DictJoiningSample(adv1, adv2, marks1, marks2, provenance2, tuple(sorted(excluded)))
+
+
+def tuple_rank_tracking_consistent(config: TupleBiConfig) -> bool:
+    shift = tuple_shift_cocycle(config)
+    advanced, exited = tuple_advance_biconfig(config)
+    exited_set = set(exited)
+    for n in config.indices():
+        if config.id_at(n) in exited_set:
+            continue
+        if advanced.id_at(n + shift) != config.id_at(n):
+            return False
+        if advanced.pos_num(n + shift) != config.pos_num(n) + JOIN_D:
+            return False
+    return True
+
+
+def dict_collect_joining(start, stop, half_width, seed, law, empty_first_family=False) -> dict:
+    """``joining.collect_joining`` as first written, on the same samples."""
+    k = len(law.symbols)
+    sym_index = {s: i for i, s in enumerate(law.symbols)}
+    marginal = np.zeros(k, dtype=np.int64)
+    adjacent = np.zeros((k, k), dtype=np.int64)
+    copied_pairs = np.zeros((k, k), dtype=np.int64)
+    copied = decided = excluded = resamples = 0
+    rank_failures = equivariance_failures = 0
+    for i in range(start, stop):
+        if empty_first_family:
+            w1 = TupleBiConfig(half_width, (), (), 0)
+        else:
+            c1, r1 = _sample_biconfig_counted(half_width, seed, 2 * i)
+            w1 = TupleBiConfig.of(c1)
+            resamples += r1
+        c2, r2 = _sample_biconfig_counted(half_width, seed, 2 * i + 1)
+        w2 = TupleBiConfig.of(c2)
+        resamples += r2
+        sample = dict_couple_marks(w1, w2, law, seed, sample_idx=i)
+
+        if not (tuple_rank_tracking_consistent(w1) and tuple_rank_tracking_consistent(w2)):
+            rank_failures += 1
+        recoupled = dict_couple_marks(
+            tuple_advance_biconfig(w1)[0], tuple_advance_biconfig(w2)[0], law, seed, sample_idx=i
+        )
+        if dict_advance_joint(sample) != recoupled:
+            equivariance_failures += 1
+
+        decided += len(sample.marks2)
+        excluded += len(sample.excluded)
+        for n, v in sample.marks2.items():
+            marginal[sym_index[v]] += 1
+            if sample.provenance2[n][0] == "copied":
+                copied += 1
+                copied_pairs[sym_index[sample.marks1[sample.provenance2[n][1]]], sym_index[v]] += 1
+        lo = min(sample.marks2) if sample.marks2 else 0
+        for n in range(lo, max(sample.marks2, default=lo - 1), 2):
+            if n in sample.marks2 and n + 1 in sample.marks2:
+                adjacent[sym_index[sample.marks2[n]], sym_index[sample.marks2[n + 1]]] += 1
+    return {
+        "marginal": marginal,
+        "adjacent": adjacent,
+        "copied_pairs": copied_pairs,
+        "copied": copied,
+        "decided": decided,
+        "excluded": excluded,
+        "resamples": resamples,
+        "rank_failures": rank_failures,
+        "equivariance_failures": equivariance_failures,
+    }

@@ -268,6 +268,14 @@ PINNED_SUITES = [
      "ed7d87c5272163b8f3e845c11068255a115ca02860066b1300d346620d6624e5"),
     (["suspension", "--samples", "60", "--n-max", "3", "--window", "10/7"],
      "f5389189bc2cf92af8bf96f9b8d0ab232373a5d9767efdbad0fa4a6913578b12"),
+    # pinned before the joining suite moved to arrays: the widest window
+    # with int64 positions, one past it (object positions), and a mid size
+    (["joining", "--window", "1022", "--samples", "4"],
+     "1e72ded54a583d2e04e84c20d6f0e1417ee2590f8fd014314874a2fe0776efc8"),
+    (["joining", "--window", "1100", "--samples", "4"],
+     "dc47c4687ba09fbf562661ff7f4fa58ba9c0ea0058fc82bfdcb52e3e7f855478"),
+    (["joining", "--window", "12", "--samples", "120"],
+     "b517d5c1caeaebb9413b06b18e66d59ab5f86e9593a721744b1f753f06a5b22f"),
 ]
 
 

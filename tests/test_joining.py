@@ -1,8 +1,12 @@
 """Two-sided configurations, the shift cocycle, and the coupled-marks joining."""
 
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from chaconlab.errors import InsufficientDataError
 from chaconlab.joining import (
@@ -12,17 +16,32 @@ from chaconlab.joining import (
     advance_biconfig,
     advance_joint,
     biconfig_to_json,
+    collect_joining,
     couple_marks,
     empty_biconfig,
     joining_sample_to_json,
+    position_dtype,
     rank_tracking_consistent,
+    same_biconfig,
+    same_sample,
     sample_biconfig,
     shift_cocycle,
     verify_joining,
 )
 from chaconlab.ratio import parse_ratio
-from chaconlab.stats import uniform_law
+from chaconlab.stats import DiscreteLaw, uniform_law
 from chaconlab.suspension import SNAP_DENOM
+from oracles import (
+    TupleBiConfig,
+    dict_advance_joint,
+    dict_collect_joining,
+    dict_couple_marks,
+    dict_sample_parts,
+    joining_dicts,
+    tuple_advance_biconfig,
+    tuple_rank_tracking_consistent,
+    tuple_shift_cocycle,
+)
 
 D = SNAP_DENOM
 
@@ -70,9 +89,9 @@ def test_biconfig_validation():
 def test_sampling_determinism_and_split():
     a = sample_biconfig(10, seed=5, stream=3)
     b = sample_biconfig(10, seed=5, stream=3)
-    assert a == b
-    assert sample_biconfig(10, seed=5, stream=4) != a
-    assert sample_biconfig(10, seed=6, stream=3) != a
+    assert same_biconfig(a, b)
+    assert not same_biconfig(sample_biconfig(10, seed=5, stream=4), a)
+    assert not same_biconfig(sample_biconfig(10, seed=6, stream=3), a)
     assert a.t(0) < 0 <= a.t(1)
     assert all(-10 <= a.t(n) < 10 for n in a.indices())
 
@@ -96,7 +115,7 @@ def test_shift_cocycle_hand_cases():
 def test_advance_drops_right_edge():
     c = _config(2, [Fraction(-1, 2), Fraction(3, 2)])
     adv, exited = advance_biconfig(c)
-    assert exited == (2,)
+    assert exited.tolist() == [2]
     assert adv.count == 1 and adv.t(1) == Fraction(1, 2)
 
 
@@ -110,9 +129,10 @@ def test_couple_empty_first_family_all_fresh():
     law = uniform_law(3)
     w2 = sample_biconfig(8, seed=13, stream=0)
     s = couple_marks(empty_biconfig(8), w2, law, seed=13)
-    assert s.marks1 == {}
-    assert all(v == (FRESH,) for v in s.provenance2.values())
-    assert set(s.marks2) == set(range(w2.min_index, w2.max_index))
+    marks1, marks2, provenance2, _ = joining_dicts(s)
+    assert marks1 == {}
+    assert all(v == (FRESH,) for v in provenance2.values())
+    assert set(marks2) == set(range(w2.min_index, w2.max_index))
 
 
 def test_couple_coincident_configurations_copy_in_place():
@@ -125,9 +145,11 @@ def test_couple_coincident_configurations_copy_in_place():
         neg_count=w2.neg_count,
     )
     s = couple_marks(w1, w2, law, seed=21)
-    for n in s.marks2:
-        assert s.provenance2[n] == (COPIED, n)
-        assert s.marks2[n] == s.marks1[n]
+    marks1, marks2, provenance2, _ = joining_dicts(s)
+    assert marks2
+    for n in marks2:
+        assert provenance2[n] == (COPIED, n)
+        assert marks2[n] == marks1[n]
 
 
 def test_provenance_invariant():
@@ -136,14 +158,15 @@ def test_provenance_invariant():
         w1 = sample_biconfig(6, seed=31, stream=2 * i)
         w2 = sample_biconfig(6, seed=31, stream=2 * i + 1)
         s = couple_marks(w1, w2, law, seed=31, sample_idx=i)
-        assert set(s.marks2) | set(s.excluded) == set(
+        marks1, marks2, provenance2, excluded = joining_dicts(s)
+        assert set(marks2) | set(excluded) == set(
             range(w2.min_index, w2.max_index + 1)
         )
-        assert s.excluded == (w2.max_index,)
-        for n, prov in s.provenance2.items():
+        assert excluded == (w2.max_index,)
+        for n, prov in provenance2.items():
             if prov[0] == COPIED:
                 src = prov[1]
-                assert s.marks2[n] == s.marks1[src]
+                assert marks2[n] == marks1[src]
                 assert w2.t(n) <= w1.t(src) < w2.t(n + 1)
                 # lowest such atom
                 assert src == w1.min_index or not (
@@ -163,18 +186,18 @@ def test_advance_equivariance_and_flow():
         w2 = sample_biconfig(5, seed=47, stream=2 * i + 1)
         s = couple_marks(w1, w2, law, seed=47, sample_idx=i)
         adv = advance_joint(s)
-        assert adv == couple_marks(
+        assert same_sample(adv, couple_marks(
             advance_biconfig(w1)[0], advance_biconfig(w2)[0], law, seed=47, sample_idx=i
-        )
+        ))
         # flow property: two single steps = coupling of the double step
         twice = advance_joint(adv)
-        assert twice == couple_marks(
+        assert same_sample(twice, couple_marks(
             advance_biconfig(advance_biconfig(w1)[0])[0],
             advance_biconfig(advance_biconfig(w2)[0])[0],
             law,
             seed=47,
             sample_idx=i,
-        )
+        ))
 
 
 def test_advance_index_algebra():
@@ -184,8 +207,10 @@ def test_advance_index_algebra():
     s = couple_marks(w1, w2, law, seed=3)
     c2 = shift_cocycle(w2)
     adv = advance_joint(s)
-    for n, v in adv.marks2.items():
-        assert s.marks2[n - c2] == v
+    before, after = joining_dicts(s)[1], joining_dicts(adv)[1]
+    assert after
+    for n, v in after.items():
+        assert before[n - c2] == v
 
 
 def copied_fraction_theory(W: float) -> float:
@@ -252,3 +277,146 @@ def test_resample_tally_reported():
     rep = verify_joining(n_samples=30, half_width=1, seed=17)
     assert rep["degenerate_resamples"] >= 0
     assert isinstance(rep["degenerate_resamples"], int)
+
+
+# -- the array path against the tuple/dict oracle, on identical pairs
+
+LAWS = [uniform_law(2), uniform_law(3), DiscreteLaw(("a", "b", "c"), (1, 3, 5))]
+laws = st.one_of(
+    st.sampled_from(LAWS),
+    st.lists(st.integers(1, 9), min_size=1, max_size=5).map(
+        lambda w: DiscreteLaw(tuple(range(len(w))), tuple(w))
+    ),
+)
+# every window up to 12, and both sides of the int64 position limit
+half_widths = st.one_of(st.integers(1, 12), st.sampled_from([1022, 1023]))
+
+
+def _biconfig(half_width, positions, ids):
+    positions = sorted(positions)
+    return BiConfig(
+        half_width=half_width,
+        ids=ids[: len(positions)],
+        pos_nums=positions,
+        neg_count=sum(1 for p in positions if p < 0),
+    )
+
+
+@st.composite
+def biconfig_pairs(draw):
+    """Two configurations on one window, often sharing positions.
+
+    Positions come from a quarter-unit grid, from the edges the shift
+    and the coupling compare against, from the other family, or from
+    anywhere on the lattice; ids are any distinct int64.
+    """
+    W = draw(half_widths)
+    bound = W * D
+    edges = [-bound, -D - 1, -D, -1, 0, 1, bound - D - 1, bound - D, bound - 1]
+    points = st.one_of(
+        st.integers(-4 * W, 4 * W - 1).map(lambda q: q * D // 4),
+        st.sampled_from([e for e in edges if -bound <= e < bound]),
+        st.integers(-bound, bound - 1),
+    )
+    p2 = draw(st.lists(points, max_size=24, unique=True))
+    shared = st.sampled_from(p2) if p2 else points
+    empty_first_family = draw(st.booleans()) and draw(st.booleans())
+    p1 = [] if empty_first_family else draw(
+        st.lists(st.one_of(points, shared), max_size=24, unique=True)
+    )
+    ids = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=48, max_size=48, unique=True)
+    return _biconfig(W, p1, draw(ids)), _biconfig(W, p2, draw(ids))
+
+
+def _same_as_oracle(config: BiConfig, oracle: TupleBiConfig) -> bool:
+    return TupleBiConfig.of(config) == oracle
+
+
+@given(biconfig_pairs(), laws, st.integers(0, 2**64 - 1), st.integers(0, 10**6))
+@example(
+    (_biconfig(1, [-D, -1, 0], [7, 8, 9]), _biconfig(1, [-D, -D // 2, 0, D // 2], [1, 2, 3, 4])),
+    uniform_law(2), 2**63, 0,
+)
+@example(
+    (empty_biconfig(1023), _biconfig(1023, [-1023 * D, -1, 0, 1022 * D], [1, 2, 3, 4])),
+    uniform_law(3), 5, 9,
+)
+def test_array_path_matches_the_oracle(pair, law, seed, sample_idx):
+    w1, w2 = pair
+    o1, o2 = TupleBiConfig.of(w1), TupleBiConfig.of(w2)
+    expected_dtype = np.int64 if w1.half_width <= 1022 else object
+    assert w1.pos_nums.dtype == w2.pos_nums.dtype == expected_dtype
+    for w, o in ((w1, o1), (w2, o2)):
+        assert shift_cocycle(w) == tuple_shift_cocycle(o)
+        adv, exited = advance_biconfig(w)
+        adv_o, exited_o = tuple_advance_biconfig(o)
+        assert _same_as_oracle(adv, adv_o) and tuple(exited.tolist()) == exited_o
+        assert rank_tracking_consistent(w) is tuple_rank_tracking_consistent(o) is True
+
+    # coupling, then two advances, each compared with the oracle's
+    s = couple_marks(w1, w2, law, seed, sample_idx)
+    o = dict_couple_marks(o1, o2, law, seed, sample_idx)
+    for _ in range(3):
+        assert joining_dicts(s) == dict_sample_parts(o)
+        assert _same_as_oracle(s.omega1, o.omega1) and _same_as_oracle(s.omega2, o.omega2)
+        recoupled = couple_marks(s.omega1, s.omega2, law, seed, sample_idx)
+        assert same_sample(s, recoupled)
+        s, o = advance_joint(s), dict_advance_joint(o)
+
+
+@pytest.mark.parametrize(
+    "half_width, n_samples, law, empty_first_family",
+    [
+        (1, 40, uniform_law(2), False),
+        (5, 30, uniform_law(3), False),
+        (12, 20, LAWS[2], False),
+        (12, 20, uniform_law(2), True),
+        (1022, 1, uniform_law(2), False),
+        (1023, 1, LAWS[2], False),
+    ],
+)
+def test_collect_joining_matches_the_oracle(half_width, n_samples, law, empty_first_family):
+    args = (3, 3 + n_samples, half_width, 61, law, empty_first_family)
+    got, expected = collect_joining(*args), dict_collect_joining(*args)
+    assert got.keys() == expected.keys()
+    for key, value in expected.items():
+        assert np.array_equal(got[key], value), key
+    assert got["decided"] > 0
+    assert (got["copied"] == 0) is empty_first_family
+
+
+def test_position_dtype_switches_past_half_width_1022():
+    assert position_dtype(1022) is np.int64 and position_dtype(1023) is object
+    # the rightmost position of the widest int64 window still shifts exactly
+    top = 1022 * D - 1
+    adv, exited = advance_biconfig(_biconfig(1022, [-D, top], [1, 2]))
+    assert exited.tolist() == [2] and adv.pos_nums.tolist() == [0]
+    wide = _biconfig(1023, [-1023 * D, 1023 * D - 1], [1, 2])
+    assert isinstance(wide.pos_nums[1], int) and wide.pos_num(1) == 1023 * D - 1
+    with pytest.raises(ValueError):
+        _biconfig(1022, [1022 * D], [1])
+
+
+def test_same_sample_sees_every_field():
+    law = uniform_law(3)
+    s = couple_marks(sample_biconfig(6, 5, 0), sample_biconfig(6, 5, 1), law, seed=5)
+    assert same_sample(s, couple_marks(s.omega1, s.omega2, law, seed=5))
+    assert not same_sample(s, couple_marks(s.omega1, s.omega2, law, seed=6))
+    assert not same_sample(s, couple_marks(s.omega1, s.omega2, law, seed=5, sample_idx=1))
+    for field in ("index1", "marks1", "index2", "marks2", "source2", "excluded"):
+        values = getattr(s, field).copy()
+        values[0] += 1
+        assert not same_sample(s, replace(s, **{field: values}))
+    flipped = s.copied2.copy()
+    flipped[0] = not flipped[0]
+    assert not same_sample(s, replace(s, copied2=flipped))
+
+
+def test_exact_counters_count_failures(monkeypatch):
+    # with no climb under the shift, both exact checks must report failures
+    import chaconlab.joining as joining
+
+    monkeypatch.setattr(joining, "shift_cocycle", lambda config: 0)
+    tally = collect_joining(0, 20, 5, 3, uniform_law(2))
+    assert tally["rank_failures"] > 0
+    assert tally["equivariance_failures"] > 0

@@ -219,3 +219,47 @@ def test_spec_with_a_broken_field_exits_2(scratch, spec, key, broken):
 )
 def test_spec_file_that_is_no_spec_exits_2(scratch, data):
     exits_with_usage(["check-cocycle", "--spec", write(scratch / "spec.json", data)])
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("group",), [2.7]),
+        (("group",), [True]),
+        (("group",), ["2"]),
+        (("group",), 2),
+        (("base_value",), [1.9]),
+        (("base_value",), [True]),
+        (("stages", 0, "n"), 1.2),
+        (("stages", 0, "n"), True),
+        (("stages", 0, "middle"), [0.5]),
+        (("stages", 0, "right", 2), [False]),
+        (("stages", 0, "right", 3), 0),
+        (("zero_beyond",), 1.5),
+        (("zero_beyond",), True),
+        (("zero_beyond",), 1.0),
+    ],
+)
+def test_spec_with_a_non_integer_exits_2(scratch, path, value):
+    # int() would truncate 1.5 to 1 and read true as 1; the loader must refuse
+    spec = _replace(BUNDLED_SPEC, path, value)
+    path = write(scratch / "spec.json", json.dumps(spec).encode())
+    assert "integer" in exits_with_usage(["check-cocycle", "--spec", path])
+
+
+def test_bundled_spec_round_trips_through_the_strict_loader(scratch):
+    path = write(scratch / "spec.json", json.dumps(BUNDLED_SPEC).encode())
+    spec, _ = cli._load_cocycle_spec(path)
+    assert spec.zero_beyond == 1 and spec.group.invariant_factors == (2,)
+
+
+@pytest.mark.parametrize("k", [[1.5], [True], [1, 2.0], ["1"], [False, 1]])
+def test_config_k_with_a_non_integer_exits_2(scratch, k):
+    path = write(scratch / "run.json", json.dumps({"k": k}).encode())
+    assert "--k" in exits_with_usage(["verify", "suspension", "--config", path])
+
+
+def test_config_k_list_of_integers_is_kept():
+    assert cli._parse_k([2, 0, 3]) == (2, 0, 3)
+    with pytest.raises(UsageError):
+        cli._parse_k([1.5, True])

@@ -23,6 +23,7 @@ from chaconlab.stats import (
     make_rng,
     mc_mean,
     splitmix64,
+    splitmix64_array,
     uniform_law,
 )
 from oracles import scipy_chi2_poisson
@@ -34,6 +35,60 @@ def test_splitmix64_reference_vector():
     # chaining the reference way (state += golden gamma) gives the next one
     assert splitmix64(0x9E3779B97F4A7C15) == 0x6E789E6AA1B965F4
     assert splitmix64((2 * 0x9E3779B97F4A7C15) % 2**64) == 0x06C45D188009454F
+
+
+def test_splitmix64_array_reference_vector():
+    states = np.array([0, 0x9E3779B97F4A7C15, (2 * 0x9E3779B97F4A7C15) % 2**64], dtype=np.uint64)
+    assert splitmix64_array(states).tolist() == [
+        0xE220A8397B1DCDAF,
+        0x6E789E6AA1B965F4,
+        0x06C45D188009454F,
+    ]
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=20))
+@example([0, 1, 2**63, 2**64 - 1])
+def test_splitmix64_array_matches_scalar(states):
+    got = splitmix64_array(np.array(states, dtype=np.uint64)).tolist()
+    assert got == [splitmix64(x) for x in states]
+
+
+key_parts = st.one_of(st.integers(-(2**64), 2**65), st.integers(0, 2**64 - 1))
+draw_laws = st.one_of(
+    st.sampled_from([uniform_law(2), uniform_law(3), DiscreteLaw(("a", "b", "c"), (1, 3, 5))]),
+    st.lists(st.integers(1, 2**66), min_size=1, max_size=5).map(
+        lambda w: DiscreteLaw(tuple(range(len(w))), tuple(w))
+    ),
+)
+
+
+@given(
+    draw_laws,
+    st.one_of(st.integers(0, 2**64 - 1), st.integers(2**63, 2**64 - 1)),
+    st.lists(key_parts, max_size=3),
+    st.lists(key_parts, max_size=30),
+)
+@example(uniform_law(2), 2**63, [4, 2], [0, 2**63, 2**64 - 1])
+@example(uniform_law(3), 2**64 - 1, [], [0, 2**63, 2**64 - 1, -1])
+@example(DiscreteLaw((0, 1), (2**64, 1)), 0, [7], [0, 2**63, 2**64 - 1])
+def test_draw_indices_match_scalar_draws(law, seed, prefix, last):
+    stream = KeyedStream(seed)
+    prefix = tuple(prefix)
+    got = law.draw_indices(stream, prefix, last)
+    assert [law.symbols[j] for j in got] == [law.draw(stream, *prefix, x) for x in last]
+
+
+@given(
+    st.integers(0, 2**64 - 1),
+    st.lists(st.integers(-(2**63), 2**63 - 1), max_size=30),
+    st.integers(0, 10**6),
+)
+def test_draw_indices_on_int64_ids(seed, ids, sample_idx):
+    # the joining suite passes ids as an int64 array; negatives wrap like int() & (2**64 - 1)
+    law = DiscreteLaw(("x", "y", "z"), (1, 3, 5))
+    stream = KeyedStream(seed)
+    got = law.draw_indices(stream, (sample_idx, 2), np.array(ids, dtype=np.int64))
+    assert [law.symbols[j] for j in got] == [law.draw(stream, sample_idx, 2, x) for x in ids]
 
 
 def test_splitmix64_range_and_determinism():
