@@ -276,6 +276,17 @@ PINNED_SUITES = [
      "dc47c4687ba09fbf562661ff7f4fa58ba9c0ea0058fc82bfdcb52e3e7f855478"),
     (["joining", "--window", "12", "--samples", "120"],
      "b517d5c1caeaebb9413b06b18e66d59ab5f86e9593a721744b1f753f06a5b22f"),
+    # pinned before the joining suite moved to blocks of samples: the
+    # benchmark's run at two seeds, a window with 591 empty-side resamples,
+    # and a sample count whose two-worker split falls inside a block
+    (["joining", "--window", "50", "--samples", "1000", "--alpha", "1e-6", "--seed", "0"],
+     "2b44e722a161c059ff576a799880c11fb34357aca17ba2a7d04f1b66f340a08e"),
+    (["joining", "--window", "50", "--samples", "1000", "--alpha", "1e-6", "--seed", "7"],
+     "4022ca942ed6e866330af55be3b9cef782562c51dae358c91e0c595d9ef867cb"),
+    (["joining", "--window", "1", "--samples", "200"],
+     "9bbaf454069c31c889d7a112e72798a8b8712f1f2df57fa6a893cbdd0f4c9098"),
+    (["joining", "--samples", "130"],
+     "b46c3afc2d88df75f62dd682ac032b033f6c0d4f8139224d2c995a1257667d23"),
 ]
 
 
