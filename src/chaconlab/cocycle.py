@@ -123,6 +123,7 @@ class CocycleSpec:
     stages: tuple[StageValues, ...]
     zero_beyond: int
     _by_stage: dict = field(repr=False, compare=False, default=None)
+    _identity: GroupElem = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.base_value.group != self.group:
@@ -155,20 +156,21 @@ class CocycleSpec:
             seen[s.stage] = s
         object.__setattr__(self, "stages", tuple(sorted(self.stages, key=lambda s: s.stage)))
         object.__setattr__(self, "_by_stage", seen)
+        object.__setattr__(self, "_identity", self.group.identity())
 
     def middle_value(self, n: int) -> GroupElem:
         s = self._by_stage.get(n)
-        return s.middle if s is not None else self.group.identity()
+        return s.middle if s is not None else self._identity
 
     def right_value(self, n: int, j: int) -> GroupElem:
         s = self._by_stage.get(n)
-        return s.right[j] if s is not None else self.group.identity()
+        return s.right[j] if s is not None else self._identity
 
     def right_sum(self, n: int) -> GroupElem:
         s = self._by_stage.get(n)
+        total = self._identity
         if s is None:
-            return self.group.identity()
-        total = self.group.identity()
+            return total
         for r in s.right:
             total = total + r
         return total

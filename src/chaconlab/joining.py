@@ -21,14 +21,32 @@ numerators in numpy arrays, so comparisons, the +1 shift and the interval
 search are integer array operations.  The arrays are int64 while every
 position and its shift by one fit, that is for (W + 1) * 2**53 < 2**63
 (W <= 1022), and object arrays of Python ints for wider windows; both run
-through the same code.  A sample's marks, copied sources and excluded
-entries are arrays of two-sided indices, and the keyed draws for one
-(sample, side) take one array pass (``DiscreteLaw.draw_indices``).
+through the same code.
+
+The suite runs in blocks of ``BLOCK`` samples.  A block holds each family
+of all its samples as one ``Family`` in CSR form: flat positions and ids,
+per-configuration offsets and negative counts, and each atom's owner.
+Sampling stays per configuration, one PCG64 stream each; every later step
+is one array pass per block.  Keyed draws hash one prefix state per
+(sample, side) and mix in every atom id at once (``KeyedStream.
+prefix_states``, ``DiscreteLaw.draw_at``).  Coupling is one lexsort on
+(sample, position, family) in which a second-family atom sorts ahead of a
+first-family atom at the same position, so a first-family atom at t(n)
+falls in the interval [t(n), t(n+1)) and one at t(n+1) does not.
+Advancing is one +2**53 shift and window mask.  The two exact checks stay
+independent: ``transport`` moves marks by the shift cocycle, while a
+fresh lexsort couples the advanced pair, and ``marks_differ`` compares
+the two sample by sample; rank tracking compares index plus cocycle with
+the advanced configurations.  Blocks are small and fixed so that peak
+memory does not grow with the sample count (64 samples at W = 50 hold
+about 1 MB of arrays).  The single-pair functions (``couple_marks``,
+``advance_joint``, ``advance_biconfig``, ``rank_tracking_consistent``)
+run the same kernel on a block of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -140,26 +158,85 @@ def same_biconfig(a: BiConfig, b: BiConfig) -> bool:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class Family:
+    """One family's configurations across a block of samples, in CSR form.
+
+    Configuration j holds the flat slots ``offsets[j]:offsets[j + 1]`` of
+    ``pos`` and ``ids``, and ``owner`` names the configuration of every
+    slot.  ``neg[j]`` counts its atoms left of the origin, so the atom in
+    flat slot s carries the two-sided index ``s - base[owner[s]]``.
+    """
+
+    half_width: int
+    pos: np.ndarray
+    ids: np.ndarray
+    offsets: np.ndarray
+    neg: np.ndarray
+    owner: np.ndarray
+
+    @classmethod
+    def build(cls, half_width: int, pos, ids, counts, neg) -> "Family":
+        counts = np.asarray(counts, dtype=np.int64)
+        offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        # owners in the narrowest unsigned type: less memory, and a radix lexsort key
+        owner = np.repeat(np.arange(counts.size, dtype=np.min_scalar_type(counts.size)), counts)
+        return cls(half_width, pos, ids, offsets, np.asarray(neg, dtype=np.int64), owner)
+
+    @classmethod
+    def of(cls, configs: list[BiConfig]) -> "Family":
+        return cls.build(
+            configs[0].half_width,
+            np.concatenate([c.pos_nums for c in configs]),
+            np.concatenate([c.ids for c in configs]),
+            [c.count for c in configs],
+            [c.neg_count for c in configs],
+        )
+
+    @classmethod
+    def empty(cls, half_width: int, n: int) -> "Family":
+        pos = np.empty(0, dtype=position_dtype(half_width))
+        return cls.build(half_width, pos, np.empty(0, dtype=np.int64), np.zeros(n), np.zeros(n))
+
+    @property
+    def n(self) -> int:
+        return self.neg.size
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @property
+    def base(self) -> np.ndarray:
+        return self.offsets[:-1] + self.neg - 1
+
+    def config(self, j: int) -> BiConfig:
+        lo, hi = self.offsets[j], self.offsets[j + 1]
+        return BiConfig(self.half_width, self.ids[lo:hi], self.pos[lo:hi], int(self.neg[j]))
+
+
+def _sample_sides(half_width: int, seed: int, stream: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Arrival numerators left and right of the origin, and empty-side retries.
+
+    Both sides count outward from the origin; the left one is negated by
+    the caller.
+    """
+    rng = make_rng(RngSpec(seed=seed, stream=stream))
+    bound, chunk = half_width * _D, half_width + 8
+    for retries in range(1000):
+        right = snapped_arrivals(rng, bound, chunk)
+        left = snapped_arrivals(rng, bound, chunk)
+        if right.size and left.size:
+            return left, right, retries
+    raise InsufficientDataError("window too small: sides keep coming up empty")
+
+
 def _sample_biconfig_counted(
     half_width: int, seed: int, stream: int
 ) -> tuple[BiConfig, int]:
-    rng = make_rng(RngSpec(seed=seed, stream=stream))
-    bound, chunk = half_width * _D, half_width + 8
-    retries = 0
-    for _ in range(1000):
-        right = snapped_arrivals(rng, bound, chunk)
-        left = [-c for c in reversed(snapped_arrivals(rng, bound, chunk))]
-        if not right or not left:
-            retries += 1
-            continue
-        config = BiConfig(
-            half_width=half_width,
-            ids=np.arange(1, len(left) + len(right) + 1),
-            pos_nums=left + right,
-            neg_count=len(left),
-        )
-        return config, retries
-    raise InsufficientDataError("window too small: sides keep coming up empty")
+    family, retries = sample_family(half_width, seed, np.array([stream]))
+    return family.config(0), retries
 
 
 def sample_biconfig(half_width: int, seed: int, stream: int = 0) -> BiConfig:
@@ -172,15 +249,51 @@ def sample_biconfig(half_width: int, seed: int, stream: int = 0) -> BiConfig:
     return _sample_biconfig_counted(half_width, seed, stream)[0]
 
 
+def sample_family(half_width: int, seed: int, streams: np.ndarray) -> tuple[Family, int]:
+    """One ``sample_biconfig`` per stream, with ids 1, 2, ...; and the retries."""
+    parts, counts, neg, retries = [], [], [], 0
+    for stream in streams.tolist():
+        left, right, r = _sample_sides(half_width, seed, stream)
+        parts += (left[::-1], right)
+        counts.append(left.size + right.size)
+        neg.append(left.size)
+        retries += r
+    pos = np.concatenate(parts).astype(position_dtype(half_width), copy=False)
+    family = Family.build(half_width, pos, None, counts, neg)
+    local = np.arange(pos.size) - family.offsets[family.owner]
+    pos[local < family.neg[family.owner]] *= -1
+    return replace(family, ids=local + 1), retries
+
+
 def empty_biconfig(half_width: int) -> BiConfig:
     """No atoms at all; useful as the degenerate first family."""
     return BiConfig(half_width=half_width, ids=(), pos_nums=(), neg_count=0)
 
 
+def shift_cocycles(family: Family) -> np.ndarray:
+    """Per configuration, the number of atoms in [-1, 0): how far indices climb."""
+    p = family.pos
+    return np.bincount(family.owner[(p >= -_D) & (p < 0)], minlength=family.n)
+
+
 def shift_cocycle(config: BiConfig) -> int:
     """Number of atoms in [-1, 0): how far every index climbs under one shift."""
-    p = config.pos_nums
-    return int(np.count_nonzero((p >= -_D) & (p < 0)))
+    return int(shift_cocycles(Family.of([config]))[0])
+
+
+def advance_family(family: Family) -> tuple[Family, np.ndarray]:
+    """Shift every atom by +1 and drop those leaving the window; also the kept mask."""
+    moved = family.pos + _D
+    kept = moved < family.half_width * _D
+    owner = family.owner[kept]
+    advanced = Family.build(
+        family.half_width,
+        moved[kept],
+        family.ids[kept],
+        np.bincount(owner, minlength=family.n),
+        np.bincount(owner[moved[kept] < 0], minlength=family.n),
+    )
+    return advanced, kept
 
 
 def advance_biconfig(config: BiConfig) -> tuple[BiConfig, np.ndarray]:
@@ -189,19 +302,191 @@ def advance_biconfig(config: BiConfig) -> tuple[BiConfig, np.ndarray]:
     Returns the advanced configuration and the ids that exited on the
     right edge.  Indices of survivors all climb by the shift cocycle.
     """
-    moved = config.pos_nums + _D
-    kept = moved < config.half_width * _D
-    advanced = BiConfig(
-        half_width=config.half_width,
-        ids=config.ids[kept],
-        pos_nums=moved[kept],
-        neg_count=int(np.count_nonzero(moved[kept] < 0)),
+    advanced, kept = advance_family(Family.of([config]))
+    return advanced.config(0), config.ids[~kept]
+
+
+def rank_tracking_failures(
+    family: Family, shift: np.ndarray, advanced: Family, kept: np.ndarray
+) -> np.ndarray:
+    """Per configuration, whether some survivor's index did not climb by ``shift``.
+
+    ``advanced`` and ``kept`` come from ``advance_family``; each survivor's
+    index plus its configuration's cocycle must name, in the advanced
+    configuration, the same id at the position one unit to the right.
+    """
+    slot = np.flatnonzero(kept)
+    owner = family.owner[slot]
+    # flat slot in the advanced family of each survivor's climbed index
+    target = slot - family.base[owner] + shift[owner] + advanced.base[owner]
+    local = target - advanced.offsets[owner]
+    bad = (local < 0) | (local >= advanced.counts[owner])
+    ok = ~bad
+    moved, target = slot[ok], target[ok]
+    bad[ok] = (advanced.ids[target] != family.ids[moved]) | (
+        advanced.pos[target] != family.pos[moved] + _D
     )
-    return advanced, config.ids[~kept]
+    return np.bincount(owner[bad], minlength=family.n) > 0
+
+
+def rank_tracking_consistent(config: BiConfig) -> bool:
+    """Exact oracle: advancing climbs every surviving index by the cocycle."""
+    family = Family.of([config])
+    advanced, kept = advance_family(family)
+    return not rank_tracking_failures(family, shift_cocycles(family), advanced, kept)[0]
 
 
 COPIED = "copied"
 FRESH = "fresh"
+
+
+@dataclass(frozen=True, eq=False)
+class Marks:
+    """Marks and provenance of a block of coupled pairs, entry by entry.
+
+    Every entry belongs to the sample ``owner1``/``owner2``/``owner_x``
+    (its place in the block) and carries a two-sided index; entries run
+    in ascending (sample, index) order.  The other fields mean what
+    ``JoiningSample``'s do.
+    """
+
+    owner1: np.ndarray
+    index1: np.ndarray
+    marks1: np.ndarray
+    owner2: np.ndarray
+    index2: np.ndarray
+    marks2: np.ndarray
+    copied2: np.ndarray
+    source2: np.ndarray
+    owner_x: np.ndarray
+    excluded: np.ndarray
+
+
+_ENTRY_GROUPS = (
+    ("owner1", ("index1", "marks1")),
+    ("owner2", ("index2", "marks2", "copied2", "source2")),
+    ("owner_x", ("excluded",)),
+)
+
+
+def couple_block(
+    family1: Family, family2: Family, law: DiscreteLaw, seed: int, samples: np.ndarray
+) -> Marks:
+    """``couple_marks`` for every pair of a block; ``samples`` keys the draws.
+
+    One lexsort orders the atoms of both families by (sample, position,
+    family), with a second-family atom ahead of a first-family atom at
+    the same position.  The first-family atoms sorted ahead of a
+    second-family atom at t(n) are then those of earlier samples and
+    those strictly left of t(n), so their number is the flat slot of the
+    lowest first-family atom at or right of t(n).
+    """
+    stream = KeyedStream(seed)
+    n1, n2 = family1.pos.size, family2.pos.size
+    marks1 = law.draw_at(stream.prefix_states(samples, 1)[family1.owner], family1.ids)
+    order = np.lexsort((
+        np.concatenate((np.ones(n1, dtype=np.int8), np.zeros(n2, dtype=np.int8))),
+        np.concatenate((family1.pos, family2.pos)),
+        np.concatenate((family1.owner, family2.owner)),
+    ))
+    # second-family atoms keep their flat order in the sort, so the one in
+    # flat slot s has s second-family atoms ahead of it
+    first = np.flatnonzero(order >= n1) - np.arange(n2)
+
+    # every second-family atom but each configuration's top one is decided
+    top = family2.offsets[1:][family2.counts > 0] - 1
+    decided = np.ones(n2, dtype=bool)
+    decided[top] = False
+    slot2 = np.flatnonzero(decided)
+    owner2 = family2.owner[slot2]
+    first = first[slot2]
+    copied = first < family1.offsets[1:][owner2]
+    copied[copied] = family1.pos[first[copied]] < family2.pos[slot2[copied] + 1]
+
+    marks2 = np.empty(slot2.size, dtype=np.int64)
+    marks2[copied] = marks1[first[copied]]
+    fresh = slot2[~copied]
+    states2 = stream.prefix_states(samples, 2)
+    marks2[~copied] = law.draw_at(states2[family2.owner[fresh]], family2.ids[fresh])
+    owner_x = family2.owner[top]
+    return Marks(
+        owner1=family1.owner,
+        index1=np.arange(n1) - family1.base[family1.owner],
+        marks1=marks1,
+        owner2=owner2,
+        index2=slot2 - family2.base[owner2],
+        marks2=marks2,
+        copied2=copied,
+        source2=np.where(copied, first - family1.base[owner2], 0),
+        owner_x=owner_x,
+        excluded=top - family2.base[owner_x],
+    )
+
+
+def transport(
+    marks: Marks,
+    family1: Family,
+    family2: Family,
+    c1: np.ndarray,
+    c2: np.ndarray,
+    advanced2: Family,
+) -> Marks:
+    """``advance_joint`` for every pair of a block.
+
+    Surviving marks keep their values at indices climbed by the second
+    family's cocycle ``c2``; copied sources climb by the first family's
+    ``c1``.  Entries whose successor atom exits become excluded, and so
+    does the advanced top index when nothing else names it.
+    """
+    bound1 = family1.half_width * _D - _D
+    bound2 = family2.half_width * _D - _D
+    kept1 = family1.pos[marks.index1 + family1.base[marks.owner1]] < bound1
+    slot2 = marks.index2 + family2.base[marks.owner2]
+    stays = family2.pos[slot2] < bound2
+    successor_stays = family2.pos[slot2 + 1] < bound2
+    kept2 = stays & successor_stays
+    owner1 = marks.owner1[kept1]
+    owner2 = marks.owner2[kept2]
+    index2 = marks.index2[kept2] + c2[owner2]
+    copied2 = marks.copied2[kept2]
+
+    edge = stays & ~successor_stays
+    owner_x = marks.owner2[edge]
+    excluded = marks.index2[edge] + c2[owner_x]
+    top = advanced2.counts - advanced2.neg
+    named = np.zeros(family2.n, dtype=bool)
+    named[owner2[index2 == top[owner2]]] = True
+    named[owner_x[excluded == top[owner_x]]] = True
+    unnamed = np.flatnonzero((advanced2.counts > 0) & ~named)
+    owner_x = np.concatenate((owner_x, unnamed))
+    excluded = np.concatenate((excluded, top[unnamed]))
+    order = np.lexsort((excluded, owner_x))
+    return Marks(
+        owner1=owner1,
+        index1=marks.index1[kept1] + c1[owner1],
+        marks1=marks.marks1[kept1],
+        owner2=owner2,
+        index2=index2,
+        marks2=marks.marks2[kept2],
+        copied2=copied2,
+        source2=np.where(copied2, marks.source2[kept2] + c1[owner2], 0),
+        owner_x=owner_x[order],
+        excluded=excluded[order],
+    )
+
+
+def marks_differ(a: Marks, b: Marks, n: int) -> np.ndarray:
+    """Per sample of a block of n, whether ``a`` and ``b`` differ in any entry."""
+    bad = np.zeros(n, dtype=bool)
+    for owner, fields in _ENTRY_GROUPS:
+        oa, ob = getattr(a, owner), getattr(b, owner)
+        bad |= np.bincount(oa, minlength=n) != np.bincount(ob, minlength=n)
+        # samples with equal entry counts line up entry by entry
+        ka, kb = ~bad[oa], ~bad[ob]
+        for name in fields:
+            diff = getattr(a, name)[ka] != getattr(b, name)[kb]
+            bad[oa[ka][diff]] = True
+    return bad
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,31 +545,9 @@ def couple_marks(
     drawn fresh.  All randomness is keyed by (seed, sample, side, atom
     id), so the result is reproducible atom by atom.
     """
-    stream = KeyedStream(seed)
-    marks1 = law.draw_indices(stream, (sample_idx, 1), omega1.ids)
-    p1, p2 = omega1.pos_nums, omega2.pos_nums
-    # slot of the lowest first-family atom at or right of each t(n)
-    first = np.searchsorted(p1, p2[:-1])
-    copied = first < omega1.count
-    copied[copied] = p1[first[copied]] < p2[1:][copied]
-    index2 = omega2.index_array()
-    marks2 = np.empty(copied.size, dtype=np.int64)
-    marks2[copied] = marks1[first[copied]]
-    fresh = ~copied
-    marks2[fresh] = law.draw_indices(stream, (sample_idx, 2), omega2.ids[:-1][fresh])
+    marks = couple_block(Family.of([omega1]), Family.of([omega2]), law, seed, [sample_idx])
     return JoiningSample(
-        omega1=omega1,
-        omega2=omega2,
-        index1=omega1.index_array(),
-        marks1=marks1,
-        index2=index2[:-1],
-        marks2=marks2,
-        copied2=copied,
-        source2=np.where(copied, first + omega1.min_index, 0),
-        excluded=index2[-1:],
-        law=law,
-        seed=seed,
-        sample_idx=sample_idx,
+        omega1, omega2, *(getattr(marks, f) for f in _SAMPLE_ARRAYS), law, seed, sample_idx
     )
 
 
@@ -297,52 +560,30 @@ def advance_joint(sample: JoiningSample) -> JoiningSample:
     in the window), which keeps the result equal to re-running the
     coupling on the advanced pair.
     """
-    w1, w2 = sample.omega1, sample.omega2
-    c1 = shift_cocycle(w1)
-    c2 = shift_cocycle(w2)
-    adv1, _ = advance_biconfig(w1)
-    adv2, _ = advance_biconfig(w2)
-    bound1 = w1.half_width * _D - _D
-    bound2 = w2.half_width * _D - _D
-
-    kept1 = w1.pos_nums[sample.index1 - w1.min_index] < bound1
-    slot2 = sample.index2 - w2.min_index
-    stays = w2.pos_nums[slot2] < bound2
-    successor_stays = w2.pos_nums[slot2 + 1] < bound2
-    kept2 = stays & successor_stays
-    copied2 = sample.copied2[kept2]
-    index2 = sample.index2[kept2] + c2
-    excluded = sample.index2[stays & ~successor_stays] + c2
-    if adv2.count and adv2.max_index not in index2 and adv2.max_index not in excluded:
-        excluded = np.append(excluded, adv2.max_index)
-    return JoiningSample(
-        omega1=adv1,
-        omega2=adv2,
-        index1=sample.index1[kept1] + c1,
-        marks1=sample.marks1[kept1],
-        index2=index2,
-        marks2=sample.marks2[kept2],
-        copied2=copied2,
-        source2=np.where(copied2, sample.source2[kept2] + c1, 0),
-        excluded=np.sort(excluded),
-        law=sample.law,
-        seed=sample.seed,
-        sample_idx=sample.sample_idx,
+    family1, family2 = Family.of([sample.omega1]), Family.of([sample.omega2])
+    arrays = {f: getattr(sample, f) for f in _SAMPLE_ARRAYS}
+    owners = {owner: np.zeros(arrays[fields[0]].size, dtype=np.int64) for owner, fields in _ENTRY_GROUPS}
+    advanced1, _ = advance_family(family1)
+    advanced2, _ = advance_family(family2)
+    moved = transport(
+        Marks(**owners, **arrays),
+        family1,
+        family2,
+        shift_cocycles(family1),
+        shift_cocycles(family2),
+        advanced2,
+    )
+    return replace(
+        sample,
+        omega1=advanced1.config(0),
+        omega2=advanced2.config(0),
+        **{f: getattr(moved, f) for f in _SAMPLE_ARRAYS},
     )
 
 
-def rank_tracking_consistent(config: BiConfig) -> bool:
-    """Exact oracle: advancing climbs every surviving index by the cocycle."""
-    shift = shift_cocycle(config)
-    advanced, exited = advance_biconfig(config)
-    stays = ~np.isin(config.ids, exited, kind="sort")
-    # slot in the advanced configuration of each survivor's climbed index
-    slot = config.index_array()[stays] + shift - advanced.min_index
-    if not ((slot >= 0) & (slot < advanced.count)).all():
-        return False
-    return np.array_equal(advanced.ids[slot], config.ids[stays]) and np.array_equal(
-        advanced.pos_nums[slot], config.pos_nums[stays] + _D
-    )
+# samples per block: each block's flat arrays stay a few hundred kB at
+# window 50, so peak memory does not grow with the sample count
+BLOCK = 64
 
 
 def collect_joining(
@@ -364,35 +605,43 @@ def collect_joining(
     copied_pairs = np.zeros((k, k), dtype=np.int64)
     copied = decided = excluded = resamples = 0
     rank_failures = equivariance_failures = 0
-    for i in range(start, stop):
+    for lo in range(start, stop, BLOCK):
+        samples = np.arange(lo, min(lo + BLOCK, stop))
+        n = samples.size
         if empty_first_family:
-            w1 = empty_biconfig(half_width)
+            family1, r1 = Family.empty(half_width, n), 0
         else:
-            w1, r1 = _sample_biconfig_counted(half_width, seed, 2 * i)
-            resamples += r1
-        w2, r2 = _sample_biconfig_counted(half_width, seed, 2 * i + 1)
-        resamples += r2
-        sample = couple_marks(w1, w2, law, seed, sample_idx=i)
+            family1, r1 = sample_family(half_width, seed, 2 * samples)
+        family2, r2 = sample_family(half_width, seed, 2 * samples + 1)
+        resamples += r1 + r2
+        marks = couple_block(family1, family2, law, seed, samples)
 
-        if not (rank_tracking_consistent(w1) and rank_tracking_consistent(w2)):
-            rank_failures += 1
-        recoupled = couple_marks(
-            advance_biconfig(w1)[0], advance_biconfig(w2)[0], law, seed, sample_idx=i
-        )
-        if not same_sample(advance_joint(sample), recoupled):
-            equivariance_failures += 1
-
-        # decided indices run without gaps, so marks2 is in index order
-        m2 = sample.marks2
+        m2, owner2, hit = marks.marks2, marks.owner2, marks.copied2
         decided += m2.size
-        excluded += sample.excluded.size
+        excluded += marks.excluded.size
         marginal += np.bincount(m2, minlength=k)
-        hit = sample.copied2
         copied += int(np.count_nonzero(hit))
-        np.add.at(copied_pairs, (sample.marks1[sample.source2[hit] - w1.min_index], m2[hit]), 1)
-        # disjoint adjacent pairs (n, n + 1) from the lowest decided index
-        even = m2.size - m2.size % 2
-        np.add.at(adjacent, (m2[0:even:2], m2[1:even:2]), 1)
+        source = marks.source2[hit] + family1.base[owner2[hit]]
+        copied_pairs += np.bincount(
+            marks.marks1[source] * k + m2[hit], minlength=k * k
+        ).reshape(k, k)
+        # disjoint adjacent pairs (n, n + 1) from each sample's lowest decided index
+        per_sample = np.bincount(owner2, minlength=n)
+        rank = np.arange(m2.size) - (np.cumsum(per_sample) - per_sample)[owner2]
+        lead = np.flatnonzero((rank % 2 == 0) & (rank + 1 < per_sample[owner2]))
+        adjacent += np.bincount(m2[lead] * k + m2[lead + 1], minlength=k * k).reshape(k, k)
+
+        c1, c2 = shift_cocycles(family1), shift_cocycles(family2)
+        advanced1, kept1 = advance_family(family1)
+        advanced2, kept2 = advance_family(family2)
+        rank_failures += int(np.count_nonzero(
+            rank_tracking_failures(family1, c1, advanced1, kept1)
+            | rank_tracking_failures(family2, c2, advanced2, kept2)
+        ))
+        moved = transport(marks, family1, family2, c1, c2, advanced2)
+        del family1, family2, marks, kept1, kept2  # lower the block's peak memory
+        recoupled = couple_block(advanced1, advanced2, law, seed, samples)
+        equivariance_failures += int(np.count_nonzero(marks_differ(moved, recoupled, n)))
     return {
         "marginal": marginal,
         "adjacent": adjacent,

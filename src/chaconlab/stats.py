@@ -8,7 +8,9 @@ Every randomized procedure in the package draws from one of two sources:
   hash of an integer key tuple, so a value is a pure function of its key
   and survives reordering, resampling, and parallel evaluation.  Keys
   that differ only in their last part (one per atom id) are drawn in one
-  uint64 array pass with the same values (``DiscreteLaw.draw_indices``).
+  uint64 array pass with the same values (``DiscreteLaw.draw_indices``);
+  ``KeyedStream.prefix_states`` hashes many key prefixes at once, and
+  ``DiscreteLaw.draw_at`` draws from one prefix state per entry.
 
 Test verdicts are reported, never printed: a TestReport records the
 statistic, the p-value, and whether the outcome is a pass under the
@@ -76,6 +78,13 @@ class KeyedStream:
             h = splitmix64(h ^ (int(part) & _MASK64))
         return h
 
+    def prefix_states(self, first, *rest: int) -> np.ndarray:
+        """``_state((f, *rest))`` for every f in ``first``, one array pass per key part."""
+        h = splitmix64_array(np.uint64(splitmix64(self.seed)) ^ _as_uint64(first))
+        for part in rest:
+            h = splitmix64_array(h ^ np.uint64(int(part) & _MASK64))
+        return h
+
     def uniform(self, *key: int) -> float:
         return self._state(key) / 2.0**64
 
@@ -124,7 +133,16 @@ class DiscreteLaw:
         draw.  The prefix state is hashed once, and one uint64 array pass
         mixes in the last part of every key.
         """
-        u = splitmix64_array(np.uint64(stream._state(prefix)) ^ _as_uint64(last))
+        return self.draw_at(np.uint64(stream._state(prefix)), last)
+
+    def draw_at(self, states, last) -> np.ndarray:
+        """Symbol numbers of the draws keyed by a prefix state and a last key part.
+
+        ``states`` holds ``KeyedStream._state`` values of key prefixes, one
+        for all of ``last`` or one per entry; each draw equals ``draw``'s
+        for the prefix followed by its entry of ``last``.
+        """
+        u = splitmix64_array(states ^ _as_uint64(last))
         if self.total < 2**64:
             u = u % np.uint64(self.total)
             cum = np.cumsum(np.array(self.weights, dtype=np.uint64))

@@ -140,23 +140,49 @@ class MarkedConfig:
             raise ValueError("need exactly one mark per atom")
 
 
-def snapped_arrivals(rng: np.random.Generator, bound: int, chunk: int) -> list[int]:
+_SNAP_FLOAT = float(SNAP_DENOM)
+
+
+def snapped_arrivals(rng: np.random.Generator, bound: int, chunk: int) -> np.ndarray:
     """Unit-rate arrival times below bound / 2**53, as numerators over 2**53.
 
     Exp(1) gaps are drawn ``chunk`` at a time, snapped to the nearest
     multiple of 2**-53 and floored at one step, so arrivals strictly
     increase.  The rest of the chunk that crosses the bound is discarded:
     a caller that goes on drawing from ``rng`` depends on ``chunk``.
+
+    Each chunk's running sums take one cumulative sum.  For bounds up to
+    2**63 it runs in uint64 on gaps clipped to 2**63: a sum below the
+    bound plus one such gap stays below 2**64, so every sum up to the
+    first one at or past the bound is exact.  Later sums of a long chunk
+    may wrap, so the crossing is found as the first sum at or past the
+    bound, not by a binary search.  The result is int64 there, and an
+    object array of Python ints for wider bounds, whose sums are taken in
+    Python ints.
     """
-    out: list[int] = []
+    narrow = bound <= 2**63
+    limit = np.uint64(bound) if narrow else bound
+    parts = []
     cum = 0
     while True:
-        gaps = np.maximum(1.0, np.rint(rng.exponential(1.0, size=chunk) * SNAP_DENOM))
-        for g in gaps.tolist():
-            cum += int(g)
-            if cum >= bound:
-                return out
-            out.append(cum)
+        gaps = rng.exponential(1.0, size=chunk)
+        np.multiply(gaps, _SNAP_FLOAT, out=gaps)
+        np.rint(gaps, out=gaps)
+        np.maximum(gaps, 1.0, out=gaps)
+        if narrow:
+            sums = np.minimum(gaps, 2.0**63, out=gaps).astype(np.uint64).cumsum()
+            if cum:
+                sums += np.uint64(cum)
+        else:
+            sums = np.array([int(g) for g in gaps.tolist()], dtype=object).cumsum() + cum
+        past = sums >= limit
+        k = int(past.argmax())
+        if past[k]:
+            parts.append(sums[:k])
+            out = np.concatenate(parts) if len(parts) > 1 else parts[0]
+            return out.astype(np.int64) if narrow else out
+        parts.append(sums)
+        cum = int(sums[-1])
 
 
 def sample_poisson(
@@ -173,7 +199,7 @@ def sample_poisson(
     rng = make_rng(RngSpec(seed=seed, stream=stream))
     # lo + cum * scale >= hi exactly when cum >= ceil((hi - lo) / scale)
     bound = -(-window.width // scale)
-    arrivals = snapped_arrivals(rng, bound, max(16, window.width // denom + 8))
+    arrivals = snapped_arrivals(rng, bound, max(16, window.width // denom + 8)).tolist()
     atoms = tuple(Atom(i, window.lo + c * scale) for i, c in enumerate(arrivals, start=1))
     return PointConfig(window=window, atoms=atoms, denom=denom)
 

@@ -16,9 +16,9 @@ from chaconlab.errors import (
     InsufficientDataError,
     OutOfDomainError,
 )
-from chaconlab.joining import _sample_biconfig_counted
-from chaconlab.stats import KeyedStream, uniform_law
+from chaconlab.stats import KeyedStream, RngSpec, make_rng, uniform_law
 from chaconlab.suspension import (
+    SNAP_DENOM,
     MarkedConfig,
     distinguish_k,
     induced_return,
@@ -262,6 +262,19 @@ class FractionTower:
         raise OutOfDomainError(f"{x} is not covered by any stage of this system")
 
 
+def loop_snapped_arrivals(rng, bound: int, chunk: int) -> list[int]:
+    """``suspension.snapped_arrivals`` as first written: one gap at a time."""
+    out: list[int] = []
+    cum = 0
+    while True:
+        gaps = np.maximum(1.0, np.rint(rng.exponential(1.0, size=chunk) * SNAP_DENOM))
+        for g in gaps.tolist():
+            cum += int(g)
+            if cum >= bound:
+                return out
+            out.append(cum)
+
+
 # -- the joining suite as first written: tuples, dicts and one atom at a time
 
 JOIN_D = 2**53
@@ -312,6 +325,19 @@ class TupleBiConfig:
 
     def id_at(self, n: int) -> int:
         return self.ids[self._slot(n)]
+
+
+def tuple_sample_biconfig(half_width: int, seed: int, stream: int) -> tuple[TupleBiConfig, int]:
+    """``joining.sample_biconfig`` as first written, and its empty-side retries."""
+    rng = make_rng(RngSpec(seed=seed, stream=stream))
+    bound, chunk = half_width * JOIN_D, half_width + 8
+    for retries in range(1000):
+        right = loop_snapped_arrivals(rng, bound, chunk)
+        left = [-c for c in reversed(loop_snapped_arrivals(rng, bound, chunk))]
+        if right and left:
+            ids = tuple(range(1, len(left) + len(right) + 1))
+            return TupleBiConfig(half_width, ids, tuple(left + right), len(left)), retries
+    raise InsufficientDataError("window too small: sides keep coming up empty")
 
 
 def tuple_shift_cocycle(config: TupleBiConfig) -> int:
@@ -443,11 +469,9 @@ def dict_collect_joining(start, stop, half_width, seed, law, empty_first_family=
         if empty_first_family:
             w1 = TupleBiConfig(half_width, (), (), 0)
         else:
-            c1, r1 = _sample_biconfig_counted(half_width, seed, 2 * i)
-            w1 = TupleBiConfig.of(c1)
+            w1, r1 = tuple_sample_biconfig(half_width, seed, 2 * i)
             resamples += r1
-        c2, r2 = _sample_biconfig_counted(half_width, seed, 2 * i + 1)
-        w2 = TupleBiConfig.of(c2)
+        w2, r2 = tuple_sample_biconfig(half_width, seed, 2 * i + 1)
         resamples += r2
         sample = dict_couple_marks(w1, w2, law, seed, sample_idx=i)
 

@@ -271,3 +271,12 @@ def test_spec_json_roundtrip():
     }
     assert cocycle_spec_from_json(payload) == spec
     assert cocycle_spec_from_json(cocycle_spec_to_json(zero_cocycle(Z4))) == zero_cocycle(Z4)
+
+
+def test_undeclared_stages_share_one_identity():
+    spec = single_spacer_indicator(1)
+    zero = spec.middle_value(2)
+    assert zero == Z2.identity()
+    assert spec.right_value(2, 0) is zero and spec.right_sum(2) is zero
+    assert spec.middle_value(1) == Z2.element((1,))
+    assert spec.right_sum(1) == Z2.identity()

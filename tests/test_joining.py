@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,19 +14,27 @@ from chaconlab.joining import (
     COPIED,
     FRESH,
     BiConfig,
+    Family,
     advance_biconfig,
+    advance_family,
     advance_joint,
     biconfig_to_json,
     collect_joining,
+    couple_block,
     couple_marks,
     empty_biconfig,
     joining_sample_to_json,
+    marks_differ,
     position_dtype,
     rank_tracking_consistent,
+    rank_tracking_failures,
     same_biconfig,
     same_sample,
     sample_biconfig,
+    sample_family,
     shift_cocycle,
+    shift_cocycles,
+    transport,
     verify_joining,
 )
 from chaconlab.ratio import parse_ratio
@@ -40,6 +49,7 @@ from oracles import (
     joining_dicts,
     tuple_advance_biconfig,
     tuple_rank_tracking_consistent,
+    tuple_sample_biconfig,
     tuple_shift_cocycle,
 )
 
@@ -303,14 +313,14 @@ def _biconfig(half_width, positions, ids):
 
 
 @st.composite
-def biconfig_pairs(draw):
+def biconfig_pairs(draw, widths=half_widths):
     """Two configurations on one window, often sharing positions.
 
     Positions come from a quarter-unit grid, from the edges the shift
     and the coupling compare against, from the other family, or from
     anywhere on the lattice; ids are any distinct int64.
     """
-    W = draw(half_widths)
+    W = draw(widths)
     bound = W * D
     edges = [-bound, -D - 1, -D, -1, 0, 1, bound - D - 1, bound - D, bound - 1]
     points = st.one_of(
@@ -364,15 +374,125 @@ def test_array_path_matches_the_oracle(pair, law, seed, sample_idx):
         s, o = advance_joint(s), dict_advance_joint(o)
 
 
+@st.composite
+def biconfig_blocks(draw):
+    """Two to four pairs on one window, as one block of the joining kernel."""
+    W = draw(half_widths)
+    return draw(st.lists(biconfig_pairs(st.just(W)), min_size=2, max_size=4))
+
+
+def _sample_entries(marks, j, law):
+    """Sample j's entries of a block's marks, in the oracle's dict form."""
+    for owner, index in (("owner1", "index1"), ("owner2", "index2"), ("owner_x", "excluded")):
+        o, n = getattr(marks, owner).astype(np.int64), getattr(marks, index)
+        assert (np.diff(o) >= 0).all() and (np.diff(n)[np.diff(o) == 0] > 0).all()
+    pick = {"index1": marks.owner1 == j, "index2": marks.owner2 == j, "excluded": marks.owner_x == j}
+    pick.update(marks1=pick["index1"], marks2=pick["index2"], copied2=pick["index2"],
+                source2=pick["index2"])
+    view = SimpleNamespace(law=law, **{f: getattr(marks, f)[sel] for f, sel in pick.items()})
+    return joining_dicts(view)
+
+
+def _edge_pair(W, p1, p2, ids1=None):
+    ids1 = ids1 or [100 + i for i in range(len(p1))]
+    return _biconfig(W, p1, ids1), _biconfig(W, p2, list(range(1, len(p2) + 1)))
+
+
+def _wide_block(W):
+    top = (W - 1) * D
+    return [
+        _edge_pair(W, [-W * D, -D, 0, top], [-W * D, -D, -1, 0, top, W * D - 1]),
+        _edge_pair(W, [], [-W * D, -1, 0, top]),
+    ]
+
+
+# every pair shares positions with its partner, has atoms at -W, 0 and
+# W - 1 (successor bound and window edge) and ties at both ends of an interval
+_EDGES = [-D, -D // 2, -1, 0, D // 2]
+
+
+@given(biconfig_blocks(), laws, st.integers(0, 2**64 - 1), st.integers(0, 10**6))
+@example(
+    [_edge_pair(3, [-3 * D, -D, 0, 2 * D], [-3 * D, -D, -1, 0, D, 2 * D, 3 * D - 1]),
+     _edge_pair(3, [], [-3 * D, -D // 2, 0, 2 * D]),
+     _edge_pair(3, [-D, -1, D, 2 * D, 3 * D - 1], [-3 * D, -D, 0, 2 * D, 3 * D - 1])],
+    LAWS[2], 7, 5,
+)
+@example(
+    [_edge_pair(1, [-D, -1, 0], _EDGES), _edge_pair(1, [], [-D, 0]),
+     _edge_pair(1, [-D // 2, 0, D - 1], [-D, -D // 2, 0, D - 1])],
+    uniform_law(2), 2**63, 0,
+)
+@example(_wide_block(1022), LAWS[2], 3, 64)
+@example(_wide_block(1023), uniform_law(3), 5, 63)
+def test_block_kernel_matches_the_oracle(block, law, seed, first_sample):
+    # several pairs per block, each against the dict oracle on its own
+    n = len(block)
+    samples = np.arange(first_sample, first_sample + n)
+    family1, family2 = Family.of([w1 for w1, _ in block]), Family.of([w2 for _, w2 in block])
+    marks = couple_block(family1, family2, law, seed, samples)
+    c1, c2 = shift_cocycles(family1), shift_cocycles(family2)
+    advanced1, kept1 = advance_family(family1)
+    advanced2, kept2 = advance_family(family2)
+    assert not rank_tracking_failures(family1, c1, advanced1, kept1).any()
+    assert not rank_tracking_failures(family2, c2, advanced2, kept2).any()
+    moved = transport(marks, family1, family2, c1, c2, advanced2)
+    recoupled = couple_block(advanced1, advanced2, law, seed, samples)
+    assert not marks_differ(moved, recoupled, n).any()
+    for j, (w1, w2) in enumerate(block):
+        o1, o2 = TupleBiConfig.of(w1), TupleBiConfig.of(w2)
+        assert (c1[j], c2[j]) == (tuple_shift_cocycle(o1), tuple_shift_cocycle(o2))
+        adv1, adv2 = tuple_advance_biconfig(o1)[0], tuple_advance_biconfig(o2)[0]
+        assert _same_as_oracle(advanced1.config(j), adv1)
+        assert _same_as_oracle(advanced2.config(j), adv2)
+        o = dict_couple_marks(o1, o2, law, seed, int(samples[j]))
+        assert _sample_entries(marks, j, law) == dict_sample_parts(o)
+        assert _sample_entries(moved, j, law) == dict_sample_parts(dict_advance_joint(o))
+        again = dict_couple_marks(adv1, adv2, law, seed, int(samples[j]))
+        assert _sample_entries(recoupled, j, law) == dict_sample_parts(again)
+
+
+def test_marks_differ_names_the_sample():
+    law = uniform_law(3)
+    block = [(sample_biconfig(6, 2, 2 * i), sample_biconfig(6, 2, 2 * i + 1)) for i in range(3)]
+    family1, family2 = Family.of([w1 for w1, _ in block]), Family.of([w2 for _, w2 in block])
+    marks = couple_block(family1, family2, law, 2, np.arange(3))
+    assert not marks_differ(marks, marks, 3).any()
+    for field in ("index1", "marks1", "index2", "marks2", "source2", "excluded"):
+        values = getattr(marks, field).copy()
+        values[-1] += 1
+        assert marks_differ(marks, replace(marks, **{field: values}), 3).tolist() == [
+            False, False, True]
+    dropped = replace(marks, owner_x=marks.owner_x[1:], excluded=marks.excluded[1:])
+    assert marks_differ(marks, dropped, 3).tolist() == [True, False, False]
+
+
+def test_sample_family_matches_sample_biconfig():
+    streams = np.array([4, 0, 9])
+    family, retries = sample_family(1, 3, streams)
+    assert retries == sum(_sample_retries(1, 3, s) for s in streams.tolist())
+    for j, stream in enumerate(streams.tolist()):
+        assert same_biconfig(family.config(j), sample_biconfig(1, 3, stream))
+        assert TupleBiConfig.of(family.config(j)) == tuple_sample_biconfig(1, 3, stream)[0]
+
+
+def _sample_retries(half_width, seed, stream):
+    return tuple_sample_biconfig(half_width, seed, stream)[1]
+
+
 @pytest.mark.parametrize(
     "half_width, n_samples, law, empty_first_family",
     [
         (1, 40, uniform_law(2), False),
+        (1, 70, LAWS[2], False),  # two blocks
         (5, 30, uniform_law(3), False),
+        (5, 30, LAWS[2], True),
         (12, 20, LAWS[2], False),
         (12, 20, uniform_law(2), True),
         (1022, 1, uniform_law(2), False),
+        (1022, 2, LAWS[2], True),
         (1023, 1, LAWS[2], False),
+        (1023, 2, uniform_law(2), True),
     ],
 )
 def test_collect_joining_matches_the_oracle(half_width, n_samples, law, empty_first_family):
@@ -416,7 +536,7 @@ def test_exact_counters_count_failures(monkeypatch):
     # with no climb under the shift, both exact checks must report failures
     import chaconlab.joining as joining
 
-    monkeypatch.setattr(joining, "shift_cocycle", lambda config: 0)
+    monkeypatch.setattr(joining, "shift_cocycles", lambda family: np.zeros(family.n, dtype=int))
     tally = collect_joining(0, 20, 5, 3, uniform_law(2))
     assert tally["rank_failures"] > 0
     assert tally["equivariance_failures"] > 0

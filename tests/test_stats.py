@@ -91,6 +91,25 @@ def test_draw_indices_on_int64_ids(seed, ids, sample_idx):
     assert [law.symbols[j] for j in got] == [law.draw(stream, sample_idx, 2, x) for x in ids]
 
 
+@given(
+    draw_laws,
+    st.integers(0, 2**64 - 1),
+    st.lists(st.tuples(key_parts, key_parts), max_size=20),
+    st.lists(key_parts, max_size=2),
+)
+@example(uniform_law(2), 2**63, [(0, 5), (2**64 - 1, -1), (-1, 2**63)], [2])
+def test_prefix_states_and_draw_at_match_scalar_draws(law, seed, keys, rest):
+    # one prefix state per entry: (first, *rest), then that entry's last part
+    stream = KeyedStream(seed)
+    firsts, lasts = [f for f, _ in keys], [x for _, x in keys]
+    states = stream.prefix_states(firsts, *rest)
+    assert states.tolist() == [stream._state((f, *rest)) for f in firsts]
+    got = law.draw_at(states, lasts)
+    assert [law.symbols[j] for j in got] == [
+        law.draw(stream, f, *rest, x) for f, x in keys
+    ]
+
+
 def test_splitmix64_range_and_determinism():
     seen = {splitmix64(s) for s in range(200)}
     assert len(seen) == 200

@@ -10,12 +10,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from chaconlab.chacon import build_system
 from chaconlab.cocycle import FinAbGroup, single_spacer_indicator, zero_cocycle
 from chaconlab.errors import CensoredError, InsufficientDataError
 from chaconlab.ratio import to_lattice
-from chaconlab.stats import chi2_gof, chi2_independence, ks_exponential
+from chaconlab.stats import RngSpec, chi2_gof, chi2_independence, ks_exponential, make_rng
 from chaconlab.suspension import (
     SNAP_DENOM,
     Atom,
@@ -36,8 +38,10 @@ from chaconlab.suspension import (
     sample_poisson,
     skew_apply_group,
     skew_apply_perm,
+    snapped_arrivals,
     superpose,
 )
+from oracles import loop_snapped_arrivals
 
 F = Fraction
 D2 = build_system(2).denom
@@ -435,3 +439,62 @@ def test_config_json_roundtrip():
     assert marked["atoms"][0]["mark"] == [1]
     plain = config_to_json(c, marks=("x", "y", "z"))
     assert plain["atoms"][2]["mark"] == "z"
+
+
+# -- the chunked sampler against the gap-at-a-time loop
+
+
+class ScriptedRng:
+    """Hands out given Exp(1) values in order, then a value far past any bound."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.drawn = 0
+
+    def exponential(self, scale, size):
+        out = [self.values[i] if i < len(self.values) else 4096.0
+               for i in range(self.drawn, self.drawn + size)]
+        self.drawn += size
+        return np.array(out) * scale
+
+
+def _assert_same_arrivals(rngs, bound, chunk, calls=1):
+    # consecutive calls on one generator, as the joining sampler makes them
+    ours, theirs = rngs
+    for _ in range(calls):
+        got = snapped_arrivals(ours, bound, chunk)
+        expected = loop_snapped_arrivals(theirs, bound, chunk)
+        assert got.tolist() == expected
+        assert got.dtype == (np.int64 if bound <= 2**63 else object)
+
+
+D = SNAP_DENOM
+exp_values = st.one_of(
+    st.sampled_from([0.0, 1e-300, 2.0**-54, 0.25, 0.5, 1.0, 2.0, 2048.0, 1e6]),
+    st.floats(0.0, 8.0),
+)
+
+
+@given(
+    st.lists(exp_values, max_size=40),
+    st.one_of(st.integers(0, 8 * D), st.sampled_from([2**63 - 1, 2**63, 2**63 + 1, 2**70])),
+    st.integers(1, 6),
+)
+@example([1.0, 1.0, 1.0], 2 * D, 3)  # an arrival exactly on the bound
+@example([0.5, 0.5, 2.0, 0.5], 2 * D, 3)  # crossed on a chunk's last gap
+@example([0.5, 0.5, 0.5, 1.0, 0.5], 2 * D, 3)  # crossed on a chunk's first gap
+@example([0.0, 1e-300, 0.0, 2.0**-54, 0.0], 4, 2)  # gaps floored to one step
+@example([2048.0], 2**63, 2)  # a gap of 2**64 against the widest uint64 bound
+@example([], 2**70, 4)
+def test_snapped_arrivals_match_the_loop(values, bound, chunk):
+    _assert_same_arrivals((ScriptedRng(values), ScriptedRng(values)), bound, chunk, calls=3)
+
+
+@pytest.mark.parametrize("half_width", [1, 50, 1022, 1023, 1024, 1025])
+def test_snapped_arrivals_match_the_loop_on_pcg64(half_width):
+    # right side, left side, then both again as after an empty-side resample
+    for stream in range(3):
+        rngs = [make_rng(RngSpec(seed=11, stream=stream)) for _ in range(2)]
+        _assert_same_arrivals(rngs, half_width * D, half_width + 8, calls=4)
+        # the same stream position: both generators go on with equal draws
+        assert rngs[0].random() == rngs[1].random()
