@@ -177,6 +177,7 @@ class Family:
 
     @classmethod
     def build(cls, half_width: int, pos, ids, counts, neg) -> "Family":
+        """The family whose configurations hold ``counts`` consecutive atoms each."""
         counts = np.asarray(counts, dtype=np.int64)
         offsets = np.zeros(counts.size + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
@@ -186,6 +187,7 @@ class Family:
 
     @classmethod
     def of(cls, configs: list[BiConfig]) -> "Family":
+        """The configurations, in order, as one family."""
         return cls.build(
             configs[0].half_width,
             np.concatenate([c.pos_nums for c in configs]),
@@ -193,11 +195,6 @@ class Family:
             [c.count for c in configs],
             [c.neg_count for c in configs],
         )
-
-    @classmethod
-    def empty(cls, half_width: int, n: int) -> "Family":
-        pos = np.empty(0, dtype=position_dtype(half_width))
-        return cls.build(half_width, pos, np.empty(0, dtype=np.int64), np.zeros(n), np.zeros(n))
 
     @property
     def n(self) -> int:
@@ -609,7 +606,7 @@ def collect_joining(
         samples = np.arange(lo, min(lo + BLOCK, stop))
         n = samples.size
         if empty_first_family:
-            family1, r1 = Family.empty(half_width, n), 0
+            family1, r1 = Family.of([empty_biconfig(half_width)] * n), 0
         else:
             family1, r1 = sample_family(half_width, seed, 2 * samples)
         family2, r2 = sample_family(half_width, seed, 2 * samples + 1)
