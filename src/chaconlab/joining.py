@@ -48,11 +48,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
 from .errors import InsufficientDataError
-from .parallel import fan_out
+from .parallel import fan_out, merge
 from .ratio import format_ratio
 from .stats import (
     DiscreteLaw,
@@ -402,9 +403,9 @@ def couple_block(
 
     marks2 = np.empty(slot2.size, dtype=np.int64)
     marks2[copied] = marks1[first[copied]]
-    fresh = slot2[~copied]
-    states2 = stream.prefix_states(samples, 2)
-    marks2[~copied] = law.draw_at(states2[family2.owner[fresh]], family2.ids[fresh])
+    fresh = ~copied
+    states2 = stream.prefix_states(samples, 2)[owner2[fresh]]
+    marks2[fresh] = law.draw_at(states2, family2.ids[slot2[fresh]])
     owner_x = family2.owner[top]
     return Marks(
         owner1=family1.owner,
@@ -559,7 +560,8 @@ def advance_joint(sample: JoiningSample) -> JoiningSample:
     """
     family1, family2 = Family.of([sample.omega1]), Family.of([sample.omega2])
     arrays = {f: getattr(sample, f) for f in _SAMPLE_ARRAYS}
-    owners = {owner: np.zeros(arrays[fields[0]].size, dtype=np.int64) for owner, fields in _ENTRY_GROUPS}
+    # one sample: every entry belongs to sample 0
+    owners = {o: np.zeros(arrays[fields[0]].size, dtype=np.int64) for o, fields in _ENTRY_GROUPS}
     advanced1, _ = advance_family(family1)
     advanced2, _ = advance_family(family2)
     moved = transport(
@@ -583,6 +585,50 @@ def advance_joint(sample: JoiningSample) -> JoiningSample:
 BLOCK = 64
 
 
+def _tally_block(
+    samples: np.ndarray, half_width: int, seed: int, law: DiscreteLaw, empty_first_family: bool
+) -> dict:
+    """``collect_joining``'s tallies for one block of samples."""
+    k, n = len(law.symbols), samples.size
+    if empty_first_family:
+        family1, r1 = Family.of([empty_biconfig(half_width)] * n), 0
+    else:
+        family1, r1 = sample_family(half_width, seed, 2 * samples)
+    family2, r2 = sample_family(half_width, seed, 2 * samples + 1)
+    marks = couple_block(family1, family2, law, seed, samples)
+
+    m2, owner2, hit = marks.marks2, marks.owner2, marks.copied2
+    source = marks.source2[hit] + family1.base[owner2[hit]]
+    # disjoint adjacent pairs (n, n + 1) from each sample's lowest decided index
+    per_sample = np.bincount(owner2, minlength=n)
+    rank = np.arange(m2.size) - (np.cumsum(per_sample) - per_sample)[owner2]
+    lead = np.flatnonzero((rank % 2 == 0) & (rank + 1 < per_sample[owner2]))
+    tally = {
+        "marginal": np.bincount(m2, minlength=k),
+        "adjacent": np.bincount(m2[lead] * k + m2[lead + 1], minlength=k * k).reshape(k, k),
+        "copied_pairs": np.bincount(
+            marks.marks1[source] * k + m2[hit], minlength=k * k
+        ).reshape(k, k),
+        "copied": int(np.count_nonzero(hit)),
+        "decided": m2.size,
+        "excluded": marks.excluded.size,
+        "resamples": r1 + r2,
+    }
+
+    c1, c2 = shift_cocycles(family1), shift_cocycles(family2)
+    advanced1, kept1 = advance_family(family1)
+    advanced2, kept2 = advance_family(family2)
+    tally["rank_failures"] = int(np.count_nonzero(
+        rank_tracking_failures(family1, c1, advanced1, kept1)
+        | rank_tracking_failures(family2, c2, advanced2, kept2)
+    ))
+    moved = transport(marks, family1, family2, c1, c2, advanced2)
+    del family1, family2, marks, kept1, kept2  # lower the block's peak memory
+    recoupled = couple_block(advanced1, advanced2, law, seed, samples)
+    tally["equivariance_failures"] = int(np.count_nonzero(marks_differ(moved, recoupled, n)))
+    return tally
+
+
 def collect_joining(
     start: int,
     stop: int,
@@ -594,62 +640,25 @@ def collect_joining(
     """Sufficient statistics and exact-check tallies for samples [start, stop).
 
     ``empty_first_family`` replaces every first configuration with the
-    empty one, the degenerate regime where no mark can be copied.
+    empty one, the degenerate regime where no mark can be copied.  Blocks
+    of ``BLOCK`` samples merge by ``fan_out``'s rule.
     """
     k = len(law.symbols)
-    marginal = np.zeros(k, dtype=np.int64)
-    adjacent = np.zeros((k, k), dtype=np.int64)
-    copied_pairs = np.zeros((k, k), dtype=np.int64)
-    copied = decided = excluded = resamples = 0
-    rank_failures = equivariance_failures = 0
-    for lo in range(start, stop, BLOCK):
-        samples = np.arange(lo, min(lo + BLOCK, stop))
-        n = samples.size
-        if empty_first_family:
-            family1, r1 = Family.of([empty_biconfig(half_width)] * n), 0
-        else:
-            family1, r1 = sample_family(half_width, seed, 2 * samples)
-        family2, r2 = sample_family(half_width, seed, 2 * samples + 1)
-        resamples += r1 + r2
-        marks = couple_block(family1, family2, law, seed, samples)
-
-        m2, owner2, hit = marks.marks2, marks.owner2, marks.copied2
-        decided += m2.size
-        excluded += marks.excluded.size
-        marginal += np.bincount(m2, minlength=k)
-        copied += int(np.count_nonzero(hit))
-        source = marks.source2[hit] + family1.base[owner2[hit]]
-        copied_pairs += np.bincount(
-            marks.marks1[source] * k + m2[hit], minlength=k * k
-        ).reshape(k, k)
-        # disjoint adjacent pairs (n, n + 1) from each sample's lowest decided index
-        per_sample = np.bincount(owner2, minlength=n)
-        rank = np.arange(m2.size) - (np.cumsum(per_sample) - per_sample)[owner2]
-        lead = np.flatnonzero((rank % 2 == 0) & (rank + 1 < per_sample[owner2]))
-        adjacent += np.bincount(m2[lead] * k + m2[lead + 1], minlength=k * k).reshape(k, k)
-
-        c1, c2 = shift_cocycles(family1), shift_cocycles(family2)
-        advanced1, kept1 = advance_family(family1)
-        advanced2, kept2 = advance_family(family2)
-        rank_failures += int(np.count_nonzero(
-            rank_tracking_failures(family1, c1, advanced1, kept1)
-            | rank_tracking_failures(family2, c2, advanced2, kept2)
-        ))
-        moved = transport(marks, family1, family2, c1, c2, advanced2)
-        del family1, family2, marks, kept1, kept2  # lower the block's peak memory
-        recoupled = couple_block(advanced1, advanced2, law, seed, samples)
-        equivariance_failures += int(np.count_nonzero(marks_differ(moved, recoupled, n)))
-    return {
-        "marginal": marginal,
-        "adjacent": adjacent,
-        "copied_pairs": copied_pairs,
-        "copied": copied,
-        "decided": decided,
-        "excluded": excluded,
-        "resamples": resamples,
-        "rank_failures": rank_failures,
-        "equivariance_failures": equivariance_failures,
+    zero = {
+        "marginal": np.zeros(k, dtype=np.int64),
+        "adjacent": np.zeros((k, k), dtype=np.int64),
+        "copied_pairs": np.zeros((k, k), dtype=np.int64),
+        **dict.fromkeys(
+            ("copied", "decided", "excluded", "resamples", "rank_failures",
+             "equivariance_failures"),
+            0,
+        ),
     }
+    blocks = (
+        _tally_block(np.arange(lo, min(lo + BLOCK, stop)), half_width, seed, law, empty_first_family)
+        for lo in range(start, stop, BLOCK)
+    )
+    return reduce(merge, blocks, zero)
 
 
 def verify_joining(

@@ -53,9 +53,12 @@ def splitmix64_array(state: np.ndarray) -> np.ndarray:
     ``& _MASK64`` of the scalar version, so the values agree bit for bit.
     """
     x = state + np.uint64(_GOLDEN)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def _as_uint64(values) -> np.ndarray:

@@ -160,7 +160,7 @@ def snapped_arrivals(rng: np.random.Generator, bound: int, chunk: int) -> np.nda
     object array of Python ints for wider bounds, whose sums are taken in
     Python ints.
     """
-    narrow = bound <= 2**63
+    narrow = 0 <= bound <= 2**63
     limit = np.uint64(bound) if narrow else bound
     parts = []
     cum = 0
@@ -180,7 +180,7 @@ def snapped_arrivals(rng: np.random.Generator, bound: int, chunk: int) -> np.nda
         if past[k]:
             parts.append(sums[:k])
             out = np.concatenate(parts) if len(parts) > 1 else parts[0]
-            return out.astype(np.int64) if narrow else out
+            return out.view(np.int64) if narrow else out  # every sum is below 2**63
         parts.append(sums)
         cum = int(sums[-1])
 

@@ -386,9 +386,9 @@ def _sample_entries(marks, j, law):
     for owner, index in (("owner1", "index1"), ("owner2", "index2"), ("owner_x", "excluded")):
         o, n = getattr(marks, owner).astype(np.int64), getattr(marks, index)
         assert (np.diff(o) >= 0).all() and (np.diff(n)[np.diff(o) == 0] > 0).all()
-    pick = {"index1": marks.owner1 == j, "index2": marks.owner2 == j, "excluded": marks.owner_x == j}
-    pick.update(marks1=pick["index1"], marks2=pick["index2"], copied2=pick["index2"],
-                source2=pick["index2"])
+    first, second = marks.owner1 == j, marks.owner2 == j
+    pick = {"index1": first, "marks1": first, "excluded": marks.owner_x == j}
+    pick.update(dict.fromkeys(("index2", "marks2", "copied2", "source2"), second))
     view = SimpleNamespace(law=law, **{f: getattr(marks, f)[sel] for f, sel in pick.items()})
     return joining_dicts(view)
 
@@ -467,17 +467,16 @@ def test_marks_differ_names_the_sample():
     assert marks_differ(marks, dropped, 3).tolist() == [True, False, False]
 
 
-def test_sample_family_matches_sample_biconfig():
+@pytest.mark.parametrize("half_width", [1, 1023, 1025])
+def test_sample_family_matches_the_loop_sampler(half_width):
+    # at half-width 1 stream 4 resamples six times before both sides have atoms
     streams = np.array([4, 0, 9])
-    family, retries = sample_family(1, 3, streams)
-    assert retries == sum(_sample_retries(1, 3, s) for s in streams.tolist())
-    for j, stream in enumerate(streams.tolist()):
-        assert same_biconfig(family.config(j), sample_biconfig(1, 3, stream))
-        assert TupleBiConfig.of(family.config(j)) == tuple_sample_biconfig(1, 3, stream)[0]
-
-
-def _sample_retries(half_width, seed, stream):
-    return tuple_sample_biconfig(half_width, seed, stream)[1]
+    family, retries = sample_family(half_width, 3, streams)
+    expected = [tuple_sample_biconfig(half_width, 3, s) for s in streams.tolist()]
+    assert retries == sum(r for _, r in expected)
+    for j, (oracle, _) in enumerate(expected):
+        assert _same_as_oracle(family.config(j), oracle)
+        assert same_biconfig(family.config(j), sample_biconfig(half_width, 3, int(streams[j])))
 
 
 @pytest.mark.parametrize(

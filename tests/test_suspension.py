@@ -465,7 +465,7 @@ def _assert_same_arrivals(rngs, bound, chunk, calls=1):
         got = snapped_arrivals(ours, bound, chunk)
         expected = loop_snapped_arrivals(theirs, bound, chunk)
         assert got.tolist() == expected
-        assert got.dtype == (np.int64 if bound <= 2**63 else object)
+        assert got.dtype == (np.int64 if 0 <= bound <= 2**63 else object)
 
 
 D = SNAP_DENOM
@@ -477,7 +477,7 @@ exp_values = st.one_of(
 
 @given(
     st.lists(exp_values, max_size=40),
-    st.one_of(st.integers(0, 8 * D), st.sampled_from([2**63 - 1, 2**63, 2**63 + 1, 2**70])),
+    st.one_of(st.integers(0, 8 * D), st.sampled_from([-1, 2**63 - 1, 2**63, 2**63 + 1, 2**70])),
     st.integers(1, 6),
 )
 @example([1.0, 1.0, 1.0], 2 * D, 3)  # an arrival exactly on the bound
