@@ -28,20 +28,22 @@ of all its samples as one ``Family`` in CSR form: flat positions and ids,
 per-configuration offsets and negative counts, and each atom's owner.
 Sampling stays per configuration, one PCG64 stream each; every later step
 is one array pass per block.  Keyed draws hash one prefix state per
-(sample, side) and mix in every atom id at once (``KeyedStream.
-prefix_states``, ``DiscreteLaw.draw_at``).  Coupling is one lexsort on
-(sample, position, family) in which a second-family atom sorts ahead of a
-first-family atom at the same position, so a first-family atom at t(n)
-falls in the interval [t(n), t(n+1)) and one at t(n+1) does not.
-Advancing is one +2**53 shift and window mask.  The two exact checks stay
-independent: ``transport`` moves marks by the shift cocycle, while a
-fresh lexsort couples the advanced pair, and ``marks_differ`` compares
-the two sample by sample; rank tracking compares index plus cocycle with
-the advanced configurations.  Blocks are small and fixed so that peak
-memory does not grow with the sample count (64 samples at W = 50 hold
-about 1 MB of arrays).  The single-pair functions (``couple_marks``,
-``advance_joint``, ``advance_biconfig``, ``rank_tracking_consistent``)
-run the same kernel on a block of one.
+(sample, side) and mix in every atom id at once
+(``KeyedStream.prefix_states``, ``DiscreteLaw.draw_at``).
+
+Coupling is one lexsort on (sample, position, family), in which a
+second-family atom sorts ahead of a first-family atom at the same
+position: a first-family atom at t(n) falls in the interval
+[t(n), t(n+1)), and one at t(n+1) does not.  Advancing is one +2**53
+shift and window mask.  The two exact checks stay independent:
+``transport`` moves marks by the shift cocycle, a fresh lexsort couples
+the advanced pair, and ``marks_differ`` compares the two sample by
+sample; rank tracking compares index plus cocycle with the advanced
+configurations.  Blocks are small and fixed so that peak memory does not
+grow with the sample count (64 samples at W = 50 hold about 1 MB of
+arrays).  The single-pair functions (``couple_marks``, ``advance_joint``,
+``advance_biconfig``, ``rank_tracking_consistent``) run the same kernel on
+a block of one.
 """
 
 from __future__ import annotations

@@ -406,8 +406,9 @@ def _wide_block(W):
     ]
 
 
-# every pair shares positions with its partner, has atoms at -W, 0 and
-# W - 1 (successor bound and window edge) and ties at both ends of an interval
+# the fixed blocks below mix pairs that share positions (ties at both ends
+# of an interval), atoms at -W, 0 and W - 1 (the successor bound and the
+# window edge) and empty first families
 _EDGES = [-D, -D // 2, -1, 0, D // 2]
 
 
