@@ -35,9 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
-from .errors import CensoredError, CensorReport, DepthExceededError, OutOfDomainError
+from .errors import DepthExceededError, OutOfDomainError
 from .ratio import format_lattice
 
 # sampled positions are multiples of 1/SNAP_DENOM
@@ -280,37 +279,6 @@ def orbit(system: ChaconSystem, x: int, p: int) -> list[int]:
         except DepthExceededError as exc:
             raise DepthExceededError(str(exc), steps_completed=i) from None
     return xs
-
-
-def return_time(
-    system: ChaconSystem,
-    x: int,
-    targets: Iterable[Interval],
-    p_max: int,
-) -> int:
-    """Least p in 1..p_max with T^p(x) inside one of the target intervals.
-
-    Raises CensoredError when the map runs out of depth first or when no
-    visit happens within the budget.
-    """
-    targets = tuple(targets)
-    if p_max < 1:
-        raise ValueError("p_max must be >= 1")
-    cur = x
-    for p in range(1, p_max + 1):
-        try:
-            cur = apply_T(system, cur)
-        except DepthExceededError:
-            raise CensoredError(
-                f"depth exceeded after {p - 1} steps",
-                report=CensorReport(survived=0, censored=1, reasons={"DepthExceeded": 1}),
-            ) from None
-        if any(cur in t for t in targets):
-            return p
-    raise CensoredError(
-        f"no visit within {p_max} steps",
-        report=CensorReport(survived=1, censored=0, reasons={"PMaxExceeded": 1}),
-    )
 
 
 def translation_pieces(system: ChaconSystem) -> list[tuple[Interval, int]]:

@@ -1,16 +1,17 @@
 """Independent test oracles, kept deliberately naive."""
 
-import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 from scipy import stats as sps
 
-from chaconlab.chacon import build_system
-from chaconlab.cocycle import FinAbGroup, combine_pairs
+from chaconlab.chacon import ChaconSystem, Interval, apply_T, build_system, tower_heights
+from chaconlab.cocycle import CocycleSpec, GroupElem
 from chaconlab.errors import (
+    CensorReport,
     CensoredError,
     DepthExceededError,
     InsufficientDataError,
@@ -68,28 +69,72 @@ def scipy_chi2_poisson(counts, mean: float, min_expected: float = 5.0):
     return sps.chisquare(observed, expected)
 
 
-def brute_reachable(gens, group: FinAbGroup, bound: int) -> set:
-    """All (z, coords) hit by integer combinations with coefficients in [-bound, bound]."""
-    reach = set()
-    for coeffs in itertools.product(range(-bound, bound + 1), repeat=len(gens)):
-        z, g = combine_pairs(coeffs, gens, group)
-        reach.add((z, g.coords))
-    return reach
+def return_time(
+    system: ChaconSystem,
+    x: int,
+    targets: Iterable[Interval],
+    p_max: int,
+) -> int:
+    """Least p in 1..p_max with T^p(x) inside one of the target intervals.
+
+    Raises CensoredError when the map runs out of depth first or when no
+    visit happens within the budget.
+    """
+    targets = tuple(targets)
+    if p_max < 1:
+        raise ValueError("p_max must be >= 1")
+    cur = x
+    for p in range(1, p_max + 1):
+        try:
+            cur = apply_T(system, cur)
+        except DepthExceededError:
+            raise CensoredError(
+                f"depth exceeded after {p - 1} steps",
+                report=CensorReport(survived=0, censored=1, reasons={"DepthExceeded": 1}),
+            ) from None
+        if any(cur in t for t in targets):
+            return p
+    raise CensoredError(
+        f"no visit within {p_max} steps",
+        report=CensorReport(survived=1, censored=0, reasons={"PMaxExceeded": 1}),
+    )
 
 
-def random_span_instance(rng, max_order: int = 8, max_gens: int = 3, z_bound: int = 4):
-    """A small random group, generator pairs, and a target pair."""
-    factor_menu = [(2,), (3,), (4,), (5,), (6,), (7,), (8,), (2, 2), (2, 4), (2, 3), (1,)]
-    factors = factor_menu[int(rng.integers(0, len(factor_menu)))]
-    group = FinAbGroup(factors)
-    assert group.order <= max_order
-    n_gens = int(rng.integers(1, max_gens + 1))
-    gens = [
-        (int(rng.integers(-z_bound, z_bound + 1)), group.sample(rng))
-        for _ in range(n_gens)
-    ]
-    target = (int(rng.integers(-z_bound, z_bound + 1)), group.sample(rng))
-    return group, gens, target
+@dataclass(frozen=True)
+class StageRow:
+    """Derived per-stage data: height, level sum, and the two stage spacer terms."""
+
+    n: int
+    height: int
+    level_sum: GroupElem
+    middle: GroupElem
+    right_sum: GroupElem
+
+
+def derived_sequence(spec: CocycleSpec, count: int) -> list[StageRow]:
+    """Rows for stages 1..count.
+
+    level_sum(1) is the base value (a single level) and
+    level_sum(n+1) = 3*level_sum(n) + middle(n) + right_sum(n): the next
+    tower stacks three copies of every level plus that stage's spacers.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    heights = tower_heights(count)
+    rows = []
+    f = spec.base_value
+    for n in range(1, count + 1):
+        rows.append(
+            StageRow(
+                n=n,
+                height=heights[n - 1],
+                level_sum=f,
+                middle=spec.middle_value(n),
+                right_sum=spec.right_sum(n),
+            )
+        )
+        f = 3 * f + spec.middle_value(n) + spec.right_sum(n)
+    return rows
 
 
 def _advance(system, config, steps: int):

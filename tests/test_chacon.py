@@ -32,7 +32,6 @@ from chaconlab.chacon import (
     locate,
     orbit,
     random_point,
-    return_time,
     system_from_json,
     system_to_json,
     tower_heights,
@@ -41,6 +40,8 @@ from chaconlab.chacon import (
 )
 from chaconlab.errors import CensoredError, DepthExceededError, OutOfDomainError
 from chaconlab.ratio import to_lattice
+
+from oracles import return_time
 
 STAGE2_LEVELS = [
     (F(0), F(1, 3)),

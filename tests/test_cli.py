@@ -88,8 +88,11 @@ def test_check_cocycle_bundled_passes(capsys):
     assert doc["holds"] is True
     assert doc["condition_i"]["holds"] is True
     assert doc["n_scan"] == doc["condition_i"]["n_scanned"]
-    assert set(doc["condition_ii"]) == {str(n) for n in range(1, doc["n_scan"] + 1)}
-    assert all(rep["holds"] for rep in doc["condition_ii"].values())
+    assert doc["condition_ii"] == {
+        "stage": 2,
+        "vectors": [[25, [0]], [26, [0]]],
+        "certificate": [-1, 1],
+    }
 
 
 def test_check_cocycle_zero_spec_fails(tmp_path, capsys):
@@ -102,21 +105,37 @@ def test_check_cocycle_zero_spec_fails(tmp_path, capsys):
     assert doc["condition_i"]["holds"] is False
 
 
-def _bundled_spec_json() -> dict:
-    ref = resources.files("chaconlab").joinpath("data/indicator_cocycle.json")
-    return json.loads(ref.read_text())
+BUNDLED_SPEC = json.loads(
+    resources.files("chaconlab").joinpath("data/indicator_cocycle.json").read_text()
+)
 
 
-# (spec, exit code, SHA-256 of json.dumps(report["condition_i"], sort_keys=True)),
-# pinned while condition (ii) was still decided by the integer span solver;
-# spec None is the bundled spec
+def _zero_spec(*factors) -> dict:
+    return cocycle_spec_to_json(zero_cocycle(FinAbGroup(factors)))
+
+
+# SHA-256 of json.dumps(report["condition_i"], sort_keys=True) and the exit
+# code, pinned while condition (ii) was still decided by an integer span
+# solver; spec None runs the bundled spec
 PINNED_COCYCLES = [
-    (None, EXIT_OK, "9920f82c6000bb294e3b9636d04718a81bf3fa4a5253255b947a0a4e89695c81"),
-    ((2,), EXIT_FAIL, "b7441f005d8f2f502aead8796187724c526769acae76dcd261a58091bff4f650"),
-    ((3,), EXIT_FAIL, "8ba2398c67e0651539f9f0088ec8121ecce5ad53a1693cae4ec0b15a19260a93"),
-    ((2, 2), EXIT_FAIL, "c4227957610eb030071cdac101e48057b0970845c08dc9ca6489a50f80d69b5d"),
-    ((4, 6), EXIT_FAIL, "aaf7f7fcf2e39a0d3aed79587207a48fc36646faeef8d0fc3193da8148ac9944"),
-    ("zero_beyond=20", EXIT_OK, "c63625629bff88d423a7ee655ef51d7846a3de630b12a5e6b1757adaca5db3be"),
+    pytest.param(None, EXIT_OK,
+                 "9920f82c6000bb294e3b9636d04718a81bf3fa4a5253255b947a0a4e89695c81",
+                 id="bundled"),
+    pytest.param(_zero_spec(2), EXIT_FAIL,
+                 "b7441f005d8f2f502aead8796187724c526769acae76dcd261a58091bff4f650",
+                 id="zero-Z2"),
+    pytest.param(_zero_spec(3), EXIT_FAIL,
+                 "8ba2398c67e0651539f9f0088ec8121ecce5ad53a1693cae4ec0b15a19260a93",
+                 id="zero-Z3"),
+    pytest.param(_zero_spec(2, 2), EXIT_FAIL,
+                 "c4227957610eb030071cdac101e48057b0970845c08dc9ca6489a50f80d69b5d",
+                 id="zero-Z2xZ2"),
+    pytest.param(_zero_spec(4, 6), EXIT_FAIL,
+                 "aaf7f7fcf2e39a0d3aed79587207a48fc36646faeef8d0fc3193da8148ac9944",
+                 id="zero-Z4xZ6"),
+    pytest.param({**BUNDLED_SPEC, "zero_beyond": 20}, EXIT_OK,
+                 "c63625629bff88d423a7ee655ef51d7846a3de630b12a5e6b1757adaca5db3be",
+                 id="bundled-zero-beyond-20"),
 ]
 
 
@@ -124,17 +143,23 @@ PINNED_COCYCLES = [
 def test_check_cocycle_matches_pinned_hash(tmp_path, capsys, spec, code, digest):
     argv = ["check-cocycle"]
     if spec is not None:
-        if spec == "zero_beyond=20":
-            payload = {**_bundled_spec_json(), "zero_beyond": 20}
-        else:
-            payload = cocycle_spec_to_json(zero_cocycle(FinAbGroup(spec)))
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(spec))
         argv += ["--spec", str(path)]
     rc, doc = run_json(capsys, argv)
     assert rc == code
     text = json.dumps(doc["condition_i"], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_check_cocycle_report_stays_small_for_a_late_cutoff(tmp_path):
+    # the report once held every stage's span generators: 75 MB at zero_beyond 400
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**BUNDLED_SPEC, "zero_beyond": 400}))
+    out = tmp_path / "report.json"
+    assert main(["check-cocycle", "--spec", str(path), "--out", str(out)]) == EXIT_OK
+    assert out.stat().st_size < 64 * 1024
+    assert json.loads(out.read_text())["condition_ii"]["stage"] == 401
 
 
 def test_check_cocycle_missing_spec_is_usage_error(tmp_path):
