@@ -294,7 +294,7 @@ def check_condition_ii(spec: CocycleSpec) -> dict:
     M = spec.zero_beyond + 1
     h = tower_heights(M)[M - 1]
     low = spec.right_sum(M)
-    high = spec.middle_value(M + 1) + spec.right_sum(M)
+    high = spec.middle_value(M + 1) + low
     if high != low:
         raise ValueError(f"the tail vectors at stage {M} differ in the group")
     return {
