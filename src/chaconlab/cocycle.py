@@ -68,9 +68,6 @@ class FinAbGroup:
         for coords in itertools.product(*(range(d) for d in self.invariant_factors)):
             yield self.element(coords)
 
-    def sample(self, rng) -> "GroupElem":
-        return self.element(int(rng.integers(0, d)) for d in self.invariant_factors)
-
 
 @dataclass(frozen=True)
 class GroupElem:
@@ -341,6 +338,12 @@ def cocycle_spec_to_json(spec: CocycleSpec) -> dict:
     }
 
 
+# check_condition_ii's certificate holds 3*h_M + 2 at M = zero_beyond + 1,
+# about 0.78*M digits; past this cutoff json.dumps refuses to write it under
+# Python's default limit of 4300 digits for int-to-string conversion
+MAX_ZERO_BEYOND = 5525
+
+
 def _json_int(value, what: str) -> int:
     """A JSON integer as it is: 1.5, true and "2" are rejected, not truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -355,6 +358,9 @@ def _json_ints(values, what: str) -> tuple[int, ...]:
 
 
 def cocycle_spec_from_json(payload: dict) -> CocycleSpec:
+    zero_beyond = _json_int(payload["zero_beyond"], "zero_beyond")
+    if zero_beyond > MAX_ZERO_BEYOND:
+        raise ValueError(f"zero_beyond must be at most {MAX_ZERO_BEYOND}")
     group = FinAbGroup(_json_ints(payload["group"], "group"))
     stages = tuple(
         StageValues(
@@ -368,5 +374,5 @@ def cocycle_spec_from_json(payload: dict) -> CocycleSpec:
         group=group,
         base_value=group.element(_json_ints(payload["base_value"], "base_value")),
         stages=stages,
-        zero_beyond=_json_int(payload["zero_beyond"], "zero_beyond"),
+        zero_beyond=zero_beyond,
     )

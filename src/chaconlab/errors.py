@@ -1,12 +1,11 @@
 """Shared exception types.
 
 Censoring is an expected outcome of bounded-depth simulation, not a bug,
-so it gets its own exception carrying a tally report.
+so it gets its own exception family: each censoring exception names why
+the sample was lost in its class attribute ``reason``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 
 class ChaconlabError(Exception):
@@ -17,43 +16,33 @@ class OutOfDomainError(ChaconlabError):
     """A point lies outside the region the system covers."""
 
 
-class DepthExceededError(ChaconlabError):
+class CensoredError(ChaconlabError):
+    """A sampled quantity could not be resolved within the given budget.
+
+    Subclasses set ``reason``, the key under which reports count it.
+    """
+
+    reason = "Censored"
+
+
+class DepthExceededError(CensoredError):
     """The map is undefined at this point without building a deeper system.
 
     ``steps_completed`` counts how many applications succeeded before the
     failure (0 when the very first application failed).
     """
 
+    reason = "DepthExceeded"
+
     def __init__(self, message: str, steps_completed: int = 0):
         super().__init__(message)
         self.steps_completed = steps_completed
 
 
-@dataclass(frozen=True)
-class CensorReport:
-    """How many atoms survived a censored step, and why the rest did not.
+class PMaxExceededError(CensoredError):
+    """A search for a return time used up its step budget ``p_max``."""
 
-    ``reasons`` maps ``DepthExceeded`` or ``PMaxExceeded`` to a count.
-    """
-
-    survived: int
-    censored: int
-    reasons: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.survived < 0 or self.censored < 0:
-            raise ValueError("counts must be nonnegative")
-
-
-class CensoredError(ChaconlabError):
-    """A sampled quantity could not be resolved within the given budget.
-
-    ``report`` is a :class:`CensorReport`.
-    """
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
+    reason = "PMaxExceeded"
 
 
 class InsufficientDataError(ChaconlabError):

@@ -60,7 +60,6 @@ from .ratio import format_ratio
 from .stats import (
     DiscreteLaw,
     KeyedStream,
-    RngSpec,
     chi2_gof,
     chi2_independence,
     make_rng,
@@ -222,7 +221,7 @@ def _sample_sides(half_width: int, seed: int, stream: int) -> tuple[np.ndarray, 
     Both sides count outward from the origin; the left one is negated by
     the caller.
     """
-    rng = make_rng(RngSpec(seed=seed, stream=stream))
+    rng = make_rng(seed, stream)
     bound, chunk = half_width * _D, half_width + 8
     for retries in range(1000):
         right = snapped_arrivals(rng, bound, chunk)

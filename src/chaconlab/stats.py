@@ -159,22 +159,9 @@ def uniform_law(k: int) -> DiscreteLaw:
     return DiscreteLaw(tuple(range(k)), (1,) * k)
 
 
-@dataclass(frozen=True)
-class RngSpec:
-    """Names one reproducible bulk stream: algorithm, 64-bit seed, stream id."""
-
-    seed: int
-    stream: int = 0
-    algorithm: str = "pcg64"
-
-    def to_jsonable(self) -> dict:
-        return {"algorithm": self.algorithm, "seed": self.seed, "stream": self.stream}
-
-
-def make_rng(spec: RngSpec) -> np.random.Generator:
-    if spec.algorithm != "pcg64":
-        raise ValueError(f"unknown rng algorithm {spec.algorithm!r}")
-    ss = np.random.SeedSequence(spec.seed, spawn_key=(spec.stream,))
+def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """One reproducible bulk stream: PCG64 keyed by (seed, stream)."""
+    ss = np.random.SeedSequence(seed, spawn_key=(stream,))
     return np.random.Generator(np.random.PCG64(ss))
 
 

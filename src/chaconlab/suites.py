@@ -32,7 +32,7 @@ import numpy as np
 
 from .chacon import SNAP_DENOM, build_system, tower_heights
 from .cocycle import CocycleSpec, phi_iter, single_spacer_indicator
-from .errors import CensoredError, InsufficientDataError
+from .errors import CensoredError, DepthExceededError, InsufficientDataError, PMaxExceededError
 from .parallel import fan_out
 from .stats import (
     KeyedStream,
@@ -183,8 +183,7 @@ def collect_suspension(
                     system, points, remainder, p_max
                 )
             except CensoredError as exc:
-                reasons = exc.report.reasons
-                _censor(per_k[k], max(reasons, key=reasons.get))
+                _censor(per_k[k], exc.reason)
                 continue
             route_a[k] = (m_steps, recombine(adv_pts, adv_rem))
 
@@ -204,7 +203,7 @@ def collect_suspension(
             walked < p_max and len(returns) < len(route_a)
         ):
             try:
-                marked, perm, _ = skew_apply_group(system, spec, marked)
+                marked, perm = skew_apply_group(system, spec, marked)
             except CensoredError:
                 broke = True
                 break
@@ -221,7 +220,7 @@ def collect_suspension(
             tally = per_k[k]
             if k not in returns:
                 depth = broke and walked < p_max
-                _censor(tally, "DepthExceeded" if depth else "PMaxExceeded")
+                _censor(tally, (DepthExceededError if depth else PMaxExceededError).reason)
                 continue
             n_steps, route_b = returns[k]
             sums = tuple(

@@ -16,9 +16,10 @@ comparisons and permutation identities hold exactly, never up to
 floating error.
 
 Whole-configuration censoring: the tower map is partial (depth-bounded),
-so any atom running off the top censors the entire configuration for the
-step; a CensorReport says how many atoms survived and why the rest did
-not.  Budget exhaustion in search loops is reported the same way.
+so the first atom to run off the top censors the entire configuration,
+and its ``DepthExceededError`` propagates.  A search loop that uses up
+its step budget raises ``PMaxExceededError``.  Both are
+``CensoredError``s whose ``reason`` names the cause.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ import numpy as np
 from . import chacon
 from .chacon import SNAP_DENOM, ChaconSystem, Interval
 from .cocycle import CocycleSpec, GroupElem, eval_phi, phi_iter
-from .errors import CensoredError, CensorReport, DepthExceededError, InsufficientDataError
+from .errors import InsufficientDataError, PMaxExceededError
 from .ratio import ceil_lattice, format_lattice, parse_ratio, to_lattice
-from .stats import RngSpec, make_rng
+from .stats import make_rng
 
 
 class Atom(NamedTuple):
@@ -196,7 +197,7 @@ def sample_poisson(
     scale, rest = divmod(denom, SNAP_DENOM)
     if rest:
         raise ValueError(f"lattice denominator {denom} is not a multiple of 2**53")
-    rng = make_rng(RngSpec(seed=seed, stream=stream))
+    rng = make_rng(seed, stream)
     # lo + cum * scale >= hi exactly when cum >= ceil((hi - lo) / scale)
     bound = -(-window.width // scale)
     arrivals = snapped_arrivals(rng, bound, max(16, window.width // denom + 8)).tolist()
@@ -206,31 +207,16 @@ def sample_poisson(
 
 def push_forward(
     system: ChaconSystem, config: PointConfig
-) -> tuple[PointConfig, RankPermutation, CensorReport]:
+) -> tuple[PointConfig, RankPermutation]:
     """Apply the tower map to every atom and re-rank.
 
-    The permutation sends old ranks to new ranks.  Any atom without an
-    image censors the whole configuration: raises CensoredError carrying
-    the tally.
+    The permutation sends old ranks to new ranks.  The first atom without
+    an image censors the whole configuration: its DepthExceededError
+    propagates.
     """
     if config.denom != system.denom:
         raise ValueError("the configuration and the system use different lattices")
-    mapped = []
-    failed = 0
-    for a in config.atoms:
-        try:
-            mapped.append(Atom(a.id, chacon.apply_T(system, a.pos)))
-        except DepthExceededError:
-            failed += 1
-    if failed:
-        raise CensoredError(
-            f"{failed} atom(s) ran out of depth",
-            report=CensorReport(
-                survived=config.count - failed,
-                censored=failed,
-                reasons={"DepthExceeded": failed},
-            ),
-        )
+    mapped = [Atom(a.id, chacon.apply_T(system, a.pos)) for a in config.atoms]
     order = sorted(range(len(mapped)), key=lambda i: mapped[i].pos)
     for i, j in zip(order, order[1:]):
         if mapped[i].pos == mapped[j].pos:
@@ -243,8 +229,7 @@ def push_forward(
         atoms=tuple(mapped[i] for i in order),
         denom=system.denom,
     )
-    report = CensorReport(survived=config.count, censored=0, reasons={})
-    return out, RankPermutation(tuple(images)), report
+    return out, RankPermutation(tuple(images))
 
 
 def psi_iter(system: ChaconSystem, config: PointConfig, p: int) -> RankPermutation:
@@ -254,7 +239,7 @@ def psi_iter(system: ChaconSystem, config: PointConfig, p: int) -> RankPermutati
     total = RankPermutation.identity(config.count)
     cur = config
     for _ in range(p):
-        cur, step, _ = push_forward(system, cur)
+        cur, step = push_forward(system, cur)
         total = step.after(total)
     return total
 
@@ -263,7 +248,7 @@ def return_time_N_k(system: ChaconSystem, config: PointConfig, k: int, p_max: in
     """Least p in 1..p_max whose accumulated permutation fixes ranks 1..k.
 
     k == 0 is vacuous, so the answer is 1.  Depth censoring propagates;
-    budget exhaustion raises CensoredError with a PMaxExceeded tally.
+    budget exhaustion raises PMaxExceededError.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -272,14 +257,11 @@ def return_time_N_k(system: ChaconSystem, config: PointConfig, k: int, p_max: in
     total = RankPermutation.identity(config.count)
     cur = config
     for p in range(1, p_max + 1):
-        cur, step, _ = push_forward(system, cur)
+        cur, step = push_forward(system, cur)
         total = step.after(total)
         if total.fixes_prefix(k):
             return p
-    raise CensoredError(
-        f"no prefix-fixing time within {p_max} steps",
-        report=CensorReport(survived=config.count, censored=0, reasons={"PMaxExceeded": 1}),
-    )
+    raise PMaxExceededError(f"no prefix-fixing time within {p_max} steps")
 
 
 def distinguish_k(config: PointConfig, k: int) -> tuple[tuple[int, ...], PointConfig]:
@@ -297,12 +279,9 @@ def recombine(points: Sequence[int], remainder: PointConfig) -> PointConfig:
     Ids are relabeled 1..n in rank order, so equality with an original
     configuration is equality of positions.
     """
-    pts = list(points)
-    if any(b <= a for a, b in zip(pts, pts[1:])):
-        raise ValueError("points must be strictly increasing")
-    if pts and remainder.count and pts[-1] >= remainder.t(1):
-        raise ValueError("points must sit strictly below the remainder")
-    merged = pts + list(remainder.positions())
+    if not in_split_order(points, remainder):
+        raise ValueError("points must increase strictly and sit strictly below the remainder")
+    merged = list(points) + list(remainder.positions())
     return PointConfig(
         window=remainder.window,
         atoms=tuple(Atom(i + 1, p) for i, p in enumerate(merged)),
@@ -334,43 +313,11 @@ def induced_return(
     pts = list(points)
     cur = remainder
     for p in range(1, p_max + 1):
-        nxt_pts = []
-        failed = 0
-        for x in pts:
-            try:
-                nxt_pts.append(chacon.apply_T(system, x))
-            except DepthExceededError:
-                failed += 1
-        if failed:
-            raise CensoredError(
-                f"{failed} distinguished point(s) ran out of depth",
-                report=CensorReport(
-                    survived=len(pts) - failed + cur.count,
-                    censored=failed,
-                    reasons={"DepthExceeded": failed},
-                ),
-            )
-        try:
-            cur, _, _ = push_forward(system, cur)
-        except CensoredError as exc:
-            rep = exc.report
-            raise CensoredError(
-                str(exc),
-                report=CensorReport(
-                    survived=rep.survived + len(nxt_pts),
-                    censored=rep.censored,
-                    reasons=dict(rep.reasons),
-                ),
-            ) from None
-        pts = nxt_pts
+        pts = [chacon.apply_T(system, x) for x in pts]
+        cur, _ = push_forward(system, cur)
         if in_split_order(pts, cur):
             return p, tuple(pts), cur
-    raise CensoredError(
-        f"no return within {p_max} steps",
-        report=CensorReport(
-            survived=len(pts) + cur.count, censored=0, reasons={"PMaxExceeded": 1}
-        ),
-    )
+    raise PMaxExceededError(f"no return within {p_max} steps")
 
 
 def superpose(c1: PointConfig, c2: PointConfig) -> PointConfig:
@@ -402,21 +349,21 @@ def skew_apply_perm(perm: RankPermutation, marks: Sequence[Any]) -> tuple:
 
 def skew_apply_group(
     system: ChaconSystem, spec: CocycleSpec, marked: MarkedConfig
-) -> tuple[MarkedConfig, RankPermutation, CensorReport]:
+) -> tuple[MarkedConfig, RankPermutation]:
     """One step of the group-marked skew product.
 
     The base configuration moves by the pushforward; the mark arriving at
     new rank n is the old mark of the originating rank plus the level
     function at that atom's old position.
     """
-    out, perm, report = push_forward(system, marked.config)
+    out, perm = push_forward(system, marked.config)
     inv = perm.inverse()
     new_marks = []
     for n in range(1, out.count + 1):
         m = inv(n)
         increment = eval_phi(spec, system, marked.config.t(m))
         new_marks.append(increment + marked.marks[m - 1])
-    return MarkedConfig(config=out, marks=tuple(new_marks)), perm, report
+    return MarkedConfig(config=out, marks=tuple(new_marks)), perm
 
 
 def phi_k_vector(

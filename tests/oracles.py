@@ -11,13 +11,13 @@ from scipy import stats as sps
 from chaconlab.chacon import ChaconSystem, Interval, apply_T, build_system, tower_heights
 from chaconlab.cocycle import CocycleSpec, GroupElem
 from chaconlab.errors import (
-    CensorReport,
     CensoredError,
     DepthExceededError,
     InsufficientDataError,
     OutOfDomainError,
+    PMaxExceededError,
 )
-from chaconlab.stats import KeyedStream, RngSpec, make_rng, uniform_law
+from chaconlab.stats import KeyedStream, make_rng, uniform_law
 from chaconlab.suspension import (
     SNAP_DENOM,
     MarkedConfig,
@@ -77,27 +77,18 @@ def return_time(
 ) -> int:
     """Least p in 1..p_max with T^p(x) inside one of the target intervals.
 
-    Raises CensoredError when the map runs out of depth first or when no
-    visit happens within the budget.
+    Raises DepthExceededError when the map runs out of depth first and
+    PMaxExceededError when no visit happens within the budget.
     """
     targets = tuple(targets)
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
     cur = x
     for p in range(1, p_max + 1):
-        try:
-            cur = apply_T(system, cur)
-        except DepthExceededError:
-            raise CensoredError(
-                f"depth exceeded after {p - 1} steps",
-                report=CensorReport(survived=0, censored=1, reasons={"DepthExceeded": 1}),
-            ) from None
+        cur = apply_T(system, cur)
         if any(cur in t for t in targets):
             return p
-    raise CensoredError(
-        f"no visit within {p_max} steps",
-        report=CensorReport(survived=1, censored=0, reasons={"PMaxExceeded": 1}),
-    )
+    raise PMaxExceededError(f"no visit within {p_max} steps")
 
 
 @dataclass(frozen=True)
@@ -139,7 +130,7 @@ def derived_sequence(spec: CocycleSpec, count: int) -> list[StageRow]:
 
 def _advance(system, config, steps: int):
     for _ in range(steps):
-        config, _, _ = push_forward(system, config)
+        config, _ = push_forward(system, config)
     return config
 
 
@@ -181,11 +172,9 @@ def four_walk_suspension(start, stop, seed, n_max, p_max, window_hi, k_values, s
                 vec = phi_k_vector(system, spec, config, k, p_max)
                 marked = MarkedConfig(config, (group.identity(),) * config.count)
                 for _ in range(n_steps):
-                    marked, _, _ = skew_apply_group(system, spec, marked)
+                    marked, _ = skew_apply_group(system, spec, marked)
             except CensoredError as exc:
-                reasons = exc.report.reasons
-                reason = max(reasons, key=reasons.get)
-                tally["censored"][reason] = tally["censored"].get(reason, 0) + 1
+                tally["censored"][exc.reason] = tally["censored"].get(exc.reason, 0) + 1
                 continue
             tally["uncensored"] += 1
             tally["return_time_mismatches"] += m_steps != n_steps
@@ -199,7 +188,7 @@ def four_walk_suspension(start, stop, seed, n_max, p_max, window_hi, k_values, s
             marked = MarkedConfig(config, start_marks)
             try:
                 for _ in range(mark_steps):
-                    marked, _, _ = skew_apply_group(system, spec, marked)
+                    marked, _ = skew_apply_group(system, spec, marked)
             except CensoredError:
                 mark_censored += 1
             else:
@@ -374,7 +363,7 @@ class TupleBiConfig:
 
 def tuple_sample_biconfig(half_width: int, seed: int, stream: int) -> tuple[TupleBiConfig, int]:
     """``joining.sample_biconfig`` as first written, and its empty-side retries."""
-    rng = make_rng(RngSpec(seed=seed, stream=stream))
+    rng = make_rng(seed, stream)
     bound, chunk = half_width * JOIN_D, half_width + 8
     for retries in range(1000):
         right = loop_snapped_arrivals(rng, bound, chunk)

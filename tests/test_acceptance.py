@@ -157,7 +157,7 @@ def test_acceptance_3_cocycle_identities(announce):
                 continue
             cur = config
             for _ in range(p):
-                cur, _, _ = push_forward(system, cur)
+                cur, _ = push_forward(system, cur)
             psi_checked += 1
             if full_perm != psi_iter(system, cur, q).after(psi_iter(system, config, p)):
                 failures += 1

@@ -219,10 +219,10 @@ def test_return_time_hand_cases(get_system):
     assert return_time(sys2, 0, [window(F(7, 3), F(8, 3))], p_max=10) == 7
     with pytest.raises(CensoredError) as exc:
         return_time(sys2, 0, [window(F(2, 3), F(1))], p_max=2)
-    assert exc.value.report.reasons == {"PMaxExceeded": 1}
+    assert exc.value.reason == "PMaxExceeded"
     with pytest.raises(CensoredError) as exc:
         return_time(sys2, lat(sys2, F(2)), [window(F(0), F(1, 3))], p_max=10)
-    assert exc.value.report.reasons == {"DepthExceeded": 1}
+    assert exc.value.reason == "DepthExceeded"
 
 
 def test_translation_pieces_partition_and_preserve_width(get_system):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -160,6 +161,28 @@ def test_check_cocycle_report_stays_small_for_a_late_cutoff(tmp_path):
     assert main(["check-cocycle", "--spec", str(path), "--out", str(out)]) == EXIT_OK
     assert out.stat().st_size < 64 * 1024
     assert json.loads(out.read_text())["condition_ii"]["stage"] == 401
+
+
+def test_check_cocycle_at_the_largest_cutoff_keeps_its_bytes(tmp_path, monkeypatch, capsys):
+    # the certificate's integers have about 0.78 * zero_beyond digits; at
+    # 5525 json.dumps still writes them
+    monkeypatch.chdir(tmp_path)
+    Path("spec.json").write_text(json.dumps({**BUNDLED_SPEC, "zero_beyond": 5525}))
+    assert main(["check-cocycle", "--spec", "spec.json"]) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "6a4f9da7254960b348e225989e8cdfe2d2274e9defa0a70ee1502dddc5dc599e"
+
+
+@pytest.mark.parametrize("zero_beyond", [5526, 10**9])
+def test_check_cocycle_refuses_a_cutoff_past_the_limit(tmp_path, capsys, zero_beyond):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**BUNDLED_SPEC, "zero_beyond": zero_beyond}))
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["check-cocycle", "--spec", str(path)])
+    assert time.perf_counter() - start < 2.0  # no tower of 10**9 heights is built
+    assert exc.value.code == EXIT_USAGE
+    assert "zero_beyond must be at most 5525" in capsys.readouterr().err
 
 
 def test_check_cocycle_missing_spec_is_usage_error(tmp_path):

@@ -15,7 +15,6 @@ from chaconlab.errors import InsufficientDataError
 from chaconlab.stats import (
     DiscreteLaw,
     KeyedStream,
-    RngSpec,
     chi2_gof,
     chi2_independence,
     chi2_poisson,
@@ -151,19 +150,21 @@ def test_discrete_law_draw_frequencies():
 
 
 def test_make_rng_streams():
-    a = make_rng(RngSpec(seed=5, stream=0)).standard_normal(8)
-    b = make_rng(RngSpec(seed=5, stream=0)).standard_normal(8)
-    c = make_rng(RngSpec(seed=5, stream=1)).standard_normal(8)
-    d = make_rng(RngSpec(seed=6, stream=0)).standard_normal(8)
+    a = make_rng(5, 0).standard_normal(8)
+    b = make_rng(5, 0).standard_normal(8)
+    c = make_rng(5, 1).standard_normal(8)
+    d = make_rng(6, 0).standard_normal(8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
-    with pytest.raises(ValueError):
-        make_rng(RngSpec(seed=1, algorithm="mt19937"))
+    # PCG64 keyed by SeedSequence(seed, spawn_key=(stream,)), the streams the pins were drawn on
+    direct = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5, spawn_key=(1,))))
+    assert np.array_equal(c, direct.standard_normal(8))
+    assert np.array_equal(a, make_rng(5).standard_normal(8))
 
 
 def test_ks_exponential_null_and_alternative():
-    rng = make_rng(RngSpec(seed=11))
+    rng = make_rng(11)
     good = ks_exponential(rng.exponential(1.0, size=4000))
     assert good.passed and good.p_value >= 0.01
     bad = ks_exponential(rng.exponential(0.5, size=4000))  # rate-2 draws
@@ -173,7 +174,7 @@ def test_ks_exponential_null_and_alternative():
 
 
 def test_chi2_poisson_null_and_alternative():
-    rng = make_rng(RngSpec(seed=12))
+    rng = make_rng(12)
     good = chi2_poisson(rng.poisson(20.0, size=4000), mean=20.0)
     assert good.passed
     bad = chi2_poisson(rng.poisson(25.0, size=4000), mean=20.0)
@@ -196,7 +197,7 @@ def test_chi2_gof_hand_cases():
 
 
 def test_chi2_independence_cases():
-    rng = make_rng(RngSpec(seed=13))
+    rng = make_rng(13)
     draws = rng.integers(0, 2, size=(4000, 2))
     table = np.zeros((2, 2), dtype=int)
     for a, b in draws:
@@ -214,7 +215,7 @@ def test_chi2_independence_cases():
 
 
 def test_mc_mean():
-    rng = make_rng(RngSpec(seed=14))
+    rng = make_rng(14)
     x = rng.exponential(1.0, size=4000)
     assert mc_mean(x, target=1.0).passed  # E[Exp(1)] = 1
     assert mc_mean(x**2 / 2.0, target=1.0).passed  # E[X^2]/2 = 1
@@ -244,7 +245,7 @@ def test_binom_interval_hand_case():
 
 
 def test_report_is_json_safe():
-    rng = make_rng(RngSpec(seed=15))
+    rng = make_rng(15)
     rep = ks_exponential(rng.exponential(1.0, size=64))
     payload = json.dumps(rep.to_jsonable(), sort_keys=True)
     back = json.loads(payload)
@@ -264,7 +265,7 @@ def _calibrate(reject_prob, run):
 
 def test_calibration_ks_exponential():
     def run(i):
-        rng = make_rng(RngSpec(seed=1000, stream=i))
+        rng = make_rng(1000, i)
         return not ks_exponential(rng.exponential(1.0, size=500)).passed
 
     _calibrate(0.01, run)
@@ -272,7 +273,7 @@ def test_calibration_ks_exponential():
 
 def test_calibration_chi2_poisson():
     def run(i):
-        rng = make_rng(RngSpec(seed=2000, stream=i))
+        rng = make_rng(2000, i)
         return not chi2_poisson(rng.poisson(8.0, size=500), mean=8.0).passed
 
     _calibrate(0.01, run)
@@ -280,7 +281,7 @@ def test_calibration_chi2_poisson():
 
 def test_calibration_chi2_independence():
     def run(i):
-        rng = make_rng(RngSpec(seed=3000, stream=i))
+        rng = make_rng(3000, i)
         draws = rng.integers(0, 2, size=(600, 2))
         table = np.zeros((2, 2), dtype=int)
         for a, b in draws:
@@ -292,7 +293,7 @@ def test_calibration_chi2_independence():
 
 def test_calibration_mc_mean():
     def run(i):
-        rng = make_rng(RngSpec(seed=4000, stream=i))
+        rng = make_rng(4000, i)
         return not mc_mean(rng.exponential(1.0, size=500), target=1.0).passed
 
     # two-sided 3-sigma design: rejection probability 2*(1 - Phi(3))
@@ -312,7 +313,7 @@ def assert_same_double(ours, theirs):
 def _draws(kind):
     """Seeded numpy draws as a list: kind(rng, size) for a generated seed and size."""
     return st.builds(
-        lambda seed, size: kind(make_rng(RngSpec(seed=seed)), size).tolist(),
+        lambda seed, size: kind(make_rng(seed), size).tolist(),
         st.integers(0, 2**32 - 1),
         st.integers(1, 400),
     )

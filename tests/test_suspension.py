@@ -15,9 +15,14 @@ from hypothesis import strategies as st
 
 from chaconlab.chacon import build_system
 from chaconlab.cocycle import FinAbGroup, single_spacer_indicator, zero_cocycle
-from chaconlab.errors import CensoredError, InsufficientDataError
+from chaconlab.errors import (
+    CensoredError,
+    DepthExceededError,
+    InsufficientDataError,
+    PMaxExceededError,
+)
 from chaconlab.ratio import to_lattice
-from chaconlab.stats import RngSpec, chi2_gof, chi2_independence, ks_exponential, make_rng
+from chaconlab.stats import chi2_gof, chi2_independence, ks_exponential, make_rng
 from chaconlab.suspension import (
     SNAP_DENOM,
     Atom,
@@ -108,20 +113,26 @@ def test_rank_permutation_algebra():
 
 def test_push_forward_hand_trace(sys2):
     c = cfg(F(8, 3), F(1, 6), F(1, 2), F(9, 8))
-    out, perm, report = push_forward(sys2, c)
+    out, perm = push_forward(sys2, c)
     assert perm.images == (1, 3, 2)
     assert out.positions() == lat(F(1, 2), F(19, 24), F(7, 6))
     assert [a.id for a in out.atoms] == [1, 3, 2]  # ids ride along
-    assert report.survived == 3 and report.censored == 0
+
+
+def test_censoring_reasons_are_exception_classes():
+    assert issubclass(DepthExceededError, CensoredError)
+    assert issubclass(PMaxExceededError, CensoredError)
+    assert (DepthExceededError.reason, PMaxExceededError.reason) == (
+        "DepthExceeded",
+        "PMaxExceeded",
+    )
 
 
 def test_push_forward_censors_top_level(sys2):
     c = cfg(F(8, 3), F(1, 6), F(5, 2))  # 5/2 sits in the top level [7/3, 8/3)
-    with pytest.raises(CensoredError) as err:
+    with pytest.raises(DepthExceededError) as err:
         push_forward(sys2, c)
-    rep = err.value.report
-    assert rep.censored == 1 and rep.survived == 1
-    assert rep.reasons == {"DepthExceeded": 1}
+    assert err.value.reason == "DepthExceeded"
 
 
 def test_censoring_monotone_in_depth(sys2, sys3):
@@ -131,11 +142,11 @@ def test_censoring_monotone_in_depth(sys2, sys3):
     with pytest.raises(ValueError):
         push_forward(sys3, c)  # a depth-2 lattice configuration
     # deeper towers absorb the same orbit
-    out, _, _ = push_forward(sys3, cfg(F(8, 3), F(1, 6), F(5, 2), denom=D3))
+    out, _ = push_forward(sys3, cfg(F(8, 3), F(1, 6), F(5, 2), denom=D3))
     assert out.count == 2
     # and the shallow-map image is reproduced where both are defined
-    ok, _, _ = push_forward(sys2, cfg(F(8, 3), F(1, 6), F(1, 2)))
-    deep, _, _ = push_forward(sys3, cfg(F(8, 3), F(1, 6), F(1, 2), denom=D3))
+    ok, _ = push_forward(sys2, cfg(F(8, 3), F(1, 6), F(1, 2)))
+    deep, _ = push_forward(sys3, cfg(F(8, 3), F(1, 6), F(1, 2), denom=D3))
     assert [F(x, D2) for x in ok.positions()] == [F(x, D3) for x in deep.positions()]
 
 
@@ -160,7 +171,7 @@ def test_psi_cocycle_identity(sys3):
             continue
         cur = c
         for _ in range(p):
-            cur, _, _ = push_forward(sys3, cur)
+            cur, _ = push_forward(sys3, cur)
         assert full == psi_iter(sys3, cur, q).after(psi_iter(sys3, c, p))
 
 
@@ -169,9 +180,9 @@ def test_return_time_hand_cases(sys2):
     assert return_time_N_k(sys2, c, 0, 10) == 1  # vacuous prefix
     assert return_time_N_k(sys2, c, 1, 10) == 2
     assert return_time_N_k(sys2, c, 2, 10) == 2
-    with pytest.raises(CensoredError) as err:
+    with pytest.raises(PMaxExceededError) as err:
         return_time_N_k(sys2, c, 2, 1)
-    assert err.value.report.reasons == {"PMaxExceeded": 1}
+    assert err.value.reason == "PMaxExceeded"
     with pytest.raises(InsufficientDataError):
         return_time_N_k(sys2, c, 3, 10)
 
@@ -191,6 +202,31 @@ def test_distinguish_recombine_roundtrip():
         recombine(lat(F(3, 2)), rem)  # not below the remainder
 
 
+def test_recombine_refuses_points_out_of_split_order():
+    rem = cfg(F(8, 3), F(9, 8), F(2))
+    with pytest.raises(ValueError):
+        recombine(lat(F(1, 2), F(1, 8)), rem)  # decreasing
+    with pytest.raises(ValueError):
+        recombine(lat(F(1, 2), F(1, 2)), rem)  # repeated
+    with pytest.raises(ValueError):
+        recombine(lat(F(1, 8), F(9, 8)), rem)  # on the remainder's first atom
+
+
+def test_induced_return_censoring_reasons(sys2):
+    # 5/2 sits in the top level [7/3, 8/3), where the map is undefined
+    with pytest.raises(DepthExceededError) as err:
+        induced_return(sys2, lat(F(5, 2)), cfg(F(8, 3), F(1, 2)), 10)  # a point runs off
+    assert err.value.reason == "DepthExceeded"
+    with pytest.raises(DepthExceededError) as err:
+        induced_return(sys2, lat(F(1, 6)), cfg(F(8, 3), F(1, 2), F(5, 2)), 10)  # the remainder
+    assert err.value.reason == "DepthExceeded"
+    pts, rem = distinguish_k(cfg(F(8, 3), F(1, 2), F(9, 8)), 1)
+    assert induced_return(sys2, pts, rem, 10)[0] == 2
+    with pytest.raises(PMaxExceededError) as err:
+        induced_return(sys2, pts, rem, 1)
+    assert err.value.reason == "PMaxExceeded"
+
+
 def test_induced_return_matches_whole_configuration(sys3):
     # split route and whole-configuration route agree exactly when uncensored
     checked = 0
@@ -208,7 +244,7 @@ def test_induced_return_matches_whole_configuration(sys3):
             assert m == n
             cur = c
             for _ in range(n):
-                cur, _, _ = push_forward(sys3, cur)
+                cur, _ = push_forward(sys3, cur)
             assert recombine(pts2, rem2).same_positions(cur)
             checked += 1
     assert checked >= 40
@@ -326,7 +362,7 @@ def test_skew_apply_group_hand_trace(sys2):
     marked = MarkedConfig(
         cfg(F(8, 3), F(1, 6), F(1, 2), F(9, 8)), (one, zero, one)
     )
-    out, perm, _ = skew_apply_group(sys2, spec, marked)
+    out, perm = skew_apply_group(sys2, spec, marked)
     assert perm.images == (1, 3, 2)
     # new rank 1 <- atom from 1/6 (level value 0), rank 2 <- atom from 9/8
     # (inside the marked spacer, +1), rank 3 <- atom from 1/2 (0)
@@ -339,7 +375,7 @@ def test_skew_group_zero_cocycle_is_pure_permutation(sys2):
     spec = zero_cocycle(g)
     marks = (g.element((1,)), g.element((2,)), g.element((0,)))
     marked = MarkedConfig(cfg(F(8, 3), F(1, 6), F(1, 2), F(9, 8)), marks)
-    out, perm, _ = skew_apply_group(sys2, spec, marked)
+    out, perm = skew_apply_group(sys2, spec, marked)
     assert out.marks == skew_apply_perm(perm, marks)
 
 
@@ -349,8 +385,8 @@ def test_skew_group_two_steps_compose(sys2):
     spec = single_spacer_indicator(1)
     g = spec.group
     start = MarkedConfig(cfg(F(8, 3), F(1, 2), F(9, 8)), (g.identity(),) * 2)
-    one_a, perm_a, _ = skew_apply_group(sys2, spec, start)
-    two, perm_b, _ = skew_apply_group(sys2, spec, one_a)
+    one_a, perm_a = skew_apply_group(sys2, spec, start)
+    two, perm_b = skew_apply_group(sys2, spec, one_a)
     total = perm_b.after(perm_a)
     assert psi_iter(sys2, start.config, 2) == total
     from chaconlab.cocycle import phi_iter
@@ -385,7 +421,7 @@ def test_phi_transport_through_skew_steps(sys3):
                 continue
             marked = MarkedConfig(c, (spec.group.identity(),) * c.count)
             for _ in range(n):
-                marked, _, _ = skew_apply_group(sys3, spec, marked)
+                marked, _ = skew_apply_group(sys3, spec, marked)
             assert tuple(marked.marks[:k]) == vec
             checked += 1
     assert checked >= 30
@@ -494,7 +530,7 @@ def test_snapped_arrivals_match_the_loop(values, bound, chunk):
 def test_snapped_arrivals_match_the_loop_on_pcg64(half_width):
     # right side, left side, then both again as after an empty-side resample
     for stream in range(3):
-        rngs = [make_rng(RngSpec(seed=11, stream=stream)) for _ in range(2)]
+        rngs = [make_rng(11, stream) for _ in range(2)]
         _assert_same_arrivals(rngs, half_width * D, half_width + 8, calls=4)
         # the same stream position: both generators go on with equal draws
         assert rngs[0].random() == rngs[1].random()
