@@ -371,6 +371,28 @@ PINNED_SUITES = [
      "9bbaf454069c31c889d7a112e72798a8b8712f1f2df57fa6a893cbdd0f4c9098"),
     (["joining", "--samples", "130"],
      "b46c3afc2d88df75f62dd682ac032b033f6c0d4f8139224d2c995a1257667d23"),
+    # pinned before the suspension walk moved to tower coordinates: depth 8
+    # at the default p_max (seed 3 reaches returns of 1,090 and 6,548 steps
+    # and two budget overruns), depth 12, the benchmark's depth-7 run at two
+    # seeds, 150 samples (a two-worker split inside a block), a wide window,
+    # and depth 25, whose orbit keys do not fit in int64
+    (["suspension", "--n-max", "8", "--k", "1,2", "--seed", "3", "--samples", "60"],
+     "cf69b30d7e8481206e1087c3be6f7f6ee6585a9e792c6c5f256a9b66bf7484c5"),
+    (["suspension", "--n-max", "12", "--k", "1,2", "--samples", "66"],
+     "3d0268462f21a69a22a4076630bba762650bd813a8b237b73c84c4672b134a83"),
+    (["suspension", "--n-max", "7", "--window", "4", "--k", "1", "--p-max", "500",
+      "--samples", "560", "--alpha", "1e-6", "--seed", "0"],
+     "2c32884b86021968721666a324a3ea31deff7d3ef62236ae44fdc5cb67ad8a6e"),
+    (["suspension", "--n-max", "7", "--window", "4", "--k", "1", "--p-max", "500",
+      "--samples", "560", "--alpha", "1e-6", "--seed", "7"],
+     "bbbe1f93fc251ed508cadbf0243a993d10f479ff29d03339825eb393e6032ec1"),
+    (["suspension", "--n-max", "5", "--samples", "150"],
+     "763c8a4b934b4a1c13a395339926b857b6c2a20df3b6e773d3dc1922ccea47a7"),
+    (["suspension", "--n-max", "6", "--window", "40", "--k", "1,2,3", "--p-max", "300",
+      "--samples", "30"],
+     "6c87c64cd4c2447916ec8c09561c813d05c99cc99650830ab7bd069932c52c17"),
+    (["suspension", "--n-max", "25", "--k", "1,2", "--samples", "30", "--p-max", "2000"],
+     "d62942f8743d9af3a23741d5137df69dd8c9cce586de074c9853879b910dd431"),
 ]
 
 
