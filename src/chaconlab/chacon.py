@@ -33,6 +33,7 @@ level.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -125,9 +126,7 @@ def spacer_of(system: ChaconSystem, x: int) -> tuple[int, int, int] | None:
     marks = system.marks
     if x < marks[0]:
         return None
-    n = 1
-    while x >= marks[n]:
-        n += 1
+    n = bisect_right(marks, x)  # marks[n - 1] <= x < marks[n]
     j, offset = divmod(x - marks[n - 1], system.widths[n])
     return n, j, offset
 

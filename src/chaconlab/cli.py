@@ -256,6 +256,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     k = _parse_k(_merge(args, file_cfg, "k", "1,2"))
     workers = _merge(args, file_cfg, "workers", 1)
     out = _merge(args, file_cfg, "out", None)
+    if samples is not None and samples < 1:
+        raise UsageError("--samples must be at least 1")
+    if p_max < 1:
+        raise UsageError("--p-max must be at least 1")
 
     chosen = SUITES[:-1] if suite == "all" else (suite,)
     results = {}
@@ -263,7 +267,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for name in chosen:
         if name == "poisson":
             results[name] = run_poisson_suite(
-                n_samples=samples or 10_000,
+                n_samples=10_000 if samples is None else samples,
                 seed=seed,
                 alpha=alpha,
                 window_hi=int(window) if window is not None else 30,
@@ -271,7 +275,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
         elif name == "suspension":
             rep = run_suspension_suite(
-                n_samples=samples or 1200,
+                n_samples=1200 if samples is None else samples,
                 seed=seed,
                 n_max=n_max,
                 p_max=p_max,
@@ -286,7 +290,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     censoring_exceeded = True
         elif name == "joining":
             results[name] = verify_joining(
-                n_samples=samples or 10_000,
+                n_samples=10_000 if samples is None else samples,
                 half_width=int(window) if window is not None else 50,
                 seed=seed,
                 alpha=alpha,

@@ -23,7 +23,11 @@ differs by (1, 0), and ``check_condition_ii`` returns it as a certificate.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .chacon import ChaconSystem, tower_heights
 from .errors import DepthExceededError, OutOfDomainError
@@ -47,16 +51,11 @@ class FinAbGroup:
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
+        return math.prod(self.invariant_factors)
 
     @property
     def exponent(self) -> int:
-        from math import lcm
-
-        return lcm(1, *self.invariant_factors)
+        return math.lcm(1, *self.invariant_factors)
 
     def element(self, coords) -> "GroupElem":
         return GroupElem(tuple(coords), self)
@@ -67,6 +66,21 @@ class FinAbGroup:
     def elements(self):
         for coords in itertools.product(*(range(d) for d in self.invariant_factors)):
             yield self.element(coords)
+
+    @property
+    def _strides(self) -> np.ndarray:
+        # the symbol number of an element is its index in ``elements()``
+        d = self.invariant_factors
+        return np.array([math.prod(d[i + 1:]) for i in range(len(d))], dtype=np.int64)
+
+    def symbols(self, coords: np.ndarray) -> np.ndarray:
+        """Index in ``elements()`` of each row of reduced coordinates."""
+        return (np.asarray(coords, dtype=np.int64) * self._strides).sum(axis=-1)
+
+    def coords(self, symbols: np.ndarray) -> np.ndarray:
+        """Coordinate rows of the elements numbered ``symbols`` in ``elements()``."""
+        d = np.asarray(self.invariant_factors, dtype=np.int64)
+        return np.asarray(symbols, dtype=np.int64)[..., None] // self._strides % d
 
 
 @dataclass(frozen=True)
@@ -190,16 +204,16 @@ def phi_iter(spec: CocycleSpec, system: ChaconSystem, x: int, p: int) -> GroupEl
     """Sum of the level function along x, Tx, ..., T^(p-1)x (identity when p == 0)."""
     if p < 0:
         raise ValueError("p must be >= 0")
-    total = spec.group.identity()
+    total = spec.group.identity().coords  # summed as plain ints, reduced once
     cur = x
     for i in range(p):
-        total = total + eval_phi(spec, system, cur)
+        total = tuple(map(operator.add, total, eval_phi(spec, system, cur).coords))
         if i + 1 < p:
             try:
                 cur = chacon.apply_T(system, cur)
             except DepthExceededError as exc:
                 raise DepthExceededError(str(exc), steps_completed=i + 1) from None
-    return total
+    return spec.group.element(total)
 
 
 def subgroup_closure(group: FinAbGroup, gens) -> set[GroupElem]:

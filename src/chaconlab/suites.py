@@ -16,11 +16,14 @@ by sample: splitting off the k lowest atoms, advancing by the induced
 first-return map, and recombining must equal advancing the whole
 configuration by its rank-prefix return time — and the two return times
 must agree.  Accumulated group marks are checked against the k-vector of
-cocycle sums, and mark uniformity is tested statistically.  Route A
-(split, induced return, recombine) is computed on its own; everything
-else comes from one walk of the marked skew product per sample.  Samples
-whose orbits outrun the truncation depth or the step budget are censored
-and reported, never silently dropped.
+cocycle sums, and mark uniformity is tested statistically.  Samples go
+in blocks of ``BLOCK``.  Route A (split, induced return) runs sample by
+sample on plain positions through ``chacon.apply_T``; everything else
+comes from one walk of the block in tower coordinates
+(``suspension.walk_orbits``), a separate computation, and the cocycle
+sums from the scalar ``phi_iter``.  Samples whose orbits outrun the
+truncation depth or the step budget are censored and reported, never
+silently dropped.
 """
 
 from __future__ import annotations
@@ -44,18 +47,16 @@ from .stats import (
     uniform_law,
 )
 from .suspension import (
-    MarkedConfig,
-    RankPermutation,
-    distinguish_k,
+    TowerCoords,
     induced_return,
     lattice_window,
-    recombine,
     sample_poisson,
-    skew_apply_group,
     superpose,
+    walk_orbits,
 )
 
 GAPS_PER_CONFIG = 5
+BLOCK = 64  # suspension samples walked together
 FAILURE_KEYS = ("conjugacy_failures", "return_time_mismatches", "phi_transport_failures")
 
 
@@ -147,20 +148,21 @@ def collect_suspension(
 ) -> dict:
     """Exact conjugacy/return-time/cocycle checks plus mark draws per sample.
 
-    Route A (split, induced return, recombine) runs on its own for each k.
-    One walk of the marked skew product then serves everything else: the
-    first step whose accumulated permutation fixes ranks 1..k is k's
-    return time, the walk's configuration there is route B, its marks are
-    checked against per-point cocycle sums, and its marks at step
+    Samples go in blocks of ``BLOCK``.  Route A (split, induced return on
+    plain positions) runs sample by sample for each k.  One walk of the
+    block in tower coordinates (``walk_orbits``) then serves everything
+    else: the first step whose order fixes ranks 1..k is k's return time,
+    the walk's configuration there is route B, its marks are checked
+    against per-point cocycle sums from ``phi_iter``, and its marks at step
     ``mark_steps`` feed the mark tests.
     """
     system = build_system(n_max)
+    tower = TowerCoords(system, spec)
     window = lattice_window(0, window_hi, system.denom)
     group = spec.group
     stream = KeyedStream(seed)
     law = uniform_law(group.order)
     elements = list(group.elements())
-    sym = {g: j for j, g in enumerate(elements)}
 
     per_k = {
         k: {"uncensored": 0, **dict.fromkeys(FAILURE_KEYS, 0), "censored": {}}
@@ -170,75 +172,61 @@ def collect_suspension(
     mark_pairs = np.zeros((group.order, group.order), dtype=np.int64)
     mark_censored = 0
 
-    for i in range(start, stop):
-        config = sample_poisson(window, seed, stream=i, denom=system.denom)
-        route_a = {}  # k -> (induced return time, recombined configuration)
-        for k in k_values:
-            if config.count < k:
-                _censor(per_k[k], "TooFewAtoms")
-                continue
-            points, remainder = distinguish_k(config, k)
-            try:
-                m_steps, adv_pts, adv_rem = induced_return(
-                    system, points, remainder, p_max
-                )
-            except CensoredError as exc:
-                _censor(per_k[k], exc.reason)
-                continue
-            route_a[k] = (m_steps, recombine(adv_pts, adv_rem))
+    for lo in range(start, stop, BLOCK):
+        configs, route_a = [], []  # per sample: k -> (induced return time, positions)
+        for i in range(lo, min(lo + BLOCK, stop)):
+            pos = sample_poisson(window, seed, stream=i, denom=system.denom).positions()
+            returned = {}
+            for k in k_values:
+                if len(pos) < k:
+                    _censor(per_k[k], "TooFewAtoms")
+                    continue
+                try:
+                    m_steps, pts, rest = induced_return(system, pos[:k], pos[k:], p_max)
+                except CensoredError as exc:
+                    _censor(per_k[k], exc.reason)
+                    continue
+                returned[k] = (m_steps, pts + rest)
+            configs.append(pos)
+            route_a.append(returned)
 
         # mark invariance: uniform starting marks stay uniform and pairwise
-        # independent after a few skew steps
-        tests_marks = config.count >= 2
-        start_marks = tuple(
-            elements[law.draw(stream, i, 9, atom.id)] if tests_marks else group.identity()
-            for atom in config.atoms
+        # independent after a few skew steps; keyed by (seed, sample, 9, atom id)
+        counts = np.array([len(c) for c in configs])
+        owner = np.repeat(np.arange(lo, lo + len(configs)), counts)
+        ids = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+        drawn = law.draw_at(stream.prefix_states(owner, 9), ids)
+        symbols = np.split(drawn, np.cumsum(counts)[:-1])
+        tested = [n >= 2 for n in counts]
+        walks = walk_orbits(
+            tower, configs, list(route_a), p_max, mark_steps,
+            [group.coords(sym) if t else None for sym, t in zip(symbols, tested)],
         )
-        marked = MarkedConfig(config, start_marks)
-        total = RankPermutation.identity(config.count)
-        returns = {}  # k -> (return time, marked configuration then)
-        at_mark_steps = marked if mark_steps == 0 else None
-        walked, broke = 0, False
-        while (tests_marks and walked < mark_steps) or (
-            walked < p_max and len(returns) < len(route_a)
-        ):
-            try:
-                marked, perm = skew_apply_group(system, spec, marked)
-            except CensoredError:
-                broke = True
-                break
-            walked += 1
-            total = perm.after(total)
-            if walked <= p_max:
-                for k in route_a:
-                    if k not in returns and total.fixes_prefix(k):
-                        returns[k] = (walked, marked)
-            if walked == mark_steps:
-                at_mark_steps = marked
 
-        for k, (m_steps, route_a_config) in route_a.items():
-            tally = per_k[k]
-            if k not in returns:
-                depth = broke and walked < p_max
-                _censor(tally, (DepthExceededError if depth else PMaxExceededError).reason)
-                continue
-            n_steps, route_b = returns[k]
-            sums = tuple(
-                start_marks[j] + phi_iter(spec, system, config.t(j + 1), n_steps)
-                for j in range(k)
-            )
-            tally["uncensored"] += 1
-            tally["return_time_mismatches"] += m_steps != n_steps
-            tally["conjugacy_failures"] += not route_a_config.same_positions(route_b.config)
-            tally["phi_transport_failures"] += route_b.marks[:k] != sums
-
-        if tests_marks:
-            if at_mark_steps is None:
-                mark_censored += 1
-            else:
-                for g in at_mark_steps.marks:
-                    mark_counts[sym[g]] += 1
-                mark_pairs[sym[at_mark_steps.marks[0]], sym[at_mark_steps.marks[1]]] += 1
+        for pos, returned, sym, t, walk in zip(configs, route_a, symbols, tested, walks):
+            for k, (m_steps, route_a_pos) in returned.items():
+                tally = per_k[k]
+                if k not in walk.returns:
+                    depth = walk.steps_left < p_max
+                    _censor(tally, (DepthExceededError if depth else PMaxExceededError).reason)
+                    continue
+                n_steps, route_b, marks = walk.returns[k]
+                sums = tuple(
+                    ((elements[sym[j]] if t else group.identity())
+                     + phi_iter(spec, system, pos[j], n_steps)).coords
+                    for j in range(k)
+                )
+                tally["uncensored"] += 1
+                tally["return_time_mismatches"] += m_steps != n_steps
+                tally["conjugacy_failures"] += route_a_pos != route_b
+                tally["phi_transport_failures"] += marks != sums
+            if t:
+                if walk.marks is None:
+                    mark_censored += 1
+                else:
+                    at = group.symbols(walk.marks)
+                    mark_counts += np.bincount(at, minlength=group.order)
+                    mark_pairs[at[0], at[1]] += 1
     return {
         "per_k": per_k,
         "mark_counts": mark_counts,

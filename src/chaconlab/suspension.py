@@ -15,17 +15,30 @@ through a tower system they live on the system's lattice, so rank
 comparisons and permutation identities hold exactly, never up to
 floating error.
 
+Two engines move configurations.  The scalar one calls ``chacon.apply_T``
+atom by atom: ``push_forward``, ``return_time_N_k``, ``skew_apply_group``
+and ``phi_k_vector`` on ``PointConfig`` objects, and ``induced_return``
+(route A of the suspension suite) on plain positions.  The array one,
+``walk_orbits``, moves a whole block of configurations in the coordinates
+of the deepest tower N: an atom is a level and an offset, a step adds one
+to every level, and ``TowerCoords.descend`` turns levels into positions
+and level-function values by the rank-one digit rule.  Its keys and
+levels are int64 while h_N times the atom count fits, and Python ints
+beyond.  The scalar engine is the array engine's oracle in the tests.
+
 Whole-configuration censoring: the tower map is partial (depth-bounded),
 so the first atom to run off the top censors the entire configuration,
 and its ``DepthExceededError`` propagates.  A search loop that uses up
 its step budget raises ``PMaxExceededError``.  Both are
-``CensoredError``s whose ``reason`` names the cause.
+``CensoredError``s whose ``reason`` names the cause; ``walk_orbits``
+reports the steps left before the top instead, from which the suite
+names the same reason.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -279,7 +292,7 @@ def recombine(points: Sequence[int], remainder: PointConfig) -> PointConfig:
     Ids are relabeled 1..n in rank order, so equality with an original
     configuration is equality of positions.
     """
-    if not in_split_order(points, remainder):
+    if not in_split_order(points, remainder.positions()):
         raise ValueError("points must increase strictly and sit strictly below the remainder")
     merged = list(points) + list(remainder.positions())
     return PointConfig(
@@ -289,34 +302,37 @@ def recombine(points: Sequence[int], remainder: PointConfig) -> PointConfig:
     )
 
 
-def in_split_order(points: Sequence[int], remainder: PointConfig) -> bool:
-    """Are the points strictly increasing and strictly below the remainder?"""
-    pts = list(points)
-    if any(b <= a for a, b in zip(pts, pts[1:])):
+def in_split_order(points: Sequence[int], rest: Sequence[int]) -> bool:
+    """Are the points strictly increasing and strictly below every position in rest?"""
+    if any(b <= a for a, b in zip(points, points[1:])):
         return False
-    return not (pts and remainder.count and pts[-1] >= remainder.t(1))
+    return not (points and rest and points[-1] >= min(rest))
 
 
 def induced_return(
     system: ChaconSystem,
     points: Sequence[int],
-    remainder: PointConfig,
+    rest: Sequence[int],
     p_max: int,
-) -> tuple[int, tuple[int, ...], PointConfig]:
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """First return of (map x ... x map, pushforward) to the split-order set.
 
-    Advances the distinguished points and the remainder in lockstep and
-    returns (steps, advanced points, advanced remainder) at the first
-    p >= 1 where the split order x_1 < ... < x_k < min(remainder) holds
-    again.  Censoring mirrors return_time_N_k.
+    Advances the distinguished points and the rest of the configuration in
+    lockstep, position by position, and returns (steps, advanced points,
+    advanced rest in increasing order) at the first p >= 1 where the split
+    order x_1 < ... < x_k < min(rest) holds again.  Two atoms landing on
+    one position raise AssertionError.  Censoring mirrors return_time_N_k.
     """
-    pts = list(points)
-    cur = remainder
+    step = chacon.apply_T
+    pts, rest = list(points), list(rest)
+    size = len(pts) + len(rest)
     for p in range(1, p_max + 1):
-        pts = [chacon.apply_T(system, x) for x in pts]
-        cur, _ = push_forward(system, cur)
-        if in_split_order(pts, cur):
-            return p, tuple(pts), cur
+        pts = [step(system, x) for x in pts]
+        rest = [step(system, x) for x in rest]
+        if len(set(pts).union(rest)) < size:
+            raise AssertionError("map collision: two atoms landed on one position")
+        if in_split_order(pts, rest):
+            return p, tuple(pts), tuple(sorted(rest))
     raise PMaxExceededError(f"no return within {p_max} steps")
 
 
@@ -376,6 +392,203 @@ def phi_k_vector(
     """Cocycle sums at the first k atoms over the prefix-fixing return time."""
     n_steps = return_time_N_k(system, config, k, p_max)
     return tuple(phi_iter(spec, system, config.t(i), n_steps) for i in range(1, k + 1))
+
+
+# value rows every level-function table starts with
+ZERO, BASE = 0, 1
+
+# a block's walk takes FIRST_CHUNK steps, then chunks that double up to
+# MAX_CHUNK steps, each holding at most MAX_CELLS (sample, step, atom) cells
+FIRST_CHUNK = 8
+MAX_CHUNK = 512
+MAX_CELLS = 1 << 17
+
+
+class TowerCoords:
+    """The deepest tower of a system and a cocycle's values on its levels.
+
+    In tower N = n_max a covered point is a level k in [0, h_N) and an
+    offset o in [0, w_N).  The map adds 1 to k and keeps o, and it is
+    undefined exactly on the top level k = h_N - 1.  ``descend`` runs the
+    digit rule of ``chacon._level_lo`` on a whole array of levels and
+    returns each level's posrank, its left end over w_N (an integer in
+    [0, h_N)), and the row of ``values`` holding the level function there:
+    the base value, or the middle or a right spacer value of the stage
+    that made the level, which the same descent finds.
+    """
+
+    def __init__(self, system: ChaconSystem, spec: CocycleSpec):
+        self.system = system
+        self.height = system.heights[-1]
+        self.width = system.widths[-1]
+        self.moduli = np.array(spec.group.invariant_factors, dtype=np.int64)
+        by_stage = {s.stage: s for s in spec.stages}
+        rows = [spec.group.identity().coords, spec.base_value.coords]
+        # (h, w_n / w_N, first value row or None) for towers n = N..2, whose
+        # new levels are stage n - 1's spacers
+        self.stages = []
+        for n in range(system.n_max, 1, -1):
+            declared = by_stage.get(n - 1)
+            first = None
+            if declared is not None:
+                first = len(rows)
+                rows += [declared.middle.coords, *(r.coords for r in declared.right)]
+            self.stages.append((system.heights[n - 2], 3 ** (system.n_max - n), first))
+        self.values = np.array(rows, dtype=np.int64).reshape(len(rows), spec.group.rank)
+
+    def locate(self, x: int) -> tuple[int, int]:
+        """(0-based level, offset) of x in tower N."""
+        level, offset = chacon.locate(self.system, x, self.system.n_max)
+        return level - 1, offset
+
+    def descend(self, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(posrank, value row) of every level, in the dtype of ``levels``."""
+        k = levels.ravel()
+        posrank = np.empty_like(k)
+        value = np.full(k.shape, BASE, dtype=np.intp)
+        at = np.arange(k.size)
+        lo = np.zeros_like(k)
+        for h, scale, first in self.stages:
+            right = k > 3 * h
+            stop = right | (k == 2 * h)
+            if stop.any():
+                ks, rs = k[stop], right[stop]
+                # right spacer j = k - 3h starts at mark + j*w = k*w, the middle one at mark = 3h*w
+                posrank[at[stop]] = lo[stop] + np.where(rs, ks, 3 * h) * scale
+                if first is None:
+                    value[at[stop]] = ZERO
+                else:
+                    value[at[stop]] = (np.where(rs, ks - 3 * h, 0) + first).astype(np.intp)
+                go = ~stop
+                k, lo, at = k[go], lo[go], at[go]
+            # left third: k stays; middle third: k - h, w up; right third: k - 2h - 1, 2w up
+            mid, high = k >= h, k > 2 * h
+            lo += np.where(high, 2 * scale, np.where(mid, scale, 0))
+            k = k - np.where(high, 2 * h + 1, np.where(mid, h, 0))
+        posrank[at] = lo
+        return posrank.reshape(levels.shape), value.reshape(levels.shape)
+
+
+class Walked(NamedTuple):
+    """One configuration's orbit, walked in tower coordinates.
+
+    ``steps_left`` counts the steps before an atom reaches the top level;
+    ``returns`` maps k to (prefix-fixing return time, positions in rank
+    order then, coordinates of the marks at ranks 1..k then); ``marks``
+    holds every mark in rank order after ``mark_steps`` steps, or None when
+    the marks were not asked for or the top came first.
+    """
+
+    steps_left: int
+    returns: dict
+    marks: np.ndarray | None
+
+
+def fixed_prefixes(keys: np.ndarray) -> np.ndarray:
+    """Entry i on the last axis: do keys 0..i rank first, in order, in their row?
+
+    That holds when each of them is the least key from its own on, so the
+    answer is one suffix minimum and one running ``and``.
+    """
+    least_after = np.minimum.accumulate(keys[..., ::-1], axis=-1)[..., ::-1]
+    return np.logical_and.accumulate(keys == least_after, axis=-1)
+
+
+def walk_orbits(
+    tower: TowerCoords,
+    configs: Sequence[Sequence[int]],
+    wants: Sequence[Iterable[int]],
+    p_max: int,
+    mark_steps: int,
+    start_marks: Sequence[np.ndarray | None],
+) -> list[Walked]:
+    """Walk a block of configurations at once, marks carried along.
+
+    ``configs`` holds increasing positions; for each one, ``wants`` names
+    the k whose prefix-fixing return time to find in 1..p_max, and
+    ``start_marks`` the starting mark coordinates per atom (None: marks
+    start at the identity and are not reported).  A configuration's atoms
+    are (level, offset) pairs in tower N.  At step p they rank by the key
+    posrank(level + p) * atoms + offset rank, so ranks 1..k are fixed when
+    each of the first k keys is the least from its own on.  Marks are the
+    start marks plus cumulative sums of the level function, mod the group.
+    An atom on level k can take h_N - 1 - k steps.  A configuration leaves
+    the walk once every k has returned (or p_max has passed) and
+    ``mark_steps`` has passed, or when its atoms reach the top.
+    """
+    counts = np.array([len(c) for c in configs], dtype=np.int64)
+    width = max(int(counts.max(initial=0)), 1)
+    height = tower.height
+    # keys stay below height * width and walked levels below 2 * height;
+    # beyond int64 the arrays hold Python ints
+    dtype = np.int64 if height * (width + 1) < 2**63 else object
+    levels = np.zeros((len(configs), width), dtype=dtype)
+    offsets = np.full((len(configs), width), tower.width, dtype=np.int64)  # past every offset
+    marks = np.zeros((len(configs), width, tower.values.shape[1]), dtype=np.int64)
+    # no walk outlasts h_N steps, so an empty configuration gets h_N
+    steps_left = np.full(len(configs), height, dtype=dtype)
+    for s, (config, start) in enumerate(zip(configs, start_marks)):
+        located = [tower.locate(x) for x in config]
+        if located:
+            levels[s, : len(located)], offsets[s, : len(located)] = zip(*located)
+            steps_left[s] = height - 1 - max(lv for lv, _ in located)
+        if start is not None:
+            marks[s, : len(located)] = start
+    padded = offsets == tower.width
+    offset_rank = np.argsort(np.argsort(offsets, axis=1, kind="stable"), axis=1)
+    limit = np.minimum(steps_left, min(p_max, height))
+    ks = sorted(set().union(*wants))
+    want = np.array([[k in w for k in ks] for w in wants], dtype=bool).reshape(len(wants), len(ks))
+    returns = [{} for _ in configs]
+    # marks are read after mark_steps steps exactly where mark_need == mark_steps
+    tested = np.array([m is not None for m in start_marks], dtype=bool)
+    walks_marks = tested & (counts > 0) & (mark_steps > 0)
+    mark_need = np.where(walks_marks, np.minimum(steps_left, min(mark_steps, height)), 0)
+    at_marks = [marks[s, : counts[s]].copy() if t and not w else None
+                for s, (t, w) in enumerate(zip(tested, walks_marks))]
+
+    sentinel = height * width  # above every key; padding never ranks
+    active = np.flatnonzero((want.any(axis=1) & (limit > 0)) | (mark_need > 0))
+    done, chunk = 0, FIRST_CHUNK
+    while active.size:
+        need = np.maximum(np.where(want[active].any(axis=1), limit[active], 0), mark_need[active])
+        steps = min(chunk, int(need.max()) - done, max(1, MAX_CELLS // (active.size * width)))
+        grid = levels[active][:, None, :] + np.arange(done, done + steps + 1)[None, :, None]
+        np.minimum(grid, height - 1, out=grid)  # levels past the top are never read
+        posrank, value = tower.descend(grid)
+        keys = posrank[:, 1:] * width + offset_rank[active][:, None, :]
+        keys = np.where(padded[active][:, None, :], sentinel, keys)
+        fixed = fixed_prefixes(keys)
+        # marks after steps done + 1 .. done + steps: sums of the values left behind
+        cum = np.cumsum(tower.values[value[:, :-1]], axis=1)
+        cum += marks[active][:, None]
+        cum %= tower.moduli
+        in_budget = np.arange(1, steps + 1) <= (limit[active] - done)[:, None]
+        for t, k in enumerate(ks):
+            hit = in_budget & want[active, t][:, None]
+            if k:
+                hit &= fixed[:, :, k - 1]
+            first = hit.argmax(axis=1)
+            for a in np.flatnonzero(hit[np.arange(active.size), first]):
+                s, j = active[a], first[a]
+                order = np.argsort(keys[a, j, : counts[s]])
+                positions = tuple(
+                    int(posrank[a, j + 1, i]) * tower.width + int(offsets[s, i]) for i in order
+                )
+                k_marks = tuple(map(tuple, cum[a, j, order[:k]].tolist()))
+                returns[s][k] = (done + int(j) + 1, positions, k_marks)
+                want[s, t] = False
+        if done < mark_steps <= done + steps:
+            j = mark_steps - done - 1
+            for a in np.flatnonzero(mark_need[active] == mark_steps):
+                s = active[a]
+                at_marks[s] = cum[a, j, np.argsort(keys[a, j, : counts[s]])]
+        marks[active] = cum[:, -1]
+        done += steps
+        chunk = min(2 * chunk, MAX_CHUNK)
+        searching = want[active].any(axis=1) & (done < limit[active])
+        active = active[searching | (done < mark_need[active])]
+    return [Walked(int(left), r, m) for left, r, m in zip(steps_left, returns, at_marks)]
 
 
 def config_to_json(config: PointConfig, marks: Sequence[Any] | None = None) -> dict:

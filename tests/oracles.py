@@ -26,7 +26,6 @@ from chaconlab.suspension import (
     lattice_window,
     phi_k_vector,
     push_forward,
-    recombine,
     return_time_N_k,
     sample_poisson,
     skew_apply_group,
@@ -165,8 +164,9 @@ def four_walk_suspension(start, stop, seed, n_max, p_max, window_hi, k_values, s
                 continue
             try:
                 points, remainder = distinguish_k(config, k)
-                m_steps, adv_pts, adv_rem = induced_return(system, points, remainder, p_max)
-                route_a = recombine(adv_pts, adv_rem)
+                m_steps, adv_pts, adv_rest = induced_return(
+                    system, points, remainder.positions(), p_max
+                )
                 n_steps = return_time_N_k(system, config, k, p_max)
                 route_b = _advance(system, config, n_steps)
                 vec = phi_k_vector(system, spec, config, k, p_max)
@@ -178,7 +178,7 @@ def four_walk_suspension(start, stop, seed, n_max, p_max, window_hi, k_values, s
                 continue
             tally["uncensored"] += 1
             tally["return_time_mismatches"] += m_steps != n_steps
-            tally["conjugacy_failures"] += not route_a.same_positions(route_b)
+            tally["conjugacy_failures"] += adv_pts + adv_rest != route_b.positions()
             tally["phi_transport_failures"] += tuple(marked.marks[:k]) != vec
 
         if config.count >= 2:
@@ -201,6 +201,48 @@ def four_walk_suspension(start, stop, seed, n_max, p_max, window_hi, k_values, s
         "mark_pairs": mark_pairs,
         "mark_censored": mark_censored,
     }
+
+
+def scalar_walk(system, spec, config, wants, p_max, mark_steps, start_marks):
+    """``suspension.walk_orbits`` for one configuration, one atom-step at a time.
+
+    Every wanted k gets its own ``return_time_N_k`` and a skew-product walk
+    to that time; the mark walk runs ``mark_steps`` skew steps.  Returns
+    (returns, reasons, marks): returns maps k to (return time, positions,
+    coordinates of the marks at ranks 1..k), reasons maps each k without a
+    return to its censoring reason, and marks lists every mark's coordinates
+    in rank order, or is None when ``start_marks`` is None or the walk hit
+    the top first.
+    """
+    group = spec.group
+    if start_marks is None:
+        marks0 = (group.identity(),) * config.count
+    else:
+        marks0 = tuple(group.element(c) for c in start_marks)
+    returns, reasons = {}, {}
+    for k in wants:
+        try:
+            n_steps = return_time_N_k(system, config, k, p_max)
+        except CensoredError as exc:
+            reasons[k] = exc.reason
+            continue
+        marked = MarkedConfig(config, marks0)
+        for _ in range(n_steps):
+            marked, _ = skew_apply_group(system, spec, marked)
+        returns[k] = (
+            n_steps, marked.config.positions(), tuple(m.coords for m in marked.marks[:k])
+        )
+    marks = None
+    if start_marks is not None:
+        marked = MarkedConfig(config, marks0)
+        try:
+            for _ in range(mark_steps):
+                marked, _ = skew_apply_group(system, spec, marked)
+        except CensoredError:
+            pass
+        else:
+            marks = [list(m.coords) for m in marked.marks]
+    return returns, reasons, marks
 
 
 class FractionTower:

@@ -263,3 +263,29 @@ def test_config_k_list_of_integers_is_kept():
     assert cli._parse_k([2, 0, 3]) == (2, 0, 3)
     with pytest.raises(UsageError):
         cli._parse_k([1.5, True])
+
+
+@pytest.mark.parametrize("suite", ["poisson", "suspension", "joining", "all"])
+@pytest.mark.parametrize("samples", [0, -1, -10_000])
+def test_samples_below_one_exits_2(scratch, suite, samples):
+    # 0 once ran the suite's default sample count while the report said 0
+    assert "--samples" in exits_with_usage(["verify", suite, "--samples", str(samples)])
+    path = write(scratch / "run.json", json.dumps({"samples": samples}).encode())
+    assert "--samples" in exits_with_usage(["verify", suite, "--config", path])
+
+
+@pytest.mark.parametrize("p_max", [0, -1, -10**30])
+def test_p_max_below_one_exits_2(scratch, p_max):
+    # once accepted: every sample was censored as PMaxExceeded and the run exited 3
+    assert "--p-max" in exits_with_usage(["verify", "suspension", "--p-max", str(p_max)])
+    path = write(scratch / "run.json", json.dumps({"p_max": p_max}).encode())
+    assert "--p-max" in exits_with_usage(["verify", "suspension", "--config", path])
+
+
+def test_one_sample_and_a_one_step_budget_run(capsys):
+    # the smallest accepted values: a one-sample report that says so
+    assert main(["verify", "suspension", "--samples", "1", "--p-max", "1", "--k", "0"]) == cli.EXIT_FAIL
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["run_config"]["samples"] == 1 and doc["run_config"]["p_max"] == 1
+    assert doc["suites"]["suspension"]["samples"] == 1
+    assert doc["suites"]["suspension"]["per_k"]["0"]["uncensored"] == 1

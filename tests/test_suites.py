@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chaconlab import suites
+from chaconlab import suites, suspension
 from chaconlab.cocycle import single_spacer_indicator
 from chaconlab.parallel import merge
 from chaconlab.suites import collect_suspension, run_poisson_suite, run_suspension_suite
@@ -156,6 +156,7 @@ def test_walk_censors_like_the_oracle_when_no_return_comes(
     # a broken conjugacy: route A returns but no prefix ever comes back, so
     # the walk itself must censor, by depth or by budget as the oracle does
     monkeypatch.setattr(RankPermutation, "fixes_prefix", lambda self, k: False)
+    monkeypatch.setattr(suspension, "fixed_prefixes", lambda keys: np.zeros(keys.shape, bool))
     args = (7, 3, p_max, Fraction(5), (1, 2), single_spacer_indicator(1), mark_steps)
     got = check_against_oracle(args)
     reasons = set().union(*(tally["censored"] for tally in got["per_k"].values()))
@@ -203,12 +204,11 @@ def test_each_exact_check_can_fail(monkeypatch):
     # cocycle sums; each corruption reaches exactly one check
     real_return = suites.induced_return
 
-    def late_return(system, points, remainder, p_max):
-        m_steps, pts, rem = real_return(system, points, remainder, p_max)
-        return m_steps + 1, pts, rem
+    def late_return(system, points, rest, p_max):
+        m_steps, pts, rest = real_return(system, points, rest, p_max)
+        return m_steps + 1, pts, rest + (0,)
 
     monkeypatch.setattr(suites, "induced_return", late_return)
-    monkeypatch.setattr(suites, "recombine", lambda points, remainder: remainder)
     monkeypatch.setattr(suites, "phi_iter", lambda spec, system, x, p: spec.group.identity())
     rep = collect_suspension(
         0, 40, 7, 3, 10, Fraction(5), (1,), single_spacer_indicator(1), 3
