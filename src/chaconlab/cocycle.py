@@ -51,11 +51,16 @@ class FinAbGroup:
 
     @property
     def order(self) -> int:
-        return math.prod(self.invariant_factors)
+        out = 1
+        for d in self.invariant_factors:
+            out *= d
+        return out
 
     @property
     def exponent(self) -> int:
-        return math.lcm(1, *self.invariant_factors)
+        from math import lcm
+
+        return lcm(1, *self.invariant_factors)
 
     def element(self, coords) -> "GroupElem":
         return GroupElem(tuple(coords), self)

@@ -197,11 +197,9 @@ def collect_suspension(
         ids = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts) + 1
         drawn = law.draw_at(stream.prefix_states(owner, 9), ids)
         symbols = np.split(drawn, np.cumsum(counts)[:-1])
-        tested = [n >= 2 for n in counts]
-        walks = walk_orbits(
-            tower, configs, list(route_a), p_max, mark_steps,
-            [group.coords(sym) if t else None for sym, t in zip(symbols, tested)],
-        )
+        tested = [len(sym) >= 2 for sym in symbols]
+        starts = [group.coords(sym) if t else None for sym, t in zip(symbols, tested)]
+        walks = walk_orbits(tower, configs, route_a, p_max, mark_steps, starts)
 
         for pos, returned, sym, t, walk in zip(configs, route_a, symbols, tested, walks):
             for k, (m_steps, route_a_pos) in returned.items():

@@ -53,6 +53,18 @@ def test_group_basics():
         FinAbGroup((0,))
 
 
+@pytest.mark.parametrize("factors", [(), (1,), (2,), (2, 6), (3, 1, 4)])
+def test_symbol_numbers_follow_the_element_order(factors):
+    g = FinAbGroup(factors)
+    listed = [list(e.coords) for e in g.elements()]
+    coords = g.coords(np.arange(g.order))
+    assert coords.shape == (g.order, g.rank)
+    assert coords.tolist() == listed
+    assert g.symbols(np.array(listed, dtype=np.int64).reshape(g.order, g.rank)).tolist() == list(
+        range(g.order)
+    )
+
+
 def test_trivial_group():
     g = FinAbGroup(())
     assert g.order == 1
