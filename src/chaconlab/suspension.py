@@ -23,7 +23,7 @@ and ``phi_k_vector`` on ``PointConfig`` objects, and ``induced_return``
 of the deepest tower N: an atom is a level and an offset, a step adds one
 to every level, and ``TowerCoords.descend`` turns levels into positions
 and level-function values by the rank-one digit rule.  Its keys and
-levels are int64 while h_N times the atom count fits, and Python ints
+levels are int64 while h_N * (atoms + 1) < 2**63, and Python ints
 beyond.  The scalar engine is the array engine's oracle in the tests.
 
 Whole-configuration censoring: the tower map is partial (depth-bounded),
