@@ -6,11 +6,11 @@ Every randomized procedure in the package draws from one of two sources:
   fan-out gets independent, reproducible streams;
 * per-item draws (fresh marks and the like) use a counter-based splitmix64
   hash of an integer key tuple, so a value is a pure function of its key
-  and survives reordering, resampling, and parallel evaluation.  Keys
-  that differ only in their last part (one per atom id) are drawn in one
-  uint64 array pass with the same values (``DiscreteLaw.draw_indices``);
+  and survives reordering, resampling, and parallel evaluation.  Many
+  keys are drawn in uint64 array passes with the same values:
   ``KeyedStream.prefix_states`` hashes many key prefixes at once, and
-  ``DiscreteLaw.draw_at`` draws from one prefix state per entry.
+  ``DiscreteLaw.draw_at`` draws from one prefix state per entry, or one
+  for all entries, with each entry's last key part (one per atom id).
 
 Test verdicts are reported, never printed: a TestReport records the
 statistic, the p-value, and whether the outcome is a pass under the
@@ -88,9 +88,6 @@ class KeyedStream:
             h = splitmix64_array(h ^ np.uint64(int(part) & _MASK64))
         return h
 
-    def uniform(self, *key: int) -> float:
-        return self._state(key) / 2.0**64
-
     def integer(self, upper: int, *key: int) -> int:
         # modulo bias is < upper / 2**64, irrelevant for small alphabets
         return self._state(key) % upper
@@ -128,15 +125,6 @@ class DiscreteLaw:
             if u < acc:
                 return s
         raise AssertionError("unreachable")
-
-    def draw_indices(self, stream: KeyedStream, prefix: tuple[int, ...], last) -> np.ndarray:
-        """Symbol numbers of ``draw(stream, *prefix, x)`` for every x in ``last``.
-
-        The result indexes ``symbols``; the values equal ``draw``'s, draw for
-        draw.  The prefix state is hashed once, and one uint64 array pass
-        mixes in the last part of every key.
-        """
-        return self.draw_at(np.uint64(stream._state(prefix)), last)
 
     def draw_at(self, states, last) -> np.ndarray:
         """Symbol numbers of the draws keyed by a prefix state and a last key part.

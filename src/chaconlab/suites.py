@@ -17,25 +17,27 @@ first-return map, and recombining must equal advancing the whole
 configuration by its rank-prefix return time — and the two return times
 must agree.  Accumulated group marks are checked against the k-vector of
 cocycle sums, and mark uniformity is tested statistically.  Samples go
-in blocks of ``BLOCK``.  Route A (split, induced return) runs sample by
-sample on plain positions through ``chacon.apply_T``; everything else
-comes from one walk of the block in tower coordinates
-(``suspension.walk_orbits``), a separate computation, and the cocycle
-sums from the scalar ``phi_iter``.  Samples whose orbits outrun the
-truncation depth or the step budget are censored and reported, never
-silently dropped.
+in blocks of ``BLOCK``.  Route A (split, induced return, cocycle sums)
+is one scalar pass per sample for every k (``suspension.induced_return``);
+route B and the marks come from one walk of the block in tower
+coordinates (``suspension.walk_orbits``), a separate computation.  Route
+A alone decides censoring: samples whose orbits outrun the truncation
+depth or the step budget there are censored and reported, never silently
+dropped, and a return the walk misses is a return-time mismatch.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 
 from .chacon import SNAP_DENOM, build_system, tower_heights
-from .cocycle import CocycleSpec, phi_iter, single_spacer_indicator
-from .errors import CensoredError, DepthExceededError, InsufficientDataError, PMaxExceededError
+from .cocycle import CocycleSpec, single_spacer_indicator
+from .errors import InsufficientDataError
 from .parallel import fan_out
 from .stats import (
     KeyedStream,
@@ -131,10 +133,6 @@ def run_poisson_suite(
     }
 
 
-def _censor(tally: dict, reason: str) -> None:
-    tally["censored"][reason] = tally["censored"].get(reason, 0) + 1
-
-
 def collect_suspension(
     start: int,
     stop: int,
@@ -148,13 +146,14 @@ def collect_suspension(
 ) -> dict:
     """Exact conjugacy/return-time/cocycle checks plus mark draws per sample.
 
-    Samples go in blocks of ``BLOCK``.  Route A (split, induced return on
-    plain positions) runs sample by sample for each k.  One walk of the
-    block in tower coordinates (``walk_orbits``) then serves everything
-    else: the first step whose order fixes ranks 1..k is k's return time,
-    the walk's configuration there is route B, its marks are checked
-    against per-point cocycle sums from ``phi_iter``, and its marks at step
-    ``mark_steps`` feed the mark tests.
+    Samples go in blocks of ``BLOCK``.  Route A (``induced_return`` on
+    plain positions) runs once per sample for every k, and its censor
+    reason is the one counted.  One walk of the block in tower coordinates
+    (``walk_orbits``) then serves everything else: the first step whose
+    order fixes ranks 1..k is k's return time, the walk's configuration
+    there is route B, its marks at ranks 1..k must be the start marks plus
+    route A's cocycle sums, and its marks at step ``mark_steps`` feed the
+    mark tests.
     """
     system = build_system(n_max)
     tower = TowerCoords(system, spec)
@@ -162,10 +161,10 @@ def collect_suspension(
     group = spec.group
     stream = KeyedStream(seed)
     law = uniform_law(group.order)
-    elements = list(group.elements())
+    zero = (0,) * group.rank
 
     per_k = {
-        k: {"uncensored": 0, **dict.fromkeys(FAILURE_KEYS, 0), "censored": {}}
+        k: {"uncensored": 0, **dict.fromkeys(FAILURE_KEYS, 0), "censored": Counter()}
         for k in k_values
     }
     mark_counts = np.zeros(group.order, dtype=np.int64)
@@ -173,20 +172,14 @@ def collect_suspension(
     mark_censored = 0
 
     for lo in range(start, stop, BLOCK):
-        configs, route_a = [], []  # per sample: k -> (induced return time, positions)
+        configs, route_a = [], []  # per sample: k -> (return time, positions, sums)
         for i in range(lo, min(lo + BLOCK, stop)):
             pos = sample_poisson(window, seed, stream=i, denom=system.denom).positions()
-            returned = {}
+            ks = [k for k in k_values if k <= len(pos)]
+            returned, reason = induced_return(system, spec, pos, ks, p_max)
             for k in k_values:
-                if len(pos) < k:
-                    _censor(per_k[k], "TooFewAtoms")
-                    continue
-                try:
-                    m_steps, pts, rest = induced_return(system, pos[:k], pos[k:], p_max)
-                except CensoredError as exc:
-                    _censor(per_k[k], exc.reason)
-                    continue
-                returned[k] = (m_steps, pts + rest)
+                if k not in returned:
+                    per_k[k]["censored"][reason if k <= len(pos) else "TooFewAtoms"] += 1
             configs.append(pos)
             route_a.append(returned)
 
@@ -197,28 +190,23 @@ def collect_suspension(
         ids = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts) + 1
         drawn = law.draw_at(stream.prefix_states(owner, 9), ids)
         symbols = np.split(drawn, np.cumsum(counts)[:-1])
-        tested = [len(sym) >= 2 for sym in symbols]
-        starts = [group.coords(sym) if t else None for sym, t in zip(symbols, tested)]
+        starts = [group.coords(sym) if len(sym) >= 2 else None for sym in symbols]
         walks = walk_orbits(tower, configs, route_a, p_max, mark_steps, starts)
 
-        for pos, returned, sym, t, walk in zip(configs, route_a, symbols, tested, walks):
-            for k, (m_steps, route_a_pos) in returned.items():
+        for pos, returned, start, walk in zip(configs, route_a, starts, walks):
+            origin = [zero] * len(pos) if start is None else start.tolist()
+            for k, (m_steps, route_a_pos, sums) in returned.items():
                 tally = per_k[k]
+                tally["uncensored"] += 1
                 if k not in walk.returns:
-                    depth = walk.steps_left < p_max
-                    _censor(tally, (DepthExceededError if depth else PMaxExceededError).reason)
+                    tally["return_time_mismatches"] += 1
                     continue
                 n_steps, route_b, marks = walk.returns[k]
-                sums = tuple(
-                    ((elements[sym[j]] if t else group.identity())
-                     + phi_iter(spec, system, pos[j], n_steps)).coords
-                    for j in range(k)
-                )
-                tally["uncensored"] += 1
+                carried = tuple(group.element(map(add, a, b)).coords for a, b in zip(origin, sums))
                 tally["return_time_mismatches"] += m_steps != n_steps
                 tally["conjugacy_failures"] += route_a_pos != route_b
-                tally["phi_transport_failures"] += marks != sums
-            if t:
+                tally["phi_transport_failures"] += marks != carried
+            if start is not None:
                 if walk.marks is None:
                     mark_censored += 1
                 else:

@@ -18,25 +18,27 @@ floating error.
 Two engines move configurations.  The scalar one calls ``chacon.apply_T``
 atom by atom: ``push_forward``, ``return_time_N_k``, ``skew_apply_group``
 and ``phi_k_vector`` on ``PointConfig`` objects, and ``induced_return``
-(route A of the suspension suite) on plain positions.  The array one,
-``walk_orbits``, moves a whole block of configurations in the coordinates
-of the deepest tower N: an atom is a level and an offset, a step adds one
-to every level, and ``TowerCoords.descend`` turns levels into positions
-and level-function values by the rank-one digit rule.  Its keys and
-levels are int64 while h_N * (atoms + 1) < 2**63, and Python ints
-beyond.  The scalar engine is the array engine's oracle in the tests.
+(route A of the suspension suite, every k in one pass) on plain
+positions.  The array one, ``walk_orbits``, moves a whole block of
+configurations in the coordinates of the deepest tower N: an atom is a
+level and an offset, a step adds one to every level, and
+``TowerCoords.descend`` turns levels into positions and level-function
+values by the rank-one digit rule.  Its keys and levels are int64 while
+h_N * (atoms + 1) < 2**63, and Python ints beyond.  The scalar engine is
+the array engine's oracle in the tests.
 
 Whole-configuration censoring: the tower map is partial (depth-bounded),
 so the first atom to run off the top censors the entire configuration,
 and its ``DepthExceededError`` propagates.  A search loop that uses up
 its step budget raises ``PMaxExceededError``.  Both are
-``CensoredError``s whose ``reason`` names the cause; ``walk_orbits``
-reports the steps left before the top instead, from which the suite
-names the same reason.
+``CensoredError``s whose ``reason`` names the cause.  ``induced_return``
+reports the reason that stopped its pass; ``walk_orbits`` only leaves
+out the returns it did not find.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Iterable, NamedTuple, Sequence
 
@@ -45,7 +47,7 @@ import numpy as np
 from . import chacon
 from .chacon import SNAP_DENOM, ChaconSystem, Interval
 from .cocycle import CocycleSpec, GroupElem, eval_phi, phi_iter
-from .errors import InsufficientDataError, PMaxExceededError
+from .errors import CensoredError, InsufficientDataError, PMaxExceededError
 from .ratio import ceil_lattice, format_lattice, parse_ratio, to_lattice
 from .stats import make_rng
 
@@ -311,29 +313,49 @@ def in_split_order(points: Sequence[int], rest: Sequence[int]) -> bool:
 
 def induced_return(
     system: ChaconSystem,
-    points: Sequence[int],
-    rest: Sequence[int],
+    spec: CocycleSpec,
+    positions: Sequence[int],
+    k_values: Iterable[int],
     p_max: int,
-) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """First return of (map x ... x map, pushforward) to the split-order set.
+) -> tuple[dict, str | None]:
+    """First returns to the split-order sets, every k in one pass.
 
-    Advances the distinguished points and the rest of the configuration in
-    lockstep, position by position, and returns (steps, advanced points,
-    advanced rest in increasing order) at the first p >= 1 where the split
-    order x_1 < ... < x_k < min(rest) holds again.  Two atoms landing on
-    one position raise AssertionError.  Censoring mirrors return_time_N_k.
+    For each k, x_1..x_k are the first k positions and the rest is the
+    remainder.  All atoms step together, and k returns at the first p in
+    1..p_max where x_1 < ... < x_k < min(rest) holds again.  The level
+    function at x_1..x_k before steps 1..p is summed on integer coordinates
+    once k returns, so a censored k evaluates none.  Returns ({k: (p,
+    advanced points then the advanced rest in increasing order, sums at
+    x_1..x_k)}, the ``reason`` of the CensoredError that stopped the pass,
+    or None when every k returned).  A map collision raises AssertionError.
     """
     step = chacon.apply_T
-    pts, rest = list(points), list(rest)
-    size = len(pts) + len(rest)
-    for p in range(1, p_max + 1):
-        pts = [step(system, x) for x in pts]
-        rest = [step(system, x) for x in rest]
-        if len(set(pts).union(rest)) < size:
-            raise AssertionError("map collision: two atoms landed on one position")
-        if in_split_order(pts, rest):
-            return p, tuple(pts), tuple(sorted(rest))
-    raise PMaxExceededError(f"no return within {p_max} steps")
+    cur = list(positions)
+    waiting = sorted(set(k_values))
+    width = min(max(waiting, default=0), len(cur))
+    orbit = []  # x_1..x_width before each step
+    sums, summed = [(0,) * spec.group.rank] * width, [0] * width
+    returns = {}
+    try:
+        for p in range(1, p_max + 1):
+            if not waiting:
+                break
+            orbit.append(cur[:width])
+            cur = [step(system, x) for x in cur]
+            if len(set(cur)) < len(cur):
+                raise AssertionError("map collision: two atoms landed on one position")
+            for k in waiting:
+                if in_split_order(cur[:k], cur[k:]):
+                    for j in range(min(k, width)):
+                        for xs in orbit[summed[j]:]:
+                            value = eval_phi(spec, system, xs[j]).coords
+                            sums[j] = tuple(map(operator.add, sums[j], value))
+                        summed[j] = p
+                    returns[k] = (p, tuple(cur[:k]) + tuple(sorted(cur[k:])), tuple(sums[:k]))
+            waiting = [k for k in waiting if k not in returns]
+    except CensoredError as exc:
+        return returns, exc.reason
+    return returns, PMaxExceededError.reason if waiting else None
 
 
 def superpose(c1: PointConfig, c2: PointConfig) -> PointConfig:
@@ -472,14 +494,13 @@ class TowerCoords:
 class Walked(NamedTuple):
     """One configuration's orbit, walked in tower coordinates.
 
-    ``steps_left`` counts the steps before an atom reaches the top level;
-    ``returns`` maps k to (prefix-fixing return time, positions in rank
-    order then, coordinates of the marks at ranks 1..k then); ``marks``
-    holds every mark in rank order after ``mark_steps`` steps, or None when
-    the marks were not asked for or the top came first.
+    ``returns`` maps each wanted k that returned to (prefix-fixing return
+    time, positions in rank order then, coordinates of the marks at ranks
+    1..k then); ``marks`` holds every mark in rank order after
+    ``mark_steps`` steps, or None when the marks were not asked for or the
+    top came first.
     """
 
-    steps_left: int
     returns: dict
     marks: np.ndarray | None
 
@@ -588,7 +609,7 @@ def walk_orbits(
         chunk = min(2 * chunk, MAX_CHUNK)
         searching = want[active].any(axis=1) & (done < limit[active])
         active = active[searching | (done < mark_need[active])]
-    return [Walked(int(left), r, m) for left, r, m in zip(steps_left, returns, at_marks)]
+    return [Walked(r, m) for r, m in zip(returns, at_marks)]
 
 
 def config_to_json(config: PointConfig, marks: Sequence[Any] | None = None) -> dict:

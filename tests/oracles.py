@@ -3,11 +3,12 @@
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import stats as sps
 
+from chaconlab import chacon
 from chaconlab.chacon import ChaconSystem, Interval, apply_T, build_system, tower_heights
 from chaconlab.cocycle import CocycleSpec, GroupElem
 from chaconlab.errors import (
@@ -22,7 +23,7 @@ from chaconlab.suspension import (
     SNAP_DENOM,
     MarkedConfig,
     distinguish_k,
-    induced_return,
+    in_split_order,
     lattice_window,
     phi_k_vector,
     push_forward,
@@ -133,13 +134,43 @@ def _advance(system, config, steps: int):
     return config
 
 
+# ``suspension.induced_return`` as first written: one k per pass, no sums
+def induced_return(
+    system: ChaconSystem,
+    points: Sequence[int],
+    rest: Sequence[int],
+    p_max: int,
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """First return of (map x ... x map, pushforward) to the split-order set.
+
+    Advances the distinguished points and the rest of the configuration in
+    lockstep, position by position, and returns (steps, advanced points,
+    advanced rest in increasing order) at the first p >= 1 where the split
+    order x_1 < ... < x_k < min(rest) holds again.  Two atoms landing on
+    one position raise AssertionError.  Censoring mirrors return_time_N_k.
+    """
+    step = chacon.apply_T
+    pts, rest = list(points), list(rest)
+    size = len(pts) + len(rest)
+    for p in range(1, p_max + 1):
+        pts = [step(system, x) for x in pts]
+        rest = [step(system, x) for x in rest]
+        if len(set(pts).union(rest)) < size:
+            raise AssertionError("map collision: two atoms landed on one position")
+        if in_split_order(pts, rest):
+            return p, tuple(pts), tuple(sorted(rest))
+    raise PMaxExceededError(f"no return within {p_max} steps")
+
+
 def four_walk_suspension(start, stop, seed, n_max, p_max, window_hi, k_values, spec, mark_steps):
     """The suspension suite's per-sample checks, each orbit walked on its own.
 
-    For every (sample, k) the orbit is walked four times (return time,
-    route B, cocycle sums, zero-mark skew product) and once more for the
-    mark test.  Returns the same tallies as ``suites.collect_suspension``,
-    with plain-list mark counts.
+    For every (sample, k) the orbit is walked by route A (the single-k
+    ``induced_return`` above), which alone decides censoring, and four
+    more times (return time, route B, cocycle sums, zero-mark skew
+    product); once more for the mark test.  A route-A return without a
+    prefix-fixing return is a return-time mismatch.  Returns the same
+    tallies as ``suites.collect_suspension``, with plain-list mark counts.
     """
     system = build_system(n_max)
     window = lattice_window(0, window_hi, system.denom)
@@ -162,21 +193,25 @@ def four_walk_suspension(start, stop, seed, n_max, p_max, window_hi, k_values, s
             if config.count < k:
                 tally["censored"]["TooFewAtoms"] = tally["censored"].get("TooFewAtoms", 0) + 1
                 continue
+            points, remainder = distinguish_k(config, k)
             try:
-                points, remainder = distinguish_k(config, k)
                 m_steps, adv_pts, adv_rest = induced_return(
                     system, points, remainder.positions(), p_max
                 )
-                n_steps = return_time_N_k(system, config, k, p_max)
-                route_b = _advance(system, config, n_steps)
-                vec = phi_k_vector(system, spec, config, k, p_max)
-                marked = MarkedConfig(config, (group.identity(),) * config.count)
-                for _ in range(n_steps):
-                    marked, _ = skew_apply_group(system, spec, marked)
             except CensoredError as exc:
                 tally["censored"][exc.reason] = tally["censored"].get(exc.reason, 0) + 1
                 continue
             tally["uncensored"] += 1
+            try:
+                n_steps = return_time_N_k(system, config, k, p_max)
+            except CensoredError:
+                tally["return_time_mismatches"] += 1
+                continue
+            route_b = _advance(system, config, n_steps)
+            vec = phi_k_vector(system, spec, config, k, p_max)
+            marked = MarkedConfig(config, (group.identity(),) * config.count)
+            for _ in range(n_steps):
+                marked, _ = skew_apply_group(system, spec, marked)
             tally["return_time_mismatches"] += m_steps != n_steps
             tally["conjugacy_failures"] += adv_pts + adv_rest != route_b.positions()
             tally["phi_transport_failures"] += tuple(marked.marks[:k]) != vec

@@ -70,10 +70,10 @@ draw_laws = st.one_of(
 @example(uniform_law(2), 2**63, [4, 2], [0, 2**63, 2**64 - 1])
 @example(uniform_law(3), 2**64 - 1, [], [0, 2**63, 2**64 - 1, -1])
 @example(DiscreteLaw((0, 1), (2**64, 1)), 0, [7], [0, 2**63, 2**64 - 1])
-def test_draw_indices_match_scalar_draws(law, seed, prefix, last):
+def test_draw_at_one_prefix_matches_scalar_draws(law, seed, prefix, last):
     stream = KeyedStream(seed)
     prefix = tuple(prefix)
-    got = law.draw_indices(stream, prefix, last)
+    got = law.draw_at(np.uint64(stream._state(prefix)), last)
     assert [law.symbols[j] for j in got] == [law.draw(stream, *prefix, x) for x in last]
 
 
@@ -82,11 +82,11 @@ def test_draw_indices_match_scalar_draws(law, seed, prefix, last):
     st.lists(st.integers(-(2**63), 2**63 - 1), max_size=30),
     st.integers(0, 10**6),
 )
-def test_draw_indices_on_int64_ids(seed, ids, sample_idx):
+def test_draw_at_on_int64_ids(seed, ids, sample_idx):
     # the joining suite passes ids as an int64 array; negatives wrap like int() & (2**64 - 1)
     law = DiscreteLaw(("x", "y", "z"), (1, 3, 5))
     stream = KeyedStream(seed)
-    got = law.draw_indices(stream, (sample_idx, 2), np.array(ids, dtype=np.int64))
+    got = law.draw_at(np.uint64(stream._state((sample_idx, 2))), np.array(ids, dtype=np.int64))
     assert [law.symbols[j] for j in got] == [law.draw(stream, sample_idx, 2, x) for x in ids]
 
 
@@ -117,10 +117,10 @@ def test_splitmix64_range_and_determinism():
 
 def test_keyed_stream():
     s = KeyedStream(7)
-    assert s.uniform(1, 2, 3) == s.uniform(1, 2, 3)
-    assert s.uniform(1, 2, 3) != s.uniform(3, 2, 1)  # order matters
-    assert s.uniform(1) != KeyedStream(8).uniform(1)
-    assert 0.0 <= s.uniform(9) < 1.0
+    assert s.integer(2**64, 1, 2, 3) == s.integer(2**64, 1, 2, 3)
+    assert s.integer(2**64, 1, 2, 3) != s.integer(2**64, 3, 2, 1)  # order matters
+    assert s.integer(2**64, 1) != KeyedStream(8).integer(2**64, 1)
+    assert 0 <= s.integer(2**64, 9) < 2**64
     for u in range(2, 30):
         assert 0 <= s.integer(u, 5, 6) < u
 

@@ -10,7 +10,12 @@ import pytest
 from chaconlab import suites, suspension
 from chaconlab.cocycle import single_spacer_indicator
 from chaconlab.parallel import merge
-from chaconlab.suites import collect_suspension, run_poisson_suite, run_suspension_suite
+from chaconlab.suites import (
+    FAILURE_KEYS,
+    collect_suspension,
+    run_poisson_suite,
+    run_suspension_suite,
+)
 from chaconlab.suspension import RankPermutation
 from oracles import four_walk_suspension
 
@@ -143,26 +148,39 @@ def test_one_walk_matches_four_walk_oracle(n_max, p_max, window, mark_steps):
     check_against_oracle(args)
 
 
-@pytest.mark.parametrize(
-    "p_max, mark_steps, expected",
-    [(10, 3, {"DepthExceeded", "PMaxExceeded"}),
-     # the walk goes on past p_max for the marks and may then run out of
-     # depth; the returns it missed still ran out of budget first
-     (2, 6, {"PMaxExceeded"})],
-)
-def test_walk_censors_like_the_oracle_when_no_return_comes(
-    monkeypatch, p_max, mark_steps, expected
-):
-    # a broken conjugacy: route A returns but no prefix ever comes back, so
-    # the walk itself must censor, by depth or by budget as the oracle does
+@pytest.mark.parametrize("p_max, mark_steps", [(10, 3), (2, 6)])
+def test_a_walk_without_returns_counts_as_mismatches(monkeypatch, p_max, mark_steps):
+    # a broken conjugacy: route A returns but no prefix ever comes back.
+    # Every route-A return is then a mismatch, and the censor reasons are
+    # route A's alone, as in an unbroken run
+    args = (7, 3, p_max, Fraction(5), (1, 2), single_spacer_indicator(1), mark_steps)
+    healthy = collect_suspension(0, 60, *args)
     monkeypatch.setattr(RankPermutation, "fixes_prefix", lambda self, k: False)
     monkeypatch.setattr(suspension, "fixed_prefixes", lambda keys: np.zeros(keys.shape, bool))
-    args = (7, 3, p_max, Fraction(5), (1, 2), single_spacer_indicator(1), mark_steps)
     got = check_against_oracle(args)
-    reasons = set().union(*(tally["censored"] for tally in got["per_k"].values()))
-    assert reasons - {"TooFewAtoms"} == expected
+    for k, tally in got["per_k"].items():
+        assert tally["censored"] == healthy["per_k"][k]["censored"]
+        assert tally["uncensored"] == healthy["per_k"][k]["uncensored"]
+        assert tally["return_time_mismatches"] == tally["uncensored"] > 0
     if mark_steps > p_max:
         assert got["mark_censored"] > 0  # some walks did run out of depth past p_max
+
+
+def test_lost_walk_returns_fail_the_suite(monkeypatch):
+    # the walk drops the returns of one sample in five; route A still
+    # returns there, so the suite must report mismatches and fail
+    real_walk = suites.walk_orbits
+
+    def lossy_walk(*args):
+        walks = real_walk(*args)
+        return [w._replace(returns={}) if i % 5 == 0 else w for i, w in enumerate(walks)]
+
+    monkeypatch.setattr(suites, "walk_orbits", lossy_walk)
+    rep = run_suspension_suite(n_samples=1200, k_values=(1, 2))
+    assert rep["holds"] is False
+    for per_k in rep["per_k"].values():
+        assert per_k["return_time_mismatches"] > 0
+        assert per_k["holds"] is False
 
 
 def check_against_oracle(args):
@@ -199,20 +217,37 @@ def test_fan_out_merge_rule():
     assert a["d"] == {"x": 1}  # inputs are left alone
 
 
-def test_each_exact_check_can_fail(monkeypatch):
-    # corrupt route A's return time, route A's configuration and the
-    # cocycle sums; each corruption reaches exactly one check
+def late(m_steps, positions, sums):
+    return m_steps + 1, positions, sums
+
+
+def moved(m_steps, positions, sums):
+    return m_steps, positions + (0,), sums
+
+
+def shifted(m_steps, positions, sums):
+    return m_steps, positions, tuple(tuple(c + 1 for c in x) for x in sums)
+
+
+@pytest.mark.parametrize(
+    "corrupt, key",
+    [(late, "return_time_mismatches"),
+     (moved, "conjugacy_failures"),
+     (shifted, "phi_transport_failures")],
+)
+def test_each_exact_check_can_fail(monkeypatch, corrupt, key):
+    # corrupt route A's return time, its configuration or its cocycle sums;
+    # each corruption reaches exactly one check
     real_return = suites.induced_return
 
-    def late_return(system, points, rest, p_max):
-        m_steps, pts, rest = real_return(system, points, rest, p_max)
-        return m_steps + 1, pts, rest + (0,)
+    def corrupted_return(*args):
+        returns, reason = real_return(*args)
+        return {k: corrupt(*r) for k, r in returns.items()}, reason
 
-    monkeypatch.setattr(suites, "induced_return", late_return)
-    monkeypatch.setattr(suites, "phi_iter", lambda spec, system, x, p: spec.group.identity())
+    monkeypatch.setattr(suites, "induced_return", corrupted_return)
     rep = collect_suspension(
         0, 40, 7, 3, 10, Fraction(5), (1,), single_spacer_indicator(1), 3
     )
     assert rep["per_k"][1]["uncensored"] > 0
-    for key in ("return_time_mismatches", "conjugacy_failures", "phi_transport_failures"):
-        assert rep["per_k"][1][key] > 0, key
+    for other in FAILURE_KEYS:
+        assert (rep["per_k"][1][other] > 0) == (other == key), other

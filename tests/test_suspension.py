@@ -10,11 +10,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chaconlab.chacon import build_system
-from chaconlab.cocycle import FinAbGroup, single_spacer_indicator, zero_cocycle
+from chaconlab.chacon import Interval, _level_lo, build_system
+from chaconlab.cocycle import FinAbGroup, phi_iter, single_spacer_indicator, zero_cocycle
 from chaconlab.errors import (
     CensoredError,
     DepthExceededError,
@@ -46,9 +46,12 @@ from chaconlab.suspension import (
     snapped_arrivals,
     superpose,
 )
+import oracles
+from conftest import cached_system, varied_spec
 from oracles import loop_snapped_arrivals
 
 F = Fraction
+VARIED = varied_spec()
 D2 = build_system(2).denom
 D3 = build_system(3).denom
 
@@ -226,40 +229,89 @@ def test_split_order_is_strict():
 
 def test_induced_return_censoring_reasons(sys2):
     # 5/2 sits in the top level [7/3, 8/3), where the map is undefined
-    with pytest.raises(DepthExceededError) as err:
-        induced_return(sys2, lat(F(5, 2)), lat(F(1, 2)), 10)  # a point runs off
-    assert err.value.reason == "DepthExceeded"
-    with pytest.raises(DepthExceededError) as err:
-        induced_return(sys2, lat(F(1, 6)), lat(F(1, 2), F(5, 2)), 10)  # the remainder
-    assert err.value.reason == "DepthExceeded"
-    pts, rest = lat(F(1, 2)), lat(F(9, 8))
-    assert induced_return(sys2, pts, rest, 10)[0] == 2
-    with pytest.raises(PMaxExceededError) as err:
-        induced_return(sys2, pts, rest, 1)
-    assert err.value.reason == "PMaxExceeded"
+    spec = single_spacer_indicator(1)
+    got = induced_return(sys2, spec, lat(F(5, 2), F(1, 2)), (1,), 10)  # a point runs off
+    assert got == ({}, "DepthExceeded")
+    got = induced_return(sys2, spec, lat(F(1, 6), F(1, 2), F(5, 2)), (1,), 10)  # the remainder
+    assert got == ({}, "DepthExceeded")
+    positions = lat(F(1, 2), F(9, 8))
+    assert induced_return(sys2, spec, positions, (1,), 10)[0][1][0] == 2
+    assert induced_return(sys2, spec, positions, (1,), 1) == ({}, "PMaxExceeded")
 
 
 def test_induced_return_matches_whole_configuration(sys3):
     # split route and whole-configuration route agree exactly when uncensored
+    spec = single_spacer_indicator(1)
     checked = 0
     for i in range(60):
         c = sample_poisson(window(2), seed=321, stream=i, denom=D3)
-        for k in (1, 2):
-            if c.count < k:
-                continue
-            pts, rem = distinguish_k(c, k)
-            try:
-                m, pts2, rest2 = induced_return(sys3, pts, rem.positions(), 500)
-                n = return_time_N_k(sys3, c, k, 500)
-            except CensoredError:
-                continue
+        ks = [k for k in (1, 2) if k <= c.count]
+        returns, _ = induced_return(sys3, spec, c.positions(), ks, 500)
+        for k, (m, positions, _) in returns.items():
+            n = return_time_N_k(sys3, c, k, 500)
             assert m == n
             cur = c
             for _ in range(n):
                 cur, _ = push_forward(sys3, cur)
-            assert pts2 + rest2 == cur.positions()
+            assert positions == cur.positions()
             checked += 1
     assert checked >= 40
+
+
+def poisson_positions(system, seed):
+    hi = min(4 * system.denom, system.high_water)
+    return sample_poisson(Interval(0, hi), seed, denom=system.denom).positions()
+
+
+@st.composite
+def route_a_case(draw):
+    """Increasing positions at depths 2..8: a Poisson sample on [0, 4), or
+    atoms built from tower-N levels.
+
+    Some built ones put an atom where its orbit reaches the top level
+    exactly at p_max, one step earlier, or sooner; k runs over subsets of
+    0..4, past the atom count too.
+    """
+    n_max = draw(st.integers(2, 8))
+    system = cached_system(n_max)
+    h, w = system.heights[-1], system.widths[-1]
+    p_max = draw(st.sampled_from([1, 2, 7, 500]))
+    k_values = draw(st.sets(st.integers(0, 4), min_size=1))
+    if draw(st.booleans()):
+        return system, poisson_positions(system, draw(st.integers(0, 2**32 - 1))), k_values, p_max
+    count = draw(st.integers(0, 5))
+    levels = draw(st.lists(st.integers(0, h - 1), min_size=count, max_size=count))
+    if count and draw(st.booleans()):
+        below = draw(st.one_of(st.sampled_from([p_max, p_max - 1]), st.integers(0, p_max)))
+        levels[draw(st.integers(0, count - 1))] = max(0, h - 1 - below)
+    offsets = st.integers(0, w - 1)
+    positions = tuple(sorted({_level_lo(system, n_max, k) + draw(offsets) for k in levels}))
+    return system, positions, k_values, p_max
+
+
+@settings(max_examples=200)
+# k = 0 and 1 return, then an atom runs off the top; k = 0 returns, then p_max passes
+@example((cached_system(3), poisson_positions(cached_system(3), 5), {0, 1, 2, 3}, 500))
+@example((cached_system(5), poisson_positions(cached_system(5), 3), {0, 1, 2, 3}, 7))
+@given(route_a_case())
+def test_one_pass_route_a_matches_a_pass_per_k(case):
+    # each k against the single-k induced return, the sums against phi_iter
+    system, positions, k_values, p_max = case
+    returns, reason = induced_return(system, VARIED, positions, k_values, p_max)
+    reasons = set()
+    for k in k_values:
+        try:
+            m, pts, rest = oracles.induced_return(system, positions[:k], positions[k:], p_max)
+        except CensoredError as exc:
+            reasons.add(exc.reason)
+            assert k not in returns
+            continue
+        steps, advanced, sums = returns[k]
+        assert (steps, advanced) == (m, pts + rest)
+        want = tuple(phi_iter(VARIED, system, x, m).coords for x in positions[:k])
+        assert tuple(VARIED.group.element(s).coords for s in sums) == want
+    assert set(returns) <= set(k_values)
+    assert reasons == ({reason} if reason else set())
 
 
 def test_superpose(sys2):
@@ -401,7 +453,6 @@ def test_skew_group_two_steps_compose(sys2):
     two, perm_b = skew_apply_group(sys2, spec, one_a)
     total = perm_b.after(perm_a)
     assert psi_iter(sys2, start.config, 2) == total
-    from chaconlab.cocycle import phi_iter
 
     inv = total.inverse()
     for n in range(1, 3):
