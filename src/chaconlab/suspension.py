@@ -38,7 +38,6 @@ out the returns it did not find.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Any, Iterable, NamedTuple, Sequence
 
@@ -47,7 +46,7 @@ import numpy as np
 from . import chacon
 from .chacon import SNAP_DENOM, ChaconSystem, Interval
 from .cocycle import CocycleSpec, GroupElem, eval_phi, phi_iter
-from .errors import CensoredError, InsufficientDataError, PMaxExceededError
+from .errors import DepthExceededError, InsufficientDataError, PMaxExceededError
 from .ratio import ceil_lattice, format_lattice, parse_ratio, to_lattice
 from .stats import make_rng
 
@@ -326,8 +325,9 @@ def induced_return(
     function at x_1..x_k before steps 1..p is summed on integer coordinates
     once k returns, so a censored k evaluates none.  Returns ({k: (p,
     advanced points then the advanced rest in increasing order, sums at
-    x_1..x_k)}, the ``reason`` of the CensoredError that stopped the pass,
-    or None when every k returned).  A map collision raises AssertionError.
+    x_1..x_k)}, the ``reason`` of the censoring that stopped the pass: an
+    atom ran off the top or p_max passed, or None when every k returned).
+    A map collision raises AssertionError.
     """
     step = chacon.apply_T
     cur = list(positions)
@@ -336,25 +336,23 @@ def induced_return(
     orbit = []  # x_1..x_width before each step
     sums, summed = [(0,) * spec.group.rank] * width, [0] * width
     returns = {}
-    try:
-        for p in range(1, p_max + 1):
-            if not waiting:
-                break
-            orbit.append(cur[:width])
+    for p in range(1, p_max + 1):
+        if not waiting:
+            break
+        orbit.append(cur[:width])
+        try:
             cur = [step(system, x) for x in cur]
-            if len(set(cur)) < len(cur):
-                raise AssertionError("map collision: two atoms landed on one position")
-            for k in waiting:
-                if in_split_order(cur[:k], cur[k:]):
-                    for j in range(min(k, width)):
-                        for xs in orbit[summed[j]:]:
-                            value = eval_phi(spec, system, xs[j]).coords
-                            sums[j] = tuple(map(operator.add, sums[j], value))
-                        summed[j] = p
-                    returns[k] = (p, tuple(cur[:k]) + tuple(sorted(cur[k:])), tuple(sums[:k]))
-            waiting = [k for k in waiting if k not in returns]
-    except CensoredError as exc:
-        return returns, exc.reason
+        except DepthExceededError as exc:
+            return returns, exc.reason
+        if len(set(cur)) < len(cur):
+            raise AssertionError("map collision: two atoms landed on one position")
+        for k in waiting:
+            if in_split_order(cur[:k], cur[k:]):
+                for j in range(min(k, width)):
+                    values = (eval_phi(spec, system, xs[j]).coords for xs in orbit[summed[j]:])
+                    sums[j], summed[j] = tuple(map(sum, zip(sums[j], *values))), p
+                returns[k] = (p, tuple(cur[:k]) + tuple(sorted(cur[k:])), tuple(sums[:k]))
+        waiting = [k for k in waiting if k not in returns]
     return returns, PMaxExceededError.reason if waiting else None
 
 
