@@ -346,13 +346,12 @@ def induced_return(
             return returns, exc.reason
         if len(set(cur)) < len(cur):
             raise AssertionError("map collision: two atoms landed on one position")
-        for k in waiting:
-            if in_split_order(cur[:k], cur[k:]):
-                for j in range(min(k, width)):
-                    values = (eval_phi(spec, system, xs[j]).coords for xs in orbit[summed[j]:])
-                    sums[j], summed[j] = tuple(map(sum, zip(sums[j], *values))), p
-                returns[k] = (p, tuple(cur[:k]) + tuple(sorted(cur[k:])), tuple(sums[:k]))
-        waiting = [k for k in waiting if k not in returns]
+        for k in [k for k in waiting if in_split_order(cur[:k], cur[k:])]:
+            for j in range(min(k, width)):
+                values = (eval_phi(spec, system, xs[j]).coords for xs in orbit[summed[j]:])
+                sums[j], summed[j] = tuple(map(sum, zip(sums[j], *values))), p
+            returns[k] = (p, tuple(cur[:k]) + tuple(sorted(cur[k:])), tuple(sums[:k]))
+            waiting.remove(k)
     return returns, PMaxExceededError.reason if waiting else None
 
 
