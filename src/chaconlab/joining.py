@@ -41,22 +41,21 @@ the advanced pair, and ``marks_differ`` compares the two sample by
 sample; rank tracking compares index plus cocycle with the advanced
 configurations.  Blocks are small and fixed so that peak memory does not
 grow with the sample count (64 samples at W = 50 hold about 1 MB of
-arrays).  The single-pair functions (``couple_marks``, ``advance_joint``,
-``advance_biconfig``, ``rank_tracking_consistent``) run the same kernel on
-a block of one.
+arrays).  The four single-pair entry points (``_sample_biconfig_counted``,
+``couple_marks``, ``advance_joint``, ``rank_tracking_consistent``) remain
+only as the names the benchmark's tracer wraps; each calls the kernel on
+a one-sample family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 
 from .errors import InsufficientDataError
 from .parallel import fan_out, merge
-from .ratio import format_ratio
 from .stats import (
     DiscreteLaw,
     KeyedStream,
@@ -76,98 +75,16 @@ def position_dtype(half_width: int):
 
 
 @dataclass(frozen=True, eq=False)
-class BiConfig:
-    """Atoms on [-W, W) with two-sided indexing around the origin.
-
-    ``pos_nums`` are positions scaled by 2**53 (ascending, strict), in the
-    array dtype ``position_dtype(half_width)``; ``ids`` are permanent int64
-    ids parallel to them.  The atom at slot i carries index
-    i - neg_count + 1, so negative-side atoms get indices <= 0 and the
-    first atom at or right of 0 gets index 1.  Compare with
-    ``same_biconfig``.
-    """
-
-    half_width: int
-    ids: np.ndarray
-    pos_nums: np.ndarray
-    neg_count: int
-
-    def __post_init__(self):
-        if self.half_width <= 0:
-            raise ValueError("half width must be positive")
-        bound = self.half_width * _D
-        try:
-            pos = np.asarray(self.pos_nums, dtype=position_dtype(self.half_width))
-        except OverflowError:
-            raise ValueError("atom outside the window")
-        ids = np.asarray(self.ids, dtype=np.int64)
-        object.__setattr__(self, "pos_nums", pos)
-        object.__setattr__(self, "ids", ids)
-        if ids.shape != pos.shape or pos.ndim != 1:
-            raise ValueError("ids must be parallel to positions")
-        by_id = np.sort(ids)
-        if not (by_id[1:] != by_id[:-1]).all():
-            raise ValueError("ids must be unique")
-        if not (pos[1:] > pos[:-1]).all():
-            raise ValueError("positions must be strictly increasing")
-        if pos.size and not (-bound <= pos[0] and pos[-1] < bound):
-            raise ValueError("atom outside the window")
-        if self.neg_count != np.count_nonzero(pos < 0):
-            raise ValueError("neg_count does not match the positions")
-
-    @property
-    def count(self) -> int:
-        return self.pos_nums.size
-
-    @property
-    def min_index(self) -> int:
-        return 1 - self.neg_count
-
-    @property
-    def max_index(self) -> int:
-        return self.count - self.neg_count
-
-    def indices(self) -> range:
-        return range(self.min_index, self.max_index + 1)
-
-    def index_array(self) -> np.ndarray:
-        """Every two-sided index, in slot order."""
-        return np.arange(self.min_index, self.max_index + 1)
-
-    def _slot(self, n: int) -> int:
-        slot = self.neg_count + n - 1
-        if not 0 <= slot < self.count:
-            raise IndexError(f"index {n} not in {self.min_index}..{self.max_index}")
-        return slot
-
-    def t(self, n: int) -> Fraction:
-        return Fraction(int(self.pos_nums[self._slot(n)]), _D)
-
-    def pos_num(self, n: int) -> int:
-        return int(self.pos_nums[self._slot(n)])
-
-    def id_at(self, n: int) -> int:
-        return int(self.ids[self._slot(n)])
-
-
-def same_biconfig(a: BiConfig, b: BiConfig) -> bool:
-    """Equal window, atoms and split at the origin."""
-    return (
-        a.half_width == b.half_width
-        and a.neg_count == b.neg_count
-        and np.array_equal(a.ids, b.ids)
-        and np.array_equal(a.pos_nums, b.pos_nums)
-    )
-
-
-@dataclass(frozen=True, eq=False)
 class Family:
     """One family's configurations across a block of samples, in CSR form.
 
     Configuration j holds the flat slots ``offsets[j]:offsets[j + 1]`` of
-    ``pos`` and ``ids``, and ``owner`` names the configuration of every
-    slot.  ``neg[j]`` counts its atoms left of the origin, so the atom in
-    flat slot s carries the two-sided index ``s - base[owner[s]]``.
+    ``pos`` (positions scaled by 2**53, strictly ascending, in the dtype
+    ``position_dtype(half_width)``) and ``ids`` (permanent int64 ids), and
+    ``owner`` names the configuration of every slot.  ``neg[j]`` counts
+    its atoms left of the origin, so the atom in flat slot s carries the
+    two-sided index ``s - base[owner[s]]``: atoms left of the origin get
+    indices <= 0, and the first atom at or right of it gets index 1.
     """
 
     half_width: int
@@ -187,17 +104,6 @@ class Family:
         owner = np.repeat(np.arange(counts.size, dtype=np.min_scalar_type(counts.size)), counts)
         return cls(half_width, pos, ids, offsets, np.asarray(neg, dtype=np.int64), owner)
 
-    @classmethod
-    def of(cls, configs: list[BiConfig]) -> "Family":
-        """The configurations, in order, as one family."""
-        return cls.build(
-            configs[0].half_width,
-            np.concatenate([c.pos_nums for c in configs]),
-            np.concatenate([c.ids for c in configs]),
-            [c.count for c in configs],
-            [c.neg_count for c in configs],
-        )
-
     @property
     def n(self) -> int:
         return self.neg.size
@@ -209,10 +115,6 @@ class Family:
     @property
     def base(self) -> np.ndarray:
         return self.offsets[:-1] + self.neg - 1
-
-    def config(self, j: int) -> BiConfig:
-        lo, hi = self.offsets[j], self.offsets[j + 1]
-        return BiConfig(self.half_width, self.ids[lo:hi], self.pos[lo:hi], int(self.neg[j]))
 
 
 def _sample_sides(half_width: int, seed: int, stream: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -231,25 +133,14 @@ def _sample_sides(half_width: int, seed: int, stream: int) -> tuple[np.ndarray, 
     raise InsufficientDataError("window too small: sides keep coming up empty")
 
 
-def _sample_biconfig_counted(
-    half_width: int, seed: int, stream: int
-) -> tuple[BiConfig, int]:
-    family, retries = sample_family(half_width, seed, np.array([stream]))
-    return family.config(0), retries
-
-
-def sample_biconfig(half_width: int, seed: int, stream: int = 0) -> BiConfig:
-    """Unit-intensity sample on [-W, W), one gap chain per side of the origin.
-
-    Degenerate draws with an empty side are resampled (same stream,
-    continued draws) so the two-sided indexing always has an index 0 and
-    an index 1.
-    """
-    return _sample_biconfig_counted(half_width, seed, stream)[0]
-
-
 def sample_family(half_width: int, seed: int, streams: np.ndarray) -> tuple[Family, int]:
-    """One ``sample_biconfig`` per stream, with ids 1, 2, ...; and the retries."""
+    """Unit-intensity configurations on [-W, W), one per stream; and the retries.
+
+    Each stream draws one gap chain per side of the origin, and its atoms
+    get ids 1, 2, ...  Degenerate draws with an empty side are resampled
+    (same stream, continued draws), so every configuration has an index 0
+    and an index 1.
+    """
     parts, counts, neg, retries = [], [], [], 0
     for stream in streams.tolist():
         left, right, r = _sample_sides(half_width, seed, stream)
@@ -264,20 +155,10 @@ def sample_family(half_width: int, seed: int, streams: np.ndarray) -> tuple[Fami
     return replace(family, ids=local + 1), retries
 
 
-def empty_biconfig(half_width: int) -> BiConfig:
-    """No atoms at all; useful as the degenerate first family."""
-    return BiConfig(half_width=half_width, ids=(), pos_nums=(), neg_count=0)
-
-
 def shift_cocycles(family: Family) -> np.ndarray:
     """Per configuration, the number of atoms in [-1, 0): how far indices climb."""
     p = family.pos
     return np.bincount(family.owner[(p >= -_D) & (p < 0)], minlength=family.n)
-
-
-def shift_cocycle(config: BiConfig) -> int:
-    """Number of atoms in [-1, 0): how far every index climbs under one shift."""
-    return int(shift_cocycles(Family.of([config]))[0])
 
 
 def advance_family(family: Family) -> tuple[Family, np.ndarray]:
@@ -293,16 +174,6 @@ def advance_family(family: Family) -> tuple[Family, np.ndarray]:
         np.bincount(owner[moved[kept] < 0], minlength=family.n),
     )
     return advanced, kept
-
-
-def advance_biconfig(config: BiConfig) -> tuple[BiConfig, np.ndarray]:
-    """Shift every atom by +1, dropping atoms that leave the window.
-
-    Returns the advanced configuration and the ids that exited on the
-    right edge.  Indices of survivors all climb by the shift cocycle.
-    """
-    advanced, kept = advance_family(Family.of([config]))
-    return advanced.config(0), config.ids[~kept]
 
 
 def rank_tracking_failures(
@@ -328,25 +199,20 @@ def rank_tracking_failures(
     return np.bincount(owner[bad], minlength=family.n) > 0
 
 
-def rank_tracking_consistent(config: BiConfig) -> bool:
-    """Exact oracle: advancing climbs every surviving index by the cocycle."""
-    family = Family.of([config])
-    advanced, kept = advance_family(family)
-    return not rank_tracking_failures(family, shift_cocycles(family), advanced, kept)[0]
-
-
-COPIED = "copied"
-FRESH = "fresh"
-
-
 @dataclass(frozen=True, eq=False)
 class Marks:
     """Marks and provenance of a block of coupled pairs, entry by entry.
 
     Every entry belongs to the sample ``owner1``/``owner2``/``owner_x``
     (its place in the block) and carries a two-sided index; entries run
-    in ascending (sample, index) order.  The other fields mean what
-    ``JoiningSample``'s do.
+    in ascending (sample, index) order.  Marks are symbol numbers
+    (positions in ``law.symbols``); ``marks1`` is parallel to the first
+    configuration's indices ``index1``.  ``index2`` lists every decided
+    second-family index with its mark in ``marks2``; where ``copied2`` is
+    set the mark was copied from first-family index ``source2`` (0
+    elsewhere), otherwise it was drawn fresh.  ``excluded`` lists indices
+    whose governing interval is not observable in the window (the top
+    index, lacking a successor atom).
     """
 
     owner1: np.ndarray
@@ -371,7 +237,14 @@ _ENTRY_GROUPS = (
 def couple_block(
     family1: Family, family2: Family, law: DiscreteLaw, seed: int, samples: np.ndarray
 ) -> Marks:
-    """``couple_marks`` for every pair of a block; ``samples`` keys the draws.
+    """Mark every pair of a block: first family i.i.d., second copied or fresh.
+
+    For each index n of a second configuration whose interval
+    [t(n), t(n+1)) sits inside the window, the mark is copied from the
+    lowest atom of the pair's first configuration in the interval when
+    one exists, otherwise drawn fresh.  All randomness is keyed by
+    (seed, ``samples[j]``, side, atom id), so the result is reproducible
+    atom by atom.
 
     One lexsort orders the atoms of both families by (sample, position,
     family), with a second-family atom ahead of a first-family atom at
@@ -430,12 +303,14 @@ def transport(
     c2: np.ndarray,
     advanced2: Family,
 ) -> Marks:
-    """``advance_joint`` for every pair of a block.
+    """Move a block's marks one shift, from ``family1``/``family2`` to the advanced pair.
 
     Surviving marks keep their values at indices climbed by the second
     family's cocycle ``c2``; copied sources climb by the first family's
-    ``c1``.  Entries whose successor atom exits become excluded, and so
-    does the advanced top index when nothing else names it.
+    ``c1``.  Entries whose successor atom exits become excluded (they are
+    no longer decidable in the window), and so does the advanced top
+    index when nothing else names it; this keeps the result equal to
+    re-running the coupling on the advanced pair.
     """
     bound1 = family1.half_width * _D - _D
     bound2 = family2.half_width * _D - _D
@@ -488,97 +363,34 @@ def marks_differ(a: Marks, b: Marks, n: int) -> np.ndarray:
     return bad
 
 
-@dataclass(frozen=True, eq=False)
-class JoiningSample:
-    """A coupled pair: marks on both configurations plus provenance.
-
-    Marks are symbol numbers (positions in ``law.symbols``).  ``marks1``
-    is parallel to the two-sided indices ``index1`` of the first
-    configuration.  ``index2`` lists every decided second-family index,
-    ascending, with its mark in ``marks2``; where ``copied2`` is set the
-    mark was copied from first-family index ``source2`` (0 elsewhere),
-    otherwise it was drawn fresh.  ``excluded`` lists indices whose
-    governing interval is not observable in the window (the top index,
-    lacking a successor atom).  Compare with ``same_sample``.
-    """
-
-    omega1: BiConfig
-    omega2: BiConfig
-    index1: np.ndarray
-    marks1: np.ndarray
-    index2: np.ndarray
-    marks2: np.ndarray
-    copied2: np.ndarray
-    source2: np.ndarray
-    excluded: np.ndarray
-    law: DiscreteLaw
-    seed: int
-    sample_idx: int
+# the benchmark's tracer wraps these four by name; each runs the kernel on
+# a one-sample family
 
 
-_SAMPLE_ARRAYS = ("index1", "marks1", "index2", "marks2", "copied2", "source2", "excluded")
-
-
-def same_sample(a: JoiningSample, b: JoiningSample) -> bool:
-    """Equal configurations, marks, provenance and exclusions, index by index."""
-    return (
-        (a.law, a.seed, a.sample_idx) == (b.law, b.seed, b.sample_idx)
-        and same_biconfig(a.omega1, b.omega1)
-        and same_biconfig(a.omega2, b.omega2)
-        and all(np.array_equal(getattr(a, f), getattr(b, f)) for f in _SAMPLE_ARRAYS)
-    )
+def _sample_biconfig_counted(half_width: int, seed: int, stream: int) -> tuple[Family, int]:
+    """``sample_family`` on the one stream ``stream``."""
+    return sample_family(half_width, seed, np.array([stream]))
 
 
 def couple_marks(
-    omega1: BiConfig,
-    omega2: BiConfig,
-    law: DiscreteLaw,
-    seed: int,
-    sample_idx: int = 0,
-) -> JoiningSample:
-    """Mark the pair: first family i.i.d., second family copied or fresh.
-
-    For each index n of the second configuration whose interval
-    [t(n), t(n+1)) sits inside the window, the mark is copied from the
-    lowest first-family atom in the interval when one exists, otherwise
-    drawn fresh.  All randomness is keyed by (seed, sample, side, atom
-    id), so the result is reproducible atom by atom.
-    """
-    marks = couple_block(Family.of([omega1]), Family.of([omega2]), law, seed, [sample_idx])
-    return JoiningSample(
-        omega1, omega2, *(getattr(marks, f) for f in _SAMPLE_ARRAYS), law, seed, sample_idx
-    )
+    family1: Family, family2: Family, law: DiscreteLaw, seed: int, sample_idx: int = 0
+) -> Marks:
+    """``couple_block`` on one pair, its draws keyed by ``sample_idx``."""
+    return couple_block(family1, family2, law, seed, [sample_idx])
 
 
-def advance_joint(sample: JoiningSample) -> JoiningSample:
-    """Advance both configurations one shift and transport marks by index.
-
-    Surviving marks keep their values at indices climbed by the second
-    family's cocycle; copied sources climb by the first family's.  Entries
-    whose successor atom exited are dropped (they are no longer decidable
-    in the window), which keeps the result equal to re-running the
-    coupling on the advanced pair.
-    """
-    family1, family2 = Family.of([sample.omega1]), Family.of([sample.omega2])
-    arrays = {f: getattr(sample, f) for f in _SAMPLE_ARRAYS}
-    # one sample: every entry belongs to sample 0
-    owners = {o: np.zeros(arrays[fields[0]].size, dtype=np.int64) for o, fields in _ENTRY_GROUPS}
+def advance_joint(family1: Family, family2: Family, marks: Marks) -> tuple[Family, Family, Marks]:
+    """Advance a coupled pair one shift: both configurations, and their marks."""
     advanced1, _ = advance_family(family1)
     advanced2, _ = advance_family(family2)
-    moved = transport(
-        Marks(**owners, **arrays),
-        family1,
-        family2,
-        shift_cocycles(family1),
-        shift_cocycles(family2),
-        advanced2,
-    )
-    return replace(
-        sample,
-        omega1=advanced1.config(0),
-        omega2=advanced2.config(0),
-        **{f: getattr(moved, f) for f in _SAMPLE_ARRAYS},
-    )
+    c1, c2 = shift_cocycles(family1), shift_cocycles(family2)
+    return advanced1, advanced2, transport(marks, family1, family2, c1, c2, advanced2)
+
+
+def rank_tracking_consistent(family: Family) -> bool:
+    """Whether advancing climbs every surviving index by the cocycle."""
+    advanced, kept = advance_family(family)
+    return not rank_tracking_failures(family, shift_cocycles(family), advanced, kept).any()
 
 
 # samples per block: each block's flat arrays stay a few hundred kB at
@@ -592,7 +404,8 @@ def _tally_block(
     """``collect_joining``'s tallies for one block of samples."""
     k, n = len(law.symbols), samples.size
     if empty_first_family:
-        family1, r1 = Family.of([empty_biconfig(half_width)] * n), 0
+        pos, ids = np.empty(0, dtype=position_dtype(half_width)), np.empty(0, dtype=np.int64)
+        family1, r1 = Family.build(half_width, pos, ids, np.zeros(n), np.zeros(n)), 0
     else:
         family1, r1 = sample_family(half_width, seed, 2 * samples)
     family2, r2 = sample_family(half_width, seed, 2 * samples + 1)
@@ -735,36 +548,3 @@ def verify_joining(
         "holds": holds,
     }
 
-
-def biconfig_to_json(config: BiConfig, marks: dict | None = None) -> dict:
-    atoms = []
-    for n, i, p in zip(config.indices(), config.ids.tolist(), config.pos_nums.tolist()):
-        entry = {"id": i, "index": n, "pos": format_ratio(Fraction(p, _D))}
-        if marks is not None and n in marks:
-            entry["mark"] = marks[n]
-        atoms.append(entry)
-    return {
-        "window": [format_ratio(Fraction(-config.half_width)), format_ratio(Fraction(config.half_width))],
-        "atoms": atoms,
-    }
-
-
-def joining_sample_to_json(sample: JoiningSample) -> dict:
-    symbols = sample.law.symbols
-    marks1 = {n: symbols[m] for n, m in zip(sample.index1.tolist(), sample.marks1.tolist())}
-    marks2 = {n: symbols[m] for n, m in zip(sample.index2.tolist(), sample.marks2.tolist())}
-    provenance = {
-        str(n): [COPIED, src] if copied else [FRESH]
-        for n, copied, src in zip(
-            sample.index2.tolist(), sample.copied2.tolist(), sample.source2.tolist()
-        )
-    }
-    return {
-        "omega1": biconfig_to_json(sample.omega1, marks1),
-        "omega2": biconfig_to_json(sample.omega2, marks2),
-        "provenance": provenance,
-        "excluded": sample.excluded.tolist(),
-        "law": {"symbols": list(sample.law.symbols), "weights": list(sample.law.weights)},
-        "seed": sample.seed,
-        "sample_idx": sample.sample_idx,
-    }

@@ -393,7 +393,11 @@ JOIN_D = 2**53
 
 @dataclass(frozen=True)
 class TupleBiConfig:
-    """``joining.BiConfig`` as first written: ids and numerators as tuples."""
+    """One two-sided configuration as first written: ids and numerators as tuples.
+
+    The atom at slot i carries index i - neg_count + 1, the rule the
+    kernel states as index = flat slot - ``Family.base[owner]``.
+    """
 
     half_width: int
     ids: tuple[int, ...]
@@ -401,13 +405,14 @@ class TupleBiConfig:
     neg_count: int
 
     @classmethod
-    def of(cls, config) -> "TupleBiConfig":
-        """The same atoms as an array ``joining.BiConfig``."""
+    def of(cls, family, j: int = 0) -> "TupleBiConfig":
+        """The same atoms as configuration j of a ``joining.Family``."""
+        lo, hi = family.offsets[j], family.offsets[j + 1]
         return cls(
-            config.half_width,
-            tuple(int(i) for i in config.ids),
-            tuple(int(p) for p in config.pos_nums),
-            config.neg_count,
+            family.half_width,
+            tuple(int(i) for i in family.ids[lo:hi]),
+            tuple(int(p) for p in family.pos[lo:hi]),
+            int(family.neg[j]),
         )
 
     @property
@@ -439,7 +444,7 @@ class TupleBiConfig:
 
 
 def tuple_sample_biconfig(half_width: int, seed: int, stream: int) -> tuple[TupleBiConfig, int]:
-    """``joining.sample_biconfig`` as first written, and its empty-side retries."""
+    """One stream of ``joining.sample_family`` as first written, and its retries."""
     rng = make_rng(seed, stream)
     bound, chunk = half_width * JOIN_D, half_width + 8
     for retries in range(1000):
@@ -490,15 +495,15 @@ class DictJoiningSample:
     excluded: tuple[int, ...]
 
 
-def joining_dicts(sample) -> tuple:
-    """An array ``joining.JoiningSample`` in the oracle's dict form."""
-    symbols = sample.law.symbols
-    marks1 = {int(n): symbols[m] for n, m in zip(sample.index1, sample.marks1)}
+def joining_dicts(marks, law) -> tuple:
+    """The ``joining.Marks`` of one sample in the oracle's dict form."""
+    symbols = law.symbols
+    marks1 = {int(n): symbols[m] for n, m in zip(marks.index1, marks.marks1)}
     marks2, provenance2 = {}, {}
-    for n, m, copied, src in zip(sample.index2, sample.marks2, sample.copied2, sample.source2):
+    for n, m, copied, src in zip(marks.index2, marks.marks2, marks.copied2, marks.source2):
         marks2[int(n)] = symbols[m]
         provenance2[int(n)] = ("copied", int(src)) if copied else ("fresh",)
-    return marks1, marks2, provenance2, tuple(int(n) for n in sample.excluded)
+    return marks1, marks2, provenance2, tuple(int(n) for n in marks.excluded)
 
 
 def dict_sample_parts(sample: DictJoiningSample) -> tuple:

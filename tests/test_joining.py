@@ -9,35 +9,23 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from chaconlab.errors import InsufficientDataError
 from chaconlab.joining import (
-    COPIED,
-    FRESH,
-    BiConfig,
     Family,
-    advance_biconfig,
+    _sample_biconfig_counted,
     advance_family,
     advance_joint,
-    biconfig_to_json,
     collect_joining,
     couple_block,
     couple_marks,
-    empty_biconfig,
-    joining_sample_to_json,
     marks_differ,
     position_dtype,
     rank_tracking_consistent,
     rank_tracking_failures,
-    same_biconfig,
-    same_sample,
-    sample_biconfig,
     sample_family,
-    shift_cocycle,
     shift_cocycles,
     transport,
     verify_joining,
 )
-from chaconlab.ratio import parse_ratio
 from chaconlab.stats import DiscreteLaw, uniform_law
 from chaconlab.suspension import SNAP_DENOM
 from oracles import (
@@ -56,6 +44,18 @@ from oracles import (
 D = SNAP_DENOM
 
 
+def _family(half_width, positions, ids):
+    """One configuration from numerators in any order and ids, cut to the atom count."""
+    positions = sorted(positions)
+    return Family.build(
+        half_width,
+        np.array(positions, dtype=position_dtype(half_width)),
+        np.array(ids[: len(positions)], dtype=np.int64),
+        [len(positions)],
+        [sum(1 for p in positions if p < 0)],
+    )
+
+
 def _config(half_width, positions):
     # positions given as Fractions/ints; snapped numerators must be exact
     nums = []
@@ -63,161 +63,151 @@ def _config(half_width, positions):
         f = Fraction(p) * D
         assert f.denominator == 1
         nums.append(f.numerator)
-    return BiConfig(
-        half_width=half_width,
-        ids=tuple(range(1, len(nums) + 1)),
-        pos_nums=tuple(nums),
-        neg_count=sum(1 for x in nums if x < 0),
+    return _family(half_width, nums, list(range(1, len(nums) + 1)))
+
+
+def _stack(families):
+    """One family holding the configurations of one-configuration families, in order."""
+    return Family.build(
+        families[0].half_width,
+        np.concatenate([f.pos for f in families]),
+        np.concatenate([f.ids for f in families]),
+        [f.pos.size for f in families],
+        [int(f.neg[0]) for f in families],
     )
 
 
+def _sample(half_width, seed, stream):
+    return _sample_biconfig_counted(half_width, seed, stream)[0]
+
+
 def test_indexing_convention():
-    c = _config(3, [Fraction(-5, 2), Fraction(-1, 2), Fraction(1, 4), 2])
-    assert (c.min_index, c.max_index) == (-1, 2)
-    assert c.t(-1) == Fraction(-5, 2)
-    assert c.t(0) == Fraction(-1, 2)
-    assert c.t(1) == Fraction(1, 4)
-    assert c.t(2) == 2
-    assert c.t(0) < 0 <= c.t(1)
-    with pytest.raises(IndexError):
-        c.t(3)
-    with pytest.raises(IndexError):
-        c.t(-2)
-
-
-def test_biconfig_validation():
-    with pytest.raises(ValueError):
-        BiConfig(half_width=2, ids=(1, 2), pos_nums=(D, D), neg_count=0)  # not increasing
-    with pytest.raises(ValueError):
-        BiConfig(half_width=2, ids=(1,), pos_nums=(2 * D,), neg_count=0)  # outside
-    with pytest.raises(ValueError):
-        BiConfig(half_width=2, ids=(1,), pos_nums=(-D,), neg_count=0)  # bad split
-    with pytest.raises(ValueError):
-        BiConfig(half_width=2, ids=(1, 1), pos_nums=(0, D), neg_count=0)  # dup ids
+    # the atom in flat slot s carries index s - base[owner[s]]: indices <= 0
+    # left of the origin, and index 1 for the first atom at or right of it
+    family = _stack([
+        _config(3, [Fraction(-5, 2), Fraction(-1, 2), Fraction(1, 4), 2]),
+        _config(3, [Fraction(1, 2)]),
+        _config(3, [-3, -1, Fraction(-1, 4), 0]),
+    ])
+    index = np.arange(family.pos.size) - family.base[family.owner]
+    assert index.tolist() == [-1, 0, 1, 2, 1, -2, -1, 0, 1]
+    owner, pos = family.owner.tolist(), family.pos.tolist()
+    at = {(o, n): Fraction(p, D) for o, n, p in zip(owner, index.tolist(), pos)}
+    assert at[0, -1] == Fraction(-5, 2) and at[0, 2] == 2
+    assert at[0, 0] < 0 <= at[0, 1]
+    assert (1, 0) not in at and at[1, 1] == Fraction(1, 2)
+    assert at[2, 0] < 0 <= at[2, 1] == 0
+    # the oracle's rule, slot - neg_count + 1, gives the same ranges
+    assert [TupleBiConfig.of(family, j).indices() for j in range(3)] == [
+        range(-1, 3), range(1, 2), range(-2, 2)]
 
 
 def test_sampling_determinism_and_split():
-    a = sample_biconfig(10, seed=5, stream=3)
-    b = sample_biconfig(10, seed=5, stream=3)
-    assert same_biconfig(a, b)
-    assert not same_biconfig(sample_biconfig(10, seed=5, stream=4), a)
-    assert not same_biconfig(sample_biconfig(10, seed=6, stream=3), a)
-    assert a.t(0) < 0 <= a.t(1)
-    assert all(-10 <= a.t(n) < 10 for n in a.indices())
+    a = TupleBiConfig.of(_sample(10, seed=5, stream=3))
+    assert a == TupleBiConfig.of(_sample(10, seed=5, stream=3))
+    assert TupleBiConfig.of(_sample(10, seed=5, stream=4)) != a
+    assert TupleBiConfig.of(_sample(10, seed=6, stream=3)) != a
+    assert a.pos_num(0) < 0 <= a.pos_num(1)
+    assert all(-10 * D <= a.pos_num(n) < 10 * D for n in a.indices())
 
 
 def test_sampling_mean_count():
     # count over [-W, W) has mean 2W; average 200 draws, allow 4 sigma
     W, reps = 15, 200
-    total = sum(sample_biconfig(W, seed=77, stream=i).count for i in range(reps))
+    total = sample_family(W, 77, np.arange(reps))[0].pos.size
     mean = total / reps
     se = (2 * W / reps) ** 0.5
     assert abs(mean - 2 * W) < 4 * se
 
 
 def test_shift_cocycle_hand_cases():
-    assert shift_cocycle(_config(2, [Fraction(-3, 2), Fraction(1, 2)])) == 0
-    assert shift_cocycle(_config(2, [Fraction(-1, 2), Fraction(1, 4)])) == 1
-    assert shift_cocycle(_config(2, [-1, Fraction(-1, 2), Fraction(-1, 4)])) == 3
-    assert shift_cocycle(empty_biconfig(2)) == 0
+    family = _stack([
+        _config(2, [Fraction(-3, 2), Fraction(1, 2)]),
+        _config(2, [Fraction(-1, 2), Fraction(1, 4)]),
+        _config(2, [-1, Fraction(-1, 2), Fraction(-1, 4)]),
+        _config(2, []),
+    ])
+    assert shift_cocycles(family).tolist() == [0, 1, 3, 0]
 
 
 def test_advance_drops_right_edge():
     c = _config(2, [Fraction(-1, 2), Fraction(3, 2)])
-    adv, exited = advance_biconfig(c)
-    assert exited.tolist() == [2]
-    assert adv.count == 1 and adv.t(1) == Fraction(1, 2)
+    adv, kept = advance_family(c)
+    assert c.ids[~kept].tolist() == [2]
+    assert adv.pos.tolist() == [D // 2] and adv.neg.tolist() == [0]
 
 
 def test_rank_tracking_random():
     for i in range(200):
-        c = sample_biconfig(6, seed=901, stream=i)
-        assert rank_tracking_consistent(c)
+        assert rank_tracking_consistent(_sample(6, seed=901, stream=i))
 
 
 def test_couple_empty_first_family_all_fresh():
     law = uniform_law(3)
-    w2 = sample_biconfig(8, seed=13, stream=0)
-    s = couple_marks(empty_biconfig(8), w2, law, seed=13)
-    marks1, marks2, provenance2, _ = joining_dicts(s)
+    w2 = _sample(8, seed=13, stream=0)
+    s = couple_marks(_family(8, [], []), w2, law, seed=13)
+    marks1, marks2, provenance2, _ = joining_dicts(s, law)
     assert marks1 == {}
-    assert all(v == (FRESH,) for v in provenance2.values())
-    assert set(marks2) == set(range(w2.min_index, w2.max_index))
+    assert all(v == ("fresh",) for v in provenance2.values())
+    o2 = TupleBiConfig.of(w2)
+    assert set(marks2) == set(range(o2.min_index, o2.max_index))
 
 
 def test_couple_coincident_configurations_copy_in_place():
     law = uniform_law(4)
-    w2 = sample_biconfig(8, seed=21, stream=1)
-    w1 = BiConfig(
-        half_width=w2.half_width,
-        ids=tuple(100 + i for i in w2.ids),
-        pos_nums=w2.pos_nums,
-        neg_count=w2.neg_count,
-    )
+    w2 = _sample(8, seed=21, stream=1)
+    w1 = replace(w2, ids=w2.ids + 100)
     s = couple_marks(w1, w2, law, seed=21)
-    marks1, marks2, provenance2, _ = joining_dicts(s)
+    marks1, marks2, provenance2, _ = joining_dicts(s, law)
     assert marks2
     for n in marks2:
-        assert provenance2[n] == (COPIED, n)
+        assert provenance2[n] == ("copied", n)
         assert marks2[n] == marks1[n]
 
 
 def test_provenance_invariant():
     law = uniform_law(2)
     for i in range(50):
-        w1 = sample_biconfig(6, seed=31, stream=2 * i)
-        w2 = sample_biconfig(6, seed=31, stream=2 * i + 1)
+        w1 = _sample(6, seed=31, stream=2 * i)
+        w2 = _sample(6, seed=31, stream=2 * i + 1)
         s = couple_marks(w1, w2, law, seed=31, sample_idx=i)
-        marks1, marks2, provenance2, excluded = joining_dicts(s)
-        assert set(marks2) | set(excluded) == set(
-            range(w2.min_index, w2.max_index + 1)
-        )
-        assert excluded == (w2.max_index,)
+        marks1, marks2, provenance2, excluded = joining_dicts(s, law)
+        o1, o2 = TupleBiConfig.of(w1), TupleBiConfig.of(w2)
+        assert set(marks2) | set(excluded) == set(o2.indices())
+        assert excluded == (o2.max_index,)
         for n, prov in provenance2.items():
-            if prov[0] == COPIED:
+            lo, hi = o2.pos_num(n), o2.pos_num(n + 1)
+            if prov[0] == "copied":
                 src = prov[1]
                 assert marks2[n] == marks1[src]
-                assert w2.t(n) <= w1.t(src) < w2.t(n + 1)
+                assert lo <= o1.pos_num(src) < hi
                 # lowest such atom
-                assert src == w1.min_index or not (
-                    w2.t(n) <= w1.t(src - 1) < w2.t(n + 1)
-                )
+                assert src == o1.min_index or not lo <= o1.pos_num(src - 1) < hi
             else:
                 # no first-family atom in the interval at all
-                assert not any(
-                    w2.t(n) <= w1.t(m) < w2.t(n + 1) for m in w1.indices()
-                )
+                assert not any(lo <= o1.pos_num(m) < hi for m in o1.indices())
 
 
 def test_advance_equivariance_and_flow():
     law = uniform_law(2)
     for i in range(60):
-        w1 = sample_biconfig(5, seed=47, stream=2 * i)
-        w2 = sample_biconfig(5, seed=47, stream=2 * i + 1)
+        w1 = _sample(5, seed=47, stream=2 * i)
+        w2 = _sample(5, seed=47, stream=2 * i + 1)
         s = couple_marks(w1, w2, law, seed=47, sample_idx=i)
-        adv = advance_joint(s)
-        assert same_sample(adv, couple_marks(
-            advance_biconfig(w1)[0], advance_biconfig(w2)[0], law, seed=47, sample_idx=i
-        ))
-        # flow property: two single steps = coupling of the double step
-        twice = advance_joint(adv)
-        assert same_sample(twice, couple_marks(
-            advance_biconfig(advance_biconfig(w1)[0])[0],
-            advance_biconfig(advance_biconfig(w2)[0])[0],
-            law,
-            seed=47,
-            sample_idx=i,
-        ))
+        # flow property: one and two single steps equal coupling the advanced pair
+        for _ in range(2):
+            w1, w2, s = advance_joint(w1, w2, s)
+            assert not marks_differ(s, couple_marks(w1, w2, law, seed=47, sample_idx=i), 1)[0]
 
 
 def test_advance_index_algebra():
     law = uniform_law(2)
-    w1 = sample_biconfig(6, seed=3, stream=0)
-    w2 = sample_biconfig(6, seed=3, stream=1)
+    w1 = _sample(6, seed=3, stream=0)
+    w2 = _sample(6, seed=3, stream=1)
     s = couple_marks(w1, w2, law, seed=3)
-    c2 = shift_cocycle(w2)
-    adv = advance_joint(s)
-    before, after = joining_dicts(s)[1], joining_dicts(adv)[1]
+    c2 = shift_cocycles(w2)[0]
+    _, _, adv = advance_joint(w1, w2, s)
+    before, after = joining_dicts(s, law)[1], joining_dicts(adv, law)[1]
     assert after
     for n, v in after.items():
         assert before[n - c2] == v
@@ -265,23 +255,6 @@ def test_verify_joining_degenerate_first_family():
     assert rep["copied_fraction"]["value"] == 0.0
 
 
-def test_json_shapes():
-    law = uniform_law(2)
-    w1 = sample_biconfig(4, seed=71, stream=0)
-    w2 = sample_biconfig(4, seed=71, stream=1)
-    s = couple_marks(w1, w2, law, seed=71, sample_idx=6)
-    j = joining_sample_to_json(s)
-    assert j["seed"] == 71 and j["sample_idx"] == 6
-    assert j["law"] == {"symbols": [0, 1], "weights": [1, 1]}
-    assert j["omega1"]["window"] == ["-4", "4"]
-    for atom in j["omega2"]["atoms"]:
-        assert -4 <= parse_ratio(atom["pos"]) < 4
-    for atom in j["omega1"]["atoms"]:
-        assert set(atom) <= {"id", "index", "pos", "mark"}
-    tags = {v[0] for v in j["provenance"].values()}
-    assert tags <= {COPIED, FRESH}
-
-
 def test_resample_tally_reported():
     # tiny window: empty sides happen often and must be counted, not hidden
     rep = verify_joining(n_samples=30, half_width=1, seed=17)
@@ -302,18 +275,8 @@ laws = st.one_of(
 half_widths = st.one_of(st.integers(1, 12), st.sampled_from([1022, 1023]))
 
 
-def _biconfig(half_width, positions, ids):
-    positions = sorted(positions)
-    return BiConfig(
-        half_width=half_width,
-        ids=ids[: len(positions)],
-        pos_nums=positions,
-        neg_count=sum(1 for p in positions if p < 0),
-    )
-
-
 @st.composite
-def biconfig_pairs(draw, widths=half_widths):
+def family_pairs(draw, widths=half_widths):
     """Two configurations on one window, often sharing positions.
 
     Positions come from a quarter-unit grid, from the edges the shift
@@ -335,50 +298,53 @@ def biconfig_pairs(draw, widths=half_widths):
         st.lists(st.one_of(points, shared), max_size=24, unique=True)
     )
     ids = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=48, max_size=48, unique=True)
-    return _biconfig(W, p1, draw(ids)), _biconfig(W, p2, draw(ids))
+    return _family(W, p1, draw(ids)), _family(W, p2, draw(ids))
 
 
-def _same_as_oracle(config: BiConfig, oracle: TupleBiConfig) -> bool:
-    return TupleBiConfig.of(config) == oracle
+def _agrees_with_the_oracle(w1, w2, s, o, law, seed, sample_idx):
+    assert (TupleBiConfig.of(w1), TupleBiConfig.of(w2)) == (o.omega1, o.omega2)
+    assert joining_dicts(s, law) == dict_sample_parts(o)
+    assert not marks_differ(s, couple_marks(w1, w2, law, seed, sample_idx), 1)[0]
+    assert rank_tracking_consistent(w1) and rank_tracking_consistent(w2)
 
 
-@given(biconfig_pairs(), laws, st.integers(0, 2**64 - 1), st.integers(0, 10**6))
+@given(family_pairs(), laws, st.integers(0, 2**64 - 1), st.integers(0, 10**6))
 @example(
-    (_biconfig(1, [-D, -1, 0], [7, 8, 9]), _biconfig(1, [-D, -D // 2, 0, D // 2], [1, 2, 3, 4])),
+    (_family(1, [-D, -1, 0], [7, 8, 9]), _family(1, [-D, -D // 2, 0, D // 2], [1, 2, 3, 4])),
     uniform_law(2), 2**63, 0,
 )
 @example(
-    (empty_biconfig(1023), _biconfig(1023, [-1023 * D, -1, 0, 1022 * D], [1, 2, 3, 4])),
+    (_family(1023, [], []), _family(1023, [-1023 * D, -1, 0, 1022 * D], [1, 2, 3, 4])),
     uniform_law(3), 5, 9,
 )
 def test_array_path_matches_the_oracle(pair, law, seed, sample_idx):
+    # the single-pair entry points on a block of one
     w1, w2 = pair
     o1, o2 = TupleBiConfig.of(w1), TupleBiConfig.of(w2)
     expected_dtype = np.int64 if w1.half_width <= 1022 else object
-    assert w1.pos_nums.dtype == w2.pos_nums.dtype == expected_dtype
+    assert w1.pos.dtype == w2.pos.dtype == expected_dtype
     for w, o in ((w1, o1), (w2, o2)):
-        assert shift_cocycle(w) == tuple_shift_cocycle(o)
-        adv, exited = advance_biconfig(w)
+        assert shift_cocycles(w).tolist() == [tuple_shift_cocycle(o)]
+        adv, kept = advance_family(w)
         adv_o, exited_o = tuple_advance_biconfig(o)
-        assert _same_as_oracle(adv, adv_o) and tuple(exited.tolist()) == exited_o
+        assert TupleBiConfig.of(adv) == adv_o and tuple(w.ids[~kept].tolist()) == exited_o
         assert rank_tracking_consistent(w) is tuple_rank_tracking_consistent(o) is True
 
-    # coupling, then two advances, each compared with the oracle's
+    # coupling, then three advances, each compared with the oracle's
     s = couple_marks(w1, w2, law, seed, sample_idx)
     o = dict_couple_marks(o1, o2, law, seed, sample_idx)
+    _agrees_with_the_oracle(w1, w2, s, o, law, seed, sample_idx)
     for _ in range(3):
-        assert joining_dicts(s) == dict_sample_parts(o)
-        assert _same_as_oracle(s.omega1, o.omega1) and _same_as_oracle(s.omega2, o.omega2)
-        recoupled = couple_marks(s.omega1, s.omega2, law, seed, sample_idx)
-        assert same_sample(s, recoupled)
-        s, o = advance_joint(s), dict_advance_joint(o)
+        w1, w2, s = advance_joint(w1, w2, s)
+        o = dict_advance_joint(o)
+        _agrees_with_the_oracle(w1, w2, s, o, law, seed, sample_idx)
 
 
 @st.composite
-def biconfig_blocks(draw):
+def pair_blocks(draw):
     """Two to four pairs on one window, as one block of the joining kernel."""
     W = draw(half_widths)
-    return draw(st.lists(biconfig_pairs(st.just(W)), min_size=2, max_size=4))
+    return draw(st.lists(family_pairs(st.just(W)), min_size=2, max_size=4))
 
 
 def _sample_entries(marks, j, law):
@@ -389,13 +355,13 @@ def _sample_entries(marks, j, law):
     first, second = marks.owner1 == j, marks.owner2 == j
     pick = {"index1": first, "marks1": first, "excluded": marks.owner_x == j}
     pick.update(dict.fromkeys(("index2", "marks2", "copied2", "source2"), second))
-    view = SimpleNamespace(law=law, **{f: getattr(marks, f)[sel] for f, sel in pick.items()})
-    return joining_dicts(view)
+    view = SimpleNamespace(**{f: getattr(marks, f)[sel] for f, sel in pick.items()})
+    return joining_dicts(view, law)
 
 
 def _edge_pair(W, p1, p2, ids1=None):
     ids1 = ids1 or [100 + i for i in range(len(p1))]
-    return _biconfig(W, p1, ids1), _biconfig(W, p2, list(range(1, len(p2) + 1)))
+    return _family(W, p1, ids1), _family(W, p2, list(range(1, len(p2) + 1)))
 
 
 def _wide_block(W):
@@ -412,7 +378,7 @@ def _wide_block(W):
 _EDGES = [-D, -D // 2, -1, 0, D // 2]
 
 
-@given(biconfig_blocks(), laws, st.integers(0, 2**64 - 1), st.integers(0, 10**6))
+@given(pair_blocks(), laws, st.integers(0, 2**64 - 1), st.integers(0, 10**6))
 @example(
     [_edge_pair(3, [-3 * D, -D, 0, 2 * D], [-3 * D, -D, -1, 0, D, 2 * D, 3 * D - 1]),
      _edge_pair(3, [], [-3 * D, -D // 2, 0, 2 * D]),
@@ -430,7 +396,7 @@ def test_block_kernel_matches_the_oracle(block, law, seed, first_sample):
     # several pairs per block, each against the dict oracle on its own
     n = len(block)
     samples = np.arange(first_sample, first_sample + n)
-    family1, family2 = Family.of([w1 for w1, _ in block]), Family.of([w2 for _, w2 in block])
+    family1, family2 = _stack([w1 for w1, _ in block]), _stack([w2 for _, w2 in block])
     marks = couple_block(family1, family2, law, seed, samples)
     c1, c2 = shift_cocycles(family1), shift_cocycles(family2)
     advanced1, kept1 = advance_family(family1)
@@ -444,8 +410,8 @@ def test_block_kernel_matches_the_oracle(block, law, seed, first_sample):
         o1, o2 = TupleBiConfig.of(w1), TupleBiConfig.of(w2)
         assert (c1[j], c2[j]) == (tuple_shift_cocycle(o1), tuple_shift_cocycle(o2))
         adv1, adv2 = tuple_advance_biconfig(o1)[0], tuple_advance_biconfig(o2)[0]
-        assert _same_as_oracle(advanced1.config(j), adv1)
-        assert _same_as_oracle(advanced2.config(j), adv2)
+        assert TupleBiConfig.of(advanced1, j) == adv1
+        assert TupleBiConfig.of(advanced2, j) == adv2
         o = dict_couple_marks(o1, o2, law, seed, int(samples[j]))
         assert _sample_entries(marks, j, law) == dict_sample_parts(o)
         assert _sample_entries(moved, j, law) == dict_sample_parts(dict_advance_joint(o))
@@ -455,8 +421,8 @@ def test_block_kernel_matches_the_oracle(block, law, seed, first_sample):
 
 def test_marks_differ_names_the_sample():
     law = uniform_law(3)
-    block = [(sample_biconfig(6, 2, 2 * i), sample_biconfig(6, 2, 2 * i + 1)) for i in range(3)]
-    family1, family2 = Family.of([w1 for w1, _ in block]), Family.of([w2 for _, w2 in block])
+    family1, _ = sample_family(6, 2, 2 * np.arange(3))
+    family2, _ = sample_family(6, 2, 2 * np.arange(3) + 1)
     marks = couple_block(family1, family2, law, 2, np.arange(3))
     assert not marks_differ(marks, marks, 3).any()
     for field in ("index1", "marks1", "index2", "marks2", "source2", "excluded"):
@@ -464,7 +430,11 @@ def test_marks_differ_names_the_sample():
         values[-1] += 1
         assert marks_differ(marks, replace(marks, **{field: values}), 3).tolist() == [
             False, False, True]
-    dropped = replace(marks, owner_x=marks.owner_x[1:], excluded=marks.excluded[1:])
+    flipped = marks.copied2.copy()
+    flipped[-1] = not flipped[-1]
+    assert marks_differ(marks, replace(marks, copied2=flipped), 3).tolist() == [
+        False, False, True]
+    dropped =replace(marks, owner_x=marks.owner_x[1:], excluded=marks.excluded[1:])
     assert marks_differ(marks, dropped, 3).tolist() == [True, False, False]
 
 
@@ -474,10 +444,11 @@ def test_sample_family_matches_the_loop_sampler(half_width):
     streams = np.array([4, 0, 9])
     family, retries = sample_family(half_width, 3, streams)
     expected = [tuple_sample_biconfig(half_width, 3, s) for s in streams.tolist()]
+    singles = [_sample_biconfig_counted(half_width, 3, s) for s in streams.tolist()]
     assert retries == sum(r for _, r in expected)
-    for j, (oracle, _) in enumerate(expected):
-        assert _same_as_oracle(family.config(j), oracle)
-        assert same_biconfig(family.config(j), sample_biconfig(half_width, 3, int(streams[j])))
+    for j, ((oracle, r), (single, r_single)) in enumerate(zip(expected, singles)):
+        assert TupleBiConfig.of(family, j) == oracle == TupleBiConfig.of(single)
+        assert r_single == r
 
 
 @pytest.mark.parametrize(
@@ -509,27 +480,11 @@ def test_position_dtype_switches_past_half_width_1022():
     assert position_dtype(1022) is np.int64 and position_dtype(1023) is object
     # the rightmost position of the widest int64 window still shifts exactly
     top = 1022 * D - 1
-    adv, exited = advance_biconfig(_biconfig(1022, [-D, top], [1, 2]))
-    assert exited.tolist() == [2] and adv.pos_nums.tolist() == [0]
-    wide = _biconfig(1023, [-1023 * D, 1023 * D - 1], [1, 2])
-    assert isinstance(wide.pos_nums[1], int) and wide.pos_num(1) == 1023 * D - 1
-    with pytest.raises(ValueError):
-        _biconfig(1022, [1022 * D], [1])
-
-
-def test_same_sample_sees_every_field():
-    law = uniform_law(3)
-    s = couple_marks(sample_biconfig(6, 5, 0), sample_biconfig(6, 5, 1), law, seed=5)
-    assert same_sample(s, couple_marks(s.omega1, s.omega2, law, seed=5))
-    assert not same_sample(s, couple_marks(s.omega1, s.omega2, law, seed=6))
-    assert not same_sample(s, couple_marks(s.omega1, s.omega2, law, seed=5, sample_idx=1))
-    for field in ("index1", "marks1", "index2", "marks2", "source2", "excluded"):
-        values = getattr(s, field).copy()
-        values[0] += 1
-        assert not same_sample(s, replace(s, **{field: values}))
-    flipped = s.copied2.copy()
-    flipped[0] = not flipped[0]
-    assert not same_sample(s, replace(s, copied2=flipped))
+    c = _family(1022, [-D, top], [1, 2])
+    adv, kept = advance_family(c)
+    assert c.ids[~kept].tolist() == [2] and adv.pos.tolist() == [0]
+    wide = _family(1023, [-1023 * D, 1023 * D - 1], [1, 2])
+    assert isinstance(wide.pos[1], int) and TupleBiConfig.of(wide).pos_num(1) == 1023 * D - 1
 
 
 def test_exact_counters_count_failures(monkeypatch):
