@@ -260,6 +260,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("--samples must be at least 1")
     if p_max < 1:
         raise UsageError("--p-max must be at least 1")
+    if workers < 1:
+        raise UsageError("--workers must be at least 1")
 
     chosen = SUITES[:-1] if suite == "all" else (suite,)
     results = {}

@@ -27,7 +27,7 @@ and p-value are bit-identical to SciPy's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import special
@@ -165,16 +165,7 @@ class TestReport:
     params: dict = field(default_factory=dict, compare=False)
 
     def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "n": self.n,
-            "alpha": self.alpha,
-            "expect_reject": self.expect_reject,
-            "passed": self.passed,
-            "params": self.params,
-        }
+        return asdict(self)
 
 
 def _report(name, statistic, p_value, n, alpha, expect_reject, params=None) -> TestReport:

@@ -266,21 +266,15 @@ def run_suspension_suite(
             "holds": ok,
         }
 
+    def mark_test(test, counts, name: str, *args) -> dict:
+        try:
+            return test(counts, *args, alpha=alpha, name=name).to_jsonable()
+        except InsufficientDataError as exc:
+            return {"name": name, "verdict": "insufficient data", "reason": str(exc)}
+
     probs = [1.0 / group.order] * group.order
-    try:
-        uniformity = chi2_gof(
-            tot["mark_counts"], probs, alpha=alpha, name="mark_uniformity"
-        ).to_jsonable()
-    except InsufficientDataError as exc:
-        uniformity = {"name": "mark_uniformity", "verdict": "insufficient data",
-                      "reason": str(exc)}
-    try:
-        pair_indep = chi2_independence(
-            tot["mark_pairs"], alpha=alpha, name="mark_pair_independence"
-        ).to_jsonable()
-    except InsufficientDataError as exc:
-        pair_indep = {"name": "mark_pair_independence", "verdict": "insufficient data",
-                      "reason": str(exc)}
+    uniformity = mark_test(chi2_gof, tot["mark_counts"], "mark_uniformity", probs)
+    pair_indep = mark_test(chi2_independence, tot["mark_pairs"], "mark_pair_independence")
     marks_ok = uniformity.get("passed", False) and pair_indep.get("passed", False)
 
     return {

@@ -282,6 +282,15 @@ def test_p_max_below_one_exits_2(scratch, p_max):
     assert "--p-max" in exits_with_usage(["verify", "suspension", "--config", path])
 
 
+@pytest.mark.parametrize("workers", [0, -3, -10**30])
+def test_workers_below_one_exits_2(scratch, workers):
+    # once accepted: the suite ran on one worker while the report said 0
+    argv = ["verify", "joining", "--samples", "10"]
+    assert "--workers" in exits_with_usage([*argv, "--workers", str(workers)])
+    path = write(scratch / "run.json", json.dumps({"workers": workers}).encode())
+    assert "--workers" in exits_with_usage([*argv, "--config", path])
+
+
 def test_one_sample_and_a_one_step_budget_run(capsys):
     # the smallest accepted values: a one-sample report that says so
     assert main(["verify", "suspension", "--samples", "1", "--p-max", "1", "--k", "0"]) == cli.EXIT_FAIL

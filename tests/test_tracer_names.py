@@ -1,9 +1,21 @@
 """The benchmark's tracer wraps functions by name; each name must resolve."""
 
 import importlib.util
+import inspect
 from pathlib import Path
 
+import pytest
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+# parameters the tracer reads through ``signature.bind(...).arguments``: a
+# renamed one would silently read the tracer's default
+BOUND_ARGUMENTS = (
+    ("suspension", "sample_poisson", "stream"),
+    ("joining", "_sample_biconfig_counted", "stream"),
+    ("suspension", "push_forward", "config"),
+    ("suites", "collect_suspension", "mark_steps"),
+)
 
 
 def test_every_traced_layer_resolves():
@@ -16,3 +28,9 @@ def test_every_traced_layer_resolves():
     module, cls_name, attr, _ = tracer.KEYED_DRAW
     cls = getattr(importlib.import_module(f"chaconlab.{module}"), cls_name)
     assert callable(getattr(cls, attr))
+
+
+@pytest.mark.parametrize("module, attr, name", BOUND_ARGUMENTS)
+def test_every_bound_argument_exists(module, attr, name):
+    fn = getattr(importlib.import_module(f"chaconlab.{module}"), attr)
+    assert name in inspect.signature(fn).parameters, f"{module}.{attr}({name}=...)"
