@@ -258,6 +258,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     out = _merge(args, file_cfg, "out", None)
     if samples is not None and samples < 1:
         raise UsageError("--samples must be at least 1")
+    if seed < 0:
+        raise UsageError("--seed must be nonnegative")
     if p_max < 1:
         raise UsageError("--p-max must be at least 1")
     if workers < 1:

@@ -26,9 +26,10 @@ through the same code.
 The suite runs in blocks of ``BLOCK`` samples.  A block holds each family
 of all its samples as one ``Family`` in CSR form: flat positions and ids,
 per-configuration offsets and negative counts, and each atom's owner.
-Sampling stays per configuration, one PCG64 stream each; every later step
-is one array pass per block.  Keyed draws hash one prefix state per
-(sample, side) and mix in every atom id at once
+Sampling draws all configurations of a block together, one PCG64 stream
+each, seeded and snapped in array passes (``suspension.snapped_arrivals``);
+every later step is one array pass per block too.  Keyed draws hash one
+prefix state per (sample, side) and mix in every atom id at once
 (``KeyedStream.prefix_states``, ``DiscreteLaw.draw_at``).
 
 Coupling is one lexsort on (sample, position, family), in which a
@@ -61,10 +62,9 @@ from .stats import (
     KeyedStream,
     chi2_gof,
     chi2_independence,
-    make_rng,
     uniform_law,
 )
-from .suspension import SNAP_DENOM, snapped_arrivals
+from .suspension import SNAP_DENOM, keyed_draw, snapped_arrivals
 
 _D = SNAP_DENOM
 
@@ -117,42 +117,28 @@ class Family:
         return self.offsets[:-1] + self.neg - 1
 
 
-def _sample_sides(half_width: int, seed: int, stream: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Arrival numerators left and right of the origin, and empty-side retries.
-
-    Both sides count outward from the origin; the left one is negated by
-    the caller.
-    """
-    rng = make_rng(seed, stream)
-    bound, chunk = half_width * _D, half_width + 8
-    for retries in range(1000):
-        right = snapped_arrivals(rng, bound, chunk)
-        left = snapped_arrivals(rng, bound, chunk)
-        if right.size and left.size:
-            return left, right, retries
-    raise InsufficientDataError("window too small: sides keep coming up empty")
-
-
 def sample_family(half_width: int, seed: int, streams: np.ndarray) -> tuple[Family, int]:
     """Unit-intensity configurations on [-W, W), one per stream; and the retries.
 
-    Each stream draws one gap chain per side of the origin, and its atoms
-    get ids 1, 2, ...  Degenerate draws with an empty side are resampled
-    (same stream, continued draws), so every configuration has an index 0
-    and an index 1.
+    Each stream draws one gap chain per side of the origin, right then
+    left, both counting outward from it, and its atoms get ids 1, 2, ...
+    Degenerate draws with an empty side are resampled (same stream,
+    continued draws), so every configuration has an index 0 and an index
+    1.  All streams of the block draw together (``snapped_arrivals``).
     """
-    parts, counts, neg, retries = [], [], [], 0
-    for stream in streams.tolist():
-        left, right, r = _sample_sides(half_width, seed, stream)
-        parts += (left[::-1], right)
-        counts.append(left.size + right.size)
-        neg.append(left.size)
-        retries += r
-    pos = np.concatenate(parts).astype(position_dtype(half_width), copy=False)
-    family = Family.build(half_width, pos, None, counts, neg)
-    local = np.arange(pos.size) - family.offsets[family.owner]
-    pos[local < family.neg[family.owner]] *= -1
-    return replace(family, ids=local + 1), retries
+    [(right, n_right), (left, n_left)], retries = snapped_arrivals(
+        keyed_draw(seed, streams), len(streams), half_width * _D, half_width + 8,
+        sides=2, nonempty=True,
+    )
+    family = Family.build(half_width, None, None, n_left + n_right, n_left)
+    local = np.arange(family.owner.size) - family.offsets[family.owner]
+    on_left = local < family.neg[family.owner]
+    pos = np.empty(local.size, dtype=position_dtype(half_width))
+    pos[~on_left] = right
+    # the left arrivals of each configuration, nearest the origin last
+    ends = np.cumsum(n_left)
+    pos[on_left] = -left[(2 * ends - n_left - 1)[family.owner[on_left]] - np.arange(left.size)]
+    return replace(family, pos=pos, ids=local + 1), int(retries.sum())
 
 
 def shift_cocycles(family: Family) -> np.ndarray:

@@ -3,7 +3,11 @@
 Every randomized procedure in the package draws from one of two sources:
 
 * bulk sampling uses numpy's PCG64 keyed by (seed, stream), so parallel
-  fan-out gets independent, reproducible streams;
+  fan-out gets independent, reproducible streams.  ``make_rng`` builds one
+  stream through numpy's SeedSequence; ``pcg64_states`` hashes the same
+  SeedSequence pools for a whole array of streams in uint32 array passes,
+  and ``keyed_exponentials`` sets each resulting state on one reused
+  generator to draw the same values, stream by stream;
 * per-item draws (fresh marks and the like) use a counter-based splitmix64
   hash of an integer key tuple, so a value is a pure function of its key
   and survives reordering, resampling, and parallel evaluation.  Many
@@ -26,6 +30,7 @@ and p-value are bit-identical to SciPy's.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -148,9 +153,140 @@ def uniform_law(k: int) -> DiscreteLaw:
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """One reproducible bulk stream: PCG64 keyed by (seed, stream)."""
+    """One reproducible bulk stream: PCG64 keyed by (seed, stream).
+
+    The reference for ``pcg64_states`` and ``keyed_exponentials``, which
+    give the same streams for a whole array of streams at once.
+    """
     ss = np.random.SeedSequence(seed, spawn_key=(stream,))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+# numpy's SeedSequence, after O'Neill's seed_seq: a pool of four uint32
+# words that every entropy word is hashed into, then hashed out as state
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+# PCG64's 128-bit LCG multiplier (O'Neill 2014)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+# The hash steps below take Python ints or uint32 arrays alike: uint32
+# arithmetic wraps modulo 2**32, which is what the masks do to ints.
+
+
+def _hash(value, xor, mult):
+    """One hashmix or state-output step: xor, multiply, xorshift."""
+    value = ((value ^ xor) * mult) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _constants(first: int, mult: int, count: int) -> np.ndarray:
+    """A hash constant and the ``count`` after it, each the last times mult, as a column."""
+    out = [first]
+    for _ in range(count):
+        out.append((out[-1] * mult) & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _words32(n) -> list[int]:
+    """A nonnegative integer as SeedSequence reads it: 32-bit words, lowest first."""
+    n = int(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
+    """The pool once the seed's words are mixed in, and the next hash constant.
+
+    A spawn key follows, so the seed is padded with zero words to the
+    pool size; every stream's words then come after the same prefix.
+    """
+    entropy = _words32(seed)
+    entropy += [0] * (_POOL - len(entropy))
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        xor, const = const, (const * _MULT_A) & _MASK32
+        return _hash(value, xor, const)
+
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    return tuple(pool), const
+
+
+def pcg64_states(seed: int, streams) -> list[tuple[int, int]]:
+    """(state, inc) of ``make_rng(seed, s)``'s PCG64 for every stream s.
+
+    ``SeedSequence(seed, spawn_key=(s,))`` is hashed for all streams in
+    uint32 array passes.  The seed's part of the pool is shared; each
+    stream word is hashed into all four pool words at once, one word
+    column at a time, and a stream with fewer words keeps its pool.  Eight
+    uint32 words come out of the pool, low word first in each of PCG64's
+    four uint64 seed words, and PCG64 seeds its 128-bit LCG from them as
+    ``pcg64_set_seed`` does.
+    """
+    words = [_words32(s) for s in streams]
+    seed_pool, const = _seed_pool(int(seed))
+    if not words:
+        return []
+    width = max(map(len, words))
+    columns = np.array([w + [0] * (width - len(w)) for w in words], dtype=np.uint32).T
+    counts = np.array([len(w) for w in words])
+    pool = np.array(seed_pool, dtype=np.uint32)[:, None].repeat(len(words), axis=1)
+    for j, column in enumerate(columns):
+        c = _constants(const, _MULT_A, _POOL)
+        const = int(c[-1, 0])
+        pool = np.where(counts > j, _mix(pool, _hash(column, c[:-1], c[1:])), pool)
+    c = _constants(_INIT_B, _MULT_B, 2 * _POOL)
+    out = _hash(np.concatenate((pool, pool)), c[:-1], c[1:]).astype(np.uint64)
+    seed_hi, seed_lo, inc_hi, inc_lo = (out[0::2] | (out[1::2] << np.uint64(32))).tolist()
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
+        # state 0, one LCG step, add the seed, one more step
+        states.append((((((s_hi << 64) | s_lo) + inc) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def keyed_exponentials(seed: int, streams, size: int) -> np.ndarray:
+    """Row i: the first ``size`` draws of ``make_rng(seed, streams[i]).exponential(1.0, ...)``.
+
+    Each stream's PCG64 state (``pcg64_states``) is set on one generator,
+    which then fills the row; ``exponential(1.0)`` is the standard
+    exponential times 1.0, so the values agree bit for bit.
+    """
+    states = pcg64_states(seed, streams)
+    out = np.empty((len(states), size))
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    key = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": key, "has_uint32": 0, "uinteger": 0}
+    for row, (state, inc) in zip(out, states):
+        key["state"], key["inc"] = state, inc
+        bits.state = full
+        gen.standard_exponential(out=row)
+    return out
 
 
 @dataclass(frozen=True)

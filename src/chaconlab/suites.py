@@ -49,10 +49,11 @@ from .stats import (
     uniform_law,
 )
 from .suspension import (
+    PointConfig,
     TowerCoords,
     induced_return,
     lattice_window,
-    sample_poisson,
+    sample_windows,
     superpose,
     walk_orbits,
 )
@@ -63,30 +64,34 @@ FAILURE_KEYS = ("conjugacy_failures", "return_time_mismatches", "phi_transport_f
 
 
 def collect_poisson(start: int, stop: int, seed: int, window_hi: int, sup_hi: int) -> dict:
-    """Raw draws for the distributional suite, three streams per sample."""
+    """Raw draws for the distributional suite, three streams per sample.
+
+    Samples go in blocks of ``BLOCK``; each block draws its windows in
+    one ``sample_windows`` call and its superposed pairs in another.
+    """
     window = lattice_window(0, window_hi)
     sup_window = lattice_window(0, sup_hi)
     t1: list[float] = []
     gaps: list[float] = []
     sup_counts: list[int] = []
     skipped_empty = skipped_short = 0
-    for i in range(start, stop):
-        config = sample_poisson(window, seed, stream=3 * i)
-        if config.count == 0:
-            skipped_empty += 1
-        else:
-            # int / int is correctly rounded, as float(Fraction) is
-            t1.append(config.t(1) / SNAP_DENOM)
-            if config.count > GAPS_PER_CONFIG:
-                pos = config.positions()
-                gaps.extend(
-                    (pos[j + 1] - pos[j]) / SNAP_DENOM for j in range(GAPS_PER_CONFIG)
-                )
+    for lo in range(start, stop, BLOCK):
+        samples = np.arange(lo, min(lo + BLOCK, stop))
+        pairs = sample_windows(sup_window, seed, (3 * samples[:, None] + (1, 2)).ravel())
+        for pos, a, b in zip(sample_windows(window, seed, 3 * samples), pairs[::2], pairs[1::2]):
+            if not pos:
+                skipped_empty += 1
             else:
-                skipped_short += 1
-        a = sample_poisson(sup_window, seed, stream=3 * i + 1)
-        b = sample_poisson(sup_window, seed, stream=3 * i + 2)
-        sup_counts.append(superpose(a, b).count)
+                # int / int is correctly rounded, as float(Fraction) is
+                t1.append(pos[0] / SNAP_DENOM)
+                if len(pos) > GAPS_PER_CONFIG:
+                    gaps.extend(
+                        (pos[j + 1] - pos[j]) / SNAP_DENOM for j in range(GAPS_PER_CONFIG)
+                    )
+                else:
+                    skipped_short += 1
+            a, b = (PointConfig.numbered(sup_window, pos) for pos in (a, b))
+            sup_counts.append(superpose(a, b).count)
     return {
         "t1": t1,
         "gaps": gaps,
@@ -172,15 +177,14 @@ def collect_suspension(
     mark_censored = 0
 
     for lo in range(start, stop, BLOCK):
-        configs, route_a = [], []  # per sample: k -> (return time, positions, sums)
-        for i in range(lo, min(lo + BLOCK, stop)):
-            pos = sample_poisson(window, seed, stream=i, denom=system.denom).positions()
+        configs = sample_windows(window, seed, np.arange(lo, min(lo + BLOCK, stop)), system.denom)
+        route_a = []  # per sample: k -> (return time, positions, sums)
+        for pos in configs:
             ks = [k for k in k_values if k <= len(pos)]
             returned, reason = induced_return(system, spec, pos, ks, p_max)
             for k in k_values:
                 if k not in returned:
                     per_k[k]["censored"][reason if k <= len(pos) else "TooFewAtoms"] += 1
-            configs.append(pos)
             route_a.append(returned)
 
         # mark invariance: uniform starting marks stay uniform and pairwise

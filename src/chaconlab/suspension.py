@@ -9,11 +9,17 @@ induced rank permutation is the combinatorial shadow of the dynamics.
 
 Everything here is exact except sampling itself: exponential gaps are
 drawn in double precision and snapped to multiples of 2**-53, after which
-the whole pipeline is integer arithmetic.  A configuration's positions
-and window are integers over its lattice denominator ``denom``; pushed
-through a tower system they live on the system's lattice, so rank
-comparisons and permutation identities hold exactly, never up to
-floating error.
+the whole pipeline is integer arithmetic.  Every suite samples through one
+block kernel, ``snapped_arrivals``: each stream of a block is one keyed
+PCG64 stream (``stats.keyed_exponentials``), and the block is snapped,
+summed and cut into chains in 2-D passes.  ``sample_windows`` serves the
+suspension and Poisson suites, ``joining.sample_family`` the joining
+suite, and ``sample_poisson`` is a one-stream call of the same kernel.
+
+A configuration's positions and window are integers over its lattice
+denominator ``denom``; pushed through a tower system they live on the
+system's lattice, so rank comparisons and permutation identities hold
+exactly, never up to floating error.
 
 Two engines move configurations.  The scalar one calls ``chacon.apply_T``
 atom by atom: ``push_forward``, ``return_time_N_k``, ``skew_apply_group``
@@ -48,7 +54,7 @@ from .chacon import SNAP_DENOM, ChaconSystem, Interval
 from .cocycle import CocycleSpec, GroupElem, eval_phi, phi_iter
 from .errors import DepthExceededError, InsufficientDataError, PMaxExceededError
 from .ratio import ceil_lattice, format_lattice, parse_ratio, to_lattice
-from .stats import make_rng
+from .stats import keyed_exponentials
 
 
 class Atom(NamedTuple):
@@ -85,6 +91,12 @@ class PointConfig:
             if prev is not None and a.pos <= prev:
                 raise ValueError("atom positions must be strictly increasing")
             prev = a.pos
+
+    @classmethod
+    def numbered(cls, window: Interval, positions, denom: int = SNAP_DENOM) -> "PointConfig":
+        """Atoms at the given increasing positions, with ids 1, 2, ... in rank order."""
+        atoms = tuple(Atom(i, p) for i, p in enumerate(positions, start=1))
+        return cls(window=window, atoms=atoms, denom=denom)
 
     @property
     def count(self) -> int:
@@ -156,67 +168,139 @@ class MarkedConfig:
 
 
 _SNAP_FLOAT = float(SNAP_DENOM)
+_TO_INT = np.frompyfunc(int, 1, 1)
+# a row whose chains keep coming up empty gives up after this many attempts
+MAX_ATTEMPTS = 1000
 
 
-def snapped_arrivals(rng: np.random.Generator, bound: int, chunk: int) -> np.ndarray:
-    """Unit-rate arrival times below bound / 2**53, as numerators over 2**53.
+def keyed_draw(seed: int, streams):
+    """``snapped_arrivals``' draw from the PCG64 streams ``make_rng(seed, s)``."""
+    streams = np.asarray(streams)
+    return lambda rows, size: keyed_exponentials(seed, streams[rows], size)
 
-    Exp(1) gaps are drawn ``chunk`` at a time, snapped to the nearest
-    multiple of 2**-53 and floored at one step, so arrivals strictly
-    increase.  The rest of the chunk that crosses the bound is discarded:
-    a caller that goes on drawing from ``rng`` depends on ``chunk``.
 
-    Each chunk's running sums take one cumulative sum.  For bounds up to
-    2**63 it runs in uint64 on gaps clipped to 2**63: a sum below the
-    bound plus one such gap stays below 2**64, so every sum up to the
-    first one at or past the bound is exact.  Later sums of a long chunk
-    may wrap, so the crossing is found as the first sum at or past the
-    bound, not by a binary search.  The result is int64 there, and an
-    object array of Python ints for wider bounds, whose sums are taken in
-    Python ints.
+def snapped_arrivals(draw, n: int, bound: int, chunk: int, sides: int = 1, nonempty: bool = False):
+    """Chains of unit-rate arrival times below bound / 2**53 for n streams, over 2**53.
+
+    ``draw(rows, size)`` gives the first ``size`` Exp(1) draws of each
+    listed row's stream, one row each.  Every gap is snapped to the
+    nearest multiple of 2**-53 and floored at one step, so arrivals
+    strictly increase.  A chain's arrivals are its running sums up to the
+    first one at or past the bound.  Draws come ``chunk`` at a time: the
+    rest of the chunk that crosses the bound is discarded, so a row's next
+    chain starts at the chunk boundary after its crossing.  Each row draws
+    ``sides`` chains one after the other; with ``nonempty`` a row whose
+    chains are not all nonempty draws all ``sides`` again, going on along
+    its stream.  Returns ``[(arrivals, counts)]`` per side, the arrivals of
+    all rows flat in row order, and each row's number of redraws.
+
+    All rows run in 2-D passes over one array of running sums along each
+    row.  A row that runs out of draws redraws a longer prefix of its
+    stream.  For bounds up to 2**63 the sums are uint64 over gaps clipped
+    to 2**63: they wrap modulo 2**64, but a chain's sum is the difference
+    of two of them, and a chain sum below the bound plus one gap stays
+    below 2**64, so every sum up to the first at or past the bound is
+    exact.  Arrivals are int64 there, and object arrays of Python ints for
+    wider bounds, whose sums are taken in Python ints.
     """
     narrow = 0 <= bound <= 2**63
     limit = np.uint64(bound) if narrow else bound
-    parts = []
-    cum = 0
-    while True:
-        gaps = rng.exponential(1.0, size=chunk)
-        np.multiply(gaps, _SNAP_FLOAT, out=gaps)
-        np.rint(gaps, out=gaps)
+
+    def running_sums(exps):
+        gaps = np.rint(exps * _SNAP_FLOAT)
         np.maximum(gaps, 1.0, out=gaps)
         if narrow:
-            sums = np.minimum(gaps, 2.0**63, out=gaps).astype(np.uint64).cumsum()
-            if cum:
-                sums += np.uint64(cum)
-        else:
-            sums = np.array([int(g) for g in gaps.tolist()], dtype=object).cumsum() + cum
-        past = sums >= limit
-        k = int(past.argmax())
-        if past[k]:
-            parts.append(sums[:k])
-            out = np.concatenate(parts) if len(parts) > 1 else parts[0]
-            return out.view(np.int64) if narrow else out  # every sum is below 2**63
-        parts.append(sums)
-        cum = int(sums[-1])
+            return np.minimum(gaps, 2.0**63, out=gaps).astype(np.uint64).cumsum(axis=1)
+        return _TO_INT(gaps).cumsum(axis=1)
+
+    rows = np.arange(n)
+    sums = running_sums(draw(rows, (sides + 2) * chunk))
+    drawn = np.full(n, sums.shape[1])
+
+    def chain_sums(at, start):
+        """Sums of the rows' gaps from their start columns on, and the columns past each start."""
+        part = sums[at]
+        cols = np.arange(part.shape[1])
+        base = part[np.arange(at.size), np.maximum(start - 1, 0)]  # a start is at most the width
+        base[start == 0] = 0
+        return part - base[:, None], cols >= start[:, None]
+
+    def crossing(at, start):
+        """Each row's first column at or after its start where the chain reaches the bound."""
+        nonlocal sums
+        while True:
+            chain, reach = chain_sums(at, start)
+            past = (chain >= limit) & reach & (np.arange(sums.shape[1]) < drawn[at, None])
+            end = past.argmax(axis=1)
+            short = at[~past[np.arange(at.size), end]]
+            if not short.size:
+                return end
+            size = 2 * int(drawn[short].max())
+            if size > sums.shape[1]:
+                pad = np.zeros((n, size - sums.shape[1]), dtype=sums.dtype)
+                sums = np.concatenate((sums, pad), axis=1)
+            sums[short, :size] = running_sums(draw(short, size))
+            drawn[short] = size
+
+    start = np.zeros(n, dtype=np.int64)
+    spans = []  # per side: each row's first and past-the-end chain columns
+    for _ in range(sides):
+        end = crossing(rows, start)
+        spans.append([start, end])
+        start = (end // chunk + 1) * chunk
+    redraws = np.zeros(n, dtype=np.int64)
+    retry = rows[np.any([s == e for s, e in spans], axis=0)] if nonempty else rows[:0]
+    while retry.size:
+        if redraws[retry[0]] == MAX_ATTEMPTS - 1:
+            raise InsufficientDataError("window too small: sides keep coming up empty")
+        redraws[retry] += 1
+        first, empty = start[retry], np.zeros(retry.size, dtype=bool)
+        for span in spans:
+            end = crossing(retry, first)
+            span[0][retry], span[1][retry] = first, end
+            empty |= end == first
+            first = (end // chunk + 1) * chunk
+        start[retry] = first
+        retry = retry[empty]
+
+    out = []
+    for first, end in spans:
+        chain, reach = chain_sums(rows, first)
+        arrivals = chain[reach & (np.arange(sums.shape[1]) < end[:, None])]
+        out.append((arrivals.view(np.int64) if narrow else arrivals, end - first))
+    return out, redraws
+
+
+def sample_windows(
+    window: Interval, seed: int, streams, denom: int = SNAP_DENOM
+) -> list[tuple[int, ...]]:
+    """Positions of unit-intensity samples on a lattice window, one tuple per stream.
+
+    The window is given in lattice units of 1/denom; positions are
+    window.lo plus exact sums of snapped gaps (see ``snapped_arrivals``),
+    drawn from ``make_rng(seed, s)`` for every stream s.  ``denom`` must
+    be a multiple of 2**53.
+    """
+    scale, rest = divmod(denom, SNAP_DENOM)
+    if rest:
+        raise ValueError(f"lattice denominator {denom} is not a multiple of 2**53")
+    streams = np.asarray(streams)
+    # lo + cum * scale >= hi exactly when cum >= ceil((hi - lo) / scale)
+    bound = -(-window.width // scale)
+    chunk = max(16, window.width // denom + 8)
+    draw = keyed_draw(seed, streams)
+    [(arrivals, counts)], _ = snapped_arrivals(draw, streams.size, bound, chunk)
+    flat = [window.lo + c * scale for c in arrivals.tolist()]
+    ends = np.cumsum(counts).tolist()
+    return [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 def sample_poisson(
     window: Interval, seed: int, stream: int = 0, denom: int = SNAP_DENOM
 ) -> PointConfig:
-    """Unit-intensity sample on a window given in lattice units of 1/denom.
-
-    Positions are window.lo plus exact sums of snapped gaps (see
-    ``snapped_arrivals``); ``denom`` must be a multiple of 2**53.
-    """
-    scale, rest = divmod(denom, SNAP_DENOM)
-    if rest:
-        raise ValueError(f"lattice denominator {denom} is not a multiple of 2**53")
-    rng = make_rng(seed, stream)
-    # lo + cum * scale >= hi exactly when cum >= ceil((hi - lo) / scale)
-    bound = -(-window.width // scale)
-    arrivals = snapped_arrivals(rng, bound, max(16, window.width // denom + 8)).tolist()
-    atoms = tuple(Atom(i, window.lo + c * scale) for i, c in enumerate(arrivals, start=1))
-    return PointConfig(window=window, atoms=atoms, denom=denom)
+    """``sample_windows`` on the one stream ``stream``, as a configuration."""
+    (positions,) = sample_windows(window, seed, [stream], denom)
+    return PointConfig.numbered(window, positions, denom)
 
 
 def push_forward(

@@ -258,8 +258,10 @@ def test_verify_joining_degenerate_first_family():
 def test_resample_tally_reported():
     # tiny window: empty sides happen often and must be counted, not hidden
     rep = verify_joining(n_samples=30, half_width=1, seed=17)
-    assert rep["degenerate_resamples"] >= 0
-    assert isinstance(rep["degenerate_resamples"], int)
+    # sample i draws its families on streams 2i and 2i + 1
+    expected = sum(tuple_sample_biconfig(1, 17, stream)[1] for stream in range(60))
+    assert expected > 0
+    assert rep["degenerate_resamples"] == expected
 
 
 # -- the array path against the tuple/dict oracle, on identical pairs
@@ -438,10 +440,10 @@ def test_marks_differ_names_the_sample():
     assert marks_differ(marks, dropped, 3).tolist() == [True, False, False]
 
 
-@pytest.mark.parametrize("half_width", [1, 1023, 1025])
+@pytest.mark.parametrize("half_width", [1, 50, 1022, 1023, 1025])
 def test_sample_family_matches_the_loop_sampler(half_width):
     # at half-width 1 stream 4 resamples six times before both sides have atoms
-    streams = np.array([4, 0, 9])
+    streams = np.array([4, 0, 9, *range(10, 18)])
     family, retries = sample_family(half_width, 3, streams)
     expected = [tuple_sample_biconfig(half_width, 3, s) for s in streams.tolist()]
     singles = [_sample_biconfig_counted(half_width, 3, s) for s in streams.tolist()]

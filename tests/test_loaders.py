@@ -291,6 +291,16 @@ def test_workers_below_one_exits_2(scratch, workers):
     assert "--workers" in exits_with_usage([*argv, "--config", path])
 
 
+@pytest.mark.parametrize("suite", ["poisson", "suspension", "joining", "all"])
+@pytest.mark.parametrize("seed", [-1, -(2**70)])
+def test_negative_seed_exits_2(scratch, suite, seed):
+    # once refused only by the sampler, with numpy's "expected non-negative integer"
+    argv = ["verify", suite, "--samples", "10"]
+    assert "--seed" in exits_with_usage([*argv, "--seed", str(seed)])
+    path = write(scratch / "run.json", json.dumps({"seed": seed}).encode())
+    assert "--seed" in exits_with_usage([*argv, "--config", path])
+
+
 def test_one_sample_and_a_one_step_budget_run(capsys):
     # the smallest accepted values: a one-sample report that says so
     assert main(["verify", "suspension", "--samples", "1", "--p-max", "1", "--k", "0"]) == cli.EXIT_FAIL

@@ -18,9 +18,11 @@ from chaconlab.stats import (
     chi2_gof,
     chi2_independence,
     chi2_poisson,
+    keyed_exponentials,
     ks_exponential,
     make_rng,
     mc_mean,
+    pcg64_states,
     splitmix64,
     splitmix64_array,
     uniform_law,
@@ -161,6 +163,38 @@ def test_make_rng_streams():
     direct = np.random.Generator(np.random.PCG64(np.random.SeedSequence(5, spawn_key=(1,))))
     assert np.array_equal(c, direct.standard_normal(8))
     assert np.array_equal(a, make_rng(5).standard_normal(8))
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128, 2**130 + 5]
+# one to three 32-bit words each: SeedSequence pads the seed only up to its pool
+STREAMS = [0, 1, 2**32 - 1, 2**32, 2**63]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_block_seeding_matches_make_rng(seed):
+    states = pcg64_states(seed, STREAMS)
+    draws = keyed_exponentials(seed, STREAMS, 300)
+    assert draws.shape == (len(STREAMS), 300)
+    for stream, (state, inc), row in zip(STREAMS, states, draws):
+        rng = make_rng(seed, stream)
+        assert rng.bit_generator.state["state"] == {"state": state, "inc": inc}
+        assert np.array_equal(row, rng.exponential(1.0, size=300))
+
+
+def test_block_seeding_of_any_stream_order_and_word_count():
+    # streams of one, two and three words in one block, each on its own
+    streams = [2**70 + 3, 5, 2**40, 5]
+    assert pcg64_states(7, streams) == [pcg64_states(7, [s])[0] for s in streams]
+    assert pcg64_states(7, np.array([2**63, 0], dtype=np.uint64)) == pcg64_states(7, [2**63, 0])
+    assert pcg64_states(7, []) == [] and keyed_exponentials(7, [], 4).shape == (0, 4)
+
+
+@pytest.mark.parametrize("seed, streams", [(-1, [0]), (-(2**70), [0]), (3, [1, -1]), (-1, [])])
+def test_block_seeding_refuses_negative_seeds_and_streams(seed, streams):
+    with pytest.raises(ValueError, match="non-negative"):
+        pcg64_states(seed, streams)
+    with pytest.raises(ValueError, match="non-negative"):
+        make_rng(seed, streams[-1] if streams else 0)
 
 
 def test_ks_exponential_null_and_alternative():

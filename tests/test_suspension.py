@@ -42,6 +42,8 @@ from chaconlab.suspension import (
     return_time_N_k,
     sample_poisson,
     skew_apply_group,
+    MAX_ATTEMPTS,
+    keyed_draw,
     skew_apply_perm,
     snapped_arrivals,
     superpose,
@@ -540,7 +542,7 @@ def test_config_json_roundtrip():
     assert plain["atoms"][2]["mark"] == "z"
 
 
-# -- the chunked sampler against the gap-at-a-time loop
+# -- the block sampler against the gap-at-a-time loop
 
 
 class ScriptedRng:
@@ -557,14 +559,35 @@ class ScriptedRng:
         return np.array(out) * scale
 
 
-def _assert_same_arrivals(rngs, bound, chunk, calls=1):
-    # consecutive calls on one generator, as the joining sampler makes them
-    ours, theirs = rngs
-    for _ in range(calls):
-        got = snapped_arrivals(ours, bound, chunk)
-        expected = loop_snapped_arrivals(theirs, bound, chunk)
-        assert got.tolist() == expected
-        assert got.dtype == (np.int64 if 0 <= bound <= 2**63 else object)
+def scripted_draw(rows):
+    """``snapped_arrivals``' draw over given Exp(1) values per row, as ``ScriptedRng``."""
+    return lambda at, size: np.array([ScriptedRng(rows[r]).exponential(1.0, size) for r in at])
+
+
+def split_rows(arrivals, counts):
+    ends = np.cumsum(counts).tolist()
+    return [arrivals[a:b].tolist() for a, b in zip([0, *ends], ends)]
+
+
+def loop_chains(rng, bound, chunk, sides, nonempty):
+    """Consecutive loop calls on one generator, as the joining sampler made them."""
+    for redraws in range(MAX_ATTEMPTS):
+        chains = [loop_snapped_arrivals(rng, bound, chunk) for _ in range(sides)]
+        if not nonempty or all(chains):
+            return chains, redraws
+    return None, None
+
+
+def _assert_rows_match(draw, rngs, bound, chunk, sides=1, nonempty=False):
+    chains, redraws = snapped_arrivals(draw, len(rngs), bound, chunk, sides, nonempty)
+    assert len(chains) == sides
+    for arrivals, _ in chains:
+        assert arrivals.dtype == (np.int64 if 0 <= bound <= 2**63 else object)
+    per_row = zip(*(split_rows(arrivals, counts) for arrivals, counts in chains))
+    for row, (got, rng) in enumerate(zip(per_row, rngs)):
+        expected, expected_redraws = loop_chains(rng, bound, chunk, sides, nonempty)
+        assert list(got) == expected, row
+        assert redraws[row] == expected_redraws
 
 
 D = SNAP_DENOM
@@ -575,25 +598,56 @@ exp_values = st.one_of(
 
 
 @given(
-    st.lists(exp_values, max_size=40),
+    st.lists(st.lists(exp_values, max_size=40), min_size=1, max_size=4),
     st.one_of(st.integers(0, 8 * D), st.sampled_from([-1, 2**63 - 1, 2**63, 2**63 + 1, 2**70])),
     st.integers(1, 6),
+    st.integers(1, 3),
 )
-@example([1.0, 1.0, 1.0], 2 * D, 3)  # an arrival exactly on the bound
-@example([0.5, 0.5, 2.0, 0.5], 2 * D, 3)  # crossed on a chunk's last gap
-@example([0.5, 0.5, 0.5, 1.0, 0.5], 2 * D, 3)  # crossed on a chunk's first gap
-@example([0.0, 1e-300, 0.0, 2.0**-54, 0.0], 4, 2)  # gaps floored to one step
-@example([2048.0], 2**63, 2)  # a gap of 2**64 against the widest uint64 bound
-@example([], 2**70, 4)
-def test_snapped_arrivals_match_the_loop(values, bound, chunk):
-    _assert_same_arrivals((ScriptedRng(values), ScriptedRng(values)), bound, chunk, calls=3)
+@example([[1.0, 1.0, 1.0]], 2 * D, 3, 1)  # an arrival exactly on the bound
+@example([[0.5, 0.5, 2.0, 0.5]], 2 * D, 3, 3)  # crossed on a chunk's last gap
+@example([[0.5, 0.5, 0.5, 1.0, 0.5]], 2 * D, 3, 3)  # crossed on a chunk's first gap
+@example([[0.0, 1e-300, 0.0, 2.0**-54, 0.0]], 4, 2, 3)  # gaps floored to one step
+@example([[2048.0]], 2**63, 2, 3)  # a gap of 2**64 against the widest uint64 bound
+@example([[]], 2**70, 4, 3)
+# a row whose first chain needs a second chunk, beside one that needs one chunk
+@example([[0.5] * 5, [3.0]], 2 * D, 3, 2)
+# a row that runs past its first prefix of (sides + 2) * chunk draws and redraws
+@example([[0.25] * 30, [0.5, 2.0], []], 4 * D, 2, 1)
+@example([[0.25] * 30, [0.5, 2.0], []], 2**70, 2, 2)  # the same past 2**63
+def test_snapped_arrivals_match_the_loop(rows, bound, chunk, sides):
+    rngs = [ScriptedRng(values) for values in rows]
+    _assert_rows_match(scripted_draw(rows), rngs, bound, chunk, sides)
+
+
+# rows empty on some side: a redraw of all sides, again and again, or never;
+# a tail of short gaps ends every row's redraws
+@example([[3.0, 3.0, 0.5, 3.0, 0.5, 0.5] + [0.5] * 60], 2 * D, 1, 2)
+@given(
+    st.lists(
+        st.lists(st.sampled_from([0.5, 3.0]), max_size=12).map(lambda v: v + [0.5] * 60),
+        min_size=1,
+        max_size=4,
+    ),
+    st.sampled_from([D, 2 * D]),
+    st.integers(1, 3),
+    st.integers(1, 3),
+)
+def test_nonempty_sides_redraw_as_the_loop_does(rows, bound, chunk, sides):
+    rngs = [ScriptedRng(values) for values in rows]
+    _assert_rows_match(scripted_draw(rows), rngs, bound, chunk, sides, nonempty=True)
+
+
+def test_sides_that_stay_empty_are_refused():
+    with pytest.raises(InsufficientDataError):
+        snapped_arrivals(scripted_draw([[0.5]]), 1, 0, 1, sides=2, nonempty=True)
 
 
 @pytest.mark.parametrize("half_width", [1, 50, 1022, 1023, 1024, 1025])
 def test_snapped_arrivals_match_the_loop_on_pcg64(half_width):
-    # right side, left side, then both again as after an empty-side resample
-    for stream in range(3):
-        rngs = [make_rng(11, stream) for _ in range(2)]
-        _assert_same_arrivals(rngs, half_width * D, half_width + 8, calls=4)
-        # the same stream position: both generators go on with equal draws
-        assert rngs[0].random() == rngs[1].random()
+    # the joining sampler's draws, and the same on streams that must redraw
+    streams = np.arange(4)
+    rngs = [make_rng(11, stream) for stream in streams]
+    draw = keyed_draw(11, streams)
+    _assert_rows_match(draw, rngs, half_width * D, half_width + 8, sides=2, nonempty=True)
+    rngs = [make_rng(11, stream) for stream in streams]
+    _assert_rows_match(draw, rngs, half_width * D, half_width + 8, sides=5)
