@@ -10,18 +10,26 @@ file when --out is used.
 Exit codes: 0 all checks pass; 1 a verification check failed; 2 usage
 error (bad flags, malformed spec file); 3 censoring exceeded its
 threshold before the statistics could be trusted.
+
+The CLI runs OpenBLAS with one thread unless OPENBLAS_NUM_THREADS is
+already set: no command does BLAS work, and idle OpenBLAS threads only
+compete with the main thread for CPU.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from importlib import resources
+
+# Set before numpy loads: no command does BLAS work, and each OpenBLAS
+# worker thread spins at load, competing with the main thread on small hosts.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
 from .chacon import build_system, system_to_json
@@ -236,9 +244,12 @@ def _parse_k(value) -> tuple[int, ...]:
 
 def _parse_window(value) -> Fraction:
     try:
-        return Fraction(value)
+        window = Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse --window value {value!r}")
+    if window <= 0:
+        raise UsageError(f"--window must be positive, not {value!r}")
+    return window
 
 
 SUITES = ("poisson", "suspension", "joining", "all")
@@ -264,6 +275,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("--p-max must be at least 1")
     if workers < 1:
         raise UsageError("--workers must be at least 1")
+    if not 0 < alpha < 1:  # NaN included
+        raise UsageError(f"--alpha must lie strictly between 0 and 1, not {alpha!r}")
+    window_q = None if window is None else _parse_window(window)
+    if window_q is not None and window_q.denominator != 1 and suite != "suspension":
+        raise UsageError(f"--window must be an integer for poisson and joining, not {window!r}")
 
     chosen = SUITES[:-1] if suite == "all" else (suite,)
     results = {}
@@ -274,7 +290,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 n_samples=10_000 if samples is None else samples,
                 seed=seed,
                 alpha=alpha,
-                window_hi=int(window) if window is not None else 30,
+                window_hi=int(window_q) if window_q is not None else 30,
                 workers=workers,
             )
         elif name == "suspension":
@@ -283,7 +299,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 seed=seed,
                 n_max=n_max,
                 p_max=p_max,
-                window_hi=_parse_window(window) if window is not None else Fraction(4),
+                window_hi=window_q if window_q is not None else Fraction(4),
                 k_values=k,
                 alpha=alpha,
                 workers=workers,
@@ -295,7 +311,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         elif name == "joining":
             results[name] = verify_joining(
                 n_samples=10_000 if samples is None else samples,
-                half_width=int(window) if window is not None else 50,
+                half_width=int(window_q) if window_q is not None else 50,
                 seed=seed,
                 alpha=alpha,
                 workers=workers,

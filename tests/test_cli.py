@@ -32,18 +32,34 @@ def run_json(capsys, argv):
     return rc, json.loads(out)
 
 
+def _import_cli(code: str, **env_vars: str) -> str:
+    """Run code after a fresh `import chaconlab.cli`, with OPENBLAS_NUM_THREADS unset
+    unless given; return its stdout."""
+    src = Path(chaconlab.__file__).resolve().parents[1]
+    # this process imported chaconlab.cli, so its own environment holds the default
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(PYTHONPATH=str(src), **env_vars)
+    return subprocess.run(
+        [sys.executable, "-c", "import os, sys, chaconlab.cli; " + code],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # importing scipy.stats takes about a second on every run; p-values need only scipy.special
-    code = (
-        "import sys, chaconlab.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
-    )
-    src = Path(chaconlab.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "[]"
+    code = "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
+    assert _import_cli(code) == "[]"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_import_starts_no_openblas_threads():
+    # no command does BLAS work; each OpenBLAS worker thread spins at load
+    assert _import_cli("print(len(os.listdir('/proc/self/task')))") == "1"
+
+
+def test_cli_import_keeps_the_users_openblas_threads():
+    code = "print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _import_cli(code, OPENBLAS_NUM_THREADS="2") == "2"
 
 
 def test_version_flag(capsys):

@@ -291,6 +291,37 @@ def test_workers_below_one_exits_2(scratch, workers):
     assert "--workers" in exits_with_usage([*argv, "--config", path])
 
 
+@pytest.mark.parametrize("alpha", [0, 1, -0.5, 1.5, math.nan, math.inf])
+def test_alpha_outside_the_unit_interval_exits_2(scratch, alpha):
+    # once a verdict: at alpha 0 a p-value of 1e-217 "failed to reject" and the run exited 1
+    argv = ["verify", "joining", "--samples", "20"]
+    assert "--alpha" in exits_with_usage([*argv, "--alpha", str(alpha)])
+    path = write(scratch / "run.json", json.dumps({"alpha": alpha}).encode())
+    assert "--alpha" in exits_with_usage([*argv, "--config", path])
+
+
+@pytest.mark.parametrize("suite", ["poisson", "suspension", "joining", "all"])
+@pytest.mark.parametrize("window", [0, -1, -3, -(10**30)])
+def test_window_not_positive_exits_2(scratch, suite, window):
+    # joining once spent its 1000 redraws on empty sides, and suspension
+    # named an empty interval in lattice units
+    argv = ["verify", suite, "--samples", "10"]
+    assert "--window" in exits_with_usage([*argv, "--window", str(window)])
+    assert "--window" in exits_with_usage([*argv, f"--window={window}/7"])
+    path = write(scratch / "run.json", json.dumps({"window": window}).encode())
+    assert "--window" in exits_with_usage([*argv, "--config", path])
+
+
+@pytest.mark.parametrize("suite", ["poisson", "joining", "all"])
+@pytest.mark.parametrize("window", ["2.5", "5/2", "1/3"])
+def test_window_not_an_integer_exits_2(scratch, suite, window):
+    # once int()'s "invalid literal"; the suspension suite takes a fraction
+    argv = ["verify", suite, "--samples", "10"]
+    assert "--window" in exits_with_usage([*argv, "--window", window])
+    path = write(scratch / "run.json", json.dumps({"window": window}).encode())
+    assert "--window" in exits_with_usage([*argv, "--config", path])
+
+
 @pytest.mark.parametrize("suite", ["poisson", "suspension", "joining", "all"])
 @pytest.mark.parametrize("seed", [-1, -(2**70)])
 def test_negative_seed_exits_2(scratch, suite, seed):
