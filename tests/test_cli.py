@@ -409,6 +409,16 @@ PINNED_SUITES = [
      "6c87c64cd4c2447916ec8c09561c813d05c99cc99650830ab7bd069932c52c17"),
     (["suspension", "--n-max", "25", "--k", "1,2", "--samples", "30", "--p-max", "2000"],
      "d62942f8743d9af3a23741d5137df69dd8c9cce586de074c9853879b910dd431"),
+    # pinned before the block loop moved into fan_out: 2000 samples on a
+    # short window (its gap test rejects, since skipping windows of under six
+    # atoms biases the gaps short), 150 samples (a two-worker split inside a
+    # block), and a window whose lattice positions pass int64
+    (["poisson", "--samples", "2000", "--window", "10", "--seed", "3"],
+     "26b0282586f3a9628176a406c336ab86078edd081956fd4065a0938410041e37"),
+    (["poisson", "--samples", "150"],
+     "31ac4069d2af2e4af63aed05c653d57be073a05d049f64beff8d69277328da7c"),
+    (["poisson", "--samples", "40", "--window", "1100"],
+     "369624b2143aa3af825399947a68406368b316af135d487cd9377ee21bd20ff4"),
 ]
 
 
