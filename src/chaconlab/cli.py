@@ -37,14 +37,12 @@ from .cocycle import check_condition_i, check_condition_ii, cocycle_spec_from_js
 from .errors import InsufficientDataError
 from .joining import verify_joining
 from .ratio import format_lattice
-from .suites import run_poisson_suite, run_suspension_suite
+from .suites import CENSOR_THRESHOLD, run_poisson_suite, run_suspension_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CENSORED = 3
-
-CENSOR_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -77,24 +75,13 @@ def _emit(report: dict, out: str | None, csv_rows: list[dict] | None = None) -> 
         with open(out, "w") as fh:
             fh.write(text)
         if csv_rows:
-            _write_csv(_csv_path(out), csv_rows)
+            stem = out[: -len(".json")] if out.endswith(".json") else out
+            with open(stem + ".csv", "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(csv_rows[0].keys()))
+                writer.writeheader()
+                writer.writerows(csv_rows)
     else:
         sys.stdout.write(text)
-
-
-def _csv_path(out: str) -> str:
-    return (out[: -len(".json")] if out.endswith(".json") else out) + ".csv"
-
-
-def _write_csv(path: str, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        _write_rows(fh, rows)
-
-
-def _write_rows(fh, rows: list[dict]) -> None:
-    writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    writer.writerows(rows)
 
 
 def _test_rows(tests: dict) -> list[dict]:
@@ -210,6 +197,8 @@ def cmd_check_cocycle(args: argparse.Namespace) -> int:
     spec_path = _merge(args, file_cfg, "spec", None)
     n_scan = _merge(args, file_cfg, "n_scan", None)
     out = _merge(args, file_cfg, "out", None)
+    if n_scan is not None and n_scan < 1:
+        raise UsageError("--n-scan must be at least 1")
     spec, spec_name = _load_cocycle_spec(spec_path)
 
     cond_i = check_condition_i(spec, n_scan=n_scan)
@@ -217,7 +206,7 @@ def cmd_check_cocycle(args: argparse.Namespace) -> int:
     report = {
         "version": __version__,
         "run_config": run.to_jsonable(),
-        "n_scan": cond_i.n_scanned if n_scan is None else n_scan,
+        "n_scan": cond_i.n_scanned,  # an explicit n_scan is where the scan stops
         "condition_i": cond_i.to_jsonable(),
         "condition_ii": check_condition_ii(spec),
         "holds": cond_i.holds,

@@ -23,9 +23,11 @@ position and its shift by one fit, that is for (W + 1) * 2**53 < 2**63
 (W <= 1022), and object arrays of Python ints for wider windows; both run
 through the same code.
 
-The suite runs in blocks of ``BLOCK`` samples.  A block holds each family
-of all its samples as one ``Family`` in CSR form: flat positions and ids,
-per-configuration offsets and negative counts, and each atom's owner.
+The suite runs in blocks of ``parallel.BLOCK`` samples: ``fan_out``
+calls ``collect_joining`` once per block and merges the tallies.  A block
+holds each family of all its samples as one ``Family`` in CSR form: flat
+positions and ids, per-configuration offsets and negative counts, and
+each atom's owner.
 Sampling draws all configurations of a block together, one PCG64 stream
 each, seeded and snapped in array passes (``suspension.snapped_arrivals``);
 every later step is one array pass per block too.  Keyed draws hash one
@@ -51,12 +53,11 @@ a one-sample family.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
 
 import numpy as np
 
 from .errors import InsufficientDataError
-from .parallel import fan_out, merge
+from .parallel import fan_out
 from .stats import (
     DiscreteLaw,
     KeyedStream,
@@ -379,15 +380,20 @@ def rank_tracking_consistent(family: Family) -> bool:
     return not rank_tracking_failures(family, shift_cocycles(family), advanced, kept).any()
 
 
-# samples per block: each block's flat arrays stay a few hundred kB at
-# window 50, so peak memory does not grow with the sample count
-BLOCK = 64
-
-
-def _tally_block(
-    samples: np.ndarray, half_width: int, seed: int, law: DiscreteLaw, empty_first_family: bool
+def collect_joining(
+    start: int,
+    stop: int,
+    half_width: int,
+    seed: int,
+    law: DiscreteLaw,
+    empty_first_family: bool = False,
 ) -> dict:
-    """``collect_joining``'s tallies for one block of samples."""
+    """Sufficient statistics and exact-check tallies for samples [start, stop).
+
+    ``empty_first_family`` replaces every first configuration with the
+    empty one, the degenerate regime where no mark can be copied.
+    """
+    samples = np.arange(start, stop)
     k, n = len(law.symbols), samples.size
     if empty_first_family:
         pos, ids = np.empty(0, dtype=position_dtype(half_width)), np.empty(0, dtype=np.int64)
@@ -427,38 +433,6 @@ def _tally_block(
     recoupled = couple_block(advanced1, advanced2, law, seed, samples)
     tally["equivariance_failures"] = int(np.count_nonzero(marks_differ(moved, recoupled, n)))
     return tally
-
-
-def collect_joining(
-    start: int,
-    stop: int,
-    half_width: int,
-    seed: int,
-    law: DiscreteLaw,
-    empty_first_family: bool = False,
-) -> dict:
-    """Sufficient statistics and exact-check tallies for samples [start, stop).
-
-    ``empty_first_family`` replaces every first configuration with the
-    empty one, the degenerate regime where no mark can be copied.  Blocks
-    of ``BLOCK`` samples merge by ``fan_out``'s rule.
-    """
-    k = len(law.symbols)
-    zero = {
-        "marginal": np.zeros(k, dtype=np.int64),
-        "adjacent": np.zeros((k, k), dtype=np.int64),
-        "copied_pairs": np.zeros((k, k), dtype=np.int64),
-        **dict.fromkeys(
-            ("copied", "decided", "excluded", "resamples", "rank_failures",
-             "equivariance_failures"),
-            0,
-        ),
-    }
-    blocks = (
-        _tally_block(np.arange(lo, min(lo + BLOCK, stop)), half_width, seed, law, empty_first_family)
-        for lo in range(start, stop, BLOCK)
-    )
-    return reduce(merge, blocks, zero)
 
 
 def verify_joining(

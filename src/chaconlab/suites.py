@@ -2,9 +2,11 @@
 
 Each suite is a pure function of its configuration: per-sample randomness
 is keyed by (seed, sample index), samples fan out across workers as
-contiguous ranges, and ``fan_out`` merges the partial results in range
-order by one rule (dicts key by key, all else with ``+``), so reports are
-identical for any worker count.
+contiguous ranges, each range is tallied in blocks of ``parallel.BLOCK``
+samples, and ``fan_out`` merges the partial results in range order by one
+rule (dicts key by key, all else with ``+``), so reports are identical
+for any worker count and any block size.  Each ``collect_*`` function
+tallies the one block ``[start, stop)`` it is given.
 
 The ``poisson`` suite checks the sampler's distributional contract: the
 first atom is Exp(1), early inter-atom gaps are Exp(1) (early ones, so
@@ -16,9 +18,9 @@ by sample: splitting off the k lowest atoms, advancing by the induced
 first-return map, and recombining must equal advancing the whole
 configuration by its rank-prefix return time — and the two return times
 must agree.  Accumulated group marks are checked against the k-vector of
-cocycle sums, and mark uniformity is tested statistically.  Samples go
-in blocks of ``BLOCK``.  Route A (split, induced return, cocycle sums)
-is one scalar pass per sample for every k (``suspension.induced_return``);
+cocycle sums, and mark uniformity is tested statistically.  Route A
+(split, induced return, cocycle sums) is one scalar pass per sample for
+every k (``suspension.induced_return``);
 route B and the marks come from one walk of the block in tower
 coordinates (``suspension.walk_orbits``), a separate computation.  Route
 A alone decides censoring: samples whose orbits outrun the truncation
@@ -49,49 +51,46 @@ from .stats import (
     uniform_law,
 )
 from .suspension import (
-    PointConfig,
     TowerCoords,
     induced_return,
     lattice_window,
     sample_windows,
-    superpose,
     walk_orbits,
 )
 
 GAPS_PER_CONFIG = 5
-BLOCK = 64  # suspension samples walked together
+# a k whose censored fraction reaches this fails, and the CLI exits 3
+CENSOR_THRESHOLD = 0.5
 FAILURE_KEYS = ("conjugacy_failures", "return_time_mismatches", "phi_transport_failures")
 
 
 def collect_poisson(start: int, stop: int, seed: int, window_hi: int, sup_hi: int) -> dict:
     """Raw draws for the distributional suite, three streams per sample.
 
-    Samples go in blocks of ``BLOCK``; each block draws its windows in
-    one ``sample_windows`` call and its superposed pairs in another.
+    The samples' windows come from one ``sample_windows`` call and their
+    superposed pairs from another.
     """
-    window = lattice_window(0, window_hi)
-    sup_window = lattice_window(0, sup_hi)
+    samples = np.arange(start, stop)
+    windows = sample_windows(lattice_window(0, window_hi), seed, 3 * samples)
+    pairs = sample_windows(lattice_window(0, sup_hi), seed, (3 * samples[:, None] + (1, 2)).ravel())
     t1: list[float] = []
     gaps: list[float] = []
     sup_counts: list[int] = []
     skipped_empty = skipped_short = 0
-    for lo in range(start, stop, BLOCK):
-        samples = np.arange(lo, min(lo + BLOCK, stop))
-        pairs = sample_windows(sup_window, seed, (3 * samples[:, None] + (1, 2)).ravel())
-        for pos, a, b in zip(sample_windows(window, seed, 3 * samples), pairs[::2], pairs[1::2]):
-            if not pos:
-                skipped_empty += 1
+    for pos, a, b in zip(windows, pairs[::2], pairs[1::2]):
+        if not pos:
+            skipped_empty += 1
+        else:
+            # int / int is correctly rounded, as float(Fraction) is
+            t1.append(pos[0] / SNAP_DENOM)
+            if len(pos) > GAPS_PER_CONFIG:
+                gaps.extend((pos[j + 1] - pos[j]) / SNAP_DENOM for j in range(GAPS_PER_CONFIG))
             else:
-                # int / int is correctly rounded, as float(Fraction) is
-                t1.append(pos[0] / SNAP_DENOM)
-                if len(pos) > GAPS_PER_CONFIG:
-                    gaps.extend(
-                        (pos[j + 1] - pos[j]) / SNAP_DENOM for j in range(GAPS_PER_CONFIG)
-                    )
-                else:
-                    skipped_short += 1
-            a, b = (PointConfig.numbered(sup_window, pos) for pos in (a, b))
-            sup_counts.append(superpose(a, b).count)
+                skipped_short += 1
+        # the count of ``superpose(a, b)``, which refuses a shared position
+        if not set(a).isdisjoint(b):
+            raise AssertionError("superposition collision at identical positions")
+        sup_counts.append(len(a) + len(b))
     return {
         "t1": t1,
         "gaps": gaps,
@@ -151,23 +150,16 @@ def collect_suspension(
 ) -> dict:
     """Exact conjugacy/return-time/cocycle checks plus mark draws per sample.
 
-    Samples go in blocks of ``BLOCK``.  Route A (``induced_return`` on
-    plain positions) runs once per sample for every k, and its censor
-    reason is the one counted.  One walk of the block in tower coordinates
-    (``walk_orbits``) then serves everything else: the first step whose
-    order fixes ranks 1..k is k's return time, the walk's configuration
-    there is route B, its marks at ranks 1..k must be the start marks plus
-    route A's cocycle sums, and its marks at step ``mark_steps`` feed the
-    mark tests.
+    Route A (``induced_return`` on plain positions) runs once per sample
+    for every k, and its censor reason is the one counted.  One walk of
+    the samples in tower coordinates (``walk_orbits``) then serves
+    everything else: the first step whose order fixes ranks 1..k is k's
+    return time, the walk's configuration there is route B, its marks at
+    ranks 1..k must be the start marks plus route A's cocycle sums, and
+    its marks at step ``mark_steps`` feed the mark tests.
     """
     system = build_system(n_max)
-    tower = TowerCoords(system, spec)
-    window = lattice_window(0, window_hi, system.denom)
     group = spec.group
-    stream = KeyedStream(seed)
-    law = uniform_law(group.order)
-    zero = (0,) * group.rank
-
     per_k = {
         k: {"uncensored": 0, **dict.fromkeys(FAILURE_KEYS, 0), "censored": Counter()}
         for k in k_values
@@ -176,47 +168,50 @@ def collect_suspension(
     mark_pairs = np.zeros((group.order, group.order), dtype=np.int64)
     mark_censored = 0
 
-    for lo in range(start, stop, BLOCK):
-        configs = sample_windows(window, seed, np.arange(lo, min(lo + BLOCK, stop)), system.denom)
-        route_a = []  # per sample: k -> (return time, positions, sums)
-        for pos in configs:
-            ks = [k for k in k_values if k <= len(pos)]
-            returned, reason = induced_return(system, spec, pos, ks, p_max)
-            for k in k_values:
-                if k not in returned:
-                    per_k[k]["censored"][reason if k <= len(pos) else "TooFewAtoms"] += 1
-            route_a.append(returned)
+    configs = sample_windows(
+        lattice_window(0, window_hi, system.denom), seed, np.arange(start, stop), system.denom
+    )
+    route_a = []  # per sample: k -> (return time, positions, sums)
+    for pos in configs:
+        ks = [k for k in k_values if k <= len(pos)]
+        returned, reason = induced_return(system, spec, pos, ks, p_max)
+        for k in k_values:
+            if k not in returned:
+                per_k[k]["censored"][reason if k <= len(pos) else "TooFewAtoms"] += 1
+        route_a.append(returned)
 
-        # mark invariance: uniform starting marks stay uniform and pairwise
-        # independent after a few skew steps; keyed by (seed, sample, 9, atom id)
-        counts = np.array([len(c) for c in configs])
-        owner = np.repeat(np.arange(lo, lo + len(configs)), counts)
-        ids = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts) + 1
-        drawn = law.draw_at(stream.prefix_states(owner, 9), ids)
-        symbols = np.split(drawn, np.cumsum(counts)[:-1])
-        starts = [group.coords(sym) if len(sym) >= 2 else None for sym in symbols]
-        walks = walk_orbits(tower, configs, route_a, p_max, mark_steps, starts)
+    # mark invariance: uniform starting marks stay uniform and pairwise
+    # independent after a few skew steps; keyed by (seed, sample, 9, atom id)
+    counts = np.array([len(c) for c in configs])
+    owner = np.repeat(np.arange(start, stop), counts)
+    ids = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts) + 1
+    states = KeyedStream(seed).prefix_states(owner, 9)
+    drawn = uniform_law(group.order).draw_at(states, ids)
+    symbols = np.split(drawn, np.cumsum(counts)[:-1])
+    first_marks = [group.coords(sym) if len(sym) >= 2 else None for sym in symbols]
+    walks = walk_orbits(TowerCoords(system, spec), configs, route_a, p_max, mark_steps, first_marks)
 
-        for pos, returned, start, walk in zip(configs, route_a, starts, walks):
-            origin = [zero] * len(pos) if start is None else start.tolist()
-            for k, (m_steps, route_a_pos, sums) in returned.items():
-                tally = per_k[k]
-                tally["uncensored"] += 1
-                if k not in walk.returns:
-                    tally["return_time_mismatches"] += 1
-                    continue
-                n_steps, route_b, marks = walk.returns[k]
-                carried = tuple(group.element(map(add, a, b)).coords for a, b in zip(origin, sums))
-                tally["return_time_mismatches"] += m_steps != n_steps
-                tally["conjugacy_failures"] += route_a_pos != route_b
-                tally["phi_transport_failures"] += marks != carried
-            if start is not None:
-                if walk.marks is None:
-                    mark_censored += 1
-                else:
-                    at = group.symbols(walk.marks)
-                    mark_counts += np.bincount(at, minlength=group.order)
-                    mark_pairs[at[0], at[1]] += 1
+    zero = (0,) * group.rank
+    for pos, returned, first, walk in zip(configs, route_a, first_marks, walks):
+        origin = [zero] * len(pos) if first is None else first.tolist()
+        for k, (m_steps, route_a_pos, sums) in returned.items():
+            tally = per_k[k]
+            tally["uncensored"] += 1
+            if k not in walk.returns:
+                tally["return_time_mismatches"] += 1
+                continue
+            n_steps, route_b, marks = walk.returns[k]
+            carried = tuple(group.element(map(add, a, b)).coords for a, b in zip(origin, sums))
+            tally["return_time_mismatches"] += m_steps != n_steps
+            tally["conjugacy_failures"] += route_a_pos != route_b
+            tally["phi_transport_failures"] += marks != carried
+        if first is not None:
+            if walk.marks is None:
+                mark_censored += 1
+            else:
+                at = group.symbols(walk.marks)
+                mark_counts += np.bincount(at, minlength=group.order)
+                mark_pairs[at[0], at[1]] += 1
     return {
         "per_k": per_k,
         "mark_counts": mark_counts,
@@ -259,7 +254,7 @@ def run_suspension_suite(
         fraction = censored / n_samples
         ok = (
             t["uncensored"] >= min_uncensored
-            and fraction < 0.5
+            and fraction < CENSOR_THRESHOLD
             and not any(t[key] for key in FAILURE_KEYS)
         )
         exact_ok = exact_ok and ok

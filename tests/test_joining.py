@@ -457,7 +457,7 @@ def test_sample_family_matches_the_loop_sampler(half_width):
     "half_width, n_samples, law, empty_first_family",
     [
         (1, 40, uniform_law(2), False),
-        (1, 70, LAWS[2], False),  # two blocks
+        (1, 70, LAWS[2], False),  # longer than parallel.BLOCK, in one call
         (5, 30, uniform_law(3), False),
         (5, 30, LAWS[2], True),
         (12, 20, LAWS[2], False),

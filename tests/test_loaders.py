@@ -332,6 +332,21 @@ def test_negative_seed_exits_2(scratch, suite, seed):
     assert "--seed" in exits_with_usage([*argv, "--config", path])
 
 
+@pytest.mark.parametrize("n_scan", [0, -3, -10**30])
+def test_n_scan_below_one_exits_2(scratch, n_scan):
+    # once exit 0 with "n_scan" 0 or -3 in the report, and one stage scanned
+    assert "--n-scan" in exits_with_usage(["check-cocycle", "--n-scan", str(n_scan)])
+    path = write(scratch / "run.json", json.dumps({"n_scan": n_scan}).encode())
+    assert "--n-scan" in exits_with_usage(["check-cocycle", "--config", path])
+
+
+@pytest.mark.parametrize("n_scan", [1, 3])
+def test_n_scan_is_the_number_of_stages_scanned(capsys, n_scan):
+    assert main(["check-cocycle", "--n-scan", str(n_scan)]) == cli.EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["n_scan"] == doc["condition_i"]["n_scanned"] == n_scan
+
+
 def test_one_sample_and_a_one_step_budget_run(capsys):
     # the smallest accepted values: a one-sample report that says so
     assert main(["verify", "suspension", "--samples", "1", "--p-max", "1", "--k", "0"]) == cli.EXIT_FAIL

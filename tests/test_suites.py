@@ -7,11 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chaconlab import suites, suspension
+from chaconlab import parallel, suites, suspension
 from chaconlab.cocycle import single_spacer_indicator
-from chaconlab.parallel import merge
+from chaconlab.joining import collect_joining
+from chaconlab.parallel import fan_out, merge
+from chaconlab.stats import uniform_law
 from chaconlab.suites import (
     FAILURE_KEYS,
+    collect_poisson,
     collect_suspension,
     run_poisson_suite,
     run_suspension_suite,
@@ -215,6 +218,39 @@ def test_fan_out_merge_rule():
     assert got["arr"].tolist() == [4, 6]
     assert got["d"] == {"x": 2, "y": 5}
     assert a["d"] == {"x": 1}  # inputs are left alone
+
+
+def _plain(tally):
+    """A tally with arrays as lists and every dict (Counters too) a plain dict."""
+    if isinstance(tally, dict):
+        return {key: _plain(value) for key, value in tally.items()}
+    return tally.tolist() if isinstance(tally, np.ndarray) else tally
+
+
+@pytest.mark.parametrize(
+    "collect, args",
+    [
+        (collect_poisson, (4, 30, 10)),
+        (collect_suspension,
+         (7, 3, 10, Fraction(5), (0, 1, 2, 3), single_spacer_indicator(1), 3)),
+        (collect_joining, (5, 3, uniform_law(3))),
+        (collect_joining, (5, 3, uniform_law(2), True)),
+    ],
+    ids=["poisson", "suspension", "joining", "joining-empty-first"],
+)
+def test_tallies_do_not_depend_on_the_block_size(monkeypatch, collect, args):
+    # 130 samples as one collect call, and through fan_out in blocks of 1,
+    # 5 and 64 (64 + 64 + 2) on one and two workers: the tallies must agree
+    whole = _plain(collect(0, 130, *args))
+    for block in (1, 5, 64):
+        monkeypatch.setattr(parallel, "BLOCK", block)
+        for workers in (1, 2):
+            assert _plain(fan_out(collect, 130, workers, *args)) == whole, (block, workers)
+
+
+def test_fan_out_refuses_an_empty_range():
+    with pytest.raises(ValueError, match="n_samples"):
+        fan_out(collect_poisson, 0, 1, 4, 30, 10)
 
 
 def late(m_steps, positions, sums):

@@ -23,6 +23,7 @@ from chaconlab.errors import (
 )
 from chaconlab.ratio import to_lattice
 from chaconlab.stats import chi2_gof, chi2_independence, ks_exponential, make_rng
+from chaconlab.suites import collect_poisson
 from chaconlab.suspension import (
     SNAP_DENOM,
     Atom,
@@ -337,14 +338,16 @@ def test_superpose(sys2):
 
 def test_superpose_sampled_pairs():
     # the merged configuration keeps every atom of both sides, in order,
-    # and its provenance splits exactly by side
+    # and its provenance splits exactly by side; on the poisson suite's
+    # pair streams (3i + 1, 3i + 2) its count is the suite's pair count
     merged_any = False
+    suite_counts = collect_poisson(0, 40, 8, 30, 3)["sup_counts"]
     for i in range(40):
-        a = sample_poisson(lattice_window(0, 3), seed=8, stream=2 * i)
-        b = sample_poisson(lattice_window(0, 3), seed=8, stream=2 * i + 1)
+        a = sample_poisson(lattice_window(0, 3), seed=8, stream=3 * i + 1)
+        b = sample_poisson(lattice_window(0, 3), seed=8, stream=3 * i + 2)
         both = superpose(a, b)
         pos = both.positions()
-        assert both.count == len(pos) == a.count + b.count
+        assert both.count == len(pos) == a.count + b.count == suite_counts[i]
         assert all(x < y for x, y in zip(pos, pos[1:]))
         assert sorted(pos) == sorted(a.positions() + b.positions())
         sides = [src for src, _ in both.provenance]
