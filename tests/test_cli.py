@@ -169,6 +169,35 @@ def test_check_cocycle_matches_pinned_hash(tmp_path, capsys, spec, code, digest)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# SHA-256 of json.dumps(report, sort_keys=True) without "version", and the
+# exit code: n_scan, holds and condition (ii) as well as condition (i)
+PINNED_COCYCLE_REPORTS = [
+    pytest.param([], EXIT_OK,
+                 "b37055f57b5623243113f523ed17bea145670fd6118ef2961ad1eae0bba76283",
+                 id="bundled"),
+    pytest.param(["--n-scan", "3"], EXIT_OK,
+                 "b37055f57b5623243113f523ed17bea145670fd6118ef2961ad1eae0bba76283",
+                 id="n-scan-3"),
+    pytest.param(["--n-scan", "1"], EXIT_OK,
+                 "3e9db1e048fc012a233a15df1d9ecbf2e72530d837886a7c8ce828d834cc49fd",
+                 id="n-scan-1"),
+    pytest.param(["--spec", "spec.json"], EXIT_FAIL,
+                 "112885d76830df59fd75faca1d25866fe0af50066e182fc6992c589c56234f9d",
+                 id="zero-Z2"),
+]
+
+
+@pytest.mark.parametrize("args, code, digest", PINNED_COCYCLE_REPORTS)
+def test_check_cocycle_report_matches_pinned_hash(tmp_path, monkeypatch, capsys, args, code, digest):
+    monkeypatch.chdir(tmp_path)  # the spec path lands in run_config
+    Path("spec.json").write_text(json.dumps(_zero_spec(2)))
+    rc, doc = run_json(capsys, ["check-cocycle", *args])
+    assert rc == code
+    del doc["version"]
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_check_cocycle_report_stays_small_for_a_late_cutoff(tmp_path):
     # the report once held every stage's span generators: 75 MB at zero_beyond 400
     path = tmp_path / "spec.json"
