@@ -44,6 +44,10 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CENSORED = 3
 
+# build-chacon lists every level of every tower, about six times more per
+# depth: at depth 9 the report holds 209 MB and the run peaks near 1.6 GB
+MAX_BUILD_N = 9
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -148,8 +152,8 @@ def cmd_build_chacon(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(getattr(args, "config", None))
     n_max = _merge(args, file_cfg, "n_max", 4)
     out = _merge(args, file_cfg, "out", None)
-    if n_max < 1:
-        raise UsageError("--n-max must be at least 1")
+    if not 1 <= n_max <= MAX_BUILD_N:
+        raise UsageError(f"--n-max must be between 1 and {MAX_BUILD_N}")
     system = build_system(n_max)
     run = RunConfig(command="build-chacon", n_max=n_max)
     d = system.denom
@@ -206,13 +210,13 @@ def cmd_check_cocycle(args: argparse.Namespace) -> int:
     report = {
         "version": __version__,
         "run_config": run.to_jsonable(),
-        "n_scan": cond_i.n_scanned,  # an explicit n_scan is where the scan stops
-        "condition_i": cond_i.to_jsonable(),
+        "n_scan": cond_i["n_scanned"],  # an explicit n_scan is where the scan stops
+        "condition_i": cond_i,
         "condition_ii": check_condition_ii(spec),
-        "holds": cond_i.holds,
+        "holds": cond_i["holds"],
     }
     _emit(report, out)
-    return EXIT_OK if cond_i.holds else EXIT_FAIL
+    return EXIT_OK if cond_i["holds"] else EXIT_FAIL
 
 
 def _parse_k(value) -> tuple[int, ...]:

@@ -56,12 +56,6 @@ class FinAbGroup:
             out *= d
         return out
 
-    @property
-    def exponent(self) -> int:
-        from math import lcm
-
-        return lcm(1, *self.invariant_factors)
-
     def element(self, coords) -> "GroupElem":
         return GroupElem(tuple(coords), self)
 
@@ -238,31 +232,15 @@ def subgroup_closure(group: FinAbGroup, gens) -> set[GroupElem]:
     return closure
 
 
-@dataclass(frozen=True)
-class GenerationReport:
-    holds: bool
-    generators_found: tuple[tuple[int, tuple[int, ...]], ...]
-    subgroup_order: int
-    group_order: int
-    n_scanned: int
-
-    def to_jsonable(self) -> dict:
-        return {
-            "holds": self.holds,
-            "generators_found": [[n, list(c)] for n, c in self.generators_found],
-            "subgroup_order": self.subgroup_order,
-            "group_order": self.group_order,
-            "n_scanned": self.n_scanned,
-        }
-
-
-def check_condition_i(spec: CocycleSpec, n_scan: int | None = None) -> GenerationReport:
+def check_condition_i(spec: CocycleSpec, n_scan: int | None = None) -> dict:
     """Do the stage values generate the whole group?
 
     Each stage n contributes level_sum(n) and 2*level_sum(n) + middle(n).
     Past the zero cutoff the level sums evolve by f -> 3f, which is
     eventually periodic in a finite group, so scanning stops once the
-    tail revisits a level sum (or at an explicit n_scan).
+    tail revisits a level sum (or at an explicit n_scan).  The report
+    holds the verdict, each distinct generator with the first stage that
+    gives it, both orders and the stage where the scan stopped.
     """
     group = spec.group
     cutoff = spec.zero_beyond
@@ -289,14 +267,14 @@ def check_condition_i(spec: CocycleSpec, n_scan: int | None = None) -> Generatio
     for stage_n, g in gens:
         if g not in seen_vals:
             seen_vals.add(g)
-            dedup.append((stage_n, g.coords))
-    return GenerationReport(
-        holds=len(closure) == group.order,
-        generators_found=tuple(dedup),
-        subgroup_order=len(closure),
-        group_order=group.order,
-        n_scanned=n,
-    )
+            dedup.append([stage_n, list(g.coords)])
+    return {
+        "holds": len(closure) == group.order,
+        "generators_found": dedup,
+        "subgroup_order": len(closure),
+        "group_order": group.order,
+        "n_scanned": n,
+    }
 
 
 def check_condition_ii(spec: CocycleSpec) -> dict:

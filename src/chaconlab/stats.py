@@ -119,9 +119,6 @@ class DiscreteLaw:
     def total(self) -> int:
         return sum(self.weights)
 
-    def prob(self, symbol) -> float:
-        return self.weights[self.symbols.index(symbol)] / self.total
-
     def draw(self, stream: KeyedStream, *key: int):
         u = stream.integer(self.total, *key)
         acc = 0

@@ -578,8 +578,7 @@ class Walked(NamedTuple):
     ``returns`` maps each wanted k that returned to (prefix-fixing return
     time, positions in rank order then, coordinates of the marks at ranks
     1..k then); ``marks`` holds every mark in rank order after
-    ``mark_steps`` steps, or None when the marks were not asked for or the
-    top came first.
+    ``mark_steps`` steps, or None when the top came first.
     """
 
     returns: dict
@@ -602,18 +601,18 @@ def walk_orbits(
     wants: Sequence[Iterable[int]],
     p_max: int,
     mark_steps: int,
-    start_marks: Sequence[np.ndarray | None],
+    start_marks: Sequence[np.ndarray],
 ) -> list[Walked]:
     """Walk a block of configurations at once, marks carried along.
 
     ``configs`` holds increasing positions; for each one, ``wants`` names
     the k whose prefix-fixing return time to find in 1..p_max, and
-    ``start_marks`` the starting mark coordinates per atom (None: marks
-    start at the identity and are not reported).  A configuration's atoms
-    are (level, offset) pairs in tower N.  At step p they rank by the key
-    posrank(level + p) * atoms + offset rank, so ranks 1..k are fixed when
-    each of the first k keys is the least from its own on.  Marks are the
-    start marks plus cumulative sums of the level function, mod the group.
+    ``start_marks`` the starting mark coordinates per atom.  A
+    configuration's atoms are (level, offset) pairs in tower N.  At step p
+    they rank by the key posrank(level + p) * atoms + offset rank, so ranks
+    1..k are fixed when each of the first k keys is the least from its own
+    on.  Marks are the start marks plus cumulative sums of the level
+    function, mod the group.
     An atom on level k can take h_N - 1 - k steps.  A configuration leaves
     the walk once every k has returned (or p_max has passed) and
     ``mark_steps`` has passed, or when its atoms reach the top.
@@ -634,8 +633,7 @@ def walk_orbits(
         if located:
             levels[s, : len(located)], offsets[s, : len(located)] = zip(*located)
             steps_left[s] = height - 1 - max(lv for lv, _ in located)
-        if start is not None:
-            marks[s, : len(located)] = start
+        marks[s, : len(located)] = start
     padded = offsets == tower.width
     offset_rank = np.argsort(np.argsort(offsets, axis=1, kind="stable"), axis=1)
     limit = np.minimum(steps_left, min(p_max, height))
@@ -643,11 +641,9 @@ def walk_orbits(
     want = np.array([[k in w for k in ks] for w in wants], dtype=bool).reshape(len(wants), len(ks))
     returns = [{} for _ in configs]
     # marks are read after mark_steps steps exactly where mark_need == mark_steps
-    tested = np.array([m is not None for m in start_marks], dtype=bool)
-    walks_marks = tested & (counts > 0) & (mark_steps > 0)
+    walks_marks = (counts > 0) & (mark_steps > 0)
     mark_need = np.where(walks_marks, np.minimum(steps_left, min(mark_steps, height)), 0)
-    at_marks = [marks[s, : counts[s]].copy() if t and not w else None
-                for s, (t, w) in enumerate(zip(tested, walks_marks))]
+    at_marks = [None if w else marks[s, : counts[s]].copy() for s, w in enumerate(walks_marks)]
 
     sentinel = height * width  # above every key; padding never ranks
     active = np.flatnonzero((want.any(axis=1) & (limit > 0)) | (mark_need > 0))

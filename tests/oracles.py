@@ -246,14 +246,9 @@ def scalar_walk(system, spec, config, wants, p_max, mark_steps, start_marks):
     (returns, reasons, marks): returns maps k to (return time, positions,
     coordinates of the marks at ranks 1..k), reasons maps each k without a
     return to its censoring reason, and marks lists every mark's coordinates
-    in rank order, or is None when ``start_marks`` is None or the walk hit
-    the top first.
+    in rank order, or is None when the walk hit the top first.
     """
-    group = spec.group
-    if start_marks is None:
-        marks0 = (group.identity(),) * config.count
-    else:
-        marks0 = tuple(group.element(c) for c in start_marks)
+    marks0 = tuple(spec.group.element(c) for c in start_marks)
     returns, reasons = {}, {}
     for k in wants:
         try:
@@ -267,17 +262,13 @@ def scalar_walk(system, spec, config, wants, p_max, mark_steps, start_marks):
         returns[k] = (
             n_steps, marked.config.positions(), tuple(m.coords for m in marked.marks[:k])
         )
-    marks = None
-    if start_marks is not None:
-        marked = MarkedConfig(config, marks0)
-        try:
-            for _ in range(mark_steps):
-                marked, _ = skew_apply_group(system, spec, marked)
-        except CensoredError:
-            pass
-        else:
-            marks = [list(m.coords) for m in marked.marks]
-    return returns, reasons, marks
+    marked = MarkedConfig(config, marks0)
+    try:
+        for _ in range(mark_steps):
+            marked, _ = skew_apply_group(system, spec, marked)
+    except CensoredError:
+        return returns, reasons, None
+    return returns, reasons, [list(m.coords) for m in marked.marks]
 
 
 class FractionTower:

@@ -39,7 +39,6 @@ Z4 = FinAbGroup((4,))
 def test_group_basics():
     g = FinAbGroup((2, 6))
     assert g.order == 12
-    assert g.exponent == 6
     assert len(list(g.elements())) == 12
     a = g.element((1, 5))
     b = g.element((1, 3))
@@ -68,9 +67,8 @@ def test_symbol_numbers_follow_the_element_order(factors):
 def test_trivial_group():
     g = FinAbGroup(())
     assert g.order == 1
-    assert g.exponent == 1
     assert list(g.elements()) == [g.identity()]
-    assert check_condition_i(zero_cocycle(g)).holds
+    assert check_condition_i(zero_cocycle(g))["holds"]
 
 
 def test_derived_sequence_indicator():
@@ -160,21 +158,21 @@ def test_cocycle_identity_random(get_system):
 
 def test_condition_i_indicator_and_zero():
     rep = check_condition_i(single_spacer_indicator(1))
-    assert rep.holds
-    assert rep.subgroup_order == rep.group_order == 2
-    assert (1, (1,)) in rep.generators_found
+    assert rep["holds"]
+    assert rep["subgroup_order"] == rep["group_order"] == 2
+    assert [1, [1]] in rep["generators_found"]
     rep0 = check_condition_i(zero_cocycle(Z2))
-    assert not rep0.holds
-    assert rep0.subgroup_order == 1
-    assert rep0.generators_found == ()
+    assert not rep0["holds"]
+    assert rep0["subgroup_order"] == 1
+    assert rep0["generators_found"] == []
 
 
 def test_condition_i_explicit_scan_matches_auto():
     spec = single_spacer_indicator(2)
     auto = check_condition_i(spec)
     manual = check_condition_i(spec, n_scan=12)
-    assert auto.holds == manual.holds
-    assert auto.subgroup_order == manual.subgroup_order
+    assert auto["holds"] == manual["holds"]
+    assert auto["subgroup_order"] == manual["subgroup_order"]
 
 
 def test_condition_i_proper_subgroup():
@@ -187,8 +185,8 @@ def test_condition_i_proper_subgroup():
         zero_beyond=1,
     )
     rep = check_condition_i(spec)
-    assert not rep.holds
-    assert rep.subgroup_order == 2
+    assert not rep["holds"]
+    assert rep["subgroup_order"] == 2
 
 
 def test_condition_i_multiple_of_three_factor():
@@ -202,8 +200,8 @@ def test_condition_i_multiple_of_three_factor():
         zero_beyond=1,
     )
     rep = check_condition_i(spec)
-    assert rep.holds
-    assert rep.subgroup_order == 3
+    assert rep["holds"]
+    assert rep["subgroup_order"] == 3
 
 
 def test_condition_ii_certificate_hand_cases():
@@ -277,9 +275,9 @@ def test_condition_i_generators_match_the_oracle_rows(spec, k):
     expected = []
     for row in derived_sequence(spec, k):
         for cand in (row.level_sum, 2 * row.level_sum + row.middle):
-            if not cand.is_zero() and all(c != cand.coords for _, c in expected):
-                expected.append((row.n, cand.coords))
-    assert check_condition_i(spec, n_scan=k).generators_found == tuple(expected)
+            if not cand.is_zero() and all(c != list(cand.coords) for _, c in expected):
+                expected.append([row.n, list(cand.coords)])
+    assert check_condition_i(spec, n_scan=k)["generators_found"] == expected
 
 def test_subgroup_closure():
     g = FinAbGroup((2, 4))

@@ -340,6 +340,32 @@ def test_n_scan_below_one_exits_2(scratch, n_scan):
     assert "--n-scan" in exits_with_usage(["check-cocycle", "--config", path])
 
 
+class Built(Exception):
+    """Raised in place of a tower build, with the depth asked for."""
+
+
+def refuse_to_build(n_max):
+    raise Built(n_max)
+
+
+@pytest.mark.parametrize("n_max", [0, -1, cli.MAX_BUILD_N + 1, 10**30])
+def test_build_depth_outside_the_bound_exits_2_before_building(scratch, monkeypatch, n_max):
+    # once unbounded: depth 9 wrote 209 MB in 46 s, and each depth is about six times more
+    monkeypatch.setattr(cli, "build_system", refuse_to_build)
+    assert "--n-max" in exits_with_usage(["build-chacon", "--n-max", str(n_max)])
+    path = write(scratch / "run.json", json.dumps({"n_max": n_max}).encode())
+    assert "--n-max" in exits_with_usage(["build-chacon", "--config", path])
+
+
+def test_build_depth_at_the_bound_is_built(scratch, monkeypatch):
+    monkeypatch.setattr(cli, "build_system", refuse_to_build)
+    path = write(scratch / "run.json", json.dumps({"n_max": cli.MAX_BUILD_N}).encode())
+    for argv in (["--n-max", str(cli.MAX_BUILD_N)], ["--config", path]):
+        with pytest.raises(Built) as exc:
+            main(["build-chacon", *argv])
+        assert exc.value.args == (cli.MAX_BUILD_N,)
+
+
 @pytest.mark.parametrize("n_scan", [1, 3])
 def test_n_scan_is_the_number_of_stages_scanned(capsys, n_scan):
     assert main(["check-cocycle", "--n-scan", str(n_scan)]) == cli.EXIT_OK

@@ -93,12 +93,10 @@ def constructed_block(draw):
         atoms = {_level_lo(system, n_max, k) + draw(offsets) for k in levels}
         positions = tuple(sorted(atoms))
         wants = draw(st.sets(st.integers(0, min(len(positions), 3))))
-        start = None
-        if draw(st.booleans()):
-            start = np.array(
-                [[draw(st.integers(0, d - 1)) for d in GROUP.invariant_factors] for _ in positions],
-                dtype=np.int64,
-            ).reshape(len(positions), GROUP.rank)
+        start = np.array(
+            [[draw(st.integers(0, d - 1)) for d in GROUP.invariant_factors] for _ in positions],
+            dtype=np.int64,
+        ).reshape(len(positions), GROUP.rank)
         block.append((positions, wants, start))
     return system, p_max, mark_steps, block
 
