@@ -32,6 +32,13 @@ def run_json(capsys, argv):
     return rc, json.loads(out)
 
 
+def report_digest(doc: dict) -> str:
+    """SHA-256 of json.dumps(report, sort_keys=True) without "version", which
+    reads the installed package's version."""
+    doc = {k: v for k, v in doc.items() if k != "version"}
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
 def _import_cli(code: str, **env_vars: str) -> str:
     """Run code after a fresh `import chaconlab.cli`, with OPENBLAS_NUM_THREADS unset
     unless given; return its stdout."""
@@ -193,9 +200,7 @@ def test_check_cocycle_report_matches_pinned_hash(tmp_path, monkeypatch, capsys,
     Path("spec.json").write_text(json.dumps(_zero_spec(2)))
     rc, doc = run_json(capsys, ["check-cocycle", *args])
     assert rc == code
-    del doc["version"]
-    text = json.dumps(doc, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert report_digest(doc) == digest
 
 
 def test_check_cocycle_report_stays_small_for_a_late_cutoff(tmp_path):
@@ -213,9 +218,9 @@ def test_check_cocycle_at_the_largest_cutoff_keeps_its_bytes(tmp_path, monkeypat
     # 5525 json.dumps still writes them
     monkeypatch.chdir(tmp_path)
     Path("spec.json").write_text(json.dumps({**BUNDLED_SPEC, "zero_beyond": 5525}))
-    assert main(["check-cocycle", "--spec", "spec.json"]) == EXIT_OK
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "6a4f9da7254960b348e225989e8cdfe2d2274e9defa0a70ee1502dddc5dc599e"
+    rc, doc = run_json(capsys, ["check-cocycle", "--spec", "spec.json"])
+    assert rc == EXIT_OK
+    assert report_digest(doc) == "e9e667d909700653392021a9998d6670d81c983883952a8c0a9e7b11a5348e77"
 
 
 @pytest.mark.parametrize("zero_beyond", [5526, 10**9])
@@ -460,19 +465,62 @@ def test_verify_suites_match_pinned_hashes(capsys, argv, digest, workers):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-# SHA-256 of the whole build-chacon stdout, pinned while the tower still
-# stored every level as a pair of Fractions
+# report_digest of the build-chacon report; the digests of the whole stdout,
+# version included, were pinned while the tower still stored every level as
+# a pair of Fractions, and both accepted the same output when these replaced them
 PINNED_BUILDS = {
-    1: "92bf5eae9e9a1b96ebb5213085525d9c8e510da009545b4399984ce790143b4f",
-    2: "19db134dee0995b0799fa35bdf6a1449c45f5be10c415fc4d59413aced97b6b5",
-    3: "66310eb37d431ba18be28aebdc505860e65c7d2daa22f7d624e6e7dabec326a6",
-    4: "a8e02d176115c418c1061ce4da3926f9bc91c0af78d65e9d2cab3113e1f8b107",
-    5: "46bc63f6f1b669e83874609e12e4a5fe907a77055e715fb595a90a3045c55ec3",
+    1: "286bcb5382a4cb728efd284b39d63fd1979971c05939a8225f36480d479f2079",
+    2: "e006272c3c42464854ee948e7fca6b5a612f0f7bea1b5d50c1b6161ce231b97b",
+    3: "b4dc71a434da11e3a99a0e544556fdea3c184bb27e90dd8732f38bedb069c2be",
+    4: "46a63cdc402216f43d41504fcd3e60786d5b6691998f4a67027fa8ac69937c92",
+    5: "621c9c60a7211aaa02d502b8a60a0674ac1e73a4475e371db566e1341629508c",
 }
 
 
 @pytest.mark.parametrize("n_max, digest", sorted(PINNED_BUILDS.items()))
 def test_build_chacon_matches_pinned_hash(capsys, n_max, digest):
-    assert main(["build-chacon", "--n-max", str(n_max)]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    rc, doc = run_json(capsys, ["build-chacon", "--n-max", str(n_max)])
+    assert rc == EXIT_OK
+    assert report_digest(doc) == digest
+
+
+# report_digest of whole verify reports and their exit codes, run_config
+# included, pinned before the CLI resolved its options from one table;
+# run.json sets an integer window, a k list and two workers
+PINNED_VERIFY_REPORTS = [
+    pytest.param(["all", "--samples", "60"], EXIT_FAIL,
+                 "f34046dea064aaea8fcdd9735f512b46f501efc265d3723bc4f918304214de0a",
+                 id="all-60"),
+    pytest.param(["all", "--config", "run.json"], EXIT_FAIL,
+                 "68efa8ac41466ac8bae4a9aea0c702d2f5ffbd0cced73406b9ffc217b6af062f",
+                 id="all-config"),
+    pytest.param(["suspension", "--samples", "60", "--n-max", "3", "--window", "10/7"],
+                 EXIT_CENSORED,
+                 "9f39ccbfff00c39b7695c0d40058a2c0ce05adc907d7e46621c17c405d5a6257",
+                 id="suspension-window-10/7"),
+    pytest.param(["joining", "--window", "12", "--samples", "120"], EXIT_OK,
+                 "a46d6332412e8e1782cb1a68acffe746808fb03253e015342f83f6e166316dfc",
+                 id="joining-window-12"),
+]
+
+
+@pytest.mark.parametrize("args, code, digest", PINNED_VERIFY_REPORTS)
+def test_verify_report_matches_pinned_hash(tmp_path, monkeypatch, capsys, args, code, digest):
+    monkeypatch.chdir(tmp_path)
+    Path("run.json").write_text(json.dumps(
+        {"samples": 70, "seed": 4, "k": [2, 1], "n_max": 4, "window": 6, "workers": 2}
+    ))
+    rc, doc = run_json(capsys, ["verify", *args])
+    assert rc == code
+    assert report_digest(doc) == digest
+
+
+def test_verify_out_twins_match_pinned_hashes(tmp_path):
+    out = tmp_path / "all.json"
+    assert main(["verify", "all", "--samples", "60", "--out", str(out)]) == EXIT_FAIL
+    assert report_digest(json.loads(out.read_text())) == (
+        "f34046dea064aaea8fcdd9735f512b46f501efc265d3723bc4f918304214de0a"
+    )
+    assert hashlib.sha256((tmp_path / "all.csv").read_bytes()).hexdigest() == (
+        "44a0e68d6d51dc36da32e251377abc26b04a9d27bb45c18bd91934294e72f3bb"
+    )
