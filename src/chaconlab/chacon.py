@@ -265,18 +265,11 @@ def levels(system: ChaconSystem, n: int) -> list[Interval]:
 
 
 def orbit(system: ChaconSystem, x: int, p: int) -> list[int]:
-    """[x, Tx, ..., T^p x] for p >= 0; inverse steps for p < 0.
-
-    On failure raises DepthExceededError with ``steps_completed`` set to
-    the number of successful steps.
-    """
+    """[x, Tx, ..., T^p x] for p >= 0; inverse steps for p < 0."""
     step = apply_T if p >= 0 else apply_T_inv
     xs = [x]
-    for i in range(abs(p)):
-        try:
-            xs.append(step(system, xs[-1]))
-        except DepthExceededError as exc:
-            raise DepthExceededError(str(exc), steps_completed=i) from None
+    for _ in range(abs(p)):
+        xs.append(step(system, xs[-1]))
     return xs
 
 

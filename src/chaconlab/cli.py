@@ -23,7 +23,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from importlib import resources
 
@@ -49,27 +48,20 @@ EXIT_CENSORED = 3
 MAX_BUILD_N = 9
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective parameters of one command, defaults already resolved."""
+# every report's run_config holds these fields, null unless its command sets them
+RUN_CONFIG = dict.fromkeys(
+    ("command", "suite", "n_max", "k", "p_max", "window", "samples", "seed", "alpha", "spec",
+     "workers")
+)
 
-    command: str
-    suite: str | None = None
-    n_max: int | None = None
-    k: tuple[int, ...] | None = None
-    p_max: int | None = None
-    window: str | None = None
-    samples: int | None = None
-    seed: int | None = None
-    alpha: float | None = None
-    spec: str | None = None
-    workers: int | None = None
-
-    def to_jsonable(self) -> dict:
-        data = asdict(self)
-        if self.k is not None:
-            data["k"] = list(self.k)
-        return data
+# each command's options and their defaults; verify leaves samples and window
+# unset, so each suite sizes itself
+BUILD_OPTIONS = {"n_max": 4, "out": None}
+CHECK_OPTIONS = {"spec": None, "n_scan": None, "out": None}
+VERIFY_OPTIONS = {
+    "samples": None, "seed": 0, "alpha": 0.01, "window": None, "n_max": 5,
+    "p_max": 10_000, "k": "1,2", "workers": 1, "out": None,
+}
 
 
 def _emit(report: dict, out: str | None, csv_rows: list[dict] | None = None) -> None:
@@ -89,6 +81,7 @@ def _emit(report: dict, out: str | None, csv_rows: list[dict] | None = None) -> 
 
 
 def _test_rows(tests: dict) -> list[dict]:
+    """CSV rows of one block of tests, by key; entries without a p-value are skipped."""
     rows = []
     for key in sorted(tests):
         t = tests[key]
@@ -148,14 +141,18 @@ def _merge(args: argparse.Namespace, file_cfg: dict, key: str, default):
     return default
 
 
+def _options(args: argparse.Namespace, defaults: dict) -> dict:
+    """Every option of a command's table, merged from flag, config file and default."""
+    file_cfg = _load_config_file(args.config)
+    return {key: _merge(args, file_cfg, key, default) for key, default in defaults.items()}
+
+
 def cmd_build_chacon(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(getattr(args, "config", None))
-    n_max = _merge(args, file_cfg, "n_max", 4)
-    out = _merge(args, file_cfg, "out", None)
+    opts = _options(args, BUILD_OPTIONS)
+    n_max = opts["n_max"]
     if not 1 <= n_max <= MAX_BUILD_N:
         raise UsageError(f"--n-max must be between 1 and {MAX_BUILD_N}")
     system = build_system(n_max)
-    run = RunConfig(command="build-chacon", n_max=n_max)
     d = system.denom
     rows = [
         {
@@ -168,14 +165,14 @@ def cmd_build_chacon(args: argparse.Namespace) -> int:
     ]
     report = {
         "version": __version__,
-        "run_config": run.to_jsonable(),
+        "run_config": {**RUN_CONFIG, "command": "build-chacon", "n_max": n_max},
         "heights": list(system.heights),
         "covered": [format_lattice(0, d), format_lattice(system.high_water, d)],
         "towers": rows,
         "system": system_to_json(system),
     }
-    _emit(report, out, csv_rows=rows)
-    if out:  # table is wanted on screen even when the JSON goes to a file
+    _emit(report, opts["out"], csv_rows=rows)
+    if opts["out"]:  # table is wanted on screen even when the JSON goes to a file
         for r in rows:
             sys.stdout.write(
                 f"order {r['order']}: height {r['height']}, "
@@ -197,25 +194,22 @@ def _load_cocycle_spec(path: str | None):
 
 
 def cmd_check_cocycle(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(getattr(args, "config", None))
-    spec_path = _merge(args, file_cfg, "spec", None)
-    n_scan = _merge(args, file_cfg, "n_scan", None)
-    out = _merge(args, file_cfg, "out", None)
+    opts = _options(args, CHECK_OPTIONS)
+    n_scan = opts["n_scan"]
     if n_scan is not None and n_scan < 1:
         raise UsageError("--n-scan must be at least 1")
-    spec, spec_name = _load_cocycle_spec(spec_path)
+    spec, spec_name = _load_cocycle_spec(opts["spec"])
 
     cond_i = check_condition_i(spec, n_scan=n_scan)
-    run = RunConfig(command="check-cocycle", spec=spec_name)
     report = {
         "version": __version__,
-        "run_config": run.to_jsonable(),
+        "run_config": {**RUN_CONFIG, "command": "check-cocycle", "spec": spec_name},
         "n_scan": cond_i["n_scanned"],  # an explicit n_scan is where the scan stops
         "condition_i": cond_i,
         "condition_ii": check_condition_ii(spec),
         "holds": cond_i["holds"],
     }
-    _emit(report, out)
+    _emit(report, opts["out"])
     return EXIT_OK if cond_i["holds"] else EXIT_FAIL
 
 
@@ -232,6 +226,8 @@ def _parse_k(value) -> tuple[int, ...]:
             raise UsageError(f"cannot parse --k value {value!r}")
     if not ks or any(k < 0 for k in ks):
         raise UsageError("--k needs a comma-separated list of nonnegative integers")
+    if len(set(ks)) < len(ks):  # a repeated k would tally its censoring twice
+        raise UsageError(f"--k entries must be distinct, not {value!r}")
     return ks
 
 
@@ -249,96 +245,64 @@ SUITES = ("poisson", "suspension", "joining", "all")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(getattr(args, "config", None))
-    suite = args.suite
-    samples = _merge(args, file_cfg, "samples", None)
-    seed = _merge(args, file_cfg, "seed", 0)
-    alpha = _merge(args, file_cfg, "alpha", 0.01)
-    window = _merge(args, file_cfg, "window", None)
-    n_max = _merge(args, file_cfg, "n_max", 5)
-    p_max = _merge(args, file_cfg, "p_max", 10_000)
-    k = _parse_k(_merge(args, file_cfg, "k", "1,2"))
-    workers = _merge(args, file_cfg, "workers", 1)
-    out = _merge(args, file_cfg, "out", None)
+    opts = _options(args, VERIFY_OPTIONS)
+    out = opts.pop("out")
+    samples, seed, alpha, window = opts["samples"], opts["seed"], opts["alpha"], opts["window"]
+    k = _parse_k(opts["k"])
     if samples is not None and samples < 1:
         raise UsageError("--samples must be at least 1")
     if seed < 0:
         raise UsageError("--seed must be nonnegative")
-    if p_max < 1:
+    if opts["p_max"] < 1:
         raise UsageError("--p-max must be at least 1")
-    if workers < 1:
+    if opts["workers"] < 1:
         raise UsageError("--workers must be at least 1")
     if not 0 < alpha < 1:  # NaN included
         raise UsageError(f"--alpha must lie strictly between 0 and 1, not {alpha!r}")
-    window_q = None if window is None else _parse_window(window)
-    if window_q is not None and window_q.denominator != 1 and suite != "suspension":
-        raise UsageError(f"--window must be an integer for poisson and joining, not {window!r}")
 
-    chosen = SUITES[:-1] if suite == "all" else (suite,)
+    window_hi = None
+    if window is not None:
+        window_hi = _parse_window(window)
+        if window_hi.denominator == 1:
+            window_hi = int(window_hi)
+        elif args.suite != "suspension":
+            raise UsageError(f"--window must be an integer for poisson and joining, not {window!r}")
+
+    # only what the user set reaches a suite; each sizes the rest itself
+    given = {"seed": seed, "alpha": alpha, "workers": opts["workers"]}
+    if samples is not None:
+        given["n_samples"] = samples
     results = {}
-    censoring_exceeded = False
-    for name in chosen:
+    for name in SUITES[:-1] if args.suite == "all" else (args.suite,):
+        kw = dict(given)
+        if window_hi is not None:  # joining's window is the half-width of its index range
+            kw["half_width" if name == "joining" else "window_hi"] = window_hi
         if name == "poisson":
-            results[name] = run_poisson_suite(
-                n_samples=10_000 if samples is None else samples,
-                seed=seed,
-                alpha=alpha,
-                window_hi=int(window_q) if window_q is not None else 30,
-                workers=workers,
-            )
+            results[name] = run_poisson_suite(**kw)
         elif name == "suspension":
-            rep = run_suspension_suite(
-                n_samples=1200 if samples is None else samples,
-                seed=seed,
-                n_max=n_max,
-                p_max=p_max,
-                window_hi=window_q if window_q is not None else Fraction(4),
-                k_values=k,
-                alpha=alpha,
-                workers=workers,
+            results[name] = run_suspension_suite(
+                **kw, n_max=opts["n_max"], p_max=opts["p_max"], k_values=k
             )
-            results[name] = rep
-            for per_k in rep["per_k"].values():
-                if per_k["censored_fraction"] >= CENSOR_THRESHOLD:
-                    censoring_exceeded = True
-        elif name == "joining":
-            results[name] = verify_joining(
-                n_samples=10_000 if samples is None else samples,
-                half_width=int(window_q) if window_q is not None else 50,
-                seed=seed,
-                alpha=alpha,
-                workers=workers,
-            )
+        else:
+            results[name] = verify_joining(**kw)
     holds = all(r["holds"] for r in results.values())
-    run = RunConfig(
-        command="verify",
-        suite=suite,
-        n_max=n_max,
-        k=k,
-        p_max=p_max,
-        window=str(window) if window is not None else None,
-        samples=samples,
-        seed=seed,
-        alpha=alpha,
-        workers=workers,
-    )
     report = {
         "version": __version__,
-        "run_config": run.to_jsonable(),
+        "run_config": {
+            **RUN_CONFIG, **opts, "command": "verify", "suite": args.suite, "k": list(k),
+            "window": None if window is None else str(window),
+        },
         "suites": results,
         "holds": holds,
     }
     rows = []
-    for name, r in results.items():
-        for block in ("tests", "marginal2"):
-            if block in r:
-                rows.extend(_test_rows(r[block]))
-        if "dependence" in r and "p_value" in r.get("dependence", {}):
-            rows.extend(_test_rows({"dependence": r["dependence"]}))
-        if "mark_tests" in r:
-            rows.extend(_test_rows(r["mark_tests"]))
+    for r in results.values():
+        for block in ("tests", "marginal2", "dependence", "mark_tests"):
+            tests = r.get(block, {})
+            rows += _test_rows({block: tests} if block == "dependence" else tests)
     _emit(report, out, csv_rows=rows or None)
-    if censoring_exceeded:
+    per_k = results["suspension"]["per_k"].values() if "suspension" in results else ()
+    if any(c["censored_fraction"] >= CENSOR_THRESHOLD for c in per_k):
         return EXIT_CENSORED
     return EXIT_OK if holds else EXIT_FAIL
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chacon import ChaconSystem, tower_heights
-from .errors import DepthExceededError, OutOfDomainError
+from .errors import OutOfDomainError
 from . import chacon
 
 
@@ -208,10 +208,7 @@ def phi_iter(spec: CocycleSpec, system: ChaconSystem, x: int, p: int) -> GroupEl
     for i in range(p):
         total = tuple(map(operator.add, total, eval_phi(spec, system, cur).coords))
         if i + 1 < p:
-            try:
-                cur = chacon.apply_T(system, cur)
-            except DepthExceededError as exc:
-                raise DepthExceededError(str(exc), steps_completed=i + 1) from None
+            cur = chacon.apply_T(system, cur)
     return spec.group.element(total)
 
 

@@ -26,17 +26,9 @@ class CensoredError(ChaconlabError):
 
 
 class DepthExceededError(CensoredError):
-    """The map is undefined at this point without building a deeper system.
-
-    ``steps_completed`` counts how many applications succeeded before the
-    failure (0 when the very first application failed).
-    """
+    """The map is undefined at this point without building a deeper system."""
 
     reason = "DepthExceeded"
-
-    def __init__(self, message: str, steps_completed: int = 0):
-        super().__init__(message)
-        self.steps_completed = steps_completed
 
 
 class PMaxExceededError(CensoredError):

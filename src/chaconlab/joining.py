@@ -436,9 +436,9 @@ def collect_joining(
 
 
 def verify_joining(
-    n_samples: int,
-    half_width: int,
-    seed: int,
+    n_samples: int = 10_000,
+    half_width: int = 50,
+    seed: int = 0,
     law: DiscreteLaw | None = None,
     alpha: float = 0.01,
     workers: int = 1,

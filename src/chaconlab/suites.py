@@ -32,7 +32,11 @@ route B and the marks come from one walk of the block in tower
 coordinates (``suspension.walk_orbits``), a separate computation.  Route
 A alone decides censoring: samples whose orbits outrun the truncation
 depth or the step budget there are censored and reported, never silently
-dropped, and a return the walk misses is a return-time mismatch.
+dropped, and a return the walk misses is a return-time mismatch.  A k
+holds only with at least ``min_uncensored`` = 500 uncensored samples, so
+a run of fewer than 500 samples always reports ``holds: false`` and
+``verify`` exits 1 even when no check failed (3 when censoring reached
+``CENSOR_THRESHOLD``).
 """
 
 from __future__ import annotations

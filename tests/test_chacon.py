@@ -132,9 +132,8 @@ def test_first_orbit_hand_traced(get_system):
     assert orbit(sys2, 0, 7) == lat(
         sys2, F(0), F(1, 3), F(1), F(2, 3), F(4, 3), F(5, 3), F(2), F(7, 3),
     )
-    with pytest.raises(DepthExceededError) as exc:
+    with pytest.raises(DepthExceededError):
         orbit(sys2, 0, 8)
-    assert exc.value.steps_completed == 7
 
 
 def test_locate_and_offsets(get_system):

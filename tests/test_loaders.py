@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from chaconlab import cli
+from chaconlab import cli, suites
 from chaconlab.cli import EXIT_USAGE, FILE_TYPES, UsageError, main
 
 json_scalars = st.one_of(
@@ -257,6 +257,25 @@ def test_bundled_spec_round_trips_through_the_strict_loader(scratch):
 def test_config_k_with_a_non_integer_exits_2(scratch, k):
     path = write(scratch / "run.json", json.dumps({"k": k}).encode())
     assert "--k" in exits_with_usage(["verify", "suspension", "--config", path])
+
+
+class Sampled(Exception):
+    """Raised in place of a suite's sampling."""
+
+
+def refuse_to_sample(*args):
+    raise Sampled
+
+
+@pytest.mark.parametrize("k", [[1, 1], [2, 0, 2]])
+def test_repeated_k_exits_2_before_any_suite_runs(scratch, monkeypatch, k):
+    # once run: --k 1,1 tallied each sample's censoring twice, 30 of 60
+    # censored and exit 3, where --k 1 gave 15 and exit 1
+    monkeypatch.setattr(suites, "fan_out", refuse_to_sample)
+    argv = ["verify", "suspension", "--samples", "60"]
+    assert "--k" in exits_with_usage([*argv, "--k", ",".join(map(str, k))])
+    path = write(scratch / "run.json", json.dumps({"k": k}).encode())
+    assert "--k" in exits_with_usage([*argv, "--config", path])
 
 
 def test_config_k_list_of_integers_is_kept():
