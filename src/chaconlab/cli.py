@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON file of defaults; explicit flags win")
 
     b = sub.add_parser("build-chacon", parents=[common], help="build and dump a tower system")
-    b.add_argument("--n-max", dest="n_max", type=int, help="construction depth (default 4)")
+    b.add_argument("--n-max", dest="n_max", type=int, help=f"construction depth (default {BUILD_OPTIONS['n_max']})")
     b.set_defaults(func=cmd_build_chacon)
 
     c = sub.add_parser("check-cocycle", parents=[common], help="check generation and unit-span conditions")
@@ -331,13 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", parents=[common], help="run a verification suite")
     v.add_argument("suite", choices=SUITES)
     v.add_argument("--samples", type=int, help="Monte-Carlo sample count")
-    v.add_argument("--seed", type=int, help="master seed (default 0)")
-    v.add_argument("--alpha", type=float, help="test level (default 0.01)")
+    v.add_argument("--seed", type=int, help=f"master seed (default {VERIFY_OPTIONS['seed']})")
+    v.add_argument("--alpha", type=float, help=f"test level (default {VERIFY_OPTIONS['alpha']})")
     v.add_argument("--window", help="sampling window size (suite-specific default)")
-    v.add_argument("--n-max", dest="n_max", type=int, help="construction depth (default 5)")
-    v.add_argument("--p-max", dest="p_max", type=int, help="step budget (default 10000)")
-    v.add_argument("--k", help="comma-separated prefix sizes (default 1,2)")
-    v.add_argument("--workers", type=int, help="parallel workers (default 1)")
+    v.add_argument("--n-max", dest="n_max", type=int,
+                   help=f"construction depth (default {VERIFY_OPTIONS['n_max']})")
+    v.add_argument("--p-max", dest="p_max", type=int,
+                   help=f"step budget (default {VERIFY_OPTIONS['p_max']})")
+    v.add_argument("--k", help=f"comma-separated prefix sizes (default {VERIFY_OPTIONS['k']})")
+    v.add_argument("--workers", type=int, help=f"parallel workers (default {VERIFY_OPTIONS['workers']})")
     v.set_defaults(func=cmd_verify)
     return parser
 
