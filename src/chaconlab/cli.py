@@ -24,7 +24,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from importlib import resources
 
 # Set before numpy loads: no command does BLAS work, and each OpenBLAS
 # worker thread spins at load, competing with the main thread on small hosts.
@@ -32,7 +31,12 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
 from .chacon import build_system, system_to_json
-from .cocycle import check_condition_i, check_condition_ii, cocycle_spec_from_json
+from .cocycle import (
+    check_condition_i,
+    check_condition_ii,
+    cocycle_spec_from_json,
+    single_spacer_indicator,
+)
 from .errors import InsufficientDataError
 from .joining import verify_joining
 from .ratio import format_lattice
@@ -142,8 +146,15 @@ def _merge(args: argparse.Namespace, file_cfg: dict, key: str, default):
 
 
 def _options(args: argparse.Namespace, defaults: dict) -> dict:
-    """Every option of a command's table, merged from flag, config file and default."""
+    """Every option of a command's table, merged from flag, config file and default.
+
+    A config-file key outside the table is refused, so a misspelt key
+    cannot fall back to its default without a word.
+    """
     file_cfg = _load_config_file(args.config)
+    unknown = ", ".join(sorted(set(file_cfg) - set(defaults)))
+    if unknown:
+        raise UsageError(f"config file {args.config} sets {unknown}, unknown to {args.command}")
     return {key: _merge(args, file_cfg, key, default) for key, default in defaults.items()}
 
 
@@ -182,9 +193,8 @@ def cmd_build_chacon(args: argparse.Namespace) -> int:
 
 
 def _load_cocycle_spec(path: str | None):
-    if path is None:
-        ref = resources.files("chaconlab").joinpath("data/indicator_cocycle.json")
-        return cocycle_spec_from_json(json.loads(ref.read_text())), "bundled"
+    if path is None:  # the level function the suspension suite runs on
+        return single_spacer_indicator(1), "bundled"
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -253,6 +263,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("--samples must be at least 1")
     if seed < 0:
         raise UsageError("--seed must be nonnegative")
+    if opts["n_max"] < 1:
+        raise UsageError("--n-max must be at least 1")
     if opts["p_max"] < 1:
         raise UsageError("--p-max must be at least 1")
     if opts["workers"] < 1:

@@ -37,5 +37,11 @@ class PMaxExceededError(CensoredError):
     reason = "PMaxExceeded"
 
 
+class TooFewAtomsError(CensoredError):
+    """A configuration holds fewer atoms than the prefix size k asks for."""
+
+    reason = "TooFewAtoms"
+
+
 class InsufficientDataError(ChaconlabError):
     """A statistical procedure received too little data to say anything."""

@@ -283,20 +283,16 @@ def couple_block(
 
 
 def transport(
-    marks: Marks,
-    family1: Family,
-    family2: Family,
-    c1: np.ndarray,
-    c2: np.ndarray,
-    advanced2: Family,
+    marks: Marks, family1: Family, family2: Family, c1: np.ndarray, c2: np.ndarray
 ) -> Marks:
     """Move a block's marks one shift, from ``family1``/``family2`` to the advanced pair.
 
-    Surviving marks keep their values at indices climbed by the second
-    family's cocycle ``c2``; copied sources climb by the first family's
-    ``c1``.  Entries whose successor atom exits become excluded (they are
-    no longer decidable in the window), and so does the advanced top
-    index when nothing else names it; this keeps the result equal to
+    Every entry moves by one rule: it is kept if its atom survives the
+    shift, and then climbs by its family's cocycle, ``c1`` for first-family
+    indices and copied sources and ``c2`` for second-family ones.  A
+    decided entry whose successor atom exits becomes excluded (it is no
+    longer decidable in the window), so the excluded entries are the
+    surviving old top indices and these.  This keeps the result equal to
     re-running the coupling on the advanced pair.
     """
     bound1 = family1.half_width * _D - _D
@@ -306,28 +302,21 @@ def transport(
     stays = family2.pos[slot2] < bound2
     successor_stays = family2.pos[slot2 + 1] < bound2
     kept2 = stays & successor_stays
+    top_kept = family2.pos[marks.excluded + family2.base[marks.owner_x]] < bound2
     owner1 = marks.owner1[kept1]
     owner2 = marks.owner2[kept2]
-    index2 = marks.index2[kept2] + c2[owner2]
     copied2 = marks.copied2[kept2]
 
     edge = stays & ~successor_stays
-    owner_x = marks.owner2[edge]
-    excluded = marks.index2[edge] + c2[owner_x]
-    top = advanced2.counts - advanced2.neg
-    named = np.zeros(family2.n, dtype=bool)
-    named[owner2[index2 == top[owner2]]] = True
-    named[owner_x[excluded == top[owner_x]]] = True
-    unnamed = np.flatnonzero((advanced2.counts > 0) & ~named)
-    owner_x = np.concatenate((owner_x, unnamed))
-    excluded = np.concatenate((excluded, top[unnamed]))
+    owner_x = np.concatenate((marks.owner_x[top_kept], marks.owner2[edge]))
+    excluded = np.concatenate((marks.excluded[top_kept], marks.index2[edge])) + c2[owner_x]
     order = np.lexsort((excluded, owner_x))
     return Marks(
         owner1=owner1,
         index1=marks.index1[kept1] + c1[owner1],
         marks1=marks.marks1[kept1],
         owner2=owner2,
-        index2=index2,
+        index2=marks.index2[kept2] + c2[owner2],
         marks2=marks.marks2[kept2],
         copied2=copied2,
         source2=np.where(copied2, marks.source2[kept2] + c1[owner2], 0),
@@ -371,7 +360,7 @@ def advance_joint(family1: Family, family2: Family, marks: Marks) -> tuple[Famil
     advanced1, _ = advance_family(family1)
     advanced2, _ = advance_family(family2)
     c1, c2 = shift_cocycles(family1), shift_cocycles(family2)
-    return advanced1, advanced2, transport(marks, family1, family2, c1, c2, advanced2)
+    return advanced1, advanced2, transport(marks, family1, family2, c1, c2)
 
 
 def rank_tracking_consistent(family: Family) -> bool:
@@ -428,7 +417,7 @@ def collect_joining(
         rank_tracking_failures(family1, c1, advanced1, kept1)
         | rank_tracking_failures(family2, c2, advanced2, kept2)
     ))
-    moved = transport(marks, family1, family2, c1, c2, advanced2)
+    moved = transport(marks, family1, family2, c1, c2)
     del family1, family2, marks, kept1, kept2  # lower the block's peak memory
     recoupled = couple_block(advanced1, advanced2, law, seed, samples)
     tally["equivariance_failures"] = int(np.count_nonzero(marks_differ(moved, recoupled, n)))

@@ -327,8 +327,10 @@ def _poisson_pmf(ks, mean: float):
     return np.exp(special.xlogy(ks, mean) - special.gammaln(ks + 1) - mean)
 
 
-def _poisson_cdf(k: int, mean: float) -> float:
-    return special.pdtr(k, mean) if k >= 0 else 0.0  # pdtr(-1, mean) is NaN
+def _poisson_cdf(k, mean: float):
+    """Poisson(mean) cdf at each k, 0 below the support (where pdtr gives NaN)."""
+    k = np.asarray(k)
+    return np.where(k >= 0, special.pdtr(k, mean), 0.0)
 
 
 def _poisson_ppf(q: float, mean: float) -> int:
@@ -365,44 +367,35 @@ def chi2_poisson(
     Consecutive count values are merged left to right until every bin's
     expectation reaches min_expected; the right tail is one merged bin.
     """
-    arr = np.asarray(counts, dtype=int)
+    arr = np.asarray(counts)
     n = arr.size
     if n == 0:
         raise InsufficientDataError(f"{name}: no samples")
+    if arr.dtype.kind not in "iu" or arr.min() < 0:  # no bin holds -5, and 2.7 is no count
+        raise ValueError(f"{name}: counts must be nonnegative integers")
     if mean <= 0:
         raise ValueError("mean must be positive")
     kmax = _poisson_ppf(1 - 1e-9, mean) + 1
     probs = _poisson_pmf(np.arange(kmax), mean)
     probs = np.append(probs, max(1.0 - probs.sum(), 0.0))  # tail bin [kmax, inf)
 
-    edges = []  # inclusive upper count value per bin; last bin catches the rest
+    # inclusive upper count value per bin; the last bin catches the rest,
+    # leftover tail probability included
+    edges = []
     acc = 0.0
     for k in range(kmax + 1):
         acc += probs[k]
         if acc * n >= min_expected:
             edges.append(k)
             acc = 0.0
-    if not edges or len(edges) < 2:
+    if len(edges) < 2:
         raise InsufficientDataError(f"{name}: too few samples to form two bins")
-    if acc > 0:  # leftover tail probability folds into the final bin
-        edges[-1] = kmax
 
-    expected = []
-    observed = []
-    lo = 0
-    for j, hi in enumerate(edges):
-        last = j == len(edges) - 1
-        if last:
-            p = 1.0 - _poisson_cdf(lo - 1, mean) if lo > 0 else 1.0
-            obs = int(np.sum(arr >= lo))
-        else:
-            p = _poisson_cdf(hi, mean) - _poisson_cdf(lo - 1, mean)
-            obs = int(np.sum((arr >= lo) & (arr <= hi)))
-        expected.append(p * n)
-        observed.append(obs)
-        lo = hi + 1
-    expected = np.asarray(expected)
+    # bin j holds counts edges[j-1]+1 .. edges[j], and the first starts at 0
+    lower = _poisson_cdf([-1, *edges[:-1]], mean)
+    expected = np.diff(lower, append=1.0) * n
     expected *= n / expected.sum()
+    observed = np.bincount(np.searchsorted(edges[:-1], arr), minlength=len(edges))
     stat, p_value = _pearson(observed, expected, len(edges) - 1)
     return _report(
         name, stat, p_value, n, alpha, expect_reject=False,

@@ -48,9 +48,9 @@ from operator import add
 
 import numpy as np
 
-from .chacon import SNAP_DENOM, build_system, tower_heights
+from .chacon import SNAP_DENOM, build_system
 from .cocycle import CocycleSpec, single_spacer_indicator
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, TooFewAtomsError
 from .parallel import fan_out
 from .stats import (
     KeyedStream,
@@ -189,7 +189,7 @@ def collect_suspension(
         returned, reason = induced_return(system, spec, pos, ks, p_max)
         for k in k_values:
             if k not in returned:
-                per_k[k]["censored"][reason if k <= len(pos) else "TooFewAtoms"] += 1
+                per_k[k]["censored"][reason if k <= len(pos) else TooFewAtomsError.reason] += 1
         route_a.append(returned)
 
     # uniform start marks for every atom, keyed by (seed, sample, 9, atom id);
@@ -244,8 +244,8 @@ def run_suspension_suite(
 ) -> dict:
     spec = single_spacer_indicator(1)
     window_hi = Fraction(window_hi)
-    # the covered set is [0, h·w) for the top tower; no need to build it
-    covered_hi = Fraction(tower_heights(n_max)[-1], 3 ** (n_max - 1))
+    system = build_system(n_max)
+    covered_hi = Fraction(system.high_water, system.denom)
     if window_hi > covered_hi:
         raise ValueError(f"window must fit inside [0, {covered_hi})")
     tot = fan_out(

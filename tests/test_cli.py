@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import time
-from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -22,7 +21,12 @@ from chaconlab.cli import (
     EXIT_USAGE,
     main,
 )
-from chaconlab.cocycle import FinAbGroup, cocycle_spec_to_json, zero_cocycle
+from chaconlab.cocycle import (
+    FinAbGroup,
+    cocycle_spec_to_json,
+    single_spacer_indicator,
+    zero_cocycle,
+)
 
 
 def run_json(capsys, argv):
@@ -129,9 +133,7 @@ def test_check_cocycle_zero_spec_fails(tmp_path, capsys):
     assert doc["condition_i"]["holds"] is False
 
 
-BUNDLED_SPEC = json.loads(
-    resources.files("chaconlab").joinpath("data/indicator_cocycle.json").read_text()
-)
+BUNDLED_SPEC = cocycle_spec_to_json(single_spacer_indicator(1))
 
 
 def _zero_spec(*factors) -> dict:

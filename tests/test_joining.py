@@ -405,7 +405,7 @@ def test_block_kernel_matches_the_oracle(block, law, seed, first_sample):
     advanced2, kept2 = advance_family(family2)
     assert not rank_tracking_failures(family1, c1, advanced1, kept1).any()
     assert not rank_tracking_failures(family2, c2, advanced2, kept2).any()
-    moved = transport(marks, family1, family2, c1, c2, advanced2)
+    moved = transport(marks, family1, family2, c1, c2)
     recoupled = couple_block(advanced1, advanced2, law, seed, samples)
     assert not marks_differ(moved, recoupled, n).any()
     for j, (w1, w2) in enumerate(block):

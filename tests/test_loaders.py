@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from chaconlab import cli, suites
+from chaconlab import cli, joining, suites
 from chaconlab.cli import EXIT_USAGE, FILE_TYPES, UsageError, main
 
 json_scalars = st.one_of(
@@ -301,6 +301,18 @@ def test_p_max_below_one_exits_2(scratch, p_max):
     assert "--p-max" in exits_with_usage(["verify", "suspension", "--config", path])
 
 
+@pytest.mark.parametrize("suite", ["poisson", "suspension", "joining", "all"])
+@pytest.mark.parametrize("n_max", [0, -3, -10**30])
+def test_n_max_below_one_exits_2_before_any_suite_runs(scratch, monkeypatch, suite, n_max):
+    # once accepted: joining and poisson exited 0 with n_max -3 or 0 in the
+    # report, and suspension failed only inside tower_heights
+    monkeypatch.setattr(suites, "fan_out", refuse_to_sample)
+    monkeypatch.setattr(joining, "fan_out", refuse_to_sample)
+    assert "--n-max" in exits_with_usage(["verify", suite, "--n-max", str(n_max)])
+    path = write(scratch / "run.json", json.dumps({"n_max": n_max}).encode())
+    assert "--n-max" in exits_with_usage(["verify", suite, "--config", path])
+
+
 @pytest.mark.parametrize("workers", [0, -3, -10**30])
 def test_workers_below_one_exits_2(scratch, workers):
     # once accepted: the suite ran on one worker while the report said 0
@@ -357,6 +369,27 @@ def test_n_scan_below_one_exits_2(scratch, n_scan):
     assert "--n-scan" in exits_with_usage(["check-cocycle", "--n-scan", str(n_scan)])
     path = write(scratch / "run.json", json.dumps({"n_scan": n_scan}).encode())
     assert "--n-scan" in exits_with_usage(["check-cocycle", "--config", path])
+
+
+@pytest.mark.parametrize(
+    "argv, cfg, key",
+    [
+        (["check-cocycle"], {"n_scna": 1}, "n_scna"),
+        (["check-cocycle"], {"samples": 5}, "samples"),  # a verify key
+        (["verify", "poisson"], {"sampels": 5, "seed": 1}, "sampels"),
+        (["verify", "all"], {"n_scan": 2}, "n_scan"),
+        (["build-chacon"], {"n-max": 2}, "n-max"),
+        (["build-chacon"], {"n_max": 2, "seed": 1}, "seed"),
+    ],
+)
+def test_config_key_the_command_does_not_read_exits_2(scratch, monkeypatch, argv, cfg, key):
+    # once ignored: {"n_scna": 1} scanned 3 stages and {"sampels": 5} ran 10,000 samples
+    monkeypatch.setattr(cli, "build_system", refuse_to_build)
+    monkeypatch.setattr(cli, "check_condition_i", refuse_to_sample)
+    monkeypatch.setattr(suites, "fan_out", refuse_to_sample)
+    monkeypatch.setattr(joining, "fan_out", refuse_to_sample)
+    path = write(scratch / "run.json", json.dumps(cfg).encode())
+    assert key in exits_with_usage([*argv, "--config", path])
 
 
 class Built(Exception):

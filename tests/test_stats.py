@@ -218,6 +218,21 @@ def test_chi2_poisson_null_and_alternative():
         chi2_poisson([20, 21], mean=20.0)  # cannot form two bins of 5
 
 
+@pytest.mark.parametrize(
+    "counts",
+    [
+        [3, 1, -5, 4] * 100,  # -5 fell in no bin but counted in n, moving the p-value
+        [2.7, 3.0, 1.0] * 100,  # 2.7 was truncated to 2
+        [3.0, 1.0, 4.0] * 100,  # counts are integers, not floats that look like them
+        [True, False] * 100,
+    ],
+)
+def test_chi2_poisson_refuses_counts_it_cannot_bin(counts):
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        chi2_poisson(counts, mean=3.0)
+
+
+
 def test_chi2_gof_hand_cases():
     perfect = chi2_gof([50, 50], [0.5, 0.5])
     assert perfect.statistic == 0.0 and perfect.p_value == 1.0 and perfect.passed

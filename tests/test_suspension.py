@@ -20,6 +20,7 @@ from chaconlab.errors import (
     DepthExceededError,
     InsufficientDataError,
     PMaxExceededError,
+    TooFewAtomsError,
 )
 from chaconlab.ratio import to_lattice
 from chaconlab.stats import chi2_gof, chi2_independence, ks_exponential, make_rng
@@ -128,9 +129,11 @@ def test_push_forward_hand_trace(sys2):
 def test_censoring_reasons_are_exception_classes():
     assert issubclass(DepthExceededError, CensoredError)
     assert issubclass(PMaxExceededError, CensoredError)
-    assert (DepthExceededError.reason, PMaxExceededError.reason) == (
+    assert issubclass(TooFewAtomsError, CensoredError)
+    assert (DepthExceededError.reason, PMaxExceededError.reason, TooFewAtomsError.reason) == (
         "DepthExceeded",
         "PMaxExceeded",
+        "TooFewAtoms",
     )
 
 
