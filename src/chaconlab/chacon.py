@@ -242,14 +242,10 @@ def locate(system: ChaconSystem, x: int, n: int) -> tuple[int, int]:
 
 def translate_at_order(system: ChaconSystem, x: int, n: int) -> int:
     """Image of x using tower n alone.  Requires x in a non-top level of tower n."""
-    _check_order(system, n)
-    found = _level(system, x, n)
-    if found is None:
-        raise OutOfDomainError(f"{x} is not in the order-{n} tower")
-    k, offset = found
-    if k == system.heights[n - 1] - 1:
+    level, offset = locate(system, x, n)
+    if level == system.heights[n - 1]:
         raise DepthExceededError(f"{x} is in the top level of the order-{n} tower")
-    return _level_lo(system, n, k + 1) + offset
+    return _level_lo(system, n, level) + offset
 
 
 def levels(system: ChaconSystem, n: int) -> list[Interval]:

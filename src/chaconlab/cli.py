@@ -86,22 +86,12 @@ def _emit(report: dict, out: str | None, csv_rows: list[dict] | None = None) -> 
 
 def _test_rows(tests: dict) -> list[dict]:
     """CSV rows of one block of tests, by key; entries without a p-value are skipped."""
+    fields = ("statistic", "p_value", "n", "alpha", "expect_reject", "passed")
     rows = []
     for key in sorted(tests):
         t = tests[key]
-        if not isinstance(t, dict) or "p_value" not in t:
-            continue
-        rows.append(
-            {
-                "test": t.get("name", key),
-                "statistic": t.get("statistic"),
-                "p_value": t.get("p_value"),
-                "n": t.get("n"),
-                "alpha": t.get("alpha"),
-                "expect_reject": t.get("expect_reject"),
-                "passed": t.get("passed"),
-            }
-        )
+        if isinstance(t, dict) and "p_value" in t:
+            rows.append({"test": t["name"], **{f: t[f] for f in fields}})
     return rows
 
 

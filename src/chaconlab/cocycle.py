@@ -241,14 +241,14 @@ def check_condition_i(spec: CocycleSpec, n_scan: int | None = None) -> dict:
     """
     group = spec.group
     cutoff = spec.zero_beyond
-    gens: list[tuple[int, GroupElem]] = []
+    first_stage: dict[GroupElem, int] = {}  # each generator's first stage, in order found
     f = spec.base_value
     n = 1
     tail_seen: set[GroupElem] = set()
     while True:
         for cand in (f, 2 * f + spec.middle_value(n)):
             if not cand.is_zero():
-                gens.append((n, cand))
+                first_stage.setdefault(cand, n)
         if n_scan is not None:
             if n >= n_scan:
                 break
@@ -258,16 +258,10 @@ def check_condition_i(spec: CocycleSpec, n_scan: int | None = None) -> dict:
             tail_seen.add(f)
         f = 3 * f + spec.middle_value(n) + spec.right_sum(n)
         n += 1
-    closure = subgroup_closure(group, [g for _, g in gens])
-    dedup = []
-    seen_vals = set()
-    for stage_n, g in gens:
-        if g not in seen_vals:
-            seen_vals.add(g)
-            dedup.append([stage_n, list(g.coords)])
+    closure = subgroup_closure(group, first_stage)
     return {
         "holds": len(closure) == group.order,
-        "generators_found": dedup,
+        "generators_found": [[stage, list(g.coords)] for g, stage in first_stage.items()],
         "subgroup_order": len(closure),
         "group_order": group.order,
         "n_scanned": n,

@@ -455,20 +455,18 @@ def verify_joining(
         dependence = chi2_independence(
             tot["copied_pairs"], alpha=alpha, expect_reject=True, name="copied_dependence"
         )
-        dependence_json = dependence.to_jsonable()
-        dependence_passed = dependence.passed
     except InsufficientDataError:
-        dependence_json = {
+        dependence = {
             "name": "copied_dependence",
             "verdict": "cannot_reject",
             "reason": "too few copied pairs to test",
         }
-        dependence_passed = False
 
     frac = tot["copied"] / tot["decided"] if tot["decided"] else 0.0
     se = (frac * (1 - frac) / tot["decided"]) ** 0.5 if tot["decided"] else 0.0
     exact_ok = tot["rank_failures"] == 0 and tot["equivariance_failures"] == 0
-    holds = bool(exact_ok and marginal.passed and pairwise.passed and dependence_passed)
+    passed = marginal["passed"] and pairwise["passed"] and dependence.get("passed", False)
+    holds = bool(exact_ok and passed)
     return {
         "samples": n_samples,
         "half_width": half_width,
@@ -479,10 +477,10 @@ def verify_joining(
             "checked": n_samples,
         },
         "marginal2": {
-            "chi2_gof": marginal.to_jsonable(),
-            "pairwise_independence": pairwise.to_jsonable(),
+            "chi2_gof": marginal,
+            "pairwise_independence": pairwise,
         },
-        "dependence": dependence_json,
+        "dependence": dependence,
         "copied_fraction": {
             "value": frac,
             "ci99": [max(0.0, frac - 2.5758 * se), min(1.0, frac + 2.5758 * se)],

@@ -3,7 +3,7 @@ integer lattice positions live on.
 
 The wire format is "p/q" in lowest terms with q > 0, "p" alone when q == 1.
 `fractions.Fraction` already guarantees lowest terms and positive
-denominator, so these are thin converters.  Inside the package a position
+denominator, and its ``str`` is this format, so these are thin converters.  Inside the package a position
 is an integer ``n`` standing for ``n / denom``; ``to_lattice`` and
 ``ceil_lattice`` bring a rational in, ``format_lattice`` takes one out.
 """
@@ -12,13 +12,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-
-def format_ratio(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def parse_ratio(s: str) -> Fraction:
@@ -41,4 +34,4 @@ def ceil_lattice(x, denom: int) -> int:
 
 
 def format_lattice(n: int, denom: int) -> str:
-    return format_ratio(Fraction(n, denom))
+    return str(Fraction(n, denom))

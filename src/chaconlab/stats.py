@@ -16,10 +16,11 @@ Every randomized procedure in the package draws from one of two sources:
   ``DiscreteLaw.draw_at`` draws from one prefix state per entry, or one
   for all entries, with each entry's last key part (one per atom id).
 
-Test verdicts are reported, never printed: a TestReport records the
-statistic, the p-value, and whether the outcome is a pass under the
-declared design (goodness-of-fit tests pass on p >= alpha, tests designed
-to reject pass on p < alpha).
+Test verdicts are reported, never printed: each test returns the dict the
+report holds, with the test's name, the statistic, the p-value, the sample
+size, alpha, the design, whether the outcome is a pass under that design
+(goodness-of-fit tests pass on p >= alpha, tests designed to reject pass
+on p < alpha) and the test's parameters.
 
 Each statistic and p-value is computed as SciPy's stats module computes
 it, through the same scipy.special function (chdtrc, kolmogorov, pdtr,
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -286,33 +287,19 @@ def keyed_exponentials(seed: int, streams, size: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class TestReport:
-    name: str
-    statistic: float
-    p_value: float
-    n: int
-    alpha: float
-    expect_reject: bool
-    passed: bool
-    params: dict = field(default_factory=dict, compare=False)
-
-    def to_jsonable(self) -> dict:
-        return asdict(self)
-
-
-def _report(name, statistic, p_value, n, alpha, expect_reject, params=None) -> TestReport:
+def _report(name, statistic, p_value, n, alpha, expect_reject, params=None) -> dict:
+    """A check result as the report holds it."""
     passed = (p_value < alpha) if expect_reject else (p_value >= alpha)
-    return TestReport(
-        name=name,
-        statistic=float(statistic),
-        p_value=float(p_value),
-        n=int(n),
-        alpha=float(alpha),
-        expect_reject=bool(expect_reject),
-        passed=bool(passed),
-        params=params or {},
-    )
+    return {
+        "name": name,
+        "statistic": float(statistic),
+        "p_value": float(p_value),
+        "n": int(n),
+        "alpha": float(alpha),
+        "expect_reject": bool(expect_reject),
+        "passed": bool(passed),
+        "params": params or {},
+    }
 
 
 def _pearson(observed, expected, dof) -> tuple[float, float]:
@@ -340,7 +327,7 @@ def _poisson_ppf(q: float, mean: float) -> int:
     return int(below if special.pdtr(below, mean) >= q else k)
 
 
-def ks_exponential(samples, alpha: float = 0.01, name: str = "ks_exponential") -> TestReport:
+def ks_exponential(samples, alpha: float = 0.01, name: str = "ks_exponential") -> dict:
     """Kolmogorov-Smirnov against the unit exponential, asymptotic p-value."""
     arr = np.asarray(samples, dtype=float)
     if arr.size < 8:
@@ -361,7 +348,7 @@ def chi2_poisson(
     alpha: float = 0.01,
     min_expected: float = 5.0,
     name: str = "chi2_poisson",
-) -> TestReport:
+) -> dict:
     """Chi-square goodness of fit of integer draws against Poisson(mean).
 
     Consecutive count values are merged left to right until every bin's
@@ -409,7 +396,7 @@ def chi2_gof(
     alpha: float = 0.01,
     min_expected: float = 5.0,
     name: str = "chi2_gof",
-) -> TestReport:
+) -> dict:
     """Chi-square goodness of fit of symbol counts against given probabilities."""
     obs = np.asarray(observed, dtype=float)
     p = np.asarray(probs, dtype=float)
@@ -430,7 +417,7 @@ def chi2_independence(
     alpha: float = 0.01,
     expect_reject: bool = False,
     name: str = "chi2_independence",
-) -> TestReport:
+) -> dict:
     """Pearson chi-square on a contingency table, no continuity correction."""
     arr = np.asarray(table, dtype=float)
     if arr.ndim != 2:
@@ -454,7 +441,7 @@ def mc_mean(
     target: float,
     tol_sigmas: float = 3.0,
     name: str = "mc_mean",
-) -> TestReport:
+) -> dict:
     """Monte-Carlo mean against a target, pass iff |z| <= tol_sigmas."""
     arr = np.asarray(values, dtype=float)
     if arr.size < 2:
@@ -468,9 +455,8 @@ def mc_mean(
         z = (mean - target) / se
     p_value = float(2 * special.ndtr(-abs(z)))
     alpha = float(2 * special.ndtr(-tol_sigmas))
-    rep = _report(
+    return _report(
         name, z, p_value, arr.size, alpha, expect_reject=False,
         params={"target": target, "mean": mean, "se": se, "tol_sigmas": tol_sigmas},
     )
-    return rep
 

@@ -33,10 +33,14 @@ coordinates (``suspension.walk_orbits``), a separate computation.  Route
 A alone decides censoring: samples whose orbits outrun the truncation
 depth or the step budget there are censored and reported, never silently
 dropped, and a return the walk misses is a return-time mismatch.  A k
-holds only with at least ``min_uncensored`` = 500 uncensored samples, so
+holds only with at least ``MIN_UNCENSORED`` = 500 uncensored samples, so
 a run of fewer than 500 samples always reports ``holds: false`` and
 ``verify`` exits 1 even when no check failed (3 when censoring reached
-``CENSOR_THRESHOLD``).
+``CENSOR_THRESHOLD``).  ``MIN_UNCENSORED`` is a module constant, not an
+option: no command sets it.
+
+Every statistical check result is the dict ``stats`` returns, and the
+reports hold it as it is.
 """
 
 from __future__ import annotations
@@ -74,6 +78,8 @@ SUP_HI = 10  # superposed pairs are drawn on [0, SUP_HI)
 MARK_STEPS = 3  # skew steps before the suspension suite reads the marks
 # a k whose censored fraction reaches this fails, and the CLI exits 3
 CENSOR_THRESHOLD = 0.5
+# a k with fewer uncensored samples than this fails
+MIN_UNCENSORED = 500
 FAILURE_KEYS = ("conjugacy_failures", "return_time_mismatches", "phi_transport_failures")
 
 
@@ -135,7 +141,7 @@ def run_poisson_suite(
         tests[f"moment_k{k}"] = mc_mean(
             [t**k / fact for t in t1], target=1.0, tol_sigmas=3.0, name=f"moment_k{k}"
         )
-    holds = all(r.passed for r in tests.values())
+    holds = all(r["passed"] for r in tests.values())
     return {
         "suite": "poisson",
         "samples": n_samples,
@@ -144,7 +150,7 @@ def run_poisson_suite(
         "window": [0, window_hi],
         "superposition_window": [0, SUP_HI],
         "skipped": {"empty": tot["skipped_empty"], "too_short_for_gaps": tot["skipped_short"]},
-        "tests": {k: v.to_jsonable() for k, v in tests.items()},
+        "tests": tests,
         "holds": bool(holds),
     }
 
@@ -239,7 +245,6 @@ def run_suspension_suite(
     window_hi: Fraction | int | str = 4,
     k_values: tuple[int, ...] = (1, 2),
     alpha: float = 0.01,
-    min_uncensored: int = 500,
     workers: int = 1,
 ) -> dict:
     spec = single_spacer_indicator(1)
@@ -261,7 +266,7 @@ def run_suspension_suite(
         censored = sum(t["censored"].values())
         fraction = censored / n_samples
         ok = (
-            t["uncensored"] >= min_uncensored
+            t["uncensored"] >= MIN_UNCENSORED
             and fraction < CENSOR_THRESHOLD
             and not any(t[key] for key in FAILURE_KEYS)
         )
@@ -275,7 +280,7 @@ def run_suspension_suite(
 
     def mark_test(test, counts, name: str, *args) -> dict:
         try:
-            return test(counts, *args, alpha=alpha, name=name).to_jsonable()
+            return test(counts, *args, alpha=alpha, name=name)
         except InsufficientDataError as exc:
             return {"name": name, "verdict": "insufficient data", "reason": str(exc)}
 

@@ -243,13 +243,11 @@ def snapped_arrivals(draw, n: int, bound: int, chunk: int, sides: int = 1, nonem
             drawn[short] = size
 
     start = np.zeros(n, dtype=np.int64)
-    spans = []  # per side: each row's first and past-the-end chain columns
-    for _ in range(sides):
-        end = crossing(rows, start)
-        spans.append([start, end])
-        start = (end // chunk + 1) * chunk
-    redraws = np.zeros(n, dtype=np.int64)
-    retry = rows[np.any([s == e for s, e in spans], axis=0)] if nonempty else rows[:0]
+    # per side: each row's first and past-the-end chain columns
+    spans = [[np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)] for _ in range(sides)]
+    # the first pass draws every row; with nonempty, rows with an empty side go round again
+    redraws = np.full(n, -1, dtype=np.int64)
+    retry = rows
     while retry.size:
         if redraws[retry[0]] == MAX_ATTEMPTS - 1:
             raise InsufficientDataError("window too small: sides keep coming up empty")
@@ -261,7 +259,7 @@ def snapped_arrivals(draw, n: int, bound: int, chunk: int, sides: int = 1, nonem
             empty |= end == first
             first = (end // chunk + 1) * chunk
         start[retry] = first
-        retry = retry[empty]
+        retry = retry[empty] if nonempty else retry[:0]
 
     out = []
     for first, end in spans:
@@ -476,13 +474,11 @@ def skew_apply_group(
     function at that atom's old position.
     """
     out, perm = push_forward(system, marked.config)
-    inv = perm.inverse()
-    new_marks = []
-    for n in range(1, out.count + 1):
-        m = inv(n)
-        increment = eval_phi(spec, system, marked.config.t(m))
-        new_marks.append(increment + marked.marks[m - 1])
-    return MarkedConfig(config=out, marks=tuple(new_marks)), perm
+    summed = [
+        eval_phi(spec, system, marked.config.t(m)) + mark
+        for m, mark in enumerate(marked.marks, start=1)
+    ]
+    return MarkedConfig(config=out, marks=skew_apply_perm(perm, summed)), perm
 
 
 def phi_k_vector(
@@ -539,11 +535,6 @@ class TowerCoords:
             self.stages.append((system.heights[n - 2], 3 ** (system.n_max - n), first))
         self.values = np.array(rows, dtype=np.int64).reshape(len(rows), spec.group.rank)
 
-    def locate(self, x: int) -> tuple[int, int]:
-        """(0-based level, offset) of x in tower N."""
-        level, offset = chacon.locate(self.system, x, self.system.n_max)
-        return level - 1, offset
-
     def descend(self, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(posrank, value row) of every level, in the dtype of ``levels``."""
         k = levels.ravel()
@@ -552,6 +543,8 @@ class TowerCoords:
         at = np.arange(k.size)
         lo = np.zeros_like(k)
         for h, scale, first in self.stages:
+            # 0-d arrays of the levels' dtype: numpy wraps or refuses Python ints past int64
+            h, scale = np.array(h, dtype=levels.dtype), np.array(scale, dtype=levels.dtype)
             right = k > 3 * h
             stop = right | (k == 2 * h)
             if stop.any():
@@ -629,10 +622,11 @@ def walk_orbits(
     # no walk outlasts h_N steps, so an empty configuration gets h_N
     steps_left = np.full(len(configs), height, dtype=dtype)
     for s, (config, start) in enumerate(zip(configs, start_marks)):
-        located = [tower.locate(x) for x in config]
-        if located:
+        located = [chacon.locate(tower.system, x, tower.system.n_max) for x in config]
+        if located:  # levels counted from 1
             levels[s, : len(located)], offsets[s, : len(located)] = zip(*located)
-            steps_left[s] = height - 1 - max(lv for lv, _ in located)
+            levels[s, : len(located)] -= 1
+            steps_left[s] = height - max(lv for lv, _ in located)
         marks[s, : len(located)] = start
     padded = offsets == tower.width
     offset_rank = np.argsort(np.argsort(offsets, axis=1, kind="stable"), axis=1)

@@ -66,10 +66,9 @@ def test_poisson_suite_counts_skipped_configs():
     assert set(rep["tests"]) == POISSON_TESTS
 
 
-def test_suspension_suite_small_run_holds():
-    rep = run_suspension_suite(
-        n_samples=80, seed=0, k_values=(1, 2), min_uncensored=40
-    )
+def test_suspension_suite_small_run_holds(monkeypatch):
+    monkeypatch.setattr(suites, "MIN_UNCENSORED", 40)
+    rep = run_suspension_suite(n_samples=80, seed=0, k_values=(1, 2))
     assert rep["suite"] == "suspension"
     assert set(rep["per_k"]) == {"1", "2"}
     for per_k in rep["per_k"].values():
@@ -85,8 +84,9 @@ def test_suspension_suite_small_run_holds():
     json.dumps(rep)
 
 
-def test_suspension_suite_deterministic_across_workers():
-    kwargs = dict(n_samples=60, seed=4, k_values=(1,), min_uncensored=10)
+def test_suspension_suite_deterministic_across_workers(monkeypatch):
+    monkeypatch.setattr(suites, "MIN_UNCENSORED", 10)
+    kwargs = dict(n_samples=60, seed=4, k_values=(1,))
     a = run_suspension_suite(workers=1, **kwargs)
     b = run_suspension_suite(workers=2, **kwargs)
     assert a == b
@@ -104,11 +104,9 @@ def test_suspension_suite_floor_counts_as_failure():
     assert rep["holds"] is False
 
 
-def test_suspension_suite_reports_starved_mark_tests():
-    rep = run_suspension_suite(
-        n_samples=6, seed=2, window_hi=Fraction(1, 2), k_values=(1,),
-        min_uncensored=1,
-    )
+def test_suspension_suite_reports_starved_mark_tests(monkeypatch):
+    monkeypatch.setattr(suites, "MIN_UNCENSORED", 1)
+    rep = run_suspension_suite(n_samples=6, seed=2, window_hi=Fraction(1, 2), k_values=(1,))
     marks = rep["mark_tests"]
     assert marks["uniformity"]["verdict"] == "insufficient data"
     assert marks["pair_independence"]["verdict"] == "insufficient data"

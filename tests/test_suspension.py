@@ -378,9 +378,9 @@ def test_superposed_gaps_are_exp2():
         pos = [both.window.lo, *both.positions()[:10]]
         assert len(pos) == 11
         gaps += [(y - x) / both.denom for x, y in zip(pos, pos[1:])]
-    assert ks_exponential([2 * g for g in gaps], alpha=0.01).passed
+    assert ks_exponential([2 * g for g in gaps], alpha=0.01)["passed"]
     # the same gaps read at unit rate must be rejected
-    assert not ks_exponential(gaps, alpha=0.01).passed
+    assert not ks_exponential(gaps, alpha=0.01)["passed"]
 
 
 def test_superposed_provenance_is_a_fair_coin():
@@ -399,14 +399,14 @@ def test_superposed_provenance_is_a_fair_coin():
 
     sides, pairs = sides_and_pairs(both for _, _, both in _superposed(seed=22, samples=200, hi=3))
     assert sum(sides) > 1000
-    assert chi2_gof(sides, [0.5, 0.5], alpha=0.01).passed
-    assert chi2_independence(pairs, alpha=0.01).passed
+    assert chi2_gof(sides, [0.5, 0.5], alpha=0.01)["passed"]
+    assert chi2_independence(pairs, alpha=0.01)["passed"]
     # against a rate-2 second side the split is 1:2, and the check must reject
     thirds, _ = sides_and_pairs(
         superpose(a, superpose(b, sample_poisson(lattice_window(0, 3), seed=23, stream=i)))
         for i, (a, b, _) in enumerate(_superposed(seed=22, samples=200, hi=3))
     )
-    assert not chi2_gof(thirds, [0.5, 0.5], alpha=0.01).passed
+    assert not chi2_gof(thirds, [0.5, 0.5], alpha=0.01)["passed"]
 
 
 def test_skew_apply_perm_action():
@@ -646,6 +646,19 @@ def test_nonempty_sides_redraw_as_the_loop_does(rows, bound, chunk, sides):
 def test_sides_that_stay_empty_are_refused():
     with pytest.raises(InsufficientDataError):
         snapped_arrivals(scripted_draw([[0.5]]), 1, 0, 1, sides=2, nonempty=True)
+
+
+def test_a_row_gives_up_after_max_attempts():
+    # at bound 1 and chunk 1 a gap of 3 is an empty side, and a gap of 1/2 then 3 fills one
+    empty, filled = [3.0], [0.5, 3.0]
+    last_chance = empty * (MAX_ATTEMPTS - 1) + filled
+    [(arrivals, counts)], redraws = snapped_arrivals(
+        scripted_draw([filled, last_chance]), 2, D, 1, nonempty=True
+    )
+    assert redraws.tolist() == [0, MAX_ATTEMPTS - 1]
+    assert split_rows(arrivals, counts) == [[D // 2], [D // 2]]
+    with pytest.raises(InsufficientDataError):
+        snapped_arrivals(scripted_draw([empty + last_chance]), 1, D, 1, nonempty=True)
 
 
 @pytest.mark.parametrize("half_width", [1, 50, 1022, 1023, 1024, 1025])

@@ -7,6 +7,7 @@ on constructed configurations; and ``collect_suspension`` against
 ``oracles.four_walk_suspension`` on identical samples.
 """
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -44,17 +45,22 @@ def test_descend_matches_the_digit_rule_on_every_level(n_max):
     assert tower.values[value].tolist() == want_values
 
 
-@pytest.mark.parametrize("n_max", [12, 16, 24])
+# from depth 26 on the top levels pass 2**63, so levels are Python ints
+@pytest.mark.parametrize("n_max", [12, 16, 24, 26, 27, 40])
 def test_descend_matches_the_digit_rule_on_sampled_levels(n_max):
     system = cached_system(n_max)
     tower = TowerCoords(system, SPEC)
     h = system.heights[-1]
-    rng = np.random.default_rng(n_max)
+    if h < 2**63:
+        dtypes, drawn = (np.int64, object), np.random.default_rng(n_max).integers(0, h, 400)
+    else:
+        rng = random.Random(n_max)
+        dtypes, drawn = (object,), np.array([rng.randrange(h) for _ in range(400)])
     # every stage's edges: its thirds, its middle spacer, its first and last right spacers
     edges = {e for g in system.heights[:-1] for e in (g - 1, g, 2 * g, 2 * g + 1, 3 * g, 3 * g + 1)}
-    levels = sorted({0, 1, h - 2, h - 1, *edges, *rng.integers(0, h, 400).tolist()})
+    levels = sorted({0, 1, h - 2, h - 1, *edges, *drawn.tolist()})
     want_rank, want_values = scalar_levels(system, levels)
-    for dtype in (np.int64, object):
+    for dtype in dtypes:
         posrank, value = tower.descend(np.array(levels, dtype=dtype))
         assert posrank.dtype == np.dtype(dtype)
         assert posrank.tolist() == want_rank
@@ -175,6 +181,10 @@ def test_walk_keys_past_int64_use_python_ints():
 @example(n_max=8, k_values=(1, 2), p_max=10_000, mark_steps=3, window=Fraction(4), seed=3)
 @example(n_max=2, k_values=(0, 1, 2, 3), p_max=1, mark_steps=0, window=Fraction(2), seed=0)
 @example(n_max=5, k_values=(0, 3), p_max=2, mark_steps=40, window=Fraction(4), seed=1)
+# the walk's levels are Python ints from depth 26, where 2h + 1 of its second-deepest
+# tower first passes 2**63, and at 27 that tower's height passes 2**64
+@example(n_max=26, k_values=(1, 2), p_max=500, mark_steps=3, window=Fraction(4), seed=3)
+@example(n_max=27, k_values=(1, 2), p_max=500, mark_steps=3, window=Fraction(4), seed=3)
 @given(
     n_max=st.integers(2, 8),
     k_values=st.sets(st.integers(0, 3), min_size=1).map(sorted).map(tuple),
@@ -194,3 +204,4 @@ def test_collect_suspension_matches_the_four_walk_oracle(
     assert got["mark_counts"].tolist() == want["mark_counts"]
     assert got["mark_pairs"].tolist() == want["mark_pairs"]
     assert got["mark_censored"] == want["mark_censored"]
+
