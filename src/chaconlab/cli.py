@@ -145,7 +145,10 @@ def _options(args: argparse.Namespace, defaults: dict) -> dict:
     unknown = ", ".join(sorted(set(file_cfg) - set(defaults)))
     if unknown:
         raise UsageError(f"config file {args.config} sets {unknown}, unknown to {args.command}")
-    return {key: _merge(args, file_cfg, key, default) for key, default in defaults.items()}
+    opts = {key: _merge(args, file_cfg, key, default) for key, default in defaults.items()}
+    if args.command in ("build-chacon", "verify") and (opts["out"] or "").endswith(".csv"):
+        raise UsageError(f"--out {opts['out']} ends in .csv, which names the CSV twin")
+    return opts
 
 
 def cmd_build_chacon(args: argparse.Namespace) -> int:

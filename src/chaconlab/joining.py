@@ -65,7 +65,7 @@ from .stats import (
     chi2_independence,
     uniform_law,
 )
-from .suspension import SNAP_DENOM, keyed_draw, snapped_arrivals
+from .suspension import SNAP_DENOM, atom_ranks, keyed_draw, snapped_arrivals
 
 _D = SNAP_DENOM
 
@@ -132,13 +132,12 @@ def sample_family(half_width: int, seed: int, streams: np.ndarray) -> tuple[Fami
         sides=2, nonempty=True,
     )
     family = Family.build(half_width, None, None, n_left + n_right, n_left)
-    local = np.arange(family.owner.size) - family.offsets[family.owner]
+    local = atom_ranks(family.counts)
     on_left = local < family.neg[family.owner]
     pos = np.empty(local.size, dtype=position_dtype(half_width))
     pos[~on_left] = right
     # the left arrivals of each configuration, nearest the origin last
-    ends = np.cumsum(n_left)
-    pos[on_left] = -left[(2 * ends - n_left - 1)[family.owner[on_left]] - np.arange(left.size)]
+    pos[on_left] = -left[(np.cumsum(n_left) - 1)[family.owner[on_left]] - local[on_left]]
     return replace(family, pos=pos, ids=local + 1), int(retries.sum())
 
 
@@ -396,7 +395,7 @@ def collect_joining(
     source = marks.source2[hit] + family1.base[owner2[hit]]
     # disjoint adjacent pairs (n, n + 1) from each sample's lowest decided index
     per_sample = np.bincount(owner2, minlength=n)
-    rank = np.arange(m2.size) - (np.cumsum(per_sample) - per_sample)[owner2]
+    rank = atom_ranks(per_sample)
     lead = np.flatnonzero((rank % 2 == 0) & (rank + 1 < per_sample[owner2]))
     tally = {
         "marginal": np.bincount(m2, minlength=k),

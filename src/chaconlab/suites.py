@@ -6,7 +6,8 @@ contiguous ranges, each range is tallied in blocks of ``parallel.BLOCK``
 samples, and ``fan_out`` merges the partial results in range order by one
 rule (dicts key by key, all else with ``+``), so reports are identical
 for any worker count and any block size.  Each ``collect_*`` function
-tallies the one block ``[start, stop)`` it is given.
+tallies the one block ``[start, stop)`` it is given, which
+``sample_windows`` draws as flat positions and per-sample counts.
 
 The ``poisson`` suite checks the sampler's distributional contract: the
 first atom is Exp(1), the first five inter-atom gaps are Exp(1),
@@ -17,7 +18,7 @@ falls inside the window, which shortens them.  A window of width W is
 skipped with probability P(Poisson(W) <= 5): 6.7% at W = 10, 2.3e-8 at
 the default W = 30.  At 10^4 samples on seeds 0 and 1 it rejects a
 correct sampler at widths 2 to 10 and passes at 15, so it is safe only
-on wide windows; ROADMAP item 3 replaces it with tests exact at every
+on wide windows; ROADMAP item 6 replaces it with tests exact at every
 width.
 
 The ``suspension`` suite checks the induced-map conjugacy exactly, sample
@@ -27,13 +28,14 @@ configuration by its rank-prefix return time — and the two return times
 must agree.  Accumulated group marks are checked against the k-vector of
 cocycle sums, and mark uniformity is tested statistically.  Route A
 (split, induced return, cocycle sums) is one scalar pass per sample for
-every k (``suspension.induced_return``);
-route B and the marks come from one walk of the block in tower
-coordinates (``suspension.walk_orbits``), a separate computation.  Route
-A alone decides censoring: samples whose orbits outrun the truncation
-depth or the step budget there are censored and reported, never silently
-dropped, and a return the walk misses is a return-time mismatch.  A k
-holds only with at least ``MIN_UNCENSORED`` = 500 uncensored samples, so
+every k (``suspension.induced_return``) on that sample's slice of the
+flat positions.  Route B and the marks come from one walk of the flat
+block in tower coordinates (``suspension.walk_orbits``), a separate
+computation, with start marks drawn as one flat array.  Route A alone
+decides censoring: samples whose orbits outrun the truncation depth or
+the step budget there are censored and reported, never silently dropped,
+and a return the walk misses is a return-time mismatch.  A k holds only
+with at least ``MIN_UNCENSORED`` = 500 uncensored samples, so
 a run of fewer than 500 samples always reports ``holds: false`` and
 ``verify`` exits 1 even when no check failed (3 when censoring reached
 ``CENSOR_THRESHOLD``).  ``MIN_UNCENSORED`` is a module constant, not an
@@ -67,6 +69,7 @@ from .stats import (
 )
 from .suspension import (
     TowerCoords,
+    atom_ranks,
     induced_return,
     lattice_window,
     sample_windows,
@@ -87,35 +90,30 @@ def collect_poisson(start: int, stop: int, seed: int, window_hi: int, sup_hi: in
     """Raw draws for the distributional suite, three streams per sample.
 
     The samples' windows come from one ``sample_windows`` call and their
-    superposed pairs from another.
+    superposed pairs from another; each tally is one array pass.
     """
     samples = np.arange(start, stop)
-    windows = sample_windows(lattice_window(0, window_hi), seed, 3 * samples)
-    pairs = sample_windows(lattice_window(0, sup_hi), seed, (3 * samples[:, None] + (1, 2)).ravel())
-    t1: list[float] = []
-    gaps: list[float] = []
-    sup_counts: list[int] = []
-    skipped_empty = skipped_short = 0
-    for pos, a, b in zip(windows, pairs[::2], pairs[1::2]):
-        if not pos:
-            skipped_empty += 1
-        else:
-            # int / int is correctly rounded, as float(Fraction) is
-            t1.append(pos[0] / SNAP_DENOM)
-            if len(pos) > GAPS_PER_CONFIG:
-                gaps.extend((pos[j + 1] - pos[j]) / SNAP_DENOM for j in range(GAPS_PER_CONFIG))
-            else:
-                skipped_short += 1
-        # the count of ``superpose(a, b)``, which refuses a shared position
-        if not set(a).isdisjoint(b):
-            raise AssertionError("superposition collision at identical positions")
-        sup_counts.append(len(a) + len(b))
+    pos, counts = sample_windows(lattice_window(0, window_hi), seed, 3 * samples)
+    first = np.cumsum(counts) - counts
+    # one rounding to float64, then an exact division by 2**53: int / int, correctly rounded
+    t1 = pos[first[counts > 0]] / SNAP_DENOM
+    # the first GAPS_PER_CONFIG gaps of every window holding more atoms than that
+    rows = first[counts > GAPS_PER_CONFIG][:, None] + np.arange(GAPS_PER_CONFIG + 1)
+    gaps = np.diff(pos[rows], axis=1) / SNAP_DENOM
+    pair_pos, pair_counts = sample_windows(
+        lattice_window(0, sup_hi), seed, (3 * samples[:, None] + (1, 2)).ravel()
+    )
+    # the count of ``superpose(a, b)``, which refuses a shared position
+    pair = np.repeat(np.arange(pair_counts.size) // 2, pair_counts)
+    ordered = np.lexsort((pair_pos, pair))
+    if ((np.diff(pair[ordered]) == 0) & (np.diff(pair_pos[ordered]) == 0)).any():
+        raise AssertionError("superposition collision at identical positions")
     return {
-        "t1": t1,
-        "gaps": gaps,
-        "sup_counts": sup_counts,
-        "skipped_empty": skipped_empty,
-        "skipped_short": skipped_short,
+        "t1": t1.tolist(),
+        "gaps": gaps.ravel().tolist(),
+        "sup_counts": (pair_counts[::2] + pair_counts[1::2]).tolist(),
+        "skipped_empty": int((counts == 0).sum()),
+        "skipped_short": int(((counts > 0) & (counts <= GAPS_PER_CONFIG)).sum()),
     }
 
 
@@ -182,58 +180,55 @@ def collect_suspension(
         k: {"uncensored": 0, **dict.fromkeys(FAILURE_KEYS, 0), "censored": Counter()}
         for k in k_values
     }
-    mark_counts = np.zeros(group.order, dtype=np.int64)
-    mark_pairs = np.zeros((group.order, group.order), dtype=np.int64)
-    mark_censored = 0
-
-    configs = sample_windows(
+    positions, counts = sample_windows(
         lattice_window(0, window_hi, system.denom), seed, np.arange(start, stop), system.denom
     )
-    route_a = []  # per sample: k -> (return time, positions, sums)
-    for pos in configs:
-        ks = [k for k in k_values if k <= len(pos)]
-        returned, reason = induced_return(system, spec, pos, ks, p_max)
-        for k in k_values:
-            if k not in returned:
-                per_k[k]["censored"][reason if k <= len(pos) else TooFewAtomsError.reason] += 1
-        route_a.append(returned)
+    flat = positions.tolist()
+    first = np.cumsum(counts) - counts
+    bounds = list(zip(first.tolist(), counts.tolist()))  # (first flat slot, atoms) per sample
+    # per sample: ({k: (return time, positions, sums)}, the reason the rest were censored)
+    route_a = [
+        induced_return(system, spec, flat[a : a + size], [k for k in k_values if k <= size], p_max)
+        for a, size in bounds
+    ]
 
     # uniform start marks for every atom, keyed by (seed, sample, 9, atom id);
     # mark invariance: with two or more atoms they stay uniform and pairwise
     # independent after a few skew steps
-    counts = np.array([len(c) for c in configs])
-    owner = np.repeat(np.arange(start, stop), counts)
-    ids = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts) + 1
-    states = KeyedStream(seed).prefix_states(owner, 9)
-    drawn = uniform_law(group.order).draw_at(states, ids)
-    first_marks = np.split(group.coords(drawn), np.cumsum(counts)[:-1])
-    walks = walk_orbits(TowerCoords(system, spec), configs, route_a, p_max, mark_steps, first_marks)
+    states = KeyedStream(seed).prefix_states(np.repeat(np.arange(start, stop), counts), 9)
+    start_marks = group.coords(uniform_law(group.order).draw_at(states, atom_ranks(counts) + 1))
+    walk_returns, walk_marks, reached = walk_orbits(
+        TowerCoords(system, spec), flat, counts, [r for r, _ in route_a], p_max, mark_steps,
+        start_marks,
+    )
 
-    for pos, returned, first, walk in zip(configs, route_a, first_marks, walks):
-        origin = first.tolist()
+    origins = start_marks.tolist()
+    for (a, size), (returned, reason), walked in zip(bounds, route_a, walk_returns):
+        for k in set(k_values).difference(returned):
+            per_k[k]["censored"][reason if k <= size else TooFewAtomsError.reason] += 1
         for k, (m_steps, route_a_pos, sums) in returned.items():
             tally = per_k[k]
             tally["uncensored"] += 1
-            if k not in walk.returns:
+            if k not in walked:
                 tally["return_time_mismatches"] += 1
                 continue
-            n_steps, route_b, marks = walk.returns[k]
-            carried = tuple(group.element(map(add, a, b)).coords for a, b in zip(origin, sums))
+            n_steps, route_b, marks = walked[k]
+            origin = origins[a : a + k]
+            carried = tuple(group.element(map(add, o, d)).coords for o, d in zip(origin, sums))
             tally["return_time_mismatches"] += m_steps != n_steps
             tally["conjugacy_failures"] += route_a_pos != route_b
             tally["phi_transport_failures"] += marks != carried
-        if len(pos) >= 2:
-            if walk.marks is None:
-                mark_censored += 1
-            else:
-                at = group.symbols(walk.marks)
-                mark_counts += np.bincount(at, minlength=group.order)
-                mark_pairs[at[0], at[1]] += 1
+    # the mark tests read every configuration of two or more atoms that took
+    # mark_steps steps below the top: all its marks, and the pair at ranks 1 and 2
+    tested = counts >= 2
+    read = tested & reached
+    at, lead = group.symbols(walk_marks), first[read]
+    pairs = np.bincount(at[lead] * group.order + at[lead + 1], minlength=group.order**2)
     return {
         "per_k": per_k,
-        "mark_counts": mark_counts,
-        "mark_pairs": mark_pairs,
-        "mark_censored": mark_censored,
+        "mark_counts": np.bincount(at[np.repeat(read, counts)], minlength=group.order),
+        "mark_pairs": pairs.reshape(group.order, group.order),
+        "mark_censored": int(np.count_nonzero(tested & ~reached)),
     }
 
 

@@ -12,7 +12,9 @@ drawn in double precision and snapped to multiples of 2**-53, after which
 the whole pipeline is integer arithmetic.  Every suite samples through one
 block kernel, ``snapped_arrivals``: each stream of a block is one keyed
 PCG64 stream (``stats.keyed_exponentials``), and the block is snapped,
-summed and cut into chains in 2-D passes.  ``sample_windows`` serves the
+summed and cut into chains in 2-D passes.  A sampled block is flat from
+the sampler to every consumer: all its positions, configuration after
+configuration, and each one's atom count.  ``sample_windows`` serves the
 suspension and Poisson suites, ``joining.sample_family`` the joining
 suite, and ``sample_poisson`` is a one-stream call of the same kernel.
 
@@ -25,8 +27,8 @@ Two engines move configurations.  The scalar one calls ``chacon.apply_T``
 atom by atom: ``push_forward``, ``return_time_N_k``, ``skew_apply_group``
 and ``phi_k_vector`` on ``PointConfig`` objects, and ``induced_return``
 (route A of the suspension suite, every k in one pass) on plain
-positions.  The array one, ``walk_orbits``, moves a whole block of
-configurations in the coordinates of the deepest tower N: an atom is a
+positions.  The array one, ``walk_orbits``, moves a whole block in that
+flat form in the coordinates of the deepest tower N: an atom is a
 level and an offset, a step adds one to every level, and
 ``TowerCoords.descend`` turns levels into positions and level-function
 values by the rank-one digit rule.  Its keys and levels are int64 while
@@ -269,36 +271,40 @@ def snapped_arrivals(draw, n: int, bound: int, chunk: int, sides: int = 1, nonem
     return out, redraws
 
 
+def atom_ranks(counts: np.ndarray) -> np.ndarray:
+    """Each flat atom's 0-based rank within its configuration, given the atom counts."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 def sample_windows(
     window: Interval, seed: int, streams, denom: int = SNAP_DENOM
-) -> list[tuple[int, ...]]:
-    """Positions of unit-intensity samples on a lattice window, one tuple per stream.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-intensity samples on a lattice window: flat positions and per-stream counts.
 
     The window is given in lattice units of 1/denom; positions are
     window.lo plus exact sums of snapped gaps (see ``snapped_arrivals``),
-    drawn from ``make_rng(seed, s)`` for every stream s.  ``denom`` must
-    be a multiple of 2**53.
+    drawn from ``make_rng(seed, s)`` for every stream s, int64 below 2**63
+    and Python ints beyond.  ``denom`` must be a multiple of 2**53.
     """
     scale, rest = divmod(denom, SNAP_DENOM)
     if rest:
         raise ValueError(f"lattice denominator {denom} is not a multiple of 2**53")
-    streams = np.asarray(streams)
     # lo + cum * scale >= hi exactly when cum >= ceil((hi - lo) / scale)
     bound = -(-window.width // scale)
     chunk = max(16, window.width // denom + 8)
     draw = keyed_draw(seed, streams)
-    [(arrivals, counts)], _ = snapped_arrivals(draw, streams.size, bound, chunk)
-    flat = [window.lo + c * scale for c in arrivals.tolist()]
-    ends = np.cumsum(counts).tolist()
-    return [tuple(flat[a:b]) for a, b in zip([0, *ends], ends)]
+    [(arrivals, counts)], _ = snapped_arrivals(draw, len(streams), bound, chunk)
+    if abs(window.lo) + bound * scale >= 2**63:
+        arrivals = arrivals.astype(object)
+    return window.lo + arrivals * scale, counts
 
 
 def sample_poisson(
     window: Interval, seed: int, stream: int = 0, denom: int = SNAP_DENOM
 ) -> PointConfig:
     """``sample_windows`` on the one stream ``stream``, as a configuration."""
-    (positions,) = sample_windows(window, seed, [stream], denom)
-    return PointConfig.numbered(window, positions, denom)
+    positions, _ = sample_windows(window, seed, [stream], denom)
+    return PointConfig.numbered(window, positions.tolist(), denom)
 
 
 def push_forward(
@@ -565,19 +571,6 @@ class TowerCoords:
         return posrank.reshape(levels.shape), value.reshape(levels.shape)
 
 
-class Walked(NamedTuple):
-    """One configuration's orbit, walked in tower coordinates.
-
-    ``returns`` maps each wanted k that returned to (prefix-fixing return
-    time, positions in rank order then, coordinates of the marks at ranks
-    1..k then); ``marks`` holds every mark in rank order after
-    ``mark_steps`` steps, or None when the top came first.
-    """
-
-    returns: dict
-    marks: np.ndarray | None
-
-
 def fixed_prefixes(keys: np.ndarray) -> np.ndarray:
     """Entry i on the last axis: do keys 0..i rank first, in order, in their row?
 
@@ -590,17 +583,19 @@ def fixed_prefixes(keys: np.ndarray) -> np.ndarray:
 
 def walk_orbits(
     tower: TowerCoords,
-    configs: Sequence[Sequence[int]],
+    positions: Sequence[int],
+    counts: np.ndarray,
     wants: Sequence[Iterable[int]],
     p_max: int,
     mark_steps: int,
-    start_marks: Sequence[np.ndarray],
-) -> list[Walked]:
+    start_marks: np.ndarray,
+) -> tuple[list[dict], np.ndarray, np.ndarray]:
     """Walk a block of configurations at once, marks carried along.
 
-    ``configs`` holds increasing positions; for each one, ``wants`` names
-    the k whose prefix-fixing return time to find in 1..p_max, and
-    ``start_marks`` the starting mark coordinates per atom.  A
+    The block is flat: configuration s holds the next ``counts[s]``
+    increasing ``positions``, and ``start_marks`` holds one row of mark
+    coordinates per flat atom.  For each configuration, ``wants`` names
+    the k whose prefix-fixing return time to find in 1..p_max.  A
     configuration's atoms are (level, offset) pairs in tower N.  At step p
     they rank by the key posrank(level + p) * atoms + offset rank, so ranks
     1..k are fixed when each of the first k keys is the least from its own
@@ -609,35 +604,42 @@ def walk_orbits(
     An atom on level k can take h_N - 1 - k steps.  A configuration leaves
     the walk once every k has returned (or p_max has passed) and
     ``mark_steps`` has passed, or when its atoms reach the top.
+
+    Returns (returns, marks, reached).  ``returns[s]`` maps each wanted k
+    that returned to (prefix-fixing return time, positions in rank order
+    then, coordinates of the marks at ranks 1..k then).  ``marks`` holds
+    every atom's mark coordinates in rank order after ``mark_steps``
+    steps, flat like ``positions``; a configuration's rows there are
+    meaningless unless ``reached`` says it got there before the top.
     """
-    counts = np.array([len(c) for c in configs], dtype=np.int64)
+    n = counts.size
     width = max(int(counts.max(initial=0)), 1)
     height = tower.height
     # keys stay below height * width and walked levels below 2 * height;
     # beyond int64 the arrays hold Python ints
     dtype = np.int64 if height * (width + 1) < 2**63 else object
-    levels = np.zeros((len(configs), width), dtype=dtype)
-    offsets = np.full((len(configs), width), tower.width, dtype=np.int64)  # past every offset
-    marks = np.zeros((len(configs), width, tower.values.shape[1]), dtype=np.int64)
+    # every atom's (configuration, rank) cell; padding sits on level 0 past every offset
+    cell = np.repeat(np.arange(n), counts), atom_ranks(counts)
+    located = [chacon.locate(tower.system, x, tower.system.n_max) for x in positions]
+    levels = np.zeros((n, width), dtype=dtype)
+    levels[cell] = [level - 1 for level, _ in located]  # locate counts levels from 1
+    offsets = np.full((n, width), tower.width, dtype=np.int64)
+    offsets[cell] = [offset for _, offset in located]
+    marks = np.zeros((n, width, tower.values.shape[1]), dtype=np.int64)
+    marks[cell] = start_marks
     # no walk outlasts h_N steps, so an empty configuration gets h_N
-    steps_left = np.full(len(configs), height, dtype=dtype)
-    for s, (config, start) in enumerate(zip(configs, start_marks)):
-        located = [chacon.locate(tower.system, x, tower.system.n_max) for x in config]
-        if located:  # levels counted from 1
-            levels[s, : len(located)], offsets[s, : len(located)] = zip(*located)
-            levels[s, : len(located)] -= 1
-            steps_left[s] = height - max(lv for lv, _ in located)
-        marks[s, : len(located)] = start
+    steps_left = np.where(counts > 0, height - 1 - levels.max(axis=1), height)
     padded = offsets == tower.width
     offset_rank = np.argsort(np.argsort(offsets, axis=1, kind="stable"), axis=1)
     limit = np.minimum(steps_left, min(p_max, height))
     ks = sorted(set().union(*wants))
     want = np.array([[k in w for k in ks] for w in wants], dtype=bool).reshape(len(wants), len(ks))
-    returns = [{} for _ in configs]
+    returns = [{} for _ in range(n)]
     # marks are read after mark_steps steps exactly where mark_need == mark_steps
     walks_marks = (counts > 0) & (mark_steps > 0)
     mark_need = np.where(walks_marks, np.minimum(steps_left, min(mark_steps, height)), 0)
-    at_marks = [None if w else marks[s, : counts[s]].copy() for s, w in enumerate(walks_marks)]
+    reached = ~walks_marks | (mark_need == mark_steps)
+    at_marks = marks.copy()
 
     sentinel = height * width  # above every key; padding never ranks
     active = np.flatnonzero((want.any(axis=1) & (limit > 0)) | (mark_need > 0))
@@ -664,23 +666,22 @@ def walk_orbits(
             for a in np.flatnonzero(hit[np.arange(active.size), first]):
                 s, j = active[a], first[a]
                 order = np.argsort(keys[a, j, : counts[s]])
-                positions = tuple(
-                    int(posrank[a, j + 1, i]) * tower.width + int(offsets[s, i]) for i in order
-                )
+                ranked = zip(posrank[a, j + 1, order].tolist(), offsets[s, order].tolist())
+                moved = tuple(r * tower.width + o for r, o in ranked)
                 k_marks = tuple(map(tuple, cum[a, j, order[:k]].tolist()))
-                returns[s][k] = (done + int(j) + 1, positions, k_marks)
+                returns[s][k] = (done + int(j) + 1, moved, k_marks)
                 want[s, t] = False
         if done < mark_steps <= done + steps:
             j = mark_steps - done - 1
-            for a in np.flatnonzero(mark_need[active] == mark_steps):
-                s = active[a]
-                at_marks[s] = cum[a, j, np.argsort(keys[a, j, : counts[s]])]
+            read = np.flatnonzero(mark_need[active] == mark_steps)
+            order = np.argsort(keys[read, j], axis=1)[..., None]  # padding ranks last
+            at_marks[active[read]] = np.take_along_axis(cum[read, j], order, axis=1)
         marks[active] = cum[:, -1]
         done += steps
         chunk = min(2 * chunk, MAX_CHUNK)
         searching = want[active].any(axis=1) & (done < limit[active])
         active = active[searching | (done < mark_need[active])]
-    return [Walked(r, m) for r, m in zip(returns, at_marks)]
+    return returns, at_marks[cell], reached
 
 
 def config_to_json(config: PointConfig, marks: Sequence[Any] | None = None) -> dict:

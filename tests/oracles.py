@@ -22,6 +22,7 @@ from chaconlab.stats import KeyedStream, make_rng, uniform_law
 from chaconlab.suspension import (
     SNAP_DENOM,
     MarkedConfig,
+    PointConfig,
     distinguish_k,
     in_split_order,
     lattice_window,
@@ -30,6 +31,7 @@ from chaconlab.suspension import (
     return_time_N_k,
     sample_poisson,
     skew_apply_group,
+    superpose,
 )
 
 
@@ -375,6 +377,41 @@ def loop_snapped_arrivals(rng, bound: int, chunk: int) -> list[int]:
             if cum >= bound:
                 return out
             out.append(cum)
+
+
+def loop_collect_poisson(start, stop, seed, window_hi, sup_hi):
+    """``suites.collect_poisson`` one sample at a time and one atom at a time.
+
+    Stream 3i draws sample i's window [0, window_hi) and streams 3i + 1 and
+    3i + 2 its pair on [0, sup_hi), each chain by ``loop_snapped_arrivals``;
+    the pair count is that of ``superpose``, which refuses a shared position.
+    """
+
+    def chain(stream, hi):
+        return loop_snapped_arrivals(make_rng(seed, stream), hi * SNAP_DENOM, max(16, hi + 8))
+
+    pair_window = Interval(0, sup_hi * SNAP_DENOM)
+    t1, gaps, sup_counts = [], [], []
+    skipped_empty = skipped_short = 0
+    for i in range(start, stop):
+        pos = chain(3 * i, window_hi)
+        if not pos:
+            skipped_empty += 1
+        else:
+            t1.append(pos[0] / SNAP_DENOM)
+            if len(pos) > 5:
+                gaps += [(b - a) / SNAP_DENOM for a, b in zip(pos, pos[1:6])]
+            else:
+                skipped_short += 1
+        a, b = (PointConfig.numbered(pair_window, chain(3 * i + j, sup_hi)) for j in (1, 2))
+        sup_counts.append(superpose(a, b).count)
+    return {
+        "t1": t1,
+        "gaps": gaps,
+        "sup_counts": sup_counts,
+        "skipped_empty": skipped_empty,
+        "skipped_short": skipped_short,
+    }
 
 
 # -- the joining suite as first written: tuples, dicts and one atom at a time

@@ -319,6 +319,25 @@ def test_verify_out_writes_csv_rows_and_keeps_stdout_quiet(tmp_path, capsys):
         float(r["p_value"])  # every row carries a parseable p-value
 
 
+@pytest.mark.parametrize("argv", [["build-chacon", "--n-max", "2"], ["verify", "poisson"]])
+@pytest.mark.parametrize("from_file", [False, True])
+def test_out_ending_in_csv_is_refused_before_running(tmp_path, capsys, argv, from_file):
+    # the CSV twin of report.csv would be report.csv.csv, beside a JSON report.csv
+    out = str(tmp_path / "report.csv")
+    if from_file:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"out": out}))
+        argv = argv + ["--config", str(cfg)]
+    else:
+        argv = argv + ["--out", out]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--out" in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == (["run.json"] if from_file else [])
+
+
 def test_config_file_fills_defaults_but_flags_win(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"samples": 250, "seed": 9}))

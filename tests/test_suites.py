@@ -20,7 +20,7 @@ from chaconlab.suites import (
     run_suspension_suite,
 )
 from chaconlab.suspension import RankPermutation
-from oracles import four_walk_suspension
+from oracles import four_walk_suspension, loop_collect_poisson
 
 POISSON_TESTS = {
     "t1_exponential",
@@ -173,8 +173,8 @@ def test_lost_walk_returns_fail_the_suite(monkeypatch):
     real_walk = suites.walk_orbits
 
     def lossy_walk(*args):
-        walks = real_walk(*args)
-        return [w._replace(returns={}) if i % 5 == 0 else w for i, w in enumerate(walks)]
+        returns, marks, reached = real_walk(*args)
+        return [{} if i % 5 == 0 else r for i, r in enumerate(returns)], marks, reached
 
     monkeypatch.setattr(suites, "walk_orbits", lossy_walk)
     rep = run_suspension_suite(n_samples=1200, k_values=(1, 2))
@@ -206,6 +206,36 @@ def test_oracle_settings_force_every_censor_reason():
         mark_censored += rep["mark_censored"]
     assert reasons == {"TooFewAtoms", "DepthExceeded", "PMaxExceeded"}
     assert mark_censored > 0
+
+
+# window 1100 puts window.lo + bound past 2**63, so its positions are Python ints
+@pytest.mark.parametrize("window", [1, 6, 30, 1100])
+@pytest.mark.parametrize("start, stop", [(11, 12), (0, 64), (70, 200)])
+def test_collect_poisson_matches_the_loop_oracle(window, start, stop):
+    got = collect_poisson(start, stop, 5, window, 10)
+    assert got == loop_collect_poisson(start, stop, 5, window, 10)
+
+
+def scripted_windows(blocks):
+    """A ``sample_windows`` stand-in: the given (positions, counts) per number of streams."""
+    return lambda window, seed, streams, denom=None: tuple(map(np.array, blocks[len(streams)]))
+
+
+def test_collect_poisson_refuses_a_shared_position_in_a_pair(monkeypatch):
+    # one sample: its window holds one atom, its pair (5, 9) and (5) shares 5
+    monkeypatch.setattr(suites, "sample_windows", scripted_windows(
+        {1: ([3], [1]), 2: ([5, 9, 5], [2, 1])}
+    ))
+    with pytest.raises(AssertionError, match="collision"):
+        collect_poisson(0, 1, 0, 30, 10)
+
+
+def test_collect_poisson_allows_a_position_shared_across_pairs(monkeypatch):
+    # two samples whose pairs are (5), (7) and (7), (5): no pair shares a position
+    monkeypatch.setattr(suites, "sample_windows", scripted_windows(
+        {2: ([3, 4], [1, 1]), 4: ([5, 7, 7, 5], [1, 1, 1, 1])}
+    ))
+    assert collect_poisson(0, 2, 0, 30, 10)["sup_counts"] == [2, 2]
 
 
 def test_fan_out_merge_rule():

@@ -43,6 +43,7 @@ from chaconlab.suspension import (
     recombine,
     return_time_N_k,
     sample_poisson,
+    sample_windows,
     skew_apply_group,
     MAX_ATTEMPTS,
     keyed_draw,
@@ -515,6 +516,23 @@ def test_sampling_determinism_and_grid():
     assert all(x % (D3 // SNAP_DENOM) == 0 for x in fine.positions())
     with pytest.raises(ValueError):
         sample_poisson(lattice_window(0, 6, 3), seed=9, denom=3)
+
+
+@pytest.mark.parametrize(
+    "denom, hi, dtype",
+    [(SNAP_DENOM, 2**63 - 1, np.int64), (SNAP_DENOM, 2**63, object),
+     (D3, 2**63 - D3 // SNAP_DENOM, np.int64), (D3, 2**63, object), (D3, 2**63 + D3, object)],
+)
+def test_sample_windows_holds_python_ints_from_2_63(denom, hi, dtype):
+    # a window two units wide whose top, lo + bound * scale, is just below, at or
+    # past 2**63: positions near it must neither wrap nor round
+    scale, lo = denom // SNAP_DENOM, hi - 2 * denom
+    positions, counts = sample_windows(Interval(lo, hi), 6, np.arange(8), denom)
+    assert positions.dtype == dtype
+    chains = [loop_snapped_arrivals(make_rng(6, s), 2 * SNAP_DENOM, 16) for s in range(8)]
+    assert counts.tolist() == [len(c) for c in chains]
+    assert positions.tolist() == [lo + x * scale for c in chains for x in c]
+    assert max(positions) > 2**63 - denom
 
 
 def test_offset_window_sampling():

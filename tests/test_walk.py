@@ -9,6 +9,7 @@ on constructed configurations; and ``collect_suspension`` against
 
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -107,6 +108,23 @@ def constructed_block(draw):
     return system, p_max, mark_steps, block
 
 
+class Walk(NamedTuple):
+    """One configuration's share of a ``walk_orbits`` result; marks None past the top."""
+
+    returns: dict
+    marks: np.ndarray | None
+
+
+def per_configuration(walked, counts):
+    """Split ``walk_orbits``' flat result by configuration."""
+    returns, marks, reached = walked
+    ends = np.cumsum(counts).tolist()
+    return [
+        Walk(r, marks[b - n : b] if ok else None)
+        for r, n, b, ok in zip(returns, counts.tolist(), ends, reached)
+    ]
+
+
 def check_against_scalar(system, walk, positions, wants, p_max, mark_steps, start):
     """Assert one configuration's walk equals the scalar engine's; return its censor reasons."""
     config = PointConfig(
@@ -124,7 +142,12 @@ def check_against_scalar(system, walk, positions, wants, p_max, mark_steps, star
 def test_walk_matches_the_scalar_engine_on_constructed_blocks(case):
     system, p_max, mark_steps, block = case
     configs, wants, starts = zip(*block)
-    walked = walk_orbits(TowerCoords(system, SPEC), configs, wants, p_max, mark_steps, starts)
+    positions = [x for config in configs for x in config]
+    counts = np.array([len(config) for config in configs])
+    walked = per_configuration(walk_orbits(
+        TowerCoords(system, SPEC), positions, counts, wants, p_max, mark_steps,
+        np.concatenate(starts),
+    ), counts)
     for walk, (positions, want, start) in zip(walked, block):
         check_against_scalar(system, walk, positions, want, p_max, mark_steps, start)
 
@@ -133,7 +156,10 @@ def walk_one(system, levels_offsets, wants, p_max, mark_steps, start):
     """Walk one configuration given as (level, offset) pairs, checked against
     the scalar engine; return the walk and its censor reasons."""
     positions = tuple(sorted(_level_lo(system, system.n_max, k) + o for k, o in levels_offsets))
-    [walk] = walk_orbits(TowerCoords(system, SPEC), [positions], [wants], p_max, mark_steps, [start])
+    counts = np.array([len(positions)])
+    [walk] = per_configuration(walk_orbits(
+        TowerCoords(system, SPEC), positions, counts, [wants], p_max, mark_steps, start
+    ), counts)
     return walk, check_against_scalar(system, walk, positions, wants, p_max, mark_steps, start)
 
 
