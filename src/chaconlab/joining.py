@@ -10,11 +10,11 @@ shift and is checked exactly against independent re-ranking.
 Marks couple two independent configurations: each inter-atom interval
 [t(n), t(n+1)) of the second configuration looks for the lowest atom of
 the first one inside it and copies that atom's mark; intervals missed by
-the first configuration draw a fresh mark from the law.  Fresh draws and
-first-family marks are keyed by (seed, sample, atom id), which makes the
-whole coupling a pure function of the pair, so advancing the coupled
-sample and re-running the coupling on the advanced pair must agree
-exactly, index by index.
+the first configuration draw a fresh mark.  Every mark is uniform on
+``ALPHABET`` = 2 symbols, drawn by ``stats.keyed_symbols`` and keyed by
+(seed, sample, side, atom id), which makes the whole coupling a pure
+function of the pair, so advancing the coupled sample and re-running the
+coupling on the advanced pair must agree exactly, index by index.
 
 Positions are exact rationals with denominator 2**53, held as integer
 numerators in numpy arrays, so comparisons, the +1 shift and the interval
@@ -32,7 +32,7 @@ Sampling draws all configurations of a block together, one PCG64 stream
 each, seeded and snapped in array passes (``suspension.snapped_arrivals``);
 every later step is one array pass per block too.  Keyed draws hash one
 prefix state per (sample, side) and mix in every atom id at once
-(``KeyedStream.prefix_states``, ``DiscreteLaw.draw_at``).
+(``KeyedStream.prefix_states``, ``keyed_symbols``).
 
 Coupling is one lexsort on (sample, position, family), in which a
 second-family atom sorts ahead of a first-family atom at the same
@@ -58,16 +58,11 @@ import numpy as np
 
 from .errors import InsufficientDataError
 from .parallel import fan_out
-from .stats import (
-    DiscreteLaw,
-    KeyedStream,
-    chi2_gof,
-    chi2_independence,
-    uniform_law,
-)
+from .stats import KeyedStream, chi2_gof, chi2_independence, keyed_symbols
 from .suspension import SNAP_DENOM, atom_ranks, keyed_draw, snapped_arrivals
 
 _D = SNAP_DENOM
+ALPHABET = 2  # the suite's marks are uniform on [0, ALPHABET)
 
 
 def position_dtype(half_width: int):
@@ -191,8 +186,8 @@ class Marks:
 
     Every entry belongs to the sample ``owner1``/``owner2``/``owner_x``
     (its place in the block) and carries a two-sided index; entries run
-    in ascending (sample, index) order.  Marks are symbol numbers
-    (positions in ``law.symbols``); ``marks1`` is parallel to the first
+    in ascending (sample, index) order.  Marks are symbols in
+    [0, alphabet); ``marks1`` is parallel to the first
     configuration's indices ``index1``.  ``index2`` lists every decided
     second-family index with its mark in ``marks2``; where ``copied2`` is
     set the mark was copied from first-family index ``source2`` (0
@@ -221,14 +216,15 @@ _ENTRY_GROUPS = (
 
 
 def couple_block(
-    family1: Family, family2: Family, law: DiscreteLaw, seed: int, samples: np.ndarray
+    family1: Family, family2: Family, alphabet: int, seed: int, samples: np.ndarray
 ) -> Marks:
     """Mark every pair of a block: first family i.i.d., second copied or fresh.
 
     For each index n of a second configuration whose interval
     [t(n), t(n+1)) sits inside the window, the mark is copied from the
     lowest atom of the pair's first configuration in the interval when
-    one exists, otherwise drawn fresh.  All randomness is keyed by
+    one exists, otherwise drawn fresh.  Marks are uniform on
+    [0, alphabet), and all randomness is keyed by
     (seed, ``samples[j]``, side, atom id), so the result is reproducible
     atom by atom.
 
@@ -241,7 +237,7 @@ def couple_block(
     """
     stream = KeyedStream(seed)
     n1, n2 = family1.pos.size, family2.pos.size
-    marks1 = law.draw_at(stream.prefix_states(samples, 1)[family1.owner], family1.ids)
+    marks1 = keyed_symbols(stream.prefix_states(samples, 1)[family1.owner], family1.ids, alphabet)
     order = np.lexsort((
         np.concatenate((np.ones(n1, dtype=np.int8), np.zeros(n2, dtype=np.int8))),
         np.concatenate((family1.pos, family2.pos)),
@@ -265,7 +261,7 @@ def couple_block(
     marks2[copied] = marks1[first[copied]]
     fresh = ~copied
     states2 = stream.prefix_states(samples, 2)[owner2[fresh]]
-    marks2[fresh] = law.draw_at(states2, family2.ids[slot2[fresh]])
+    marks2[fresh] = keyed_symbols(states2, family2.ids[slot2[fresh]], alphabet)
     owner_x = family2.owner[top]
     return Marks(
         owner1=family1.owner,
@@ -348,10 +344,10 @@ def _sample_biconfig_counted(half_width: int, seed: int, stream: int) -> tuple[F
 
 
 def couple_marks(
-    family1: Family, family2: Family, law: DiscreteLaw, seed: int, sample_idx: int = 0
+    family1: Family, family2: Family, alphabet: int, seed: int, sample_idx: int = 0
 ) -> Marks:
     """``couple_block`` on one pair, its draws keyed by ``sample_idx``."""
-    return couple_block(family1, family2, law, seed, [sample_idx])
+    return couple_block(family1, family2, alphabet, seed, [sample_idx])
 
 
 def advance_joint(family1: Family, family2: Family, marks: Marks) -> tuple[Family, Family, Marks]:
@@ -368,28 +364,13 @@ def rank_tracking_consistent(family: Family) -> bool:
     return not rank_tracking_failures(family, shift_cocycles(family), advanced, kept).any()
 
 
-def collect_joining(
-    start: int,
-    stop: int,
-    half_width: int,
-    seed: int,
-    law: DiscreteLaw,
-    empty_first_family: bool = False,
-) -> dict:
-    """Sufficient statistics and exact-check tallies for samples [start, stop).
-
-    ``empty_first_family`` replaces every first configuration with the
-    empty one, the degenerate regime where no mark can be copied.
-    """
+def collect_joining(start: int, stop: int, half_width: int, seed: int, alphabet: int) -> dict:
+    """Sufficient statistics and exact-check tallies for samples [start, stop)."""
     samples = np.arange(start, stop)
-    k, n = len(law.symbols), samples.size
-    if empty_first_family:
-        pos, ids = np.empty(0, dtype=position_dtype(half_width)), np.empty(0, dtype=np.int64)
-        family1, r1 = Family.build(half_width, pos, ids, np.zeros(n), np.zeros(n)), 0
-    else:
-        family1, r1 = sample_family(half_width, seed, 2 * samples)
+    k, n = alphabet, samples.size
+    family1, r1 = sample_family(half_width, seed, 2 * samples)
     family2, r2 = sample_family(half_width, seed, 2 * samples + 1)
-    marks = couple_block(family1, family2, law, seed, samples)
+    marks = couple_block(family1, family2, alphabet, seed, samples)
 
     m2, owner2, hit = marks.marks2, marks.owner2, marks.copied2
     source = marks.source2[hit] + family1.base[owner2[hit]]
@@ -418,7 +399,7 @@ def collect_joining(
     ))
     moved = transport(marks, family1, family2, c1, c2)
     del family1, family2, marks, kept1, kept2  # lower the block's peak memory
-    recoupled = couple_block(advanced1, advanced2, law, seed, samples)
+    recoupled = couple_block(advanced1, advanced2, alphabet, seed, samples)
     tally["equivariance_failures"] = int(np.count_nonzero(marks_differ(moved, recoupled, n)))
     return tally
 
@@ -427,10 +408,8 @@ def verify_joining(
     n_samples: int = 10_000,
     half_width: int = 50,
     seed: int = 0,
-    law: DiscreteLaw | None = None,
     alpha: float = 0.01,
     workers: int = 1,
-    empty_first_family: bool = False,
 ) -> dict:
     """Full joining verification: exact structure checks plus statistics.
 
@@ -441,13 +420,9 @@ def verify_joining(
     ("marginal2"), designed rejection of independence between copied pairs
     ("dependence"), and the copied fraction with a 99% interval.
     """
-    if law is None:
-        law = uniform_law(2)
-    tot = fan_out(
-        collect_joining, n_samples, workers, half_width, seed, law, empty_first_family
-    )
+    tot = fan_out(collect_joining, n_samples, workers, half_width, seed, ALPHABET)
 
-    probs = [w / law.total for w in law.weights]
+    probs = [1 / ALPHABET] * ALPHABET
     marginal = chi2_gof(tot["marginal"], probs, alpha=alpha, name="marks2_marginal")
     pairwise = chi2_independence(tot["adjacent"], alpha=alpha, name="marks2_adjacent_pairs")
     try:

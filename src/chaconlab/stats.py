@@ -13,8 +13,10 @@ Every randomized procedure in the package draws from one of two sources:
   and survives reordering, resampling, and parallel evaluation.  Many
   keys are drawn in uint64 array passes with the same values:
   ``KeyedStream.prefix_states`` hashes many key prefixes at once, and
-  ``DiscreteLaw.draw_at`` draws from one prefix state per entry, or one
-  for all entries, with each entry's last key part (one per atom id).
+  ``keyed_symbols`` draws uniform symbols from one prefix state per
+  entry, or one for all entries, with each entry's last key part (one
+  per atom id).  Every mark a suite draws is uniform: Haar measure on a
+  finite abelian group is the uniform law.
 
 Test verdicts are reported, never printed: each test returns the dict the
 report holds, with the test's name, the statistic, the p-value, the sample
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -95,59 +96,21 @@ class KeyedStream:
         return h
 
     def integer(self, upper: int, *key: int) -> int:
-        # modulo bias is < upper / 2**64, irrelevant for small alphabets
         return self._state(key) % upper
 
 
-@dataclass(frozen=True)
-class DiscreteLaw:
-    """Finite alphabet with positive integer weights (exact probabilities)."""
+def keyed_symbols(states, last, order: int) -> np.ndarray:
+    """Uniform symbols in [0, order) keyed by a prefix state and a last key part.
 
-    symbols: tuple
-    weights: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        if len(self.symbols) != len(self.weights) or not self.symbols:
-            raise ValueError("need one positive weight per symbol")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise ValueError("symbols must be distinct")
-
-    @property
-    def total(self) -> int:
-        return sum(self.weights)
-
-    def draw(self, stream: KeyedStream, *key: int):
-        u = stream.integer(self.total, *key)
-        acc = 0
-        for s, w in zip(self.symbols, self.weights):
-            acc += w
-            if u < acc:
-                return s
-        raise AssertionError("unreachable")
-
-    def draw_at(self, states, last) -> np.ndarray:
-        """Symbol numbers of the draws keyed by a prefix state and a last key part.
-
-        ``states`` holds ``KeyedStream._state`` values of key prefixes, one
-        for all of ``last`` or one per entry; each draw equals ``draw``'s
-        for the prefix followed by its entry of ``last``.
-        """
-        u = splitmix64_array(states ^ _as_uint64(last))
-        if self.total < 2**64:
-            u = u % np.uint64(self.total)
-            cum = np.cumsum(np.array(self.weights, dtype=np.uint64))
-        else:  # every state is already below the total
-            u = u.astype(object)
-            cum = np.cumsum(np.array(self.weights, dtype=object))
-        return np.searchsorted(cum, u, side="right")
-
-
-def uniform_law(k: int) -> DiscreteLaw:
-    return DiscreteLaw(tuple(range(k)), (1,) * k)
+    ``states`` holds ``KeyedStream._state`` values of key prefixes, one
+    for all of ``last`` or one per entry; each symbol equals
+    ``KeyedStream.integer(order, *prefix, last)`` for its prefix and entry.
+    The symbols are int64, so they mix with int64 arrays without numpy's
+    promotion to float64; an order past 2**63 wraps them in two's
+    complement.  The modulo bias is below order / 2**64, irrelevant for
+    small alphabets.
+    """
+    return (splitmix64_array(states ^ _as_uint64(last)) % np.uint64(order)).astype(np.int64)
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:

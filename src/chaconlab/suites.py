@@ -63,9 +63,9 @@ from .stats import (
     chi2_gof,
     chi2_independence,
     chi2_poisson,
+    keyed_symbols,
     ks_exponential,
     mc_mean,
-    uniform_law,
 )
 from .suspension import (
     TowerCoords,
@@ -194,9 +194,9 @@ def collect_suspension(
 
     # uniform start marks for every atom, keyed by (seed, sample, 9, atom id);
     # mark invariance: with two or more atoms they stay uniform and pairwise
-    # independent after a few skew steps
-    states = KeyedStream(seed).prefix_states(np.repeat(np.arange(start, stop), counts), 9)
-    start_marks = group.coords(uniform_law(group.order).draw_at(states, atom_ranks(counts) + 1))
+    # independent after a few skew steps; one key-prefix state per sample
+    states = np.repeat(KeyedStream(seed).prefix_states(np.arange(start, stop), 9), counts)
+    start_marks = group.coords(keyed_symbols(states, atom_ranks(counts) + 1, group.order))
     walk_returns, walk_marks, reached = walk_orbits(
         TowerCoords(system, spec), flat, counts, [r for r, _ in route_a], p_max, mark_steps,
         start_marks,

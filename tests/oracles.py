@@ -18,7 +18,8 @@ from chaconlab.errors import (
     OutOfDomainError,
     PMaxExceededError,
 )
-from chaconlab.stats import KeyedStream, make_rng, uniform_law
+from chaconlab.joining import Family, position_dtype
+from chaconlab.stats import KeyedStream, make_rng
 from chaconlab.suspension import (
     SNAP_DENOM,
     MarkedConfig,
@@ -178,7 +179,6 @@ def four_walk_suspension(start, stop, seed, n_max, p_max, window_hi, k_values, s
     window = lattice_window(0, window_hi, system.denom)
     group = spec.group
     stream = KeyedStream(seed)
-    law = uniform_law(group.order)
     elements = list(group.elements())
     sym = {g: j for j, g in enumerate(elements)}
     keys = ("uncensored", "conjugacy_failures", "return_time_mismatches",
@@ -220,7 +220,7 @@ def four_walk_suspension(start, stop, seed, n_max, p_max, window_hi, k_values, s
 
         if config.count >= 2:
             start_marks = tuple(
-                elements[law.draw(stream, i, 9, atom.id)] for atom in config.atoms
+                elements[stream.integer(group.order, i, 9, atom.id)] for atom in config.atoms
             )
             marked = MarkedConfig(config, start_marks)
             try:
@@ -523,13 +523,12 @@ class DictJoiningSample:
     excluded: tuple[int, ...]
 
 
-def joining_dicts(marks, law) -> tuple:
+def joining_dicts(marks) -> tuple:
     """The ``joining.Marks`` of one sample in the oracle's dict form."""
-    symbols = law.symbols
-    marks1 = {int(n): symbols[m] for n, m in zip(marks.index1, marks.marks1)}
+    marks1 = {int(n): int(m) for n, m in zip(marks.index1, marks.marks1)}
     marks2, provenance2 = {}, {}
     for n, m, copied, src in zip(marks.index2, marks.marks2, marks.copied2, marks.source2):
-        marks2[int(n)] = symbols[m]
+        marks2[int(n)] = int(m)
         provenance2[int(n)] = ("copied", int(src)) if copied else ("fresh",)
     return marks1, marks2, provenance2, tuple(int(n) for n in marks.excluded)
 
@@ -538,10 +537,12 @@ def dict_sample_parts(sample: DictJoiningSample) -> tuple:
     return sample.marks1, sample.marks2, sample.provenance2, sample.excluded
 
 
-def dict_couple_marks(omega1, omega2, law, seed: int, sample_idx: int = 0) -> DictJoiningSample:
+def dict_couple_marks(
+    omega1, omega2, alphabet: int, seed: int, sample_idx: int = 0
+) -> DictJoiningSample:
     stream = KeyedStream(seed)
     marks1 = {
-        n: law.draw(stream, sample_idx, 1, omega1.id_at(n)) for n in omega1.indices()
+        n: stream.integer(alphabet, sample_idx, 1, omega1.id_at(n)) for n in omega1.indices()
     }
     marks2, provenance2, excluded = {}, {}, []
     for n in omega2.indices():
@@ -556,7 +557,7 @@ def dict_couple_marks(omega1, omega2, law, seed: int, sample_idx: int = 0) -> Di
             marks2[n] = marks1[src]
             provenance2[n] = ("copied", src)
         else:
-            marks2[n] = law.draw(stream, sample_idx, 2, omega2.id_at(n))
+            marks2[n] = stream.integer(alphabet, sample_idx, 2, omega2.id_at(n))
             provenance2[n] = ("fresh",)
     return DictJoiningSample(omega1, omega2, marks1, marks2, provenance2, tuple(excluded))
 
@@ -600,10 +601,33 @@ def tuple_rank_tracking_consistent(config: TupleBiConfig) -> bool:
     return True
 
 
-def dict_collect_joining(start, stop, half_width, seed, law, empty_first_family=False) -> dict:
-    """``joining.collect_joining`` as first written, on the same samples."""
-    k = len(law.symbols)
-    sym_index = {s: i for i, s in enumerate(law.symbols)}
+def empty_first_family(sample_family):
+    """``joining.sample_family`` with every first configuration empty.
+
+    ``collect_joining`` draws sample i's first configuration on stream 2i
+    and its second on stream 2i + 1; the even streams get the empty
+    configuration, with no retries, and the odd ones go to
+    ``sample_family``.  This is the degenerate regime where no mark can
+    be copied.
+    """
+
+    def sample(half_width, seed, streams):
+        if streams[0] % 2:
+            return sample_family(half_width, seed, streams)
+        n = len(streams)
+        pos = np.empty(0, dtype=position_dtype(half_width))
+        empty = Family.build(half_width, pos, np.empty(0, dtype=np.int64), np.zeros(n), np.zeros(n))
+        return empty, 0
+
+    return sample
+
+
+def dict_collect_joining(start, stop, half_width, seed, k, empty_first_family=False) -> dict:
+    """``joining.collect_joining`` as first written, on the same samples.
+
+    ``empty_first_family`` makes every first configuration empty, the
+    degenerate regime where no mark can be copied.
+    """
     marginal = np.zeros(k, dtype=np.int64)
     adjacent = np.zeros((k, k), dtype=np.int64)
     copied_pairs = np.zeros((k, k), dtype=np.int64)
@@ -617,12 +641,12 @@ def dict_collect_joining(start, stop, half_width, seed, law, empty_first_family=
             resamples += r1
         w2, r2 = tuple_sample_biconfig(half_width, seed, 2 * i + 1)
         resamples += r2
-        sample = dict_couple_marks(w1, w2, law, seed, sample_idx=i)
+        sample = dict_couple_marks(w1, w2, k, seed, sample_idx=i)
 
         if not (tuple_rank_tracking_consistent(w1) and tuple_rank_tracking_consistent(w2)):
             rank_failures += 1
         recoupled = dict_couple_marks(
-            tuple_advance_biconfig(w1)[0], tuple_advance_biconfig(w2)[0], law, seed, sample_idx=i
+            tuple_advance_biconfig(w1)[0], tuple_advance_biconfig(w2)[0], k, seed, sample_idx=i
         )
         if dict_advance_joint(sample) != recoupled:
             equivariance_failures += 1
@@ -630,14 +654,14 @@ def dict_collect_joining(start, stop, half_width, seed, law, empty_first_family=
         decided += len(sample.marks2)
         excluded += len(sample.excluded)
         for n, v in sample.marks2.items():
-            marginal[sym_index[v]] += 1
+            marginal[v] += 1
             if sample.provenance2[n][0] == "copied":
                 copied += 1
-                copied_pairs[sym_index[sample.marks1[sample.provenance2[n][1]]], sym_index[v]] += 1
+                copied_pairs[sample.marks1[sample.provenance2[n][1]], v] += 1
         lo = min(sample.marks2) if sample.marks2 else 0
         for n in range(lo, max(sample.marks2, default=lo - 1), 2):
             if n in sample.marks2 and n + 1 in sample.marks2:
-                adjacent[sym_index[sample.marks2[n]], sym_index[sample.marks2[n + 1]]] += 1
+                adjacent[sample.marks2[n], sample.marks2[n + 1]] += 1
     return {
         "marginal": marginal,
         "adjacent": adjacent,

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import chaconlab.joining as joining
 from chaconlab.joining import (
     Family,
     _sample_biconfig_counted,
@@ -26,10 +27,10 @@ from chaconlab.joining import (
     transport,
     verify_joining,
 )
-from chaconlab.stats import DiscreteLaw, uniform_law
 from chaconlab.suspension import SNAP_DENOM
 from oracles import (
     TupleBiConfig,
+    empty_first_family,
     dict_advance_joint,
     dict_collect_joining,
     dict_couple_marks,
@@ -143,10 +144,9 @@ def test_rank_tracking_random():
 
 
 def test_couple_empty_first_family_all_fresh():
-    law = uniform_law(3)
     w2 = _sample(8, seed=13, stream=0)
-    s = couple_marks(_family(8, [], []), w2, law, seed=13)
-    marks1, marks2, provenance2, _ = joining_dicts(s, law)
+    s = couple_marks(_family(8, [], []), w2, 3, seed=13)
+    marks1, marks2, provenance2, _ = joining_dicts(s)
     assert marks1 == {}
     assert all(v == ("fresh",) for v in provenance2.values())
     o2 = TupleBiConfig.of(w2)
@@ -154,11 +154,10 @@ def test_couple_empty_first_family_all_fresh():
 
 
 def test_couple_coincident_configurations_copy_in_place():
-    law = uniform_law(4)
     w2 = _sample(8, seed=21, stream=1)
     w1 = replace(w2, ids=w2.ids + 100)
-    s = couple_marks(w1, w2, law, seed=21)
-    marks1, marks2, provenance2, _ = joining_dicts(s, law)
+    s = couple_marks(w1, w2, 4, seed=21)
+    marks1, marks2, provenance2, _ = joining_dicts(s)
     assert marks2
     for n in marks2:
         assert provenance2[n] == ("copied", n)
@@ -166,12 +165,11 @@ def test_couple_coincident_configurations_copy_in_place():
 
 
 def test_provenance_invariant():
-    law = uniform_law(2)
     for i in range(50):
         w1 = _sample(6, seed=31, stream=2 * i)
         w2 = _sample(6, seed=31, stream=2 * i + 1)
-        s = couple_marks(w1, w2, law, seed=31, sample_idx=i)
-        marks1, marks2, provenance2, excluded = joining_dicts(s, law)
+        s = couple_marks(w1, w2, 2, seed=31, sample_idx=i)
+        marks1, marks2, provenance2, excluded = joining_dicts(s)
         o1, o2 = TupleBiConfig.of(w1), TupleBiConfig.of(w2)
         assert set(marks2) | set(excluded) == set(o2.indices())
         assert excluded == (o2.max_index,)
@@ -189,25 +187,23 @@ def test_provenance_invariant():
 
 
 def test_advance_equivariance_and_flow():
-    law = uniform_law(2)
     for i in range(60):
         w1 = _sample(5, seed=47, stream=2 * i)
         w2 = _sample(5, seed=47, stream=2 * i + 1)
-        s = couple_marks(w1, w2, law, seed=47, sample_idx=i)
+        s = couple_marks(w1, w2, 2, seed=47, sample_idx=i)
         # flow property: one and two single steps equal coupling the advanced pair
         for _ in range(2):
             w1, w2, s = advance_joint(w1, w2, s)
-            assert not marks_differ(s, couple_marks(w1, w2, law, seed=47, sample_idx=i), 1)[0]
+            assert not marks_differ(s, couple_marks(w1, w2, 2, seed=47, sample_idx=i), 1)[0]
 
 
 def test_advance_index_algebra():
-    law = uniform_law(2)
     w1 = _sample(6, seed=3, stream=0)
     w2 = _sample(6, seed=3, stream=1)
-    s = couple_marks(w1, w2, law, seed=3)
+    s = couple_marks(w1, w2, 2, seed=3)
     c2 = shift_cocycles(w2)[0]
     _, _, adv = advance_joint(w1, w2, s)
-    before, after = joining_dicts(s, law)[1], joining_dicts(adv, law)[1]
+    before, after = joining_dicts(s)[1], joining_dicts(adv)[1]
     assert after
     for n, v in after.items():
         assert before[n - c2] == v
@@ -248,8 +244,10 @@ def test_verify_joining_deterministic_and_worker_invariant():
     assert a == c
 
 
-def test_verify_joining_degenerate_first_family():
-    rep = verify_joining(n_samples=40, half_width=8, seed=9, empty_first_family=True)
+def test_verify_joining_degenerate_first_family(monkeypatch):
+    # no mark can be copied, so the designed rejection has no data
+    monkeypatch.setattr(joining, "sample_family", empty_first_family(sample_family))
+    rep = verify_joining(n_samples=40, half_width=8, seed=9)
     assert rep["holds"] is False
     assert rep["dependence"]["verdict"] == "cannot_reject"
     assert rep["copied_fraction"]["value"] == 0.0
@@ -266,13 +264,7 @@ def test_resample_tally_reported():
 
 # -- the array path against the tuple/dict oracle, on identical pairs
 
-LAWS = [uniform_law(2), uniform_law(3), DiscreteLaw(("a", "b", "c"), (1, 3, 5))]
-laws = st.one_of(
-    st.sampled_from(LAWS),
-    st.lists(st.integers(1, 9), min_size=1, max_size=5).map(
-        lambda w: DiscreteLaw(tuple(range(len(w))), tuple(w))
-    ),
-)
+alphabets = st.integers(1, 9)
 # every window up to 12, and both sides of the int64 position limit
 half_widths = st.one_of(st.integers(1, 12), st.sampled_from([1022, 1023]))
 
@@ -295,31 +287,31 @@ def family_pairs(draw, widths=half_widths):
     )
     p2 = draw(st.lists(points, max_size=24, unique=True))
     shared = st.sampled_from(p2) if p2 else points
-    empty_first_family = draw(st.booleans()) and draw(st.booleans())
-    p1 = [] if empty_first_family else draw(
+    empty_first = draw(st.booleans()) and draw(st.booleans())
+    p1 = [] if empty_first else draw(
         st.lists(st.one_of(points, shared), max_size=24, unique=True)
     )
     ids = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=48, max_size=48, unique=True)
     return _family(W, p1, draw(ids)), _family(W, p2, draw(ids))
 
 
-def _agrees_with_the_oracle(w1, w2, s, o, law, seed, sample_idx):
+def _agrees_with_the_oracle(w1, w2, s, o, alphabet, seed, sample_idx):
     assert (TupleBiConfig.of(w1), TupleBiConfig.of(w2)) == (o.omega1, o.omega2)
-    assert joining_dicts(s, law) == dict_sample_parts(o)
-    assert not marks_differ(s, couple_marks(w1, w2, law, seed, sample_idx), 1)[0]
+    assert joining_dicts(s) == dict_sample_parts(o)
+    assert not marks_differ(s, couple_marks(w1, w2, alphabet, seed, sample_idx), 1)[0]
     assert rank_tracking_consistent(w1) and rank_tracking_consistent(w2)
 
 
-@given(family_pairs(), laws, st.integers(0, 2**64 - 1), st.integers(0, 10**6))
+@given(family_pairs(), alphabets, st.integers(0, 2**64 - 1), st.integers(0, 10**6))
 @example(
     (_family(1, [-D, -1, 0], [7, 8, 9]), _family(1, [-D, -D // 2, 0, D // 2], [1, 2, 3, 4])),
-    uniform_law(2), 2**63, 0,
+    2, 2**63, 0,
 )
 @example(
     (_family(1023, [], []), _family(1023, [-1023 * D, -1, 0, 1022 * D], [1, 2, 3, 4])),
-    uniform_law(3), 5, 9,
+    3, 5, 9,
 )
-def test_array_path_matches_the_oracle(pair, law, seed, sample_idx):
+def test_array_path_matches_the_oracle(pair, alphabet, seed, sample_idx):
     # the single-pair entry points on a block of one
     w1, w2 = pair
     o1, o2 = TupleBiConfig.of(w1), TupleBiConfig.of(w2)
@@ -333,13 +325,13 @@ def test_array_path_matches_the_oracle(pair, law, seed, sample_idx):
         assert rank_tracking_consistent(w) is tuple_rank_tracking_consistent(o) is True
 
     # coupling, then three advances, each compared with the oracle's
-    s = couple_marks(w1, w2, law, seed, sample_idx)
-    o = dict_couple_marks(o1, o2, law, seed, sample_idx)
-    _agrees_with_the_oracle(w1, w2, s, o, law, seed, sample_idx)
+    s = couple_marks(w1, w2, alphabet, seed, sample_idx)
+    o = dict_couple_marks(o1, o2, alphabet, seed, sample_idx)
+    _agrees_with_the_oracle(w1, w2, s, o, alphabet, seed, sample_idx)
     for _ in range(3):
         w1, w2, s = advance_joint(w1, w2, s)
         o = dict_advance_joint(o)
-        _agrees_with_the_oracle(w1, w2, s, o, law, seed, sample_idx)
+        _agrees_with_the_oracle(w1, w2, s, o, alphabet, seed, sample_idx)
 
 
 @st.composite
@@ -349,7 +341,7 @@ def pair_blocks(draw):
     return draw(st.lists(family_pairs(st.just(W)), min_size=2, max_size=4))
 
 
-def _sample_entries(marks, j, law):
+def _sample_entries(marks, j):
     """Sample j's entries of a block's marks, in the oracle's dict form."""
     for owner, index in (("owner1", "index1"), ("owner2", "index2"), ("owner_x", "excluded")):
         o, n = getattr(marks, owner).astype(np.int64), getattr(marks, index)
@@ -358,7 +350,7 @@ def _sample_entries(marks, j, law):
     pick = {"index1": first, "marks1": first, "excluded": marks.owner_x == j}
     pick.update(dict.fromkeys(("index2", "marks2", "copied2", "source2"), second))
     view = SimpleNamespace(**{f: getattr(marks, f)[sel] for f, sel in pick.items()})
-    return joining_dicts(view, law)
+    return joining_dicts(view)
 
 
 def _edge_pair(W, p1, p2, ids1=None):
@@ -380,33 +372,33 @@ def _wide_block(W):
 _EDGES = [-D, -D // 2, -1, 0, D // 2]
 
 
-@given(pair_blocks(), laws, st.integers(0, 2**64 - 1), st.integers(0, 10**6))
+@given(pair_blocks(), alphabets, st.integers(0, 2**64 - 1), st.integers(0, 10**6))
 @example(
     [_edge_pair(3, [-3 * D, -D, 0, 2 * D], [-3 * D, -D, -1, 0, D, 2 * D, 3 * D - 1]),
      _edge_pair(3, [], [-3 * D, -D // 2, 0, 2 * D]),
      _edge_pair(3, [-D, -1, D, 2 * D, 3 * D - 1], [-3 * D, -D, 0, 2 * D, 3 * D - 1])],
-    LAWS[2], 7, 5,
+    9, 7, 5,
 )
 @example(
     [_edge_pair(1, [-D, -1, 0], _EDGES), _edge_pair(1, [], [-D, 0]),
      _edge_pair(1, [-D // 2, 0, D - 1], [-D, -D // 2, 0, D - 1])],
-    uniform_law(2), 2**63, 0,
+    2, 2**63, 0,
 )
-@example(_wide_block(1022), LAWS[2], 3, 64)
-@example(_wide_block(1023), uniform_law(3), 5, 63)
-def test_block_kernel_matches_the_oracle(block, law, seed, first_sample):
+@example(_wide_block(1022), 9, 3, 64)
+@example(_wide_block(1023), 3, 5, 63)
+def test_block_kernel_matches_the_oracle(block, alphabet, seed, first_sample):
     # several pairs per block, each against the dict oracle on its own
     n = len(block)
     samples = np.arange(first_sample, first_sample + n)
     family1, family2 = _stack([w1 for w1, _ in block]), _stack([w2 for _, w2 in block])
-    marks = couple_block(family1, family2, law, seed, samples)
+    marks = couple_block(family1, family2, alphabet, seed, samples)
     c1, c2 = shift_cocycles(family1), shift_cocycles(family2)
     advanced1, kept1 = advance_family(family1)
     advanced2, kept2 = advance_family(family2)
     assert not rank_tracking_failures(family1, c1, advanced1, kept1).any()
     assert not rank_tracking_failures(family2, c2, advanced2, kept2).any()
     moved = transport(marks, family1, family2, c1, c2)
-    recoupled = couple_block(advanced1, advanced2, law, seed, samples)
+    recoupled = couple_block(advanced1, advanced2, alphabet, seed, samples)
     assert not marks_differ(moved, recoupled, n).any()
     for j, (w1, w2) in enumerate(block):
         o1, o2 = TupleBiConfig.of(w1), TupleBiConfig.of(w2)
@@ -414,18 +406,17 @@ def test_block_kernel_matches_the_oracle(block, law, seed, first_sample):
         adv1, adv2 = tuple_advance_biconfig(o1)[0], tuple_advance_biconfig(o2)[0]
         assert TupleBiConfig.of(advanced1, j) == adv1
         assert TupleBiConfig.of(advanced2, j) == adv2
-        o = dict_couple_marks(o1, o2, law, seed, int(samples[j]))
-        assert _sample_entries(marks, j, law) == dict_sample_parts(o)
-        assert _sample_entries(moved, j, law) == dict_sample_parts(dict_advance_joint(o))
-        again = dict_couple_marks(adv1, adv2, law, seed, int(samples[j]))
-        assert _sample_entries(recoupled, j, law) == dict_sample_parts(again)
+        o = dict_couple_marks(o1, o2, alphabet, seed, int(samples[j]))
+        assert _sample_entries(marks, j) == dict_sample_parts(o)
+        assert _sample_entries(moved, j) == dict_sample_parts(dict_advance_joint(o))
+        again = dict_couple_marks(adv1, adv2, alphabet, seed, int(samples[j]))
+        assert _sample_entries(recoupled, j) == dict_sample_parts(again)
 
 
 def test_marks_differ_names_the_sample():
-    law = uniform_law(3)
     family1, _ = sample_family(6, 2, 2 * np.arange(3))
     family2, _ = sample_family(6, 2, 2 * np.arange(3) + 1)
-    marks = couple_block(family1, family2, law, 2, np.arange(3))
+    marks = couple_block(family1, family2, 3, 2, np.arange(3))
     assert not marks_differ(marks, marks, 3).any()
     for field in ("index1", "marks1", "index2", "marks2", "source2", "excluded"):
         values = getattr(marks, field).copy()
@@ -454,28 +445,32 @@ def test_sample_family_matches_the_loop_sampler(half_width):
 
 
 @pytest.mark.parametrize(
-    "half_width, n_samples, law, empty_first_family",
+    "half_width, n_samples, alphabet, empty_first",
     [
-        (1, 40, uniform_law(2), False),
-        (1, 70, LAWS[2], False),  # longer than parallel.BLOCK, in one call
-        (5, 30, uniform_law(3), False),
-        (5, 30, LAWS[2], True),
-        (12, 20, LAWS[2], False),
-        (12, 20, uniform_law(2), True),
-        (1022, 1, uniform_law(2), False),
-        (1022, 2, LAWS[2], True),
-        (1023, 1, LAWS[2], False),
-        (1023, 2, uniform_law(2), True),
+        (1, 40, 2, False),
+        (1, 70, 3, False),  # longer than parallel.BLOCK, in one call
+        (5, 30, 3, False),
+        (5, 30, 5, True),
+        (12, 20, 9, False),
+        (12, 20, 2, True),
+        (1022, 1, 2, False),
+        (1022, 2, 3, True),
+        (1023, 1, 3, False),
+        (1023, 2, 2, True),
     ],
 )
-def test_collect_joining_matches_the_oracle(half_width, n_samples, law, empty_first_family):
-    args = (3, 3 + n_samples, half_width, 61, law, empty_first_family)
-    got, expected = collect_joining(*args), dict_collect_joining(*args)
+def test_collect_joining_matches_the_oracle(
+    monkeypatch, half_width, n_samples, alphabet, empty_first
+):
+    if empty_first:
+        monkeypatch.setattr(joining, "sample_family", empty_first_family(sample_family))
+    args = (3, 3 + n_samples, half_width, 61, alphabet)
+    got, expected = collect_joining(*args), dict_collect_joining(*args, empty_first)
     assert got.keys() == expected.keys()
     for key, value in expected.items():
         assert np.array_equal(got[key], value), key
     assert got["decided"] > 0
-    assert (got["copied"] == 0) is empty_first_family
+    assert (got["copied"] == 0) is empty_first
 
 
 def test_position_dtype_switches_past_half_width_1022():
@@ -491,9 +486,7 @@ def test_position_dtype_switches_past_half_width_1022():
 
 def test_exact_counters_count_failures(monkeypatch):
     # with no climb under the shift, both exact checks must report failures
-    import chaconlab.joining as joining
-
     monkeypatch.setattr(joining, "shift_cocycles", lambda family: np.zeros(family.n, dtype=int))
-    tally = collect_joining(0, 20, 5, 3, uniform_law(2))
+    tally = collect_joining(0, 20, 5, 3, 2)
     assert tally["rank_failures"] > 0
     assert tally["equivariance_failures"] > 0

@@ -13,19 +13,18 @@ from scipy import stats as sps
 from chaconlab import stats
 from chaconlab.errors import InsufficientDataError
 from chaconlab.stats import (
-    DiscreteLaw,
     KeyedStream,
     chi2_gof,
     chi2_independence,
     chi2_poisson,
     keyed_exponentials,
+    keyed_symbols,
     ks_exponential,
     make_rng,
     mc_mean,
     pcg64_states,
     splitmix64,
     splitmix64_array,
-    uniform_law,
 )
 from oracles import scipy_chi2_poisson
 
@@ -55,60 +54,63 @@ def test_splitmix64_array_matches_scalar(states):
 
 
 key_parts = st.one_of(st.integers(-(2**64), 2**65), st.integers(0, 2**64 - 1))
-draw_laws = st.one_of(
-    st.sampled_from([uniform_law(2), uniform_law(3), DiscreteLaw(("a", "b", "c"), (1, 3, 5))]),
-    st.lists(st.integers(1, 2**66), min_size=1, max_size=5).map(
-        lambda w: DiscreteLaw(tuple(range(len(w))), tuple(w))
-    ),
-)
+orders = st.one_of(st.sampled_from([1, 2, 3, 2**64 - 1]), st.integers(1, 2**64 - 1))
+
+
+def _wrapped(symbols) -> list[int]:
+    """int64 symbols read back modulo 2**64: themselves for orders up to 2**63."""
+    assert symbols.dtype == np.int64
+    return [v & (2**64 - 1) for v in symbols.tolist()]
 
 
 @given(
-    draw_laws,
+    orders,
     st.one_of(st.integers(0, 2**64 - 1), st.integers(2**63, 2**64 - 1)),
     st.lists(key_parts, max_size=3),
     st.lists(key_parts, max_size=30),
 )
-@example(uniform_law(2), 2**63, [4, 2], [0, 2**63, 2**64 - 1])
-@example(uniform_law(3), 2**64 - 1, [], [0, 2**63, 2**64 - 1, -1])
-@example(DiscreteLaw((0, 1), (2**64, 1)), 0, [7], [0, 2**63, 2**64 - 1])
-def test_draw_at_one_prefix_matches_scalar_draws(law, seed, prefix, last):
+@example(2, 2**63, [4, 2], [0, 2**63, 2**64 - 1])
+@example(3, 2**64 - 1, [], [0, 2**63, 2**64 - 1, -1])
+@example(1, 0, [7], [0, 2**63, 2**64 - 1])
+@example(2**64 - 1, 0, [7], [0, 2**63, 2**64 - 1, -1])
+def test_keyed_symbols_one_prefix_matches_scalar_draws(order, seed, prefix, last):
     stream = KeyedStream(seed)
     prefix = tuple(prefix)
-    got = law.draw_at(np.uint64(stream._state(prefix)), last)
-    assert [law.symbols[j] for j in got] == [law.draw(stream, *prefix, x) for x in last]
+    got = keyed_symbols(np.uint64(stream._state(prefix)), last, order)
+    assert _wrapped(got) == [stream.integer(order, *prefix, x) for x in last]
 
 
 @given(
+    st.sampled_from([1, 2, 3, 2**64 - 1]),
     st.integers(0, 2**64 - 1),
     st.lists(st.integers(-(2**63), 2**63 - 1), max_size=30),
     st.integers(0, 10**6),
 )
-def test_draw_at_on_int64_ids(seed, ids, sample_idx):
+def test_keyed_symbols_on_int64_ids(order, seed, ids, sample_idx):
     # the joining suite passes ids as an int64 array; negatives wrap like int() & (2**64 - 1)
-    law = DiscreteLaw(("x", "y", "z"), (1, 3, 5))
     stream = KeyedStream(seed)
-    got = law.draw_at(np.uint64(stream._state((sample_idx, 2))), np.array(ids, dtype=np.int64))
-    assert [law.symbols[j] for j in got] == [law.draw(stream, sample_idx, 2, x) for x in ids]
+    got = keyed_symbols(
+        np.uint64(stream._state((sample_idx, 2))), np.array(ids, dtype=np.int64), order
+    )
+    assert _wrapped(got) == [stream.integer(order, sample_idx, 2, x) for x in ids]
 
 
 @given(
-    draw_laws,
+    orders,
     st.integers(0, 2**64 - 1),
     st.lists(st.tuples(key_parts, key_parts), max_size=20),
     st.lists(key_parts, max_size=2),
 )
-@example(uniform_law(2), 2**63, [(0, 5), (2**64 - 1, -1), (-1, 2**63)], [2])
-def test_prefix_states_and_draw_at_match_scalar_draws(law, seed, keys, rest):
+@example(2, 2**63, [(0, 5), (2**64 - 1, -1), (-1, 2**63)], [2])
+@example(2**64 - 1, 1, [(0, 5), (2**64 - 1, -1), (-1, 2**63)], [])
+def test_prefix_states_and_keyed_symbols_match_scalar_draws(order, seed, keys, rest):
     # one prefix state per entry: (first, *rest), then that entry's last part
     stream = KeyedStream(seed)
     firsts, lasts = [f for f, _ in keys], [x for _, x in keys]
     states = stream.prefix_states(firsts, *rest)
     assert states.tolist() == [stream._state((f, *rest)) for f in firsts]
-    got = law.draw_at(states, lasts)
-    assert [law.symbols[j] for j in got] == [
-        law.draw(stream, f, *rest, x) for f, x in keys
-    ]
+    got = keyed_symbols(states, lasts, order)
+    assert _wrapped(got) == [stream.integer(order, f, *rest, x) for f, x in keys]
 
 
 def test_splitmix64_range_and_determinism():
@@ -127,27 +129,12 @@ def test_keyed_stream():
         assert 0 <= s.integer(u, 5, 6) < u
 
 
-def test_discrete_law_validation():
-    with pytest.raises(ValueError):
-        DiscreteLaw(("a", "b"), (1,))
-    with pytest.raises(ValueError):
-        DiscreteLaw(("a",), (0,))
-    with pytest.raises(ValueError):
-        DiscreteLaw(("a", "a"), (1, 1))
-    law = DiscreteLaw(("x", "y", "z"), (1, 2, 1))
-    assert law.total == 4
-    assert uniform_law(4).symbols == (0, 1, 2, 3)
-
-
-def test_discrete_law_draw_frequencies():
-    law = DiscreteLaw(("a", "b"), (1, 3))
-    stream = KeyedStream(3)
-    counts = {"a": 0, "b": 0}
-    n = 4000
-    for i in range(n):
-        counts[law.draw(stream, i)] += 1
-    rep = chi2_gof([counts["a"], counts["b"]], [0.25, 0.75], alpha=0.01)
-    assert rep["passed"]
+def test_keyed_symbols_frequencies():
+    # uniform on each order: a chi-square fit over 4000 draws per order
+    for order in (2, 3, 7):
+        got = keyed_symbols(np.uint64(KeyedStream(3)._state((order,))), np.arange(4000), order)
+        rep = chi2_gof(np.bincount(got, minlength=order), [1 / order] * order, alpha=0.01)
+        assert rep["passed"], order
 
 
 def test_make_rng_streams():

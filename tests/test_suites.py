@@ -7,11 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chaconlab import parallel, suites, suspension
+from chaconlab import joining, parallel, suites, suspension
 from chaconlab.cocycle import single_spacer_indicator
 from chaconlab.joining import collect_joining
 from chaconlab.parallel import fan_out, merge
-from chaconlab.stats import uniform_law
 from chaconlab.suites import (
     FAILURE_KEYS,
     collect_poisson,
@@ -20,7 +19,7 @@ from chaconlab.suites import (
     run_suspension_suite,
 )
 from chaconlab.suspension import RankPermutation
-from oracles import four_walk_suspension, loop_collect_poisson
+from oracles import empty_first_family, four_walk_suspension, loop_collect_poisson
 
 POISSON_TESTS = {
     "t1_exponential",
@@ -256,20 +255,23 @@ def _plain(tally):
 
 
 @pytest.mark.parametrize(
-    "collect, args",
+    "collect, args, empty_first",
     [
-        (collect_poisson, (4, 30, 10)),
+        (collect_poisson, (4, 30, 10), False),
         (collect_suspension,
-         (7, 3, 10, Fraction(5), (0, 1, 2, 3), single_spacer_indicator(1), 3)),
-        (collect_joining, (5, 3, uniform_law(3))),
-        (collect_joining, (5, 3, uniform_law(2), True)),
+         (7, 3, 10, Fraction(5), (0, 1, 2, 3), single_spacer_indicator(1), 3), False),
+        (collect_joining, (5, 3, 3), False),
+        (collect_joining, (5, 3, 2), True),
     ],
     ids=["poisson", "suspension", "joining", "joining-empty-first"],
 )
-def test_tallies_do_not_depend_on_the_block_size(monkeypatch, collect, args):
+def test_tallies_do_not_depend_on_the_block_size(monkeypatch, collect, args, empty_first):
     # 130 samples as one collect call, and through fan_out in blocks of 1,
     # 5 and 64 (64 + 64 + 2) on one and two workers: the tallies must agree
+    if empty_first:  # forked workers inherit the patch
+        monkeypatch.setattr(joining, "sample_family", empty_first_family(joining.sample_family))
     whole = _plain(collect(0, 130, *args))
+    assert not empty_first or whole["copied"] == 0
     for block in (1, 5, 64):
         monkeypatch.setattr(parallel, "BLOCK", block)
         for workers in (1, 2):
