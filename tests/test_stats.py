@@ -137,6 +137,17 @@ def test_keyed_symbols_frequencies():
         assert rep["passed"], order
 
 
+def test_keyed_symbols_mix_with_int64_keys():
+    # uint64 symbols added to int64 ids would promote to float64, which bincount refuses
+    ids = np.arange(-5, 5, dtype=np.int64)
+    state = np.uint64(KeyedStream(1)._state((0,)))
+    got = keyed_symbols(state, ids, 3)
+    keys = got * 10 + ids + 5
+    assert keys.dtype == np.int64
+    assert np.bincount(keys, minlength=30).sum() == ids.size
+    assert keyed_symbols(state, ids, 1).tolist() == [0] * ids.size
+
+
 def test_make_rng_streams():
     a = make_rng(5, 0).standard_normal(8)
     b = make_rng(5, 0).standard_normal(8)
