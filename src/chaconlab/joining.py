@@ -27,7 +27,7 @@ The suite runs in blocks of ``parallel.BLOCK`` samples: ``fan_out``
 calls ``collect_joining`` once per block and merges the tallies.  A block
 holds each family of all its samples as one ``Family`` in CSR form: flat
 positions and ids, per-configuration offsets and negative counts, and
-each atom's owner.
+each atom's owner; its marks (``Marks``) sit on the same flat slots.
 Sampling draws all configurations of a block together, one PCG64 stream
 each, seeded and snapped in array passes (``suspension.snapped_arrivals``);
 every later step is one array pass per block too.  Keyed draws hash one
@@ -39,9 +39,10 @@ second-family atom sorts ahead of a first-family atom at the same
 position: a first-family atom at t(n) falls in the interval
 [t(n), t(n+1)), and one at t(n+1) does not.  Advancing is one +2**53
 shift and window mask.  The two exact checks stay independent:
-``transport`` moves marks by the shift cocycle, a fresh lexsort couples
-the advanced pair, and ``marks_differ`` compares the two sample by
-sample; rank tracking compares index plus cocycle with the advanced
+``transport`` keeps the slots of the atoms that survive the shift and
+climbs copied sources by the first family's cocycle, a fresh lexsort
+couples the advanced pair, and ``marks_differ`` compares the two slot by
+slot; rank tracking compares index plus cocycle with the advanced
 configurations.  Blocks are small and fixed so that peak memory does not
 grow with the sample count (64 samples at W = 50 hold about 1 MB of
 arrays).  The four single-pair entry points (``_sample_biconfig_counted``,
@@ -182,37 +183,23 @@ def rank_tracking_failures(
 
 @dataclass(frozen=True, eq=False)
 class Marks:
-    """Marks and provenance of a block of coupled pairs, entry by entry.
+    """Marks and provenance of a block of coupled pairs, on the families' slots.
 
-    Every entry belongs to the sample ``owner1``/``owner2``/``owner_x``
-    (its place in the block) and carries a two-sided index; entries run
-    in ascending (sample, index) order.  Marks are symbols in
-    [0, alphabet); ``marks1`` is parallel to the first
-    configuration's indices ``index1``.  ``index2`` lists every decided
-    second-family index with its mark in ``marks2``; where ``copied2`` is
-    set the mark was copied from first-family index ``source2`` (0
-    elsewhere), otherwise it was drawn fresh.  ``excluded`` lists indices
-    whose governing interval is not observable in the window (the top
-    index, lacking a successor atom).
+    ``marks1`` has one entry per flat slot of the first family, the other
+    four one per flat slot of the second; a slot's sample and two-sided
+    index are those its ``Family`` gives it.  Marks are symbols in
+    [0, alphabet).  ``decided`` is false only on each configuration's top
+    atom, whose interval lacks a successor atom in the window; such a slot
+    holds mark 0, not copied, source 0.  A decided mark with ``copied2``
+    set was copied from the first-family index ``source2`` (0 elsewhere),
+    otherwise drawn fresh.
     """
 
-    owner1: np.ndarray
-    index1: np.ndarray
     marks1: np.ndarray
-    owner2: np.ndarray
-    index2: np.ndarray
+    decided: np.ndarray
     marks2: np.ndarray
     copied2: np.ndarray
     source2: np.ndarray
-    owner_x: np.ndarray
-    excluded: np.ndarray
-
-
-_ENTRY_GROUPS = (
-    ("owner1", ("index1", "marks1")),
-    ("owner2", ("index2", "marks2", "copied2", "source2")),
-    ("owner_x", ("excluded",)),
-)
 
 
 def couple_block(
@@ -237,100 +224,64 @@ def couple_block(
     """
     stream = KeyedStream(seed)
     n1, n2 = family1.pos.size, family2.pos.size
+    owner2 = family2.owner
     marks1 = keyed_symbols(stream.prefix_states(samples, 1)[family1.owner], family1.ids, alphabet)
     order = np.lexsort((
         np.concatenate((np.ones(n1, dtype=np.int8), np.zeros(n2, dtype=np.int8))),
         np.concatenate((family1.pos, family2.pos)),
-        np.concatenate((family1.owner, family2.owner)),
+        np.concatenate((family1.owner, owner2)),
     ))
     # second-family atoms keep their flat order in the sort, so the one in
     # flat slot s has s second-family atoms ahead of it
     first = np.flatnonzero(order >= n1) - np.arange(n2)
 
     # every second-family atom but each configuration's top one is decided
-    top = family2.offsets[1:][family2.counts > 0] - 1
     decided = np.ones(n2, dtype=bool)
-    decided[top] = False
-    slot2 = np.flatnonzero(decided)
-    owner2 = family2.owner[slot2]
-    first = first[slot2]
-    copied = first < family1.offsets[1:][owner2]
-    copied[copied] = family1.pos[first[copied]] < family2.pos[slot2[copied] + 1]
+    decided[family2.offsets[1:][family2.counts > 0] - 1] = False
+    copied = decided & (first < family1.offsets[1:][owner2])
+    slot = np.flatnonzero(copied)
+    copied[slot] = family1.pos[first[slot]] < family2.pos[slot + 1]
 
-    marks2 = np.empty(slot2.size, dtype=np.int64)
+    marks2 = np.zeros(n2, dtype=np.int64)
     marks2[copied] = marks1[first[copied]]
-    fresh = ~copied
+    fresh = decided & ~copied
     states2 = stream.prefix_states(samples, 2)[owner2[fresh]]
-    marks2[fresh] = keyed_symbols(states2, family2.ids[slot2[fresh]], alphabet)
-    owner_x = family2.owner[top]
-    return Marks(
-        owner1=family1.owner,
-        index1=np.arange(n1) - family1.base[family1.owner],
-        marks1=marks1,
-        owner2=owner2,
-        index2=slot2 - family2.base[owner2],
-        marks2=marks2,
-        copied2=copied,
-        source2=np.where(copied, first - family1.base[owner2], 0),
-        owner_x=owner_x,
-        excluded=top - family2.base[owner_x],
-    )
+    marks2[fresh] = keyed_symbols(states2, family2.ids[fresh], alphabet)
+    source2 = np.where(copied, first - family1.base[owner2], 0)
+    return Marks(marks1, decided, marks2, copied, source2)
 
 
-def transport(
-    marks: Marks, family1: Family, family2: Family, c1: np.ndarray, c2: np.ndarray
-) -> Marks:
+def transport(marks: Marks, family1: Family, family2: Family, c1: np.ndarray) -> Marks:
     """Move a block's marks one shift, from ``family1``/``family2`` to the advanced pair.
 
-    Every entry moves by one rule: it is kept if its atom survives the
-    shift, and then climbs by its family's cocycle, ``c1`` for first-family
-    indices and copied sources and ``c2`` for second-family ones.  A
-    decided entry whose successor atom exits becomes excluded (it is no
-    longer decidable in the window), so the excluded entries are the
-    surviving old top indices and these.  This keeps the result equal to
-    re-running the coupling on the advanced pair.
+    A slot is kept if its atom survives the shift, that is lies left of
+    W - 1, a bound read here and not from ``advance_family`` so that the
+    two sides of the equivariance check stay independent.  A kept slot's
+    index climbs with the advanced layout; only a copied source, an index
+    into the other family, climbs here, by ``c1``.  A decided slot whose
+    successor exits becomes undecided, the advanced configuration's top.
+    This keeps the result equal to re-coupling the advanced pair.
     """
-    bound1 = family1.half_width * _D - _D
-    bound2 = family2.half_width * _D - _D
-    kept1 = family1.pos[marks.index1 + family1.base[marks.owner1]] < bound1
-    slot2 = marks.index2 + family2.base[marks.owner2]
-    stays = family2.pos[slot2] < bound2
-    successor_stays = family2.pos[slot2 + 1] < bound2
-    kept2 = stays & successor_stays
-    top_kept = family2.pos[marks.excluded + family2.base[marks.owner_x]] < bound2
-    owner1 = marks.owner1[kept1]
-    owner2 = marks.owner2[kept2]
-    copied2 = marks.copied2[kept2]
-
-    edge = stays & ~successor_stays
-    owner_x = np.concatenate((marks.owner_x[top_kept], marks.owner2[edge]))
-    excluded = np.concatenate((marks.excluded[top_kept], marks.index2[edge])) + c2[owner_x]
-    order = np.lexsort((excluded, owner_x))
+    kept1 = family1.pos < family1.half_width * _D - _D
+    stays = family2.pos < family2.half_width * _D - _D
+    # a decided slot's successor is the next flat slot, in its own configuration
+    decided = marks.decided & np.append(stays[1:], False)
+    copied2 = marks.copied2 & decided
     return Marks(
-        owner1=owner1,
-        index1=marks.index1[kept1] + c1[owner1],
         marks1=marks.marks1[kept1],
-        owner2=owner2,
-        index2=marks.index2[kept2] + c2[owner2],
-        marks2=marks.marks2[kept2],
-        copied2=copied2,
-        source2=np.where(copied2, marks.source2[kept2] + c1[owner2], 0),
-        owner_x=owner_x[order],
-        excluded=excluded[order],
+        decided=decided[stays],
+        marks2=np.where(decided, marks.marks2, 0)[stays],
+        copied2=copied2[stays],
+        source2=np.where(copied2, marks.source2 + c1[family2.owner], 0)[stays],
     )
 
 
-def marks_differ(a: Marks, b: Marks, n: int) -> np.ndarray:
-    """Per sample of a block of n, whether ``a`` and ``b`` differ in any entry."""
-    bad = np.zeros(n, dtype=bool)
-    for owner, fields in _ENTRY_GROUPS:
-        oa, ob = getattr(a, owner), getattr(b, owner)
-        bad |= np.bincount(oa, minlength=n) != np.bincount(ob, minlength=n)
-        # samples with equal entry counts line up entry by entry
-        ka, kb = ~bad[oa], ~bad[ob]
-        for name in fields:
-            diff = getattr(a, name)[ka] != getattr(b, name)[kb]
-            bad[oa[ka][diff]] = True
+def marks_differ(a: Marks, b: Marks, family1: Family, family2: Family) -> np.ndarray:
+    """Per sample, whether ``a`` and ``b``, both on these families' slots, differ."""
+    bad = np.zeros(family1.n, dtype=bool)
+    bad[family1.owner[a.marks1 != b.marks1]] = True
+    for name in ("decided", "marks2", "copied2", "source2"):
+        bad[family2.owner[getattr(a, name) != getattr(b, name)]] = True
     return bad
 
 
@@ -354,8 +305,7 @@ def advance_joint(family1: Family, family2: Family, marks: Marks) -> tuple[Famil
     """Advance a coupled pair one shift: both configurations, and their marks."""
     advanced1, _ = advance_family(family1)
     advanced2, _ = advance_family(family2)
-    c1, c2 = shift_cocycles(family1), shift_cocycles(family2)
-    return advanced1, advanced2, transport(marks, family1, family2, c1, c2)
+    return advanced1, advanced2, transport(marks, family1, family2, shift_cocycles(family1))
 
 
 def rank_tracking_consistent(family: Family) -> bool:
@@ -367,26 +317,26 @@ def rank_tracking_consistent(family: Family) -> bool:
 def collect_joining(start: int, stop: int, half_width: int, seed: int, alphabet: int) -> dict:
     """Sufficient statistics and exact-check tallies for samples [start, stop)."""
     samples = np.arange(start, stop)
-    k, n = alphabet, samples.size
+    k = alphabet
     family1, r1 = sample_family(half_width, seed, 2 * samples)
     family2, r2 = sample_family(half_width, seed, 2 * samples + 1)
     marks = couple_block(family1, family2, alphabet, seed, samples)
 
-    m2, owner2, hit = marks.marks2, marks.owner2, marks.copied2
-    source = marks.source2[hit] + family1.base[owner2[hit]]
-    # disjoint adjacent pairs (n, n + 1) from each sample's lowest decided index
-    per_sample = np.bincount(owner2, minlength=n)
-    rank = atom_ranks(per_sample)
-    lead = np.flatnonzero((rank % 2 == 0) & (rank + 1 < per_sample[owner2]))
+    m2, decided, hit = marks.marks2, marks.decided, marks.copied2
+    source = marks.source2[hit] + family1.base[family2.owner[hit]]
+    # disjoint adjacent pairs (n, n + 1) from each sample's lowest index, both
+    # decided, that is both below the top slot
+    local = atom_ranks(family2.counts)
+    lead = np.flatnonzero((local % 2 == 0) & (local + 2 < family2.counts[family2.owner]))
     tally = {
-        "marginal": np.bincount(m2, minlength=k),
+        "marginal": np.bincount(m2[decided], minlength=k),
         "adjacent": np.bincount(m2[lead] * k + m2[lead + 1], minlength=k * k).reshape(k, k),
         "copied_pairs": np.bincount(
             marks.marks1[source] * k + m2[hit], minlength=k * k
         ).reshape(k, k),
         "copied": int(np.count_nonzero(hit)),
-        "decided": m2.size,
-        "excluded": marks.excluded.size,
+        "decided": int(np.count_nonzero(decided)),
+        "excluded": int(np.count_nonzero(~decided)),
         "resamples": r1 + r2,
     }
 
@@ -397,10 +347,11 @@ def collect_joining(start: int, stop: int, half_width: int, seed: int, alphabet:
         rank_tracking_failures(family1, c1, advanced1, kept1)
         | rank_tracking_failures(family2, c2, advanced2, kept2)
     ))
-    moved = transport(marks, family1, family2, c1, c2)
+    moved = transport(marks, family1, family2, c1)
     del family1, family2, marks, kept1, kept2  # lower the block's peak memory
     recoupled = couple_block(advanced1, advanced2, alphabet, seed, samples)
-    tally["equivariance_failures"] = int(np.count_nonzero(marks_differ(moved, recoupled, n)))
+    differ = marks_differ(moved, recoupled, advanced1, advanced2)
+    tally["equivariance_failures"] = int(np.count_nonzero(differ))
     return tally
 
 
@@ -419,6 +370,13 @@ def verify_joining(
     marginal fit plus independence across disjoint adjacent index pairs
     ("marginal2"), designed rejection of independence between copied pairs
     ("dependence"), and the copied fraction with a 99% interval.
+
+    Blind spots: a copied mark is its source's mark, so the "dependence"
+    table is diagonal and its statistic equals its n; it fails to reject
+    only through ``source2``'s bookkeeping or too few copied pairs.  And
+    sampled families never share a position or put an atom on a window
+    edge, so a fault in the tie rule or an edge comparison leaves both
+    exact counters at 0; only the oracle tests see it.
     """
     tot = fan_out(collect_joining, n_samples, workers, half_width, seed, ALPHABET)
 

@@ -523,14 +523,29 @@ class DictJoiningSample:
     excluded: tuple[int, ...]
 
 
-def joining_dicts(marks) -> tuple:
-    """The ``joining.Marks`` of one sample in the oracle's dict form."""
-    marks1 = {int(n): int(m) for n, m in zip(marks.index1, marks.marks1)}
-    marks2, provenance2 = {}, {}
-    for n, m, copied, src in zip(marks.index2, marks.marks2, marks.copied2, marks.source2):
-        marks2[int(n)] = int(m)
-        provenance2[int(n)] = ("copied", int(src)) if copied else ("fresh",)
-    return marks1, marks2, provenance2, tuple(int(n) for n in marks.excluded)
+def joining_dicts(marks, family1, family2, j: int = 0) -> tuple:
+    """Sample j of a block's ``joining.Marks`` in the oracle's dict form.
+
+    The marks sit on the flat slots of ``family1`` and ``family2``, and
+    slot ``offsets[j] + i`` carries the i-th index of ``TupleBiConfig``'s
+    range; an undecided slot must hold mark 0, not copied, source 0.
+    """
+    assert marks.marks1.size == family1.pos.size
+    assert {getattr(marks, f).size for f in ("decided", "marks2", "copied2", "source2")} == {
+        family2.pos.size}
+    lo1, lo2 = int(family1.offsets[j]), int(family2.offsets[j])
+    indices1 = TupleBiConfig.of(family1, j).indices()
+    marks1 = {n: int(marks.marks1[s]) for s, n in enumerate(indices1, start=lo1)}
+    marks2, provenance2, excluded = {}, {}, []
+    for s, n in enumerate(TupleBiConfig.of(family2, j).indices(), start=lo2):
+        m, copied, src = int(marks.marks2[s]), bool(marks.copied2[s]), int(marks.source2[s])
+        if not marks.decided[s]:
+            assert (m, copied, src) == (0, False, 0)
+            excluded.append(n)
+            continue
+        marks2[n] = m
+        provenance2[n] = ("copied", src) if copied else ("fresh",)
+    return marks1, marks2, provenance2, tuple(excluded)
 
 
 def dict_sample_parts(sample: DictJoiningSample) -> tuple:

@@ -2,7 +2,6 @@
 
 from dataclasses import replace
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -145,8 +144,9 @@ def test_rank_tracking_random():
 
 def test_couple_empty_first_family_all_fresh():
     w2 = _sample(8, seed=13, stream=0)
-    s = couple_marks(_family(8, [], []), w2, 3, seed=13)
-    marks1, marks2, provenance2, _ = joining_dicts(s)
+    w1 = _family(8, [], [])
+    s = couple_marks(w1, w2, 3, seed=13)
+    marks1, marks2, provenance2, _ = joining_dicts(s, w1, w2)
     assert marks1 == {}
     assert all(v == ("fresh",) for v in provenance2.values())
     o2 = TupleBiConfig.of(w2)
@@ -157,7 +157,7 @@ def test_couple_coincident_configurations_copy_in_place():
     w2 = _sample(8, seed=21, stream=1)
     w1 = replace(w2, ids=w2.ids + 100)
     s = couple_marks(w1, w2, 4, seed=21)
-    marks1, marks2, provenance2, _ = joining_dicts(s)
+    marks1, marks2, provenance2, _ = joining_dicts(s, w1, w2)
     assert marks2
     for n in marks2:
         assert provenance2[n] == ("copied", n)
@@ -169,7 +169,7 @@ def test_provenance_invariant():
         w1 = _sample(6, seed=31, stream=2 * i)
         w2 = _sample(6, seed=31, stream=2 * i + 1)
         s = couple_marks(w1, w2, 2, seed=31, sample_idx=i)
-        marks1, marks2, provenance2, excluded = joining_dicts(s)
+        marks1, marks2, provenance2, excluded = joining_dicts(s, w1, w2)
         o1, o2 = TupleBiConfig.of(w1), TupleBiConfig.of(w2)
         assert set(marks2) | set(excluded) == set(o2.indices())
         assert excluded == (o2.max_index,)
@@ -194,7 +194,8 @@ def test_advance_equivariance_and_flow():
         # flow property: one and two single steps equal coupling the advanced pair
         for _ in range(2):
             w1, w2, s = advance_joint(w1, w2, s)
-            assert not marks_differ(s, couple_marks(w1, w2, 2, seed=47, sample_idx=i), 1)[0]
+            recoupled = couple_marks(w1, w2, 2, seed=47, sample_idx=i)
+            assert not marks_differ(s, recoupled, w1, w2)[0]
 
 
 def test_advance_index_algebra():
@@ -202,8 +203,8 @@ def test_advance_index_algebra():
     w2 = _sample(6, seed=3, stream=1)
     s = couple_marks(w1, w2, 2, seed=3)
     c2 = shift_cocycles(w2)[0]
-    _, _, adv = advance_joint(w1, w2, s)
-    before, after = joining_dicts(s)[1], joining_dicts(adv)[1]
+    adv1, adv2, adv = advance_joint(w1, w2, s)
+    before, after = joining_dicts(s, w1, w2)[1], joining_dicts(adv, adv1, adv2)[1]
     assert after
     for n, v in after.items():
         assert before[n - c2] == v
@@ -297,8 +298,8 @@ def family_pairs(draw, widths=half_widths):
 
 def _agrees_with_the_oracle(w1, w2, s, o, alphabet, seed, sample_idx):
     assert (TupleBiConfig.of(w1), TupleBiConfig.of(w2)) == (o.omega1, o.omega2)
-    assert joining_dicts(s) == dict_sample_parts(o)
-    assert not marks_differ(s, couple_marks(w1, w2, alphabet, seed, sample_idx), 1)[0]
+    assert joining_dicts(s, w1, w2) == dict_sample_parts(o)
+    assert not marks_differ(s, couple_marks(w1, w2, alphabet, seed, sample_idx), w1, w2)[0]
     assert rank_tracking_consistent(w1) and rank_tracking_consistent(w2)
 
 
@@ -339,18 +340,6 @@ def pair_blocks(draw):
     """Two to four pairs on one window, as one block of the joining kernel."""
     W = draw(half_widths)
     return draw(st.lists(family_pairs(st.just(W)), min_size=2, max_size=4))
-
-
-def _sample_entries(marks, j):
-    """Sample j's entries of a block's marks, in the oracle's dict form."""
-    for owner, index in (("owner1", "index1"), ("owner2", "index2"), ("owner_x", "excluded")):
-        o, n = getattr(marks, owner).astype(np.int64), getattr(marks, index)
-        assert (np.diff(o) >= 0).all() and (np.diff(n)[np.diff(o) == 0] > 0).all()
-    first, second = marks.owner1 == j, marks.owner2 == j
-    pick = {"index1": first, "marks1": first, "excluded": marks.owner_x == j}
-    pick.update(dict.fromkeys(("index2", "marks2", "copied2", "source2"), second))
-    view = SimpleNamespace(**{f: getattr(marks, f)[sel] for f, sel in pick.items()})
-    return joining_dicts(view)
 
 
 def _edge_pair(W, p1, p2, ids1=None):
@@ -397,9 +386,9 @@ def test_block_kernel_matches_the_oracle(block, alphabet, seed, first_sample):
     advanced2, kept2 = advance_family(family2)
     assert not rank_tracking_failures(family1, c1, advanced1, kept1).any()
     assert not rank_tracking_failures(family2, c2, advanced2, kept2).any()
-    moved = transport(marks, family1, family2, c1, c2)
+    moved = transport(marks, family1, family2, c1)
     recoupled = couple_block(advanced1, advanced2, alphabet, seed, samples)
-    assert not marks_differ(moved, recoupled, n).any()
+    assert not marks_differ(moved, recoupled, advanced1, advanced2).any()
     for j, (w1, w2) in enumerate(block):
         o1, o2 = TupleBiConfig.of(w1), TupleBiConfig.of(w2)
         assert (c1[j], c2[j]) == (tuple_shift_cocycle(o1), tuple_shift_cocycle(o2))
@@ -407,28 +396,27 @@ def test_block_kernel_matches_the_oracle(block, alphabet, seed, first_sample):
         assert TupleBiConfig.of(advanced1, j) == adv1
         assert TupleBiConfig.of(advanced2, j) == adv2
         o = dict_couple_marks(o1, o2, alphabet, seed, int(samples[j]))
-        assert _sample_entries(marks, j) == dict_sample_parts(o)
-        assert _sample_entries(moved, j) == dict_sample_parts(dict_advance_joint(o))
+        assert joining_dicts(marks, family1, family2, j) == dict_sample_parts(o)
+        moved_j = joining_dicts(moved, advanced1, advanced2, j)
+        assert moved_j == dict_sample_parts(dict_advance_joint(o))
         again = dict_couple_marks(adv1, adv2, alphabet, seed, int(samples[j]))
-        assert _sample_entries(recoupled, j) == dict_sample_parts(again)
+        assert joining_dicts(recoupled, advanced1, advanced2, j) == dict_sample_parts(again)
 
 
 def test_marks_differ_names_the_sample():
     family1, _ = sample_family(6, 2, 2 * np.arange(3))
     family2, _ = sample_family(6, 2, 2 * np.arange(3) + 1)
     marks = couple_block(family1, family2, 3, 2, np.arange(3))
-    assert not marks_differ(marks, marks, 3).any()
-    for field in ("index1", "marks1", "index2", "marks2", "source2", "excluded"):
+    assert not marks_differ(marks, marks, family1, family2).any()
+    # one slot of sample 1 changed in each field, the top slot for decided
+    top = family2.offsets[2] - 1
+    for field, slot in [("marks1", family1.offsets[1]), ("decided", top),
+                        ("marks2", family2.offsets[1]), ("copied2", family2.offsets[1]),
+                        ("source2", family2.offsets[1])]:
         values = getattr(marks, field).copy()
-        values[-1] += 1
-        assert marks_differ(marks, replace(marks, **{field: values}), 3).tolist() == [
-            False, False, True]
-    flipped = marks.copied2.copy()
-    flipped[-1] = not flipped[-1]
-    assert marks_differ(marks, replace(marks, copied2=flipped), 3).tolist() == [
-        False, False, True]
-    dropped =replace(marks, owner_x=marks.owner_x[1:], excluded=marks.excluded[1:])
-    assert marks_differ(marks, dropped, 3).tolist() == [True, False, False]
+        values[slot] = ~values[slot] if values.dtype == bool else values[slot] + 1
+        changed = replace(marks, **{field: values})
+        assert marks_differ(marks, changed, family1, family2).tolist() == [False, True, False]
 
 
 @pytest.mark.parametrize("half_width", [1, 50, 1022, 1023, 1025])
