@@ -278,6 +278,8 @@ def transport(marks: Marks, family1: Family, family2: Family, c1: np.ndarray) ->
 
 def marks_differ(a: Marks, b: Marks, family1: Family, family2: Family) -> np.ndarray:
     """Per sample, whether ``a`` and ``b``, both on these families' slots, differ."""
+    if (a.marks1.size, a.decided.size) != (b.marks1.size, b.decided.size):
+        raise ValueError("the two marks are not on the same slots")  # numpy would broadcast
     bad = np.zeros(family1.n, dtype=bool)
     bad[family1.owner[a.marks1 != b.marks1]] = True
     for name in ("decided", "marks2", "copied2", "source2"):

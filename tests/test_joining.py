@@ -417,6 +417,9 @@ def test_marks_differ_names_the_sample():
         values[slot] = ~values[slot] if values.dtype == bool else values[slot] + 1
         changed = replace(marks, **{field: values})
         assert marks_differ(marks, changed, family1, family2).tolist() == [False, True, False]
+    # marks on other slots are refused, even where numpy would broadcast one entry
+    with pytest.raises(ValueError, match="same slots"):
+        marks_differ(marks, replace(marks, marks1=marks.marks1[:1]), family1, family2)
 
 
 @pytest.mark.parametrize("half_width", [1, 50, 1022, 1023, 1025])
