@@ -4,10 +4,11 @@ Every randomized procedure in the package draws from one of two sources:
 
 * bulk sampling uses numpy's PCG64 keyed by (seed, stream), so parallel
   fan-out gets independent, reproducible streams.  ``make_rng`` builds one
-  stream through numpy's SeedSequence; ``pcg64_states`` hashes the same
-  SeedSequence pools for a whole array of streams in uint32 array passes,
-  and ``keyed_exponentials`` sets each resulting state on one reused
-  generator to draw the same values, stream by stream;
+  stream through numpy's SeedSequence; ``pcg64_states`` gives the same
+  states for a whole array of streams: numpy's SeedSequence supplies the
+  seed's pool, and only the stream words and the output are hashed, in
+  uint32 array passes.  ``keyed_exponentials`` sets each resulting state
+  on one reused generator to draw the same values, stream by stream;
 * per-item draws (fresh marks and the like) use a counter-based splitmix64
   hash of an integer key tuple, so a value is a pure function of its key
   and survives reordering, resampling, and parallel evaluation.  Many
@@ -134,18 +135,18 @@ _POOL = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
-# The hash steps below take Python ints or uint32 arrays alike: uint32
-# arithmetic wraps modulo 2**32, which is what the masks do to ints.
+# The hash steps below run on uint32 arrays, whose arithmetic wraps
+# modulo 2**32 as SeedSequence's does.
 
 
 def _hash(value, xor, mult):
     """One hashmix or state-output step: xor, multiply, xorshift."""
-    value = ((value ^ xor) * mult) & _MASK32
+    value = (value ^ xor) * mult
     return value ^ (value >> 16)
 
 
 def _mix(x, y):
-    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    r = _MIX_L * x - _MIX_R * y
     return r ^ (r >> 16)
 
 
@@ -171,41 +172,31 @@ def _words32(n) -> list[int]:
 
 @functools.lru_cache(maxsize=16)
 def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
-    """The pool once the seed's words are mixed in, and the next hash constant.
+    """numpy's SeedSequence pool once the seed's words are in, and the next hash constant.
 
-    A spawn key follows, so the seed is padded with zero words to the
-    pool size; every stream's words then come after the same prefix.
+    A spawn key follows, so SeedSequence pads the seed with zero words to
+    the pool size; every stream's words then come after the same prefix.
+    Its mixing hashes a zero for each pool word the entropy lacks, so
+    ``SeedSequence(seed)`` has that same pool.  Each entropy word is hashed
+    once per pool word, so the constant has advanced ``_POOL`` times per
+    padded word.
     """
-    entropy = _words32(seed)
-    entropy += [0] * (_POOL - len(entropy))
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        xor, const = const, (const * _MULT_A) & _MASK32
-        return _hash(value, xor, const)
-
-    pool = [hashmix(word) for word in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    return tuple(pool), const
+    padded = max(_POOL, len(_words32(seed)))
+    pool = np.random.SeedSequence(seed).pool
+    return tuple(pool.tolist()), _INIT_A * pow(_MULT_A, _POOL * padded, 1 << 32) & _MASK32
 
 
 def pcg64_states(seed: int, streams) -> list[tuple[int, int]]:
     """(state, inc) of ``make_rng(seed, s)``'s PCG64 for every stream s.
 
-    ``SeedSequence(seed, spawn_key=(s,))`` is hashed for all streams in
-    uint32 array passes.  The seed's part of the pool is shared; each
-    stream word is hashed into all four pool words at once, one word
-    column at a time, and a stream with fewer words keeps its pool.  Eight
-    uint32 words come out of the pool, low word first in each of PCG64's
-    four uint64 seed words, and PCG64 seeds its 128-bit LCG from them as
-    ``pcg64_set_seed`` does.
+    ``SeedSequence(seed, spawn_key=(s,))`` for all streams at once: numpy
+    supplies the pool once the seed is in, shared by every stream
+    (``_seed_pool``), and only the stream words and the output are hashed
+    here, in uint32 array passes.  Each stream word is hashed into all four
+    pool words at once, one word column at a time, and a stream with fewer
+    words keeps its pool.  Eight uint32 words come out of the pool, low
+    word first in each of PCG64's four uint64 seed words, and PCG64 seeds
+    its 128-bit LCG from them as ``pcg64_set_seed`` does.
     """
     words = [_words32(s) for s in streams]
     seed_pool, const = _seed_pool(int(seed))

@@ -194,16 +194,18 @@ def snapped_arrivals(draw, n: int, bound: int, chunk: int, sides: int = 1, nonem
     ``sides`` chains one after the other; with ``nonempty`` a row whose
     chains are not all nonempty draws all ``sides`` again, going on along
     its stream.  Returns ``[(arrivals, counts)]`` per side, the arrivals of
-    all rows flat in row order, and each row's number of redraws.
+    all rows flat in row order, and each row's number of such redraws.
 
     All rows run in 2-D passes over one array of running sums along each
-    row.  A row that runs out of draws redraws a longer prefix of its
-    stream.  For bounds up to 2**63 the sums are uint64 over gaps clipped
-    to 2**63: they wrap modulo 2**64, but a chain's sum is the difference
-    of two of them, and a chain sum below the bound plus one gap stays
-    below 2**64, so every sum up to the first at or past the bound is
-    exact.  Arrivals are int64 there, and object arrays of Python ints for
-    wider bounds, whose sums are taken in Python ints.
+    row.  When a searched row has no crossing in the drawn prefix, every
+    row of the block draws a prefix twice as wide; a row's prefix is a
+    fixed function of its stream, so the sums found so far still hold.
+    For bounds up to 2**63 the sums are uint64 over gaps clipped to 2**63:
+    they wrap modulo 2**64, but a chain's sum is the difference of two of
+    them, and a chain sum below the bound plus one gap stays below 2**64,
+    so every sum up to the first at or past the bound is exact.  Arrivals
+    are int64 there, and object arrays of Python ints for wider bounds,
+    whose sums are taken in Python ints.
     """
     narrow = 0 <= bound <= 2**63
     limit = np.uint64(bound) if narrow else bound
@@ -217,7 +219,6 @@ def snapped_arrivals(draw, n: int, bound: int, chunk: int, sides: int = 1, nonem
 
     rows = np.arange(n)
     sums = running_sums(draw(rows, (sides + 2) * chunk))
-    drawn = np.full(n, sums.shape[1])
 
     def chain_sums(at, start):
         """Sums of the rows' gaps from their start columns on, and the columns past each start."""
@@ -232,17 +233,10 @@ def snapped_arrivals(draw, n: int, bound: int, chunk: int, sides: int = 1, nonem
         nonlocal sums
         while True:
             chain, reach = chain_sums(at, start)
-            past = (chain >= limit) & reach & (np.arange(sums.shape[1]) < drawn[at, None])
-            end = past.argmax(axis=1)
-            short = at[~past[np.arange(at.size), end]]
-            if not short.size:
-                return end
-            size = 2 * int(drawn[short].max())
-            if size > sums.shape[1]:
-                pad = np.zeros((n, size - sums.shape[1]), dtype=sums.dtype)
-                sums = np.concatenate((sums, pad), axis=1)
-            sums[short, :size] = running_sums(draw(short, size))
-            drawn[short] = size
+            past = (chain >= limit) & reach
+            if past.any(axis=1).all():
+                return past.argmax(axis=1)
+            sums = running_sums(draw(rows, 2 * sums.shape[1]))
 
     start = np.zeros(n, dtype=np.int64)
     # per side: each row's first and past-the-end chain columns

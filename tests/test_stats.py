@@ -162,9 +162,10 @@ def test_make_rng_streams():
     assert np.array_equal(a, make_rng(5).standard_normal(8))
 
 
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128, 2**130 + 5]
-# one to three 32-bit words each: SeedSequence pads the seed only up to its pool
-STREAMS = [0, 1, 2**32 - 1, 2**32, 2**63]
+# one to seven 32-bit words: SeedSequence pads the seed only up to its pool,
+# and each word past the pool advances the stream words' hash constant
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128, 2**130 + 5, 2**200 + 7]
+STREAMS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**70 + 3]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

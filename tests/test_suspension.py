@@ -661,6 +661,22 @@ def test_nonempty_sides_redraw_as_the_loop_does(rows, bound, chunk, sides):
     _assert_rows_match(scripted_draw(rows), rngs, bound, chunk, sides, nonempty=True)
 
 
+def test_a_short_row_redraws_the_whole_block_at_twice_the_width():
+    # row 0 comes up empty, and on its retry round its second side runs past
+    # the first prefix of 4 draws; row 1 is settled by the first pass
+    rows = [[3.0, 3.0, 0.5, 3.0] + [0.5] * 60, [0.5, 3.0, 0.5, 3.0]]
+    calls = []
+
+    def draw(at, size):
+        calls.append((at.tolist(), size))
+        return scripted_draw(rows)(at, size)
+
+    rngs = [ScriptedRng(values) for values in rows]
+    _assert_rows_match(draw, rngs, 2 * D, 1, sides=2, nonempty=True)
+    assert calls == [([0, 1], 4), ([0, 1], 8)]
+    assert [loop_chains(ScriptedRng(v), 2 * D, 1, 2, True)[1] for v in rows] == [1, 0]
+
+
 def test_sides_that_stay_empty_are_refused():
     with pytest.raises(InsufficientDataError):
         snapped_arrivals(scripted_draw([[0.5]]), 1, 0, 1, sides=2, nonempty=True)
