@@ -16,12 +16,11 @@ the first configuration draw a fresh mark.  Every mark is uniform on
 function of the pair, so advancing the coupled sample and re-running the
 coupling on the advanced pair must agree exactly, index by index.
 
-Positions are exact rationals with denominator 2**53, held as integer
-numerators in numpy arrays, so comparisons, the +1 shift and the interval
-search are integer array operations.  The arrays are int64 while every
-position and its shift by one fit, that is for (W + 1) * 2**53 < 2**63
-(W <= 1022), and object arrays of Python ints for wider windows; both run
-through the same code.
+Positions are exact rationals x / 2**53, each held as its unit cell
+x // 2**53 and its offset x % 2**53 in two int64 arrays at every window
+width, so comparisons, the +1 shift and the interval search are integer
+array operations.  The shift adds one to the cell, and the shift cocycle,
+the window and the survivor tests read the cell alone.
 
 The suite runs in blocks of ``parallel.BLOCK`` samples: ``fan_out``
 calls ``collect_joining`` once per block and merges the tallies.  A block
@@ -34,13 +33,13 @@ every later step is one array pass per block too.  Keyed draws hash one
 prefix state per (sample, side) and mix in every atom id at once
 (``KeyedStream.prefix_states``, ``keyed_symbols``).
 
-Coupling is one lexsort on (sample, position, family), in which a
-second-family atom sorts ahead of a first-family atom at the same
-position: a first-family atom at t(n) falls in the interval
-[t(n), t(n+1)), and one at t(n+1) does not.  Advancing is one +2**53
-shift and window mask.  The two exact checks stay independent:
+Coupling counts the first-family atoms left of every second-family atom
+at once, by a binary search on (sample, cell) and a short walk over the
+offsets in the cell; a first-family atom at t(n) falls in the interval
+[t(n), t(n+1)), and one at t(n+1) does not.  Advancing is one +1 on the
+cells and a window mask.  The two exact checks stay independent:
 ``transport`` keeps the slots of the atoms that survive the shift and
-climbs copied sources by the first family's cocycle, a fresh lexsort
+climbs copied sources by the first family's cocycle, a fresh count
 couples the advanced pair, and ``marks_differ`` compares the two slot by
 slot; rank tracking compares index plus cocycle with the advanced
 configurations.  Blocks are small and fixed so that peak memory does not
@@ -66,40 +65,36 @@ _D = SNAP_DENOM
 ALPHABET = 2  # the suite's marks are uniform on [0, ALPHABET)
 
 
-def position_dtype(half_width: int):
-    """int64 when every position of the window, shifted by one, fits; else object."""
-    return np.int64 if (half_width + 1) * _D < 2**63 else object
-
-
 @dataclass(frozen=True, eq=False)
 class Family:
     """One family's configurations across a block of samples, in CSR form.
 
     Configuration j holds the flat slots ``offsets[j]:offsets[j + 1]`` of
-    ``pos`` (positions scaled by 2**53, strictly ascending, in the dtype
-    ``position_dtype(half_width)``) and ``ids`` (permanent int64 ids), and
-    ``owner`` names the configuration of every slot.  ``neg[j]`` counts
+    ``cell`` and ``off`` (int64; an atom sits at cell + off / 2**53 with off
+    in [0, 2**53), strictly ascending) and ``ids`` (permanent int64 ids),
+    and ``owner`` names the configuration of every slot.  ``neg[j]`` counts
     its atoms left of the origin, so the atom in flat slot s carries the
     two-sided index ``s - base[owner[s]]``: atoms left of the origin get
     indices <= 0, and the first atom at or right of it gets index 1.
     """
 
     half_width: int
-    pos: np.ndarray
+    cell: np.ndarray
+    off: np.ndarray
     ids: np.ndarray
     offsets: np.ndarray
     neg: np.ndarray
     owner: np.ndarray
 
     @classmethod
-    def build(cls, half_width: int, pos, ids, counts, neg) -> "Family":
+    def build(cls, half_width: int, cell, off, ids, counts, neg) -> "Family":
         """The family whose configurations hold ``counts`` consecutive atoms each."""
         counts = np.asarray(counts, dtype=np.int64)
         offsets = np.zeros(counts.size + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        # owners in the narrowest unsigned type: less memory, and a radix lexsort key
+        # owners in the narrowest unsigned type, for less memory
         owner = np.repeat(np.arange(counts.size, dtype=np.min_scalar_type(counts.size)), counts)
-        return cls(half_width, pos, ids, offsets, np.asarray(neg, dtype=np.int64), owner)
+        return cls(half_width, cell, off, ids, offsets, np.asarray(neg, dtype=np.int64), owner)
 
     @property
     def n(self) -> int:
@@ -123,34 +118,36 @@ def sample_family(half_width: int, seed: int, streams: np.ndarray) -> tuple[Fami
     continued draws), so every configuration has an index 0 and an index
     1.  All streams of the block draw together (``snapped_arrivals``).
     """
-    [(right, n_right), (left, n_left)], retries = snapped_arrivals(
+    [(*right, n_right), (left_cell, left_off, n_left)], retries = snapped_arrivals(
         keyed_draw(seed, streams), len(streams), half_width * _D, half_width + 8,
         sides=2, nonempty=True,
     )
-    family = Family.build(half_width, None, None, n_left + n_right, n_left)
+    family = Family.build(half_width, None, None, None, n_left + n_right, n_left)
     local = atom_ranks(family.counts)
     on_left = local < family.neg[family.owner]
-    pos = np.empty(local.size, dtype=position_dtype(half_width))
-    pos[~on_left] = right
-    # the left arrivals of each configuration, nearest the origin last
-    pos[on_left] = -left[(np.cumsum(n_left) - 1)[family.owner[on_left]] - local[on_left]]
-    return replace(family, pos=pos, ids=local + 1), int(retries.sum())
+    cell, off = np.empty(local.size, dtype=np.int64), np.empty(local.size, dtype=np.int64)
+    cell[~on_left], off[~on_left] = right
+    # the left arrivals of each configuration, nearest the origin last, negated
+    mirror = (np.cumsum(n_left) - 1)[family.owner[on_left]] - local[on_left]
+    cell[on_left] = (-left_off[mirror] >> 53) - left_cell[mirror]  # a nonzero offset borrows
+    off[on_left] = -left_off[mirror] & (_D - 1)
+    return replace(family, cell=cell, off=off, ids=local + 1), int(retries.sum())
 
 
 def shift_cocycles(family: Family) -> np.ndarray:
     """Per configuration, the number of atoms in [-1, 0): how far indices climb."""
-    p = family.pos
-    return np.bincount(family.owner[(p >= -_D) & (p < 0)], minlength=family.n)
+    return np.bincount(family.owner[family.cell == -1], minlength=family.n)
 
 
 def advance_family(family: Family) -> tuple[Family, np.ndarray]:
     """Shift every atom by +1 and drop those leaving the window; also the kept mask."""
-    moved = family.pos + _D
-    kept = moved < family.half_width * _D
+    moved = family.cell + 1
+    kept = moved < family.half_width
     owner = family.owner[kept]
     advanced = Family.build(
         family.half_width,
         moved[kept],
+        family.off[kept],
         family.ids[kept],
         np.bincount(owner, minlength=family.n),
         np.bincount(owner[moved[kept] < 0], minlength=family.n),
@@ -175,9 +172,9 @@ def rank_tracking_failures(
     bad = (local < 0) | (local >= advanced.counts[owner])
     ok = ~bad
     moved, target = slot[ok], target[ok]
-    bad[ok] = (advanced.ids[target] != family.ids[moved]) | (
-        advanced.pos[target] != family.pos[moved] + _D
-    )
+    bad[ok] = advanced.ids[target] != family.ids[moved]
+    bad[ok] |= advanced.cell[target] != family.cell[moved] + 1
+    bad[ok] |= advanced.off[target] != family.off[moved]
     return np.bincount(owner[bad], minlength=family.n) > 0
 
 
@@ -215,32 +212,30 @@ def couple_block(
     (seed, ``samples[j]``, side, atom id), so the result is reproducible
     atom by atom.
 
-    One lexsort orders the atoms of both families by (sample, position,
-    family), with a second-family atom ahead of a first-family atom at
-    the same position.  The first-family atoms sorted ahead of a
-    second-family atom at t(n) are then those of earlier samples and
-    those strictly left of t(n), so their number is the flat slot of the
-    lowest first-family atom at or right of t(n).
+    Both families' slots ascend in (sample, cell, offset).  The
+    first-family atoms of earlier samples or strictly left of t(n) number
+    the slot of the lowest one at or right of t(n): a binary search counts
+    those in earlier (sample, cell) units, a short walk those in t(n)'s
+    unit at lower offsets.  So [t(n), t(n+1)) holds one exactly when more
+    lie left of t(n+1) than of t(n), one at t(n) counting and one at
+    t(n+1) not.
     """
     stream = KeyedStream(seed)
-    n1, n2 = family1.pos.size, family2.pos.size
+    n2 = family2.cell.size
     owner2 = family2.owner
     marks1 = keyed_symbols(stream.prefix_states(samples, 1)[family1.owner], family1.ids, alphabet)
-    order = np.lexsort((
-        np.concatenate((np.ones(n1, dtype=np.int8), np.zeros(n2, dtype=np.int8))),
-        np.concatenate((family1.pos, family2.pos)),
-        np.concatenate((family1.owner, owner2)),
-    ))
-    # second-family atoms keep their flat order in the sort, so the one in
-    # flat slot s has s second-family atoms ahead of it
-    first = np.flatnonzero(order >= n1) - np.arange(n2)
+    # a sample's cells lie in [-W, W), so these unit keys ascend with the slots
+    span = np.int64(2 * family1.half_width)
+    unit1, unit2 = family1.owner * span + family1.cell, owner2 * span + family2.cell
+    first, end = np.searchsorted(unit1, unit2), np.searchsorted(unit1, unit2, "right")
+    off1 = np.append(family1.off, 0)  # first == n1 reads the pad, which end excludes
+    while (left := (first < end) & (off1[first] < family2.off)).any():
+        first += left
 
     # every second-family atom but each configuration's top one is decided
     decided = np.ones(n2, dtype=bool)
     decided[family2.offsets[1:][family2.counts > 0] - 1] = False
-    copied = decided & (first < family1.offsets[1:][owner2])
-    slot = np.flatnonzero(copied)
-    copied[slot] = family1.pos[first[slot]] < family2.pos[slot + 1]
+    copied = decided & (np.append(first[1:], 0) > first)
 
     marks2 = np.zeros(n2, dtype=np.int64)
     marks2[copied] = marks1[first[copied]]
@@ -254,16 +249,16 @@ def couple_block(
 def transport(marks: Marks, family1: Family, family2: Family, c1: np.ndarray) -> Marks:
     """Move a block's marks one shift, from ``family1``/``family2`` to the advanced pair.
 
-    A slot is kept if its atom survives the shift, that is lies left of
-    W - 1, a bound read here and not from ``advance_family`` so that the
-    two sides of the equivariance check stay independent.  A kept slot's
+    A slot is kept if its atom survives the shift, that is its cell is
+    below W - 1, a bound read here and not from ``advance_family`` so that
+    the two sides of the equivariance check stay independent.  A kept slot's
     index climbs with the advanced layout; only a copied source, an index
     into the other family, climbs here, by ``c1``.  A decided slot whose
     successor exits becomes undecided, the advanced configuration's top.
     This keeps the result equal to re-coupling the advanced pair.
     """
-    kept1 = family1.pos < family1.half_width * _D - _D
-    stays = family2.pos < family2.half_width * _D - _D
+    kept1 = family1.cell < family1.half_width - 1
+    stays = family2.cell < family2.half_width - 1
     # a decided slot's successor is the next flat slot, in its own configuration
     decided = marks.decided & np.append(stays[1:], False)
     copied2 = marks.copied2 & decided
@@ -376,9 +371,9 @@ def verify_joining(
     Blind spots: a copied mark is its source's mark, so the "dependence"
     table is diagonal and its statistic equals its n; it fails to reject
     only through ``source2``'s bookkeeping or too few copied pairs.  And
-    sampled families never share a position or put an atom on a window
-    edge, so a fault in the tie rule or an edge comparison leaves both
-    exact counters at 0; only the oracle tests see it.
+    sampled families never share a position, so a fault in the tie rule
+    leaves both exact counters at 0; only the oracle tests see it.  The
+    window and survivor tests read whole cells, which sampled atoms fill.
     """
     tot = fan_out(collect_joining, n_samples, workers, half_width, seed, ALPHABET)
 

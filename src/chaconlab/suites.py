@@ -58,6 +58,7 @@ from .chacon import SNAP_DENOM, build_system
 from .cocycle import CocycleSpec, single_spacer_indicator
 from .errors import InsufficientDataError, TooFewAtomsError
 from .parallel import fan_out
+from .ratio import ceil_lattice
 from .stats import (
     KeyedStream,
     chi2_gof,
@@ -71,7 +72,6 @@ from .suspension import (
     TowerCoords,
     atom_ranks,
     induced_return,
-    lattice_window,
     sample_windows,
     walk_orbits,
 )
@@ -93,20 +93,20 @@ def collect_poisson(start: int, stop: int, seed: int, window_hi: int, sup_hi: in
     superposed pairs from another; each tally is one array pass.
     """
     samples = np.arange(start, stop)
-    pos, counts = sample_windows(lattice_window(0, window_hi), seed, 3 * samples)
+    cells, offs, counts = sample_windows(window_hi * SNAP_DENOM, seed, 3 * samples)
     first = np.cumsum(counts) - counts
-    # one rounding to float64, then an exact division by 2**53: int / int, correctly rounded
-    t1 = pos[first[counts > 0]] / SNAP_DENOM
+    # cell + off / 2**53 adds two exact float64s: the value x / 2**53, rounded once
+    t1 = cells[first[counts > 0]] + offs[first[counts > 0]] / SNAP_DENOM
     # the first GAPS_PER_CONFIG gaps of every window holding more atoms than that
     rows = first[counts > GAPS_PER_CONFIG][:, None] + np.arange(GAPS_PER_CONFIG + 1)
-    gaps = np.diff(pos[rows], axis=1) / SNAP_DENOM
-    pair_pos, pair_counts = sample_windows(
-        lattice_window(0, sup_hi), seed, (3 * samples[:, None] + (1, 2)).ravel()
+    gaps = np.diff(cells[rows], axis=1) + np.diff(offs[rows], axis=1) / SNAP_DENOM
+    pair_cells, pair_offs, pair_counts = sample_windows(
+        sup_hi * SNAP_DENOM, seed, (3 * samples[:, None] + (1, 2)).ravel()
     )
     # the count of ``superpose(a, b)``, which refuses a shared position
     pair = np.repeat(np.arange(pair_counts.size) // 2, pair_counts)
-    ordered = np.lexsort((pair_pos, pair))
-    if ((np.diff(pair[ordered]) == 0) & (np.diff(pair_pos[ordered]) == 0)).any():
+    ordered = np.lexsort((pair_offs, pair_cells, pair))
+    if (np.diff(np.stack((pair, pair_cells, pair_offs))[:, ordered]) == 0).all(axis=0).any():
         raise AssertionError("superposition collision at identical positions")
     return {
         "t1": t1.tolist(),
@@ -180,10 +180,11 @@ def collect_suspension(
         k: {"uncensored": 0, **dict.fromkeys(FAILURE_KEYS, 0), "censored": Counter()}
         for k in k_values
     }
-    positions, counts = sample_windows(
-        lattice_window(0, window_hi, system.denom), seed, np.arange(start, stop), system.denom
+    cells, offs, counts = sample_windows(
+        ceil_lattice(window_hi, SNAP_DENOM), seed, np.arange(start, stop)
     )
-    flat = positions.tolist()
+    scale = system.denom // SNAP_DENOM
+    flat = [(c * SNAP_DENOM + o) * scale for c, o in zip(cells.tolist(), offs.tolist())]
     first = np.cumsum(counts) - counts
     bounds = list(zip(first.tolist(), counts.tolist()))  # (first flat slot, atoms) per sample
     # per sample: ({k: (return time, positions, sums)}, the reason the rest were censored)

@@ -14,8 +14,9 @@ block kernel, ``snapped_arrivals``: each stream of a block is one keyed
 PCG64 stream (``stats.keyed_exponentials``), and the block is snapped,
 summed and cut into chains in 2-D passes.  A sampled block is flat from
 the sampler to every consumer: all its positions, configuration after
-configuration, and each one's atom count.  ``sample_windows`` serves the
-suspension and Poisson suites, ``joining.sample_family`` the joining
+configuration, and each one's atom count, x / 2**53 held as an int64
+cell x // 2**53 and an int64 offset x % 2**53.  ``sample_windows`` serves
+the suspension and Poisson suites, ``joining.sample_family`` the joining
 suite, and ``sample_poisson`` is a one-stream call of the same kernel.
 
 A configuration's positions and window are integers over its lattice
@@ -170,7 +171,6 @@ class MarkedConfig:
 
 
 _SNAP_FLOAT = float(SNAP_DENOM)
-_TO_INT = np.frompyfunc(int, 1, 1)
 # a row whose chains keep coming up empty gives up after this many attempts
 MAX_ATTEMPTS = 1000
 
@@ -193,50 +193,56 @@ def snapped_arrivals(draw, n: int, bound: int, chunk: int, sides: int = 1, nonem
     chain starts at the chunk boundary after its crossing.  Each row draws
     ``sides`` chains one after the other; with ``nonempty`` a row whose
     chains are not all nonempty draws all ``sides`` again, going on along
-    its stream.  Returns ``[(arrivals, counts)]`` per side, the arrivals of
-    all rows flat in row order, and each row's number of such redraws.
+    its stream.  Returns ``[(cells, offs, counts)]`` per side, the int64
+    arrivals x = cell * 2**53 + off, off in [0, 2**53), of all rows flat in
+    row order, and each row's number of such redraws.
 
-    All rows run in 2-D passes over one array of running sums along each
-    row.  When a searched row has no crossing in the drawn prefix, every
-    row of the block draws a prefix twice as wide; a row's prefix is a
-    fixed function of its stream, so the sums found so far still hold.
-    For bounds up to 2**63 the sums are uint64 over gaps clipped to 2**63:
-    they wrap modulo 2**64, but a chain's sum is the difference of two of
-    them, and a chain sum below the bound plus one gap stays below 2**64,
-    so every sum up to the first at or past the bound is exact.  Arrivals
-    are int64 there, and object arrays of Python ints for wider bounds,
-    whose sums are taken in Python ints.
+    All rows run in 2-D passes over running sums along each row, in the
+    same form.  When a searched row has no crossing in the drawn prefix,
+    every row of the block draws a prefix twice as wide; a row's prefix
+    is a fixed function of its stream, so the sums found so far still
+    hold.  A gap's whole units sum in int64 and its 53-bit part in uint64
+    modulo 2**53, a divisor of 2**64; a part is below 2**53, so the offset
+    drops exactly where the parts carry one into the cell.  A chain's
+    sums are the running sums less the one before its start, an offset
+    below 0 borrowing one from the cell.
     """
-    narrow = 0 <= bound <= 2**63
-    limit = np.uint64(bound) if narrow else bound
+    bound_cell, bound_off = divmod(bound, SNAP_DENOM)
 
     def running_sums(exps):
         gaps = np.rint(exps * _SNAP_FLOAT)
         np.maximum(gaps, 1.0, out=gaps)
-        if narrow:
-            return np.minimum(gaps, 2.0**63, out=gaps).astype(np.uint64).cumsum(axis=1)
-        return _TO_INT(gaps).cumsum(axis=1)
+        cells = (gaps * 2.0**-53).astype(np.int64)  # exact: 2**53 is a power of two
+        gaps -= cells * _SNAP_FLOAT
+        offs = (gaps.astype(np.uint64).cumsum(axis=1) & np.uint64(SNAP_DENOM - 1)).view(np.int64)
+        cells[:, 1:] += offs[:, 1:] < offs[:, :-1]  # the carries
+        return cells.cumsum(axis=1), offs
 
     rows = np.arange(n)
-    sums = running_sums(draw(rows, (sides + 2) * chunk))
+    cells, offs = running_sums(draw(rows, (sides + 2) * chunk))
 
-    def chain_sums(at, start):
-        """Sums of the rows' gaps from their start columns on, and the columns past each start."""
-        part = sums[at]
-        cols = np.arange(part.shape[1])
-        base = part[np.arange(at.size), np.maximum(start - 1, 0)]  # a start is at most the width
-        base[start == 0] = 0
-        return part - base[:, None], cols >= start[:, None]
+    def before(at, start):
+        """The rows' running sums just before their start columns, as (cells, offs)."""
+        col = np.maximum(start - 1, 0)  # a start is at most the width
+        cell, off = cells[at, col], offs[at, col]
+        cell[start == 0] = off[start == 0] = 0
+        return cell, off
 
     def crossing(at, start):
         """Each row's first column at or after its start where the chain reaches the bound."""
-        nonlocal sums
+        nonlocal cells, offs
         while True:
-            chain, reach = chain_sums(at, start)
-            past = (chain >= limit) & reach
-            if past.any(axis=1).all():
-                return past.argmax(axis=1)
-            sums = running_sums(draw(rows, 2 * sums.shape[1]))
+            # the chain reaches the bound where the running sum reaches the one before it plus bound
+            cell, off = before(at, start)
+            carry, off = np.divmod(off + bound_off, SNAP_DENOM)
+            cell += bound_cell + carry
+            # sums ascend along a row: count the columns below (cell, off)
+            row, cell, off = cells[at], cell[:, None], off[:, None]
+            below = (row < cell).sum(axis=1) + ((row == cell) & (offs[at] < off)).sum(axis=1)
+            end = np.maximum(below, start)  # past a bound <= 0 from the start
+            if (end < cells.shape[1]).all():
+                return end
+            cells, offs = running_sums(draw(rows, 2 * cells.shape[1]))
 
     start = np.zeros(n, dtype=np.int64)
     # per side: each row's first and past-the-end chain columns
@@ -258,10 +264,14 @@ def snapped_arrivals(draw, n: int, bound: int, chunk: int, sides: int = 1, nonem
         retry = retry[empty] if nonempty else retry[:0]
 
     out = []
+    cols = np.arange(cells.shape[1])
     for first, end in spans:
-        chain, reach = chain_sums(rows, first)
-        arrivals = chain[reach & (np.arange(sums.shape[1]) < end[:, None])]
-        out.append((arrivals.view(np.int64) if narrow else arrivals, end - first))
+        taken = (cols >= first[:, None]) & (cols < end[:, None])
+        owner = np.repeat(rows, end - first)
+        cell, off = before(rows, first)
+        off = offs[taken] - off[owner]
+        borrow = off < 0
+        out.append((cells[taken] - cell[owner] - borrow, off + borrow * SNAP_DENOM, end - first))
     return out, redraws
 
 
@@ -270,35 +280,29 @@ def atom_ranks(counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def sample_windows(
-    window: Interval, seed: int, streams, denom: int = SNAP_DENOM
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-intensity samples on a lattice window: flat positions and per-stream counts.
+def sample_windows(hi: int, seed: int, streams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit-intensity samples on [0, hi / 2**53): flat cells and offsets, per-stream counts.
 
-    The window is given in lattice units of 1/denom; positions are
-    window.lo plus exact sums of snapped gaps (see ``snapped_arrivals``),
-    drawn from ``make_rng(seed, s)`` for every stream s, int64 below 2**63
-    and Python ints beyond.  ``denom`` must be a multiple of 2**53.
+    Each position is x / 2**53 with x = cell * 2**53 + off, an exact sum
+    of snapped gaps (see ``snapped_arrivals``), drawn from
+    ``make_rng(seed, s)`` for every stream s.
     """
-    scale, rest = divmod(denom, SNAP_DENOM)
-    if rest:
-        raise ValueError(f"lattice denominator {denom} is not a multiple of 2**53")
-    # lo + cum * scale >= hi exactly when cum >= ceil((hi - lo) / scale)
-    bound = -(-window.width // scale)
-    chunk = max(16, window.width // denom + 8)
-    draw = keyed_draw(seed, streams)
-    [(arrivals, counts)], _ = snapped_arrivals(draw, len(streams), bound, chunk)
-    if abs(window.lo) + bound * scale >= 2**63:
-        arrivals = arrivals.astype(object)
-    return window.lo + arrivals * scale, counts
+    chunk = max(16, hi // SNAP_DENOM + 8)
+    [side], _ = snapped_arrivals(keyed_draw(seed, streams), len(streams), hi, chunk)
+    return side
 
 
 def sample_poisson(
     window: Interval, seed: int, stream: int = 0, denom: int = SNAP_DENOM
 ) -> PointConfig:
-    """``sample_windows`` on the one stream ``stream``, as a configuration."""
-    positions, _ = sample_windows(window, seed, [stream], denom)
-    return PointConfig.numbered(window, positions.tolist(), denom)
+    """``sample_windows`` on the one stream ``stream``, as a configuration over ``denom``."""
+    scale, rest = divmod(denom, SNAP_DENOM)
+    if rest:
+        raise ValueError(f"lattice denominator {denom} is not a multiple of 2**53")
+    # lo + x * scale >= hi exactly when x >= ceil((hi - lo) / scale)
+    cells, offs, _ = sample_windows(-(-window.width // scale), seed, [stream])
+    xs = (c * SNAP_DENOM + o for c, o in zip(cells.tolist(), offs.tolist()))
+    return PointConfig.numbered(window, [window.lo + x * scale for x in xs], denom)
 
 
 def push_forward(

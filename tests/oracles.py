@@ -18,7 +18,7 @@ from chaconlab.errors import (
     OutOfDomainError,
     PMaxExceededError,
 )
-from chaconlab.joining import Family, position_dtype
+from chaconlab.joining import Family
 from chaconlab.stats import KeyedStream, make_rng
 from chaconlab.suspension import (
     SNAP_DENOM,
@@ -434,12 +434,14 @@ class TupleBiConfig:
 
     @classmethod
     def of(cls, family, j: int = 0) -> "TupleBiConfig":
-        """The same atoms as configuration j of a ``joining.Family``."""
+        """The same atoms as configuration j of a ``joining.Family``, numerators read
+        back as Python ints cell * 2**53 + off."""
         lo, hi = family.offsets[j], family.offsets[j + 1]
+        cells, offs = family.cell[lo:hi].tolist(), family.off[lo:hi].tolist()
         return cls(
             family.half_width,
             tuple(int(i) for i in family.ids[lo:hi]),
-            tuple(int(p) for p in family.pos[lo:hi]),
+            tuple(c * JOIN_D + o for c, o in zip(cells, offs)),
             int(family.neg[j]),
         )
 
@@ -530,9 +532,9 @@ def joining_dicts(marks, family1, family2, j: int = 0) -> tuple:
     slot ``offsets[j] + i`` carries the i-th index of ``TupleBiConfig``'s
     range; an undecided slot must hold mark 0, not copied, source 0.
     """
-    assert marks.marks1.size == family1.pos.size
+    assert marks.marks1.size == family1.ids.size
     assert {getattr(marks, f).size for f in ("decided", "marks2", "copied2", "source2")} == {
-        family2.pos.size}
+        family2.ids.size}
     lo1, lo2 = int(family1.offsets[j]), int(family2.offsets[j])
     indices1 = TupleBiConfig.of(family1, j).indices()
     marks1 = {n: int(marks.marks1[s]) for s, n in enumerate(indices1, start=lo1)}
@@ -630,8 +632,8 @@ def empty_first_family(sample_family):
         if streams[0] % 2:
             return sample_family(half_width, seed, streams)
         n = len(streams)
-        pos = np.empty(0, dtype=position_dtype(half_width))
-        empty = Family.build(half_width, pos, np.empty(0, dtype=np.int64), np.zeros(n), np.zeros(n))
+        none = np.empty(0, dtype=np.int64)
+        empty = Family.build(half_width, none, none, none, np.zeros(n), np.zeros(n))
         return empty, 0
 
     return sample

@@ -474,6 +474,16 @@ PINNED_SUITES = [
      "31ac4069d2af2e4af63aed05c653d57be073a05d049f64beff8d69277328da7c"),
     (["poisson", "--samples", "40", "--window", "1100"],
      "369624b2143aa3af825399947a68406368b316af135d487cd9377ee21bd20ff4"),
+    # pinned before positions moved to an int64 cell and a 53-bit offset: a
+    # bound of exactly 2**63 lattice units (then summed in uint64 and held as
+    # Python ints), a window whose sums of 53-bit parts wrap uint64, and
+    # joining one past the widest window of int64 numerators
+    (["poisson", "--samples", "40", "--window", "1024"],
+     "2d526c4843c11d5a357d82a2f7d7db70f865c288c7af5bb36ea4fe172773866c"),
+    (["poisson", "--samples", "20", "--window", "5000"],
+     "bf41f6dce3637e9a56b7704d3e7d3e1a29b2ec179923a2f3a8ec55f2f5c3de12"),
+    (["joining", "--samples", "4", "--window", "1023"],
+     "8c398bb8587dae2d000f197865c87d7d51a62570a9bdff886cac0de76ba8791c"),
 ]
 
 

@@ -18,7 +18,6 @@ from chaconlab.joining import (
     couple_block,
     couple_marks,
     marks_differ,
-    position_dtype,
     rank_tracking_consistent,
     rank_tracking_failures,
     sample_family,
@@ -49,7 +48,8 @@ def _family(half_width, positions, ids):
     positions = sorted(positions)
     return Family.build(
         half_width,
-        np.array(positions, dtype=position_dtype(half_width)),
+        np.array([p // D for p in positions], dtype=np.int64),
+        np.array([p % D for p in positions], dtype=np.int64),
         np.array(ids[: len(positions)], dtype=np.int64),
         [len(positions)],
         [sum(1 for p in positions if p < 0)],
@@ -70,11 +70,17 @@ def _stack(families):
     """One family holding the configurations of one-configuration families, in order."""
     return Family.build(
         families[0].half_width,
-        np.concatenate([f.pos for f in families]),
+        np.concatenate([f.cell for f in families]),
+        np.concatenate([f.off for f in families]),
         np.concatenate([f.ids for f in families]),
-        [f.pos.size for f in families],
+        [f.ids.size for f in families],
         [int(f.neg[0]) for f in families],
     )
+
+
+def _numerators(family):
+    """Every flat slot's position over 2**53, read back as a Python int."""
+    return [c * D + o for c, o in zip(family.cell.tolist(), family.off.tolist())]
 
 
 def _sample(half_width, seed, stream):
@@ -89,9 +95,9 @@ def test_indexing_convention():
         _config(3, [Fraction(1, 2)]),
         _config(3, [-3, -1, Fraction(-1, 4), 0]),
     ])
-    index = np.arange(family.pos.size) - family.base[family.owner]
+    index = np.arange(family.ids.size) - family.base[family.owner]
     assert index.tolist() == [-1, 0, 1, 2, 1, -2, -1, 0, 1]
-    owner, pos = family.owner.tolist(), family.pos.tolist()
+    owner, pos = family.owner.tolist(), _numerators(family)
     at = {(o, n): Fraction(p, D) for o, n, p in zip(owner, index.tolist(), pos)}
     assert at[0, -1] == Fraction(-5, 2) and at[0, 2] == 2
     assert at[0, 0] < 0 <= at[0, 1]
@@ -114,7 +120,7 @@ def test_sampling_determinism_and_split():
 def test_sampling_mean_count():
     # count over [-W, W) has mean 2W; average 200 draws, allow 4 sigma
     W, reps = 15, 200
-    total = sample_family(W, 77, np.arange(reps))[0].pos.size
+    total = sample_family(W, 77, np.arange(reps))[0].ids.size
     mean = total / reps
     se = (2 * W / reps) ** 0.5
     assert abs(mean - 2 * W) < 4 * se
@@ -134,7 +140,7 @@ def test_advance_drops_right_edge():
     c = _config(2, [Fraction(-1, 2), Fraction(3, 2)])
     adv, kept = advance_family(c)
     assert c.ids[~kept].tolist() == [2]
-    assert adv.pos.tolist() == [D // 2] and adv.neg.tolist() == [0]
+    assert _numerators(adv) == [D // 2] and adv.neg.tolist() == [0]
 
 
 def test_rank_tracking_random():
@@ -316,8 +322,7 @@ def test_array_path_matches_the_oracle(pair, alphabet, seed, sample_idx):
     # the single-pair entry points on a block of one
     w1, w2 = pair
     o1, o2 = TupleBiConfig.of(w1), TupleBiConfig.of(w2)
-    expected_dtype = np.int64 if w1.half_width <= 1022 else object
-    assert w1.pos.dtype == w2.pos.dtype == expected_dtype
+    assert {w.cell.dtype for w in pair} == {w.off.dtype for w in pair} == {np.dtype(np.int64)}
     for w, o in ((w1, o1), (w2, o2)):
         assert shift_cocycles(w).tolist() == [tuple_shift_cocycle(o)]
         adv, kept = advance_family(w)
@@ -464,15 +469,18 @@ def test_collect_joining_matches_the_oracle(
     assert (got["copied"] == 0) is empty_first
 
 
-def test_position_dtype_switches_past_half_width_1022():
-    assert position_dtype(1022) is np.int64 and position_dtype(1023) is object
-    # the rightmost position of the widest int64 window still shifts exactly
-    top = 1022 * D - 1
-    c = _family(1022, [-D, top], [1, 2])
+@pytest.mark.parametrize("half_width", [1022, 1023, 5000])
+def test_cells_hold_the_window_edges_exactly(half_width):
+    # 1022 is the widest window whose numerators, shifted by one, fit int64;
+    # in cells and offsets the edges read back and shift exactly at every width
+    top = half_width * D - 1
+    c = _family(half_width, [-half_width * D, -D, top], [1, 2, 3])
+    assert c.cell.dtype == c.off.dtype == np.int64
+    assert c.cell.tolist() == [-half_width, -1, half_width - 1] and c.off[2] == D - 1
+    assert TupleBiConfig.of(c).pos_nums == (-half_width * D, -D, top)
     adv, kept = advance_family(c)
-    assert c.ids[~kept].tolist() == [2] and adv.pos.tolist() == [0]
-    wide = _family(1023, [-1023 * D, 1023 * D - 1], [1, 2])
-    assert isinstance(wide.pos[1], int) and TupleBiConfig.of(wide).pos_num(1) == 1023 * D - 1
+    assert c.ids[~kept].tolist() == [3]
+    assert TupleBiConfig.of(adv).pos_nums == ((1 - half_width) * D, 0)
 
 
 def test_exact_counters_count_failures(monkeypatch):

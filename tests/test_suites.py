@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from chaconlab.suites import (
     run_poisson_suite,
     run_suspension_suite,
 )
-from chaconlab.suspension import RankPermutation
+from chaconlab.suspension import SNAP_DENOM, RankPermutation
 from oracles import empty_first_family, four_walk_suspension, loop_collect_poisson
 
 POISSON_TESTS = {
@@ -207,17 +208,27 @@ def test_oracle_settings_force_every_censor_reason():
     assert mark_censored > 0
 
 
-# window 1100 puts window.lo + bound past 2**63, so its positions are Python ints
-@pytest.mark.parametrize("window", [1, 6, 30, 1100])
-@pytest.mark.parametrize("start, stop", [(11, 12), (0, 64), (70, 200)])
+# window 1100 puts the bound past 2**63 lattice units, and at window 5000 the
+# sampler's uint64 sums of the gaps' 53-bit parts wrap
+@pytest.mark.parametrize(
+    "window, start, stop",
+    [pytest.param(window, start, stop, id=f"{start}-{stop}-{window}")
+     for window in (1, 6, 30, 1100) for start, stop in ((11, 12), (0, 64), (70, 200))]
+    + [pytest.param(5000, 11, 12, id="11-12-5000")],
+)
 def test_collect_poisson_matches_the_loop_oracle(window, start, stop):
     got = collect_poisson(start, stop, 5, window, 10)
     assert got == loop_collect_poisson(start, stop, 5, window, 10)
 
 
 def scripted_windows(blocks):
-    """A ``sample_windows`` stand-in: the given (positions, counts) per number of streams."""
-    return lambda window, seed, streams, denom=None: tuple(map(np.array, blocks[len(streams)]))
+    """A ``sample_windows`` stand-in: the given (numerators, counts) per number of streams."""
+
+    def sample(hi, seed, streams):
+        positions, counts = map(np.array, blocks[len(streams)])
+        return positions // SNAP_DENOM, positions % SNAP_DENOM, counts
+
+    return sample
 
 
 def test_collect_poisson_refuses_a_shared_position_in_a_pair(monkeypatch):
@@ -235,6 +246,36 @@ def test_collect_poisson_allows_a_position_shared_across_pairs(monkeypatch):
         {2: ([3, 4], [1, 1]), 4: ([5, 7, 7, 5], [1, 1, 1, 1])}
     ))
     assert collect_poisson(0, 2, 0, 30, 10)["sup_counts"] == [2, 2]
+
+
+def test_wide_poisson_and_joining_blocks_hold_no_object_arrays():
+    # at window 1100 the bound passes 2**63 lattice units; every array that a
+    # chaconlab function holds or returns on the way is still fixed-width
+    dtypes = set()
+
+    def watch(frame, event, arg):
+        if event == "return" and frame.f_globals["__name__"].startswith("chaconlab."):
+            for value in [arg, *frame.f_locals.values()]:
+                for item in value if isinstance(value, (list, tuple)) else [value]:
+                    if isinstance(item, np.ndarray):
+                        dtypes.add(item.dtype)
+
+    sys.setprofile(watch)
+    try:
+        collect_poisson(0, 2, 5, 1100, 10)
+        collect_joining(0, 2, 1100, 5, 2)
+    finally:
+        sys.setprofile(None)
+    assert np.dtype(np.int64) in dtypes and np.dtype(object) not in dtypes
+
+
+def test_collect_poisson_tells_positions_apart_by_cell_and_offset(monkeypatch):
+    # one sample whose pair (5, D + 7) and (7, D + 5) shares cells and offsets, not positions
+    D = SNAP_DENOM
+    monkeypatch.setattr(suites, "sample_windows", scripted_windows(
+        {1: ([3], [1]), 2: ([5, D + 7, 7, D + 5], [2, 2])}
+    ))
+    assert collect_poisson(0, 1, 0, 30, 10)["sup_counts"] == [4]
 
 
 def test_fan_out_merge_rule():

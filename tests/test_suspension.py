@@ -518,20 +518,37 @@ def test_sampling_determinism_and_grid():
         sample_poisson(lattice_window(0, 6, 3), seed=9, denom=3)
 
 
-@pytest.mark.parametrize(
-    "denom, hi, dtype",
-    [(SNAP_DENOM, 2**63 - 1, np.int64), (SNAP_DENOM, 2**63, object),
-     (D3, 2**63 - D3 // SNAP_DENOM, np.int64), (D3, 2**63, object), (D3, 2**63 + D3, object)],
-)
-def test_sample_windows_holds_python_ints_from_2_63(denom, hi, dtype):
-    # a window two units wide whose top, lo + bound * scale, is just below, at or
-    # past 2**63: positions near it must neither wrap nor round
-    scale, lo = denom // SNAP_DENOM, hi - 2 * denom
-    positions, counts = sample_windows(Interval(lo, hi), 6, np.arange(8), denom)
-    assert positions.dtype == dtype
-    chains = [loop_snapped_arrivals(make_rng(6, s), 2 * SNAP_DENOM, 16) for s in range(8)]
+def numerators(cells, offs):
+    """Positions in the sampler's form, cell * 2**53 + off, read back as Python ints."""
+    assert cells.dtype == offs.dtype == np.int64
+    assert ((0 <= offs) & (offs < SNAP_DENOM)).all()
+    return [c * SNAP_DENOM + o for c, o in zip(cells.tolist(), offs.tolist())]
+
+
+@pytest.mark.parametrize("hi", [2**63 - 1, 2**63, 2**63 + 1, 2**64 + SNAP_DENOM])
+def test_sample_windows_match_the_loop_around_2_63(hi):
+    # windows whose top is just below, at or past 2**63 lattice units, or past
+    # 2**64: the cells and offsets read back as the loop's exact sums
+    cells, offs, counts = sample_windows(hi, 6, np.arange(8))
+    chains = [loop_snapped_arrivals(make_rng(6, s), hi, hi // SNAP_DENOM + 8) for s in range(8)]
     assert counts.tolist() == [len(c) for c in chains]
-    assert positions.tolist() == [lo + x * scale for c in chains for x in c]
+    assert numerators(cells, offs) == [x for c in chains for x in c]
+
+
+@pytest.mark.parametrize(
+    "denom, hi",
+    [(SNAP_DENOM, 2**63 - 1), (SNAP_DENOM, 2**63), (D3, 2**63 - D3 // SNAP_DENOM),
+     (D3, 2**63), (D3, 2**63 + D3)],
+)
+def test_sample_poisson_scales_exactly_past_2_63(denom, hi):
+    # a window two units wide whose top is just below, at or past 2**63 on its
+    # lattice: positions scaled there in Python ints neither wrap nor round
+    scale, lo = denom // SNAP_DENOM, hi - 2 * denom
+    positions = []
+    for s in range(8):
+        chain = loop_snapped_arrivals(make_rng(6, s), 2 * SNAP_DENOM, 16)
+        positions += sample_poisson(Interval(lo, hi), 6, s, denom).positions()
+        assert positions[len(positions) - len(chain):] == [lo + x * scale for x in chain]
     assert max(positions) > 2**63 - denom
 
 
@@ -590,7 +607,7 @@ def scripted_draw(rows):
 
 def split_rows(arrivals, counts):
     ends = np.cumsum(counts).tolist()
-    return [arrivals[a:b].tolist() for a, b in zip([0, *ends], ends)]
+    return [arrivals[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def loop_chains(rng, bound, chunk, sides, nonempty):
@@ -605,9 +622,7 @@ def loop_chains(rng, bound, chunk, sides, nonempty):
 def _assert_rows_match(draw, rngs, bound, chunk, sides=1, nonempty=False):
     chains, redraws = snapped_arrivals(draw, len(rngs), bound, chunk, sides, nonempty)
     assert len(chains) == sides
-    for arrivals, _ in chains:
-        assert arrivals.dtype == (np.int64 if 0 <= bound <= 2**63 else object)
-    per_row = zip(*(split_rows(arrivals, counts) for arrivals, counts in chains))
+    per_row = zip(*(split_rows(numerators(cells, offs), counts) for cells, offs, counts in chains))
     for row, (got, rng) in enumerate(zip(per_row, rngs)):
         expected, expected_redraws = loop_chains(rng, bound, chunk, sides, nonempty)
         assert list(got) == expected, row
@@ -686,18 +701,19 @@ def test_a_row_gives_up_after_max_attempts():
     # at bound 1 and chunk 1 a gap of 3 is an empty side, and a gap of 1/2 then 3 fills one
     empty, filled = [3.0], [0.5, 3.0]
     last_chance = empty * (MAX_ATTEMPTS - 1) + filled
-    [(arrivals, counts)], redraws = snapped_arrivals(
+    [(cells, offs, counts)], redraws = snapped_arrivals(
         scripted_draw([filled, last_chance]), 2, D, 1, nonempty=True
     )
     assert redraws.tolist() == [0, MAX_ATTEMPTS - 1]
-    assert split_rows(arrivals, counts) == [[D // 2], [D // 2]]
+    assert split_rows(numerators(cells, offs), counts) == [[D // 2], [D // 2]]
     with pytest.raises(InsufficientDataError):
         snapped_arrivals(scripted_draw([empty + last_chance]), 1, D, 1, nonempty=True)
 
 
-@pytest.mark.parametrize("half_width", [1, 50, 1022, 1023, 1024, 1025])
+@pytest.mark.parametrize("half_width", [1, 50, 1022, 1023, 1024, 1025, 5000])
 def test_snapped_arrivals_match_the_loop_on_pcg64(half_width):
-    # the joining sampler's draws, and the same on streams that must redraw
+    # the joining sampler's draws, and the same on streams that must redraw;
+    # at half-width 5000 the uint64 sums of the gaps' 53-bit parts wrap
     streams = np.arange(4)
     rngs = [make_rng(11, stream) for stream in streams]
     draw = keyed_draw(11, streams)
