@@ -41,6 +41,7 @@ from .errors import InsufficientDataError
 from .joining import verify_joining
 from .ratio import format_lattice
 from .suites import CENSOR_THRESHOLD, run_poisson_suite, run_suspension_suite
+from .suspension import MAX_WALK_DEPTH
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -256,8 +257,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError("--samples must be at least 1")
     if seed < 0:
         raise UsageError("--seed must be nonnegative")
-    if opts["n_max"] < 1:
-        raise UsageError("--n-max must be at least 1")
+    if not 1 <= opts["n_max"] <= MAX_WALK_DEPTH:
+        raise UsageError(f"--n-max must be between 1 and {MAX_WALK_DEPTH}")
     if opts["p_max"] < 1:
         raise UsageError("--p-max must be at least 1")
     if opts["workers"] < 1:
@@ -340,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--alpha", type=float, help=f"test level (default {VERIFY_OPTIONS['alpha']})")
     v.add_argument("--window", help="sampling window size (suite-specific default)")
     v.add_argument("--n-max", dest="n_max", type=int,
-                   help=f"construction depth (default {VERIFY_OPTIONS['n_max']})")
+                   help=f"construction depth, 1 to {MAX_WALK_DEPTH} (default {VERIFY_OPTIONS['n_max']})")
     v.add_argument("--p-max", dest="p_max", type=int,
                    help=f"step budget (default {VERIFY_OPTIONS['p_max']})")
     v.add_argument("--k", help=f"comma-separated prefix sizes (default {VERIFY_OPTIONS['k']})")

@@ -40,9 +40,9 @@ offsets in the cell; a first-family atom at t(n) falls in the interval
 cells and a window mask.  The two exact checks stay independent:
 ``transport`` keeps the slots of the atoms that survive the shift and
 climbs copied sources by the first family's cocycle, a fresh count
-couples the advanced pair, and ``marks_differ`` compares the two slot by
-slot; rank tracking compares index plus cocycle with the advanced
-configurations.  Blocks are small and fixed so that peak memory does not
+couples the advanced pair, and ``marks_differ`` compares the two per
+sample, by slot counts, then slot by slot; rank tracking compares index
+plus cocycle with the advanced configurations.  Blocks are small and fixed so that peak memory does not
 grow with the sample count (64 samples at W = 50 hold about 1 MB of
 arrays).  The four single-pair entry points (``_sample_biconfig_counted``,
 ``couple_marks``, ``advance_joint``, ``rank_tracking_consistent``) remain
@@ -182,9 +182,9 @@ def rank_tracking_failures(
 class Marks:
     """Marks and provenance of a block of coupled pairs, on the families' slots.
 
-    ``marks1`` has one entry per flat slot of the first family, the other
-    four one per flat slot of the second; a slot's sample and two-sided
-    index are those its ``Family`` gives it.  Marks are symbols in
+    ``marks1`` and ``owner1`` have one entry per flat slot of the first
+    family, the other five one per flat slot of the second; ``owner*`` name
+    a slot's sample, its ``Family`` its two-sided index.  Marks are symbols in
     [0, alphabet).  ``decided`` is false only on each configuration's top
     atom, whose interval lacks a successor atom in the window; such a slot
     holds mark 0, not copied, source 0.  A decided mark with ``copied2``
@@ -197,6 +197,8 @@ class Marks:
     marks2: np.ndarray
     copied2: np.ndarray
     source2: np.ndarray
+    owner1: np.ndarray
+    owner2: np.ndarray
 
 
 def couple_block(
@@ -243,7 +245,7 @@ def couple_block(
     states2 = stream.prefix_states(samples, 2)[owner2[fresh]]
     marks2[fresh] = keyed_symbols(states2, family2.ids[fresh], alphabet)
     source2 = np.where(copied, first - family1.base[owner2], 0)
-    return Marks(marks1, decided, marks2, copied, source2)
+    return Marks(marks1, decided, marks2, copied, source2, family1.owner, owner2)
 
 
 def transport(marks: Marks, family1: Family, family2: Family, c1: np.ndarray) -> Marks:
@@ -268,17 +270,19 @@ def transport(marks: Marks, family1: Family, family2: Family, c1: np.ndarray) ->
         marks2=np.where(decided, marks.marks2, 0)[stays],
         copied2=copied2[stays],
         source2=np.where(copied2, marks.source2 + c1[family2.owner], 0)[stays],
+        owner1=family1.owner[kept1], owner2=family2.owner[stays],
     )
 
 
-def marks_differ(a: Marks, b: Marks, family1: Family, family2: Family) -> np.ndarray:
-    """Per sample, whether ``a`` and ``b``, both on these families' slots, differ."""
-    if (a.marks1.size, a.decided.size) != (b.marks1.size, b.decided.size):
-        raise ValueError("the two marks are not on the same slots")  # numpy would broadcast
-    bad = np.zeros(family1.n, dtype=bool)
-    bad[family1.owner[a.marks1 != b.marks1]] = True
-    for name in ("decided", "marks2", "copied2", "source2"):
-        bad[family2.owner[getattr(a, name) != getattr(b, name)]] = True
+def marks_differ(a: Marks, b: Marks, n: int) -> np.ndarray:
+    """Per sample of n: are ``a`` and ``b`` on unequal numbers of its slots, or unequal on one?"""
+    bad = np.zeros(n, dtype=bool)
+    for x, y in [(a.owner1, b.owner1), (a.owner2, b.owner2)]:
+        bad |= np.bincount(x, minlength=n) != np.bincount(y, minlength=n)
+    for name in ("marks1", "decided", "marks2", "copied2", "source2"):
+        x, y = (a.owner1, b.owner1) if name == "marks1" else (a.owner2, b.owner2)
+        at_x, at_y = ~bad[x], ~bad[y]  # the slots of samples held on equally many slots
+        bad[y[at_y][getattr(a, name)[at_x] != getattr(b, name)[at_y]]] = True
     return bad
 
 
@@ -347,7 +351,7 @@ def collect_joining(start: int, stop: int, half_width: int, seed: int, alphabet:
     moved = transport(marks, family1, family2, c1)
     del family1, family2, marks, kept1, kept2  # lower the block's peak memory
     recoupled = couple_block(advanced1, advanced2, alphabet, seed, samples)
-    differ = marks_differ(moved, recoupled, advanced1, advanced2)
+    differ = marks_differ(moved, recoupled, samples.size)
     tally["equivariance_failures"] = int(np.count_nonzero(differ))
     return tally
 

@@ -32,9 +32,11 @@ positions.  The array one, ``walk_orbits``, moves a whole block in that
 flat form in the coordinates of the deepest tower N: an atom is a
 level and an offset, a step adds one to every level, and
 ``TowerCoords.descend`` turns levels into positions and level-function
-values by the rank-one digit rule.  Its keys and levels are int64 while
-h_N * (atoms + 1) < 2**63, and Python ints beyond.  The scalar engine is
-the array engine's oracle in the tests.
+values by the rank-one digit rule.  Atoms rank by their level's position
+alone, atoms on one level in offset order.  Its levels and keys are
+int64 at every depth it takes: up to ``MAX_WALK_DEPTH`` = 25, the last
+whose height is below 2**63, with no walked level past the top.  The scalar
+engine is the array engine's oracle in the tests.
 
 Whole-configuration censoring: the tower map is partial (depth-bounded),
 so the first atom to run off the top censors the entire configuration,
@@ -505,6 +507,8 @@ ZERO, BASE = 0, 1
 FIRST_CHUNK = 8
 MAX_CHUNK = 512
 MAX_CELLS = 1 << 17
+# the deepest tower the walk takes, so that its levels and keys are int64: h_25 < 2**63 < h_26
+MAX_WALK_DEPTH = 25
 
 
 class TowerCoords:
@@ -540,25 +544,19 @@ class TowerCoords:
         self.values = np.array(rows, dtype=np.int64).reshape(len(rows), spec.group.rank)
 
     def descend(self, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(posrank, value row) of every level, in the dtype of ``levels``."""
+        """(posrank, value row) of every level."""
         k = levels.ravel()
         posrank = np.empty_like(k)
         value = np.full(k.shape, BASE, dtype=np.intp)
-        at = np.arange(k.size)
-        lo = np.zeros_like(k)
+        at, lo = np.arange(k.size), np.zeros_like(k)
         for h, scale, first in self.stages:
-            # 0-d arrays of the levels' dtype: numpy wraps or refuses Python ints past int64
-            h, scale = np.array(h, dtype=levels.dtype), np.array(scale, dtype=levels.dtype)
             right = k > 3 * h
             stop = right | (k == 2 * h)
             if stop.any():
                 ks, rs = k[stop], right[stop]
                 # right spacer j = k - 3h starts at mark + j*w = k*w, the middle one at mark = 3h*w
                 posrank[at[stop]] = lo[stop] + np.where(rs, ks, 3 * h) * scale
-                if first is None:
-                    value[at[stop]] = ZERO
-                else:
-                    value[at[stop]] = (np.where(rs, ks - 3 * h, 0) + first).astype(np.intp)
+                value[at[stop]] = ZERO if first is None else np.where(rs, ks - 3 * h, 0) + first
                 go = ~stop
                 k, lo, at = k[go], lo[go], at[go]
             # left third: k stays; middle third: k - h, w up; right third: k - 2h - 1, 2w up
@@ -573,7 +571,8 @@ def fixed_prefixes(keys: np.ndarray) -> np.ndarray:
     """Entry i on the last axis: do keys 0..i rank first, in order, in their row?
 
     That holds when each of them is the least key from its own on, so the
-    answer is one suffix minimum and one running ``and``.
+    answer is one suffix minimum and one running ``and``.  Equal keys are
+    only ever atoms on one level, already in offset order.
     """
     least_after = np.minimum.accumulate(keys[..., ::-1], axis=-1)[..., ::-1]
     return np.logical_and.accumulate(keys == least_after, axis=-1)
@@ -595,11 +594,12 @@ def walk_orbits(
     coordinates per flat atom.  For each configuration, ``wants`` names
     the k whose prefix-fixing return time to find in 1..p_max.  A
     configuration's atoms are (level, offset) pairs in tower N.  At step p
-    they rank by the key posrank(level + p) * atoms + offset rank, so ranks
-    1..k are fixed when each of the first k keys is the least from its own
-    on.  Marks are the start marks plus cumulative sums of the level
-    function, mod the group.
-    An atom on level k can take h_N - 1 - k steps.  A configuration leaves
+    they rank by the key posrank(level + p) alone, in a stable sort: atoms
+    on one level stay on one level, in offset order.  Ranks 1..k are fixed
+    when each of the first k keys is the least from its own on.  Marks are
+    the start marks plus cumulative sums of the level function, mod the
+    group.  An atom on level k can take h_N - 1 - k steps; step p reads
+    level min(k, h_N - 1 - p) + p, so no level passes h_N - 1.  A configuration leaves
     the walk once every k has returned (or p_max has passed) and
     ``mark_steps`` has passed, or when its atoms reach the top.
 
@@ -613,13 +613,10 @@ def walk_orbits(
     n = counts.size
     width = max(int(counts.max(initial=0)), 1)
     height = tower.height
-    # keys stay below height * width and walked levels below 2 * height;
-    # beyond int64 the arrays hold Python ints
-    dtype = np.int64 if height * (width + 1) < 2**63 else object
     # every atom's (configuration, rank) cell; padding sits on level 0 past every offset
     cell = np.repeat(np.arange(n), counts), atom_ranks(counts)
     located = [chacon.locate(tower.system, x, tower.system.n_max) for x in positions]
-    levels = np.zeros((n, width), dtype=dtype)
+    levels = np.zeros((n, width), dtype=np.int64)
     levels[cell] = [level - 1 for level, _ in located]  # locate counts levels from 1
     offsets = np.full((n, width), tower.width, dtype=np.int64)
     offsets[cell] = [offset for _, offset in located]
@@ -628,7 +625,6 @@ def walk_orbits(
     # no walk outlasts h_N steps, so an empty configuration gets h_N
     steps_left = np.where(counts > 0, height - 1 - levels.max(axis=1), height)
     padded = offsets == tower.width
-    offset_rank = np.argsort(np.argsort(offsets, axis=1, kind="stable"), axis=1)
     limit = np.minimum(steps_left, min(p_max, height))
     ks = sorted(set().union(*wants))
     want = np.array([[k in w for k in ks] for w in wants], dtype=bool).reshape(len(wants), len(ks))
@@ -639,17 +635,15 @@ def walk_orbits(
     reached = ~walks_marks | (mark_need == mark_steps)
     at_marks = marks.copy()
 
-    sentinel = height * width  # above every key; padding never ranks
     active = np.flatnonzero((want.any(axis=1) & (limit > 0)) | (mark_need > 0))
     done, chunk = 0, FIRST_CHUNK
     while active.size:
         need = np.maximum(np.where(want[active].any(axis=1), limit[active], 0), mark_need[active])
         steps = min(chunk, int(need.max()) - done, max(1, MAX_CELLS // (active.size * width)))
-        grid = levels[active][:, None, :] + np.arange(done, done + steps + 1)[None, :, None]
-        np.minimum(grid, height - 1, out=grid)  # levels past the top are never read
-        posrank, value = tower.descend(grid)
-        keys = posrank[:, 1:] * width + offset_rank[active][:, None, :]
-        keys = np.where(padded[active][:, None, :], sentinel, keys)
+        p = np.arange(done, done + steps + 1)[None, :, None]
+        # level + p, held below the top: levels past it are never read
+        posrank, value = tower.descend(np.minimum(levels[active][:, None, :], height - 1 - p) + p)
+        keys = np.where(padded[active][:, None, :], height, posrank[:, 1:])  # padding ranks last
         fixed = fixed_prefixes(keys)
         # marks after steps done + 1 .. done + steps: sums of the values left behind
         cum = np.cumsum(tower.values[value[:, :-1]], axis=1)
@@ -663,7 +657,7 @@ def walk_orbits(
             first = hit.argmax(axis=1)
             for a in np.flatnonzero(hit[np.arange(active.size), first]):
                 s, j = active[a], first[a]
-                order = np.argsort(keys[a, j, : counts[s]])
+                order = np.argsort(keys[a, j, : counts[s]], kind="stable")
                 ranked = zip(posrank[a, j + 1, order].tolist(), offsets[s, order].tolist())
                 moved = tuple(r * tower.width + o for r, o in ranked)
                 k_marks = tuple(map(tuple, cum[a, j, order[:k]].tolist()))
@@ -672,7 +666,7 @@ def walk_orbits(
         if done < mark_steps <= done + steps:
             j = mark_steps - done - 1
             read = np.flatnonzero(mark_need[active] == mark_steps)
-            order = np.argsort(keys[read, j], axis=1)[..., None]  # padding ranks last
+            order = np.argsort(keys[read, j], axis=1, kind="stable")[..., None]
             at_marks[active[read]] = np.take_along_axis(cum[read, j], order, axis=1)
         marks[active] = cum[:, -1]
         done += steps

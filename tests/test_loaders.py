@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from chaconlab import cli, joining, suites
 from chaconlab.cli import EXIT_USAGE, FILE_TYPES, UsageError, main
+from chaconlab.suspension import MAX_WALK_DEPTH
 
 json_scalars = st.one_of(
     st.none(),
@@ -302,15 +303,27 @@ def test_p_max_below_one_exits_2(scratch, p_max):
 
 
 @pytest.mark.parametrize("suite", ["poisson", "suspension", "joining", "all"])
-@pytest.mark.parametrize("n_max", [0, -3, -10**30])
-def test_n_max_below_one_exits_2_before_any_suite_runs(scratch, monkeypatch, suite, n_max):
+@pytest.mark.parametrize("n_max", [0, -3, -10**30, MAX_WALK_DEPTH + 1, 10**30])
+def test_n_max_outside_the_bound_exits_2_before_any_suite_runs(scratch, monkeypatch, suite, n_max):
     # once accepted: joining and poisson exited 0 with n_max -3 or 0 in the
-    # report, and suspension failed only inside tower_heights
+    # report, and suspension failed only inside tower_heights; past depth 25
+    # the walk's levels leave int64
     monkeypatch.setattr(suites, "fan_out", refuse_to_sample)
     monkeypatch.setattr(joining, "fan_out", refuse_to_sample)
-    assert "--n-max" in exits_with_usage(["verify", suite, "--n-max", str(n_max)])
     path = write(scratch / "run.json", json.dumps({"n_max": n_max}).encode())
-    assert "--n-max" in exits_with_usage(["verify", suite, "--config", path])
+    for argv in (["--n-max", str(n_max)], ["--config", path]):
+        message = exits_with_usage(["verify", suite, *argv])
+        assert "--n-max" in message and str(MAX_WALK_DEPTH) in message
+
+
+@pytest.mark.parametrize("suite", ["poisson", "suspension", "joining", "all"])
+def test_n_max_at_the_bound_reaches_the_suite(scratch, monkeypatch, suite):
+    monkeypatch.setattr(suites, "fan_out", refuse_to_sample)
+    monkeypatch.setattr(joining, "fan_out", refuse_to_sample)
+    path = write(scratch / "run.json", json.dumps({"n_max": MAX_WALK_DEPTH}).encode())
+    for argv in (["--n-max", str(MAX_WALK_DEPTH)], ["--config", path]):
+        with pytest.raises(Sampled):
+            main(["verify", suite, *argv])
 
 
 @pytest.mark.parametrize("workers", [0, -3, -10**30])

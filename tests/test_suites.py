@@ -19,7 +19,7 @@ from chaconlab.suites import (
     run_poisson_suite,
     run_suspension_suite,
 )
-from chaconlab.suspension import SNAP_DENOM, RankPermutation
+from chaconlab.suspension import MAX_WALK_DEPTH, SNAP_DENOM, RankPermutation
 from oracles import empty_first_family, four_walk_suspension, loop_collect_poisson
 
 POISSON_TESTS = {
@@ -248,9 +248,10 @@ def test_collect_poisson_allows_a_position_shared_across_pairs(monkeypatch):
     assert collect_poisson(0, 2, 0, 30, 10)["sup_counts"] == [2, 2]
 
 
-def test_wide_poisson_and_joining_blocks_hold_no_object_arrays():
-    # at window 1100 the bound passes 2**63 lattice units; every array that a
-    # chaconlab function holds or returns on the way is still fixed-width
+def test_wide_blocks_and_the_deepest_walk_hold_no_object_arrays():
+    # at window 1100 the bound passes 2**63 lattice units, and at depth 25 the
+    # height times the atom count does; every array that a chaconlab function
+    # holds or returns on the way is still fixed-width
     dtypes = set()
 
     def watch(frame, event, arg):
@@ -264,6 +265,9 @@ def test_wide_poisson_and_joining_blocks_hold_no_object_arrays():
     try:
         collect_poisson(0, 2, 5, 1100, 10)
         collect_joining(0, 2, 1100, 5, 2)
+        collect_suspension(
+            0, 2, 5, MAX_WALK_DEPTH, 300, Fraction(4), (1, 2), single_spacer_indicator(1), 3
+        )
     finally:
         sys.setprofile(None)
     assert np.dtype(np.int64) in dtypes and np.dtype(object) not in dtypes

@@ -7,7 +7,6 @@ on constructed configurations; and ``collect_suspension`` against
 ``oracles.four_walk_suspension`` on identical samples.
 """
 
-import random
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -19,7 +18,14 @@ from hypothesis import strategies as st
 from chaconlab.chacon import _level_lo
 from chaconlab.cocycle import eval_phi
 from chaconlab.suites import collect_suspension
-from chaconlab.suspension import Atom, PointConfig, TowerCoords, fixed_prefixes, walk_orbits
+from chaconlab.suspension import (
+    MAX_WALK_DEPTH,
+    Atom,
+    PointConfig,
+    TowerCoords,
+    fixed_prefixes,
+    walk_orbits,
+)
 from conftest import cached_system, varied_spec
 from oracles import four_walk_suspension, scalar_walk
 
@@ -46,32 +52,34 @@ def test_descend_matches_the_digit_rule_on_every_level(n_max):
     assert tower.values[value].tolist() == want_values
 
 
-# from depth 26 on the top levels pass 2**63, so levels are Python ints
-@pytest.mark.parametrize("n_max", [12, 16, 24, 26, 27, 40])
+# at depth 25, the deepest the walk takes, the top level is within 2**63 of 0
+@pytest.mark.parametrize("n_max", [12, 16, 24, MAX_WALK_DEPTH])
 def test_descend_matches_the_digit_rule_on_sampled_levels(n_max):
     system = cached_system(n_max)
     tower = TowerCoords(system, SPEC)
     h = system.heights[-1]
-    if h < 2**63:
-        dtypes, drawn = (np.int64, object), np.random.default_rng(n_max).integers(0, h, 400)
-    else:
-        rng = random.Random(n_max)
-        dtypes, drawn = (object,), np.array([rng.randrange(h) for _ in range(400)])
+    drawn = np.random.default_rng(n_max).integers(0, h, 400)
     # every stage's edges: its thirds, its middle spacer, its first and last right spacers
     edges = {e for g in system.heights[:-1] for e in (g - 1, g, 2 * g, 2 * g + 1, 3 * g, 3 * g + 1)}
     levels = sorted({0, 1, h - 2, h - 1, *edges, *drawn.tolist()})
     want_rank, want_values = scalar_levels(system, levels)
-    for dtype in dtypes:
-        posrank, value = tower.descend(np.array(levels, dtype=dtype))
-        assert posrank.dtype == np.dtype(dtype)
-        assert posrank.tolist() == want_rank
-        assert tower.values[value].tolist() == want_values
+    posrank, value = tower.descend(np.array(levels, dtype=np.int64))
+    assert posrank.dtype == np.int64
+    assert posrank.tolist() == want_rank
+    assert tower.values[value].tolist() == want_values
 
 
-@given(st.lists(st.integers(-50, 50), unique=True, max_size=8), st.booleans())
-def test_fixed_prefixes_is_the_rank_order(keys, as_objects):
-    got = fixed_prefixes(np.array(keys, dtype=object if as_objects else np.int64))
-    ranks = np.argsort(keys)
+def test_the_walk_depth_bound_is_the_last_height_within_int64():
+    # `verify` refuses a deeper --n-max; one level more and the top passes 2**63
+    heights = cached_system(MAX_WALK_DEPTH + 1).heights
+    assert heights[MAX_WALK_DEPTH - 1] < 2**63 <= heights[MAX_WALK_DEPTH]
+
+
+# repeated keys are atoms on one level, which the walk keeps in offset order
+@given(st.lists(st.integers(-5, 5), max_size=8))
+def test_fixed_prefixes_is_the_rank_order(keys):
+    got = fixed_prefixes(np.array(keys, dtype=np.int64))
+    ranks = np.argsort(keys, kind="stable")
     assert got.tolist() == [bool((ranks[: i + 1] == np.arange(i + 1)).all()) for i in range(len(keys))]
 
 
@@ -191,9 +199,10 @@ def test_walk_orders_atoms_on_one_level_by_offset(n_max, level):
     assert walk.returns
 
 
-def test_walk_keys_past_int64_use_python_ints():
-    # at depth 24 eight atoms put height * (atoms + 1) past 2**63
-    system = cached_system(24)
+def test_walk_at_the_deepest_tower_stays_int64():
+    # eight atoms at depth 25, where the top level is within 2**63 of 0 and
+    # the height times the atom count is not
+    system = cached_system(MAX_WALK_DEPTH)
     assert system.heights[-1] * 9 >= 2**63
     w = system.widths[-1]
     atoms = [(5 + 3 * i, i * (w // 9)) for i in range(8)]
@@ -207,10 +216,8 @@ def test_walk_keys_past_int64_use_python_ints():
 @example(n_max=8, k_values=(1, 2), p_max=10_000, mark_steps=3, window=Fraction(4), seed=3)
 @example(n_max=2, k_values=(0, 1, 2, 3), p_max=1, mark_steps=0, window=Fraction(2), seed=0)
 @example(n_max=5, k_values=(0, 3), p_max=2, mark_steps=40, window=Fraction(4), seed=1)
-# the walk's levels are Python ints from depth 26, where 2h + 1 of its second-deepest
-# tower first passes 2**63, and at 27 that tower's height passes 2**64
-@example(n_max=26, k_values=(1, 2), p_max=500, mark_steps=3, window=Fraction(4), seed=3)
-@example(n_max=27, k_values=(1, 2), p_max=500, mark_steps=3, window=Fraction(4), seed=3)
+# the deepest tower the walk takes, whose top level is within 2**63 of 0
+@example(n_max=25, k_values=(1, 2), p_max=500, mark_steps=3, window=Fraction(4), seed=3)
 @given(
     n_max=st.integers(2, 8),
     k_values=st.sets(st.integers(0, 3), min_size=1).map(sorted).map(tuple),
