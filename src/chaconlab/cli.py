@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--alpha", type=float, help=f"test level (default {VERIFY_OPTIONS['alpha']})")
     v.add_argument("--window", help="sampling window size (suite-specific default)")
     v.add_argument("--n-max", dest="n_max", type=int,
-                   help=f"construction depth, 1 to {MAX_WALK_DEPTH} (default {VERIFY_OPTIONS['n_max']})")
+                   help=f"construction depth (default {VERIFY_OPTIONS['n_max']})")
     v.add_argument("--p-max", dest="p_max", type=int,
                    help=f"step budget (default {VERIFY_OPTIONS['p_max']})")
     v.add_argument("--k", help=f"comma-separated prefix sizes (default {VERIFY_OPTIONS['k']})")

@@ -34,9 +34,9 @@ level and an offset, a step adds one to every level, and
 ``TowerCoords.descend`` turns levels into positions and level-function
 values by the rank-one digit rule.  Atoms rank by their level's position
 alone, atoms on one level in offset order.  Its levels and keys are
-int64 at every depth it takes: up to ``MAX_WALK_DEPTH`` = 25, the last
-whose height is below 2**63, with no walked level past the top.  The scalar
-engine is the array engine's oracle in the tests.
+int64 at every depth it takes, up to ``MAX_WALK_DEPTH`` = 25, the last
+whose height is below 2**63, and no walked level passes the top.  The
+scalar engine is the array engine's oracle in the tests.
 
 Whole-configuration censoring: the tower map is partial (depth-bounded),
 so the first atom to run off the top censors the entire configuration,
@@ -507,7 +507,7 @@ ZERO, BASE = 0, 1
 FIRST_CHUNK = 8
 MAX_CHUNK = 512
 MAX_CELLS = 1 << 17
-# the deepest tower the walk takes, so that its levels and keys are int64: h_25 < 2**63 < h_26
+# the deepest tower the walk takes: its levels and keys stay int64, as h_25 < 2**63 < h_26
 MAX_WALK_DEPTH = 25
 
 
@@ -599,9 +599,9 @@ def walk_orbits(
     when each of the first k keys is the least from its own on.  Marks are
     the start marks plus cumulative sums of the level function, mod the
     group.  An atom on level k can take h_N - 1 - k steps; step p reads
-    level min(k, h_N - 1 - p) + p, so no level passes h_N - 1.  A configuration leaves
-    the walk once every k has returned (or p_max has passed) and
-    ``mark_steps`` has passed, or when its atoms reach the top.
+    level min(k, h_N - 1 - p) + p, so no level passes h_N - 1.  A
+    configuration leaves the walk once every k has returned (or p_max has
+    passed) and ``mark_steps`` has passed, or when its atoms reach the top.
 
     Returns (returns, marks, reached).  ``returns[s]`` maps each wanted k
     that returned to (prefix-fixing return time, positions in rank order

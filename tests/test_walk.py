@@ -216,6 +216,8 @@ def test_walk_at_the_deepest_tower_stays_int64():
 @example(n_max=8, k_values=(1, 2), p_max=10_000, mark_steps=3, window=Fraction(4), seed=3)
 @example(n_max=2, k_values=(0, 1, 2, 3), p_max=1, mark_steps=0, window=Fraction(2), seed=0)
 @example(n_max=5, k_values=(0, 3), p_max=2, mark_steps=40, window=Fraction(4), seed=1)
+# a block that walks a configuration past its top while another needs more steps
+@example(n_max=2, k_values=(0, 2, 3), p_max=1, mark_steps=3, window=Fraction(4), seed=116988)
 # the deepest tower the walk takes, whose top level is within 2**63 of 0
 @example(n_max=25, k_values=(1, 2), p_max=500, mark_steps=3, window=Fraction(4), seed=3)
 @given(
