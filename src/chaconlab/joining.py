@@ -40,11 +40,11 @@ offsets in the cell; a first-family atom at t(n) falls in the interval
 cells and a window mask.  The two exact checks stay independent:
 ``transport`` keeps the slots of the atoms that survive the shift and
 climbs copied sources by the first family's cocycle, a fresh count
-couples the advanced pair, and ``marks_differ`` compares the two per
-sample, by slot counts, then slot by slot; rank tracking compares index
-plus cocycle with the advanced configurations.  Blocks are small and fixed so that peak memory does not
-grow with the sample count (64 samples at W = 50 hold about 1 MB of
-arrays).  The four single-pair entry points (``_sample_biconfig_counted``,
+couples the advanced pair, and ``marks_differ`` compares the two, slot
+counts first; rank tracking compares index plus cocycle with the
+advanced configurations.  Blocks are small and fixed so that peak memory
+does not grow with the sample count (64 samples at W = 50 hold about 1 MB
+of arrays).  The four single-pair entry points (``_sample_biconfig_counted``,
 ``couple_marks``, ``advance_joint``, ``rank_tracking_consistent``) remain
 only as the names the benchmark's tracer wraps; each calls the kernel on
 a one-sample family.
@@ -277,12 +277,13 @@ def transport(marks: Marks, family1: Family, family2: Family, c1: np.ndarray) ->
 def marks_differ(a: Marks, b: Marks, n: int) -> np.ndarray:
     """Per sample of n: are ``a`` and ``b`` on unequal numbers of its slots, or unequal on one?"""
     bad = np.zeros(n, dtype=bool)
-    for x, y in [(a.owner1, b.owner1), (a.owner2, b.owner2)]:
-        bad |= np.bincount(x, minlength=n) != np.bincount(y, minlength=n)
     for name in ("marks1", "decided", "marks2", "copied2", "source2"):
         x, y = (a.owner1, b.owner1) if name == "marks1" else (a.owner2, b.owner2)
-        at_x, at_y = ~bad[x], ~bad[y]  # the slots of samples held on equally many slots
-        bad[y[at_y][getattr(a, name)[at_x] != getattr(b, name)[at_y]]] = True
+        va, vb = getattr(a, name), getattr(b, name)
+        if not np.array_equal(x, y):  # owners ascend: keep the samples held on equally many slots
+            bad |= np.bincount(x, minlength=n) != np.bincount(y, minlength=n)
+            va, vb, y = va[~bad[x]], vb[~bad[y]], y[~bad[y]]
+        bad[y[va != vb]] = True
     return bad
 
 

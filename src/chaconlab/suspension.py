@@ -32,11 +32,10 @@ positions.  The array one, ``walk_orbits``, moves a whole block in that
 flat form in the coordinates of the deepest tower N: an atom is a
 level and an offset, a step adds one to every level, and
 ``TowerCoords.descend`` turns levels into positions and level-function
-values by the rank-one digit rule.  Atoms rank by their level's position
-alone, atoms on one level in offset order.  Its levels and keys are
-int64 at every depth it takes, up to ``MAX_WALK_DEPTH`` = 25, the last
-whose height is below 2**63, and no walked level passes the top.  The
-scalar engine is the array engine's oracle in the tests.
+values by the rank-one digit rule.  Atoms rank by their level alone,
+atoms on one level in offset order, and levels and keys are int64 at
+every depth the walk takes (up to ``MAX_WALK_DEPTH``, h_25 < 2**63).
+The scalar engine is the array engine's oracle in the tests.
 
 Whole-configuration censoring: the tower map is partial (depth-bounded),
 so the first atom to run off the top censors the entire configuration,
