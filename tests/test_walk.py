@@ -52,7 +52,7 @@ def test_descend_matches_the_digit_rule_on_every_level(n_max):
     assert tower.values[value].tolist() == want_values
 
 
-# at depth 25, the deepest the walk takes, the top level is within 2**63 of 0
+# at depth 25, the deepest the walk takes, the height is still below 2**63
 @pytest.mark.parametrize("n_max", [12, 16, 24, MAX_WALK_DEPTH])
 def test_descend_matches_the_digit_rule_on_sampled_levels(n_max):
     system = cached_system(n_max)
@@ -70,7 +70,7 @@ def test_descend_matches_the_digit_rule_on_sampled_levels(n_max):
 
 
 def test_the_walk_depth_bound_is_the_last_height_within_int64():
-    # `verify` refuses a deeper --n-max; one level more and the top passes 2**63
+    # `verify` refuses a deeper --n-max; one depth more and the height passes 2**63
     heights = cached_system(MAX_WALK_DEPTH + 1).heights
     assert heights[MAX_WALK_DEPTH - 1] < 2**63 <= heights[MAX_WALK_DEPTH]
 
@@ -200,7 +200,7 @@ def test_walk_orders_atoms_on_one_level_by_offset(n_max, level):
 
 
 def test_walk_at_the_deepest_tower_stays_int64():
-    # eight atoms at depth 25, where the top level is within 2**63 of 0 and
+    # eight atoms at depth 25, where the height is below 2**63 and
     # the height times the atom count is not
     system = cached_system(MAX_WALK_DEPTH)
     assert system.heights[-1] * 9 >= 2**63
@@ -218,7 +218,7 @@ def test_walk_at_the_deepest_tower_stays_int64():
 @example(n_max=5, k_values=(0, 3), p_max=2, mark_steps=40, window=Fraction(4), seed=1)
 # a block that walks a configuration past its top while another needs more steps
 @example(n_max=2, k_values=(0, 2, 3), p_max=1, mark_steps=3, window=Fraction(4), seed=116988)
-# the deepest tower the walk takes, whose top level is within 2**63 of 0
+# the deepest tower the walk takes, whose height is below 2**63
 @example(n_max=25, k_values=(1, 2), p_max=500, mark_steps=3, window=Fraction(4), seed=3)
 @given(
     n_max=st.integers(2, 8),
