@@ -277,13 +277,17 @@ def transport(marks: Marks, family1: Family, family2: Family, c1: np.ndarray) ->
 def marks_differ(a: Marks, b: Marks, n: int) -> np.ndarray:
     """Per sample of n: are ``a`` and ``b`` on unequal numbers of its slots, or unequal on one?"""
     bad = np.zeros(n, dtype=bool)
+    sides = []  # per side: the slots of a and of b compared, and their samples
+    for x, y in ((a.owner1, b.owner1), (a.owner2, b.owner2)):
+        if np.array_equal(x, y):
+            sides.append((slice(None), slice(None), y))
+        else:  # owners ascend: keep the samples held on equally many slots
+            uneven = np.bincount(x, minlength=n) != np.bincount(y, minlength=n)
+            bad |= uneven
+            sides.append((~uneven[x], ~uneven[y], y[~uneven[y]]))
     for name in ("marks1", "decided", "marks2", "copied2", "source2"):
-        x, y = (a.owner1, b.owner1) if name == "marks1" else (a.owner2, b.owner2)
-        va, vb = getattr(a, name), getattr(b, name)
-        if not np.array_equal(x, y):  # owners ascend: keep the samples held on equally many slots
-            bad |= np.bincount(x, minlength=n) != np.bincount(y, minlength=n)
-            va, vb, y = va[~bad[x]], vb[~bad[y]], y[~bad[y]]
-        bad[y[va != vb]] = True
+        slots_a, slots_b, owners = sides[name != "marks1"]
+        bad[owners[getattr(a, name)[slots_a] != getattr(b, name)[slots_b]]] = True
     return bad
 
 

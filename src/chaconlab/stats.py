@@ -30,17 +30,82 @@ it, through the same scipy.special function (chdtrc, kolmogorov, pdtr,
 pdtrik, ndtr), without importing that module, which takes about a
 second. tests/test_stats.py checks on generated inputs that statistic
 and p-value are bit-identical to SciPy's.
+
+The functions come straight from scipy's compiled ``scipy.special._ufuncs``
+extension, loaded at import from its file under scipy's ``special``
+directory (the name that ``importlib.machinery.EXTENSION_SUFFIXES`` gives
+it) while a bare ``scipy.special`` package module stands in
+``sys.modules``; the stand-in is removed afterwards.  The ``scipy.special``
+package import itself costs more than half of the CLI's start-up, almost
+all of it in array-API support no function here uses.  The extension stays
+registered as ``scipy.special._ufuncs``, so a later ``from scipy import
+special`` reuses it and gives the very same ufunc objects.  When
+``scipy.special`` is already imported, it is used as it is; when any step of
+the direct load fails, ``from scipy import special`` is.  ``numpy.random``
+is imported here too: numpy loads it lazily, and the package import used to
+load it first, so without this every run, and every forked worker, would
+pay for it at its first draw.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import types
 
 import numpy as np
-from scipy import special
+import numpy.random  # noqa: F401  (numpy imports it lazily; see the module docstring)
 
 from .errors import InsufficientDataError
+
+
+def _load_ufuncs() -> types.ModuleType:
+    """scipy's ``scipy.special._ufuncs`` extension, loaded without the package's ``__init__``."""
+    import scipy
+
+    package = "scipy.special"
+    where = os.path.join(os.path.dirname(scipy.__file__), "special")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(where, "_ufuncs" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"no scipy.special._ufuncs extension in {where}")
+    stand_in = types.ModuleType(package)
+    stand_in.__path__ = [where]  # the extension's relative imports resolve in the real directory
+    sys.modules[package] = stand_in
+    try:
+        spec = importlib.util.spec_from_file_location(package + "._ufuncs", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[spec.name]
+            raise
+    finally:
+        if sys.modules.get(package) is stand_in:
+            del sys.modules[package]
+    return module
+
+
+def _special() -> types.ModuleType:
+    """The loaded ``scipy.special`` if any, else its ``_ufuncs``, else the package import."""
+    if "scipy.special" in sys.modules:
+        return sys.modules["scipy.special"]
+    try:
+        return _load_ufuncs()
+    except Exception:
+        from scipy import special
+
+        return special
+
+
+special = _special()
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -43,23 +44,88 @@ def report_digest(doc: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def _import_cli(code: str, **env_vars: str) -> str:
-    """Run code after a fresh `import chaconlab.cli`, with OPENBLAS_NUM_THREADS unset
-    unless given; return its stdout."""
+def _fresh_python(code: str, **env_vars: str) -> str:
+    """Run code in a fresh interpreter that finds chaconlab, with OPENBLAS_NUM_THREADS
+    unset unless given; return its stdout."""
     src = Path(chaconlab.__file__).resolve().parents[1]
     # this process imported chaconlab.cli, so its own environment holds the default
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env.update(PYTHONPATH=str(src), **env_vars)
     return subprocess.run(
-        [sys.executable, "-c", "import os, sys, chaconlab.cli; " + code],
-        env=env, capture_output=True, text=True, check=True,
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
     ).stdout.strip()
+
+
+def _import_cli(code: str, **env_vars: str) -> str:
+    """Run code after a fresh `import chaconlab.cli`; return its stdout."""
+    return _fresh_python("import os, sys, chaconlab.cli\n" + code, **env_vars)
+
+
+# the scipy.special functions chaconlab.stats calls
+SPECIAL_UFUNCS = ("chdtrc", "expm1", "gammaln", "kolmogorov", "ndtr", "pdtr", "pdtrik", "xlogy")
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     # importing scipy.stats takes about a second on every run; p-values need only scipy.special
     code = "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
     assert _import_cli(code) == "[]"
+
+
+def test_cli_import_loads_the_special_ufuncs_without_the_package():
+    # the scipy.special package import, through its array-API support, was more
+    # than half of the start-up; the package imported later shares the ufuncs
+    code = textwrap.dedent(f"""
+        print([m for m in ("scipy.special", "scipy._lib._array_api", "numpy.f2py", "numpy.random")
+               if m in sys.modules])
+        from chaconlab import stats
+        from scipy import special
+        print([n for n in {SPECIAL_UFUNCS!r} if getattr(special, n) is not getattr(stats.special, n)])
+    """)
+    assert _import_cli(code).splitlines() == ["['numpy.random']", "[]"]
+
+
+def test_cli_main_imports_no_numpy_or_scipy_module():
+    # numpy imports numpy.random lazily: a first draw inside main would pay
+    # for it in every run, and again in every forked worker
+    code = textwrap.dedent("""
+        import contextlib, io
+        before = set(sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["joining", "--samples", "100"], ["suspension", "--samples", "40"],
+                         ["poisson", "--samples", "200"]):
+                chaconlab.cli.main(["verify", *argv, "--workers", "1"])
+        print(sorted(m for m in set(sys.modules) - before if m.split(".")[0] in ("numpy", "scipy")))
+    """)
+    assert _import_cli(code) == "[]"
+
+
+@pytest.mark.parametrize("prelude, package", [
+    # the direct load fails: stats falls back to the package import
+    ("import importlib.util\n"
+     "def refuse(*args, **kwargs):\n"
+     "    raise ImportError('refused')\n"
+     "importlib.util.spec_from_file_location = refuse", "scipy.special"),
+    # scipy.special is already imported: stats reuses it
+    ("import scipy.special", "scipy.special"),
+    # the direct load, which the in-process pins miss once a test imported scipy.special
+    ("", "scipy.special._ufuncs"),
+], ids=["fallback", "reuse", "direct"])
+def test_stats_special_paths_keep_the_pinned_reports(prelude, package):
+    digests = {tuple(argv): digest for argv, digest in PINNED_SUITES}
+    runs = [("joining", "--samples", "100"), ("suspension", "--samples", "40")]
+    code = prelude + "\n" + textwrap.dedent(f"""
+        import contextlib, hashlib, io, json, sys
+        import chaconlab.cli
+        from chaconlab import stats
+        print(stats.special is sys.modules[{package!r}])
+        for argv in {runs!r}:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                chaconlab.cli.main(["verify", *argv])
+            text = json.dumps(json.loads(out.getvalue())["suites"], sort_keys=True)
+            print(hashlib.sha256(text.encode()).hexdigest())
+    """)
+    assert _fresh_python(code).splitlines() == ["True", *(digests[argv] for argv in runs)]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
