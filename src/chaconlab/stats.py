@@ -78,15 +78,15 @@ def _load_ufuncs() -> types.ModuleType:
     stand_in = types.ModuleType(package)
     stand_in.__path__ = [where]  # the extension's relative imports resolve in the real directory
     sys.modules[package] = stand_in
+    name = package + "._ufuncs"
     try:
-        spec = importlib.util.spec_from_file_location(package + "._ufuncs", path)
+        spec = importlib.util.spec_from_file_location(name, path)
         module = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = module
-        try:
-            spec.loader.exec_module(module)
-        except BaseException:
-            del sys.modules[spec.name]
-            raise
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    except BaseException:
+        sys.modules.pop(name, None)
+        raise
     finally:
         if sys.modules.get(package) is stand_in:
             del sys.modules[package]
