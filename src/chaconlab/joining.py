@@ -34,17 +34,18 @@ prefix state per (sample, side) and mix in every atom id at once
 (``KeyedStream.prefix_states``, ``keyed_symbols``).
 
 Coupling counts the first-family atoms left of every second-family atom
-at once, by a binary search on (sample, cell) and a short walk over the
-offsets in the cell; a first-family atom at t(n) falls in the interval
-[t(n), t(n+1)), and one at t(n+1) does not.  Advancing is one +1 on the
-cells and a window mask.  The two exact checks stay independent:
+at once, from the first family's counts per (sample, cell) unit, about
+one unit per atom at any W, and a short walk over the offsets in the unit
+for the slots that still walk; a first-family atom at t(n) falls in the
+interval [t(n), t(n+1)), and one at t(n+1) does not.  Advancing is one
++1 on the cells and a window mask.  The two exact checks stay independent:
 ``transport`` keeps the slots of the atoms that survive the shift and
 climbs copied sources by the first family's cocycle, a fresh count
 couples the advanced pair, and ``marks_differ`` compares the two, slot
 counts first; rank tracking compares index plus cocycle with the
 advanced configurations.  Blocks are small and fixed so that peak memory
-does not grow with the sample count (64 samples at W = 50 hold about 1 MB
-of arrays).  The four single-pair entry points (``_sample_biconfig_counted``,
+does not grow with the sample count (a block of 64 samples at W = 50 peaks
+at about 1.2 MB of arrays).  The four single-pair entry points (``_sample_biconfig_counted``,
 ``couple_marks``, ``advance_joint``, ``rank_tracking_consistent``) remain
 only as the names the benchmark's tracer wraps; each calls the kernel on
 a one-sample family.
@@ -118,20 +119,21 @@ def sample_family(half_width: int, seed: int, streams: np.ndarray) -> tuple[Fami
     continued draws), so every configuration has an index 0 and an index
     1.  All streams of the block draw together (``snapped_arrivals``).
     """
-    [(*right, n_right), (left_cell, left_off, n_left)], retries = snapped_arrivals(
+    [(right_cell, right_off, n_right), (left_cell, left_off, n_left)], retries = snapped_arrivals(
         keyed_draw(seed, streams), len(streams), half_width * _D, half_width + 8,
         sides=2, nonempty=True,
     )
-    family = Family.build(half_width, None, None, None, n_left + n_right, n_left)
-    local = atom_ranks(family.counts)
-    on_left = local < family.neg[family.owner]
-    cell, off = np.empty(local.size, dtype=np.int64), np.empty(local.size, dtype=np.int64)
-    cell[~on_left], off[~on_left] = right
-    # the left arrivals of each configuration, nearest the origin last, negated
-    mirror = (np.cumsum(n_left) - 1)[family.owner[on_left]] - local[on_left]
-    cell[on_left] = (-left_off[mirror] >> 53) - left_cell[mirror]  # a nonzero offset borrows
-    off[on_left] = -left_off[mirror] & (_D - 1)
-    return replace(family, cell=cell, off=off, ids=local + 1), int(retries.sum())
+    counts = n_left + n_right
+    family = Family.build(half_width, None, None, None, counts, n_left)
+    lo, size = family.offsets[:-1], family.offsets[-1]
+    # each configuration's left arrivals, nearest the origin first, go last, negated
+    left = np.repeat(lo + np.cumsum(n_left) - 1, n_left) - np.arange(left_cell.size)
+    right = np.repeat(lo + counts - np.cumsum(n_right), n_right) + np.arange(right_cell.size)
+    cell, off = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    cell[right], off[right] = right_cell, right_off
+    cell[left] = (-left_off >> 53) - left_cell  # a nonzero offset borrows
+    off[left] = -left_off & (_D - 1)
+    return replace(family, cell=cell, off=off, ids=atom_ranks(counts) + 1), int(retries.sum())
 
 
 def shift_cocycles(family: Family) -> np.ndarray:
@@ -165,17 +167,18 @@ def rank_tracking_failures(
     configuration, the same id at the position one unit to the right.
     """
     slot = np.flatnonzero(kept)
-    owner = family.owner[slot]
+    # survivors ascend by configuration, advanced.counts of them in each
+    counts = advanced.counts
     # flat slot in the advanced family of each survivor's climbed index
-    target = slot - family.base[owner] + shift[owner] + advanced.base[owner]
-    local = target - advanced.offsets[owner]
-    bad = (local < 0) | (local >= advanced.counts[owner])
+    target = slot + np.repeat(advanced.base - family.base + shift, counts)
+    bad = target < np.repeat(advanced.offsets[:-1], counts)
+    bad |= target >= np.repeat(advanced.offsets[1:], counts)
     ok = ~bad
     moved, target = slot[ok], target[ok]
     bad[ok] = advanced.ids[target] != family.ids[moved]
     bad[ok] |= advanced.cell[target] != family.cell[moved] + 1
     bad[ok] |= advanced.off[target] != family.off[moved]
-    return np.bincount(owner[bad], minlength=family.n) > 0
+    return np.bincount(family.owner[slot[bad]], minlength=family.n) > 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,35 +219,40 @@ def couple_block(
 
     Both families' slots ascend in (sample, cell, offset).  The
     first-family atoms of earlier samples or strictly left of t(n) number
-    the slot of the lowest one at or right of t(n): a binary search counts
-    those in earlier (sample, cell) units, a short walk those in t(n)'s
-    unit at lower offsets.  So [t(n), t(n+1)) holds one exactly when more
-    lie left of t(n+1) than of t(n), one at t(n) counting and one at
-    t(n+1) not.
+    the slot of the lowest one at or right of t(n): a running sum of the
+    first family's counts per (sample, cell) unit gives those in earlier
+    units, a walk over the slots still walking those in t(n)'s unit at
+    lower offsets.  So [t(n), t(n+1)) holds one exactly when more lie left
+    of t(n+1) than of t(n), one at t(n) counting and one at t(n+1) not.
     """
     stream = KeyedStream(seed)
     n2 = family2.cell.size
     owner2 = family2.owner
-    marks1 = keyed_symbols(stream.prefix_states(samples, 1)[family1.owner], family1.ids, alphabet)
-    # a sample's cells lie in [-W, W), so these unit keys ascend with the slots
+    states1 = np.repeat(stream.prefix_states(samples, 1), family1.counts)
+    marks1 = keyed_symbols(states1, family1.ids, alphabet)
+    # first-family atoms per (sample, cell) unit, a sample's cells lying in [-W, W)
     span = np.int64(2 * family1.half_width)
-    unit1, unit2 = family1.owner * span + family1.cell, owner2 * span + family2.cell
-    first, end = np.searchsorted(unit1, unit2), np.searchsorted(unit1, unit2, "right")
-    off1 = np.append(family1.off, 0)  # first == n1 reads the pad, which end excludes
-    while (left := (first < end) & (off1[first] < family2.off)).any():
-        first += left
+    units = np.bincount(family1.owner * span + (family1.cell + family1.half_width),
+                        minlength=family1.n * span)
+    unit2 = owner2 * span + (family2.cell + family2.half_width)
+    end = np.cumsum(units)[unit2]
+    first = end - units[unit2]
+    walking = np.flatnonzero(first < end)
+    while walking.size:  # past the atoms of t(n)'s unit at lower offsets
+        walking = walking[family1.off[first[walking]] < family2.off[walking]]
+        first[walking] += 1
+        walking = walking[first[walking] < end[walking]]
 
     # every second-family atom but each configuration's top one is decided
     decided = np.ones(n2, dtype=bool)
     decided[family2.offsets[1:][family2.counts > 0] - 1] = False
     copied = decided & (np.append(first[1:], 0) > first)
 
-    marks2 = np.zeros(n2, dtype=np.int64)
-    marks2[copied] = marks1[first[copied]]
-    fresh = decided & ~copied
-    states2 = stream.prefix_states(samples, 2)[owner2[fresh]]
-    marks2[fresh] = keyed_symbols(states2, family2.ids[fresh], alphabet)
-    source2 = np.where(copied, first - family1.base[owner2], 0)
+    # a fresh mark for every slot, the copied and undecided ones then overwritten
+    states2 = np.repeat(stream.prefix_states(samples, 2), family2.counts)
+    fresh = keyed_symbols(states2, family2.ids, alphabet)
+    marks2 = np.where(copied, np.append(marks1, 0)[first], np.where(decided, fresh, 0))
+    source2 = np.where(copied, first - np.repeat(family1.base, family2.counts), 0)
     return Marks(marks1, decided, marks2, copied, source2, family1.owner, owner2)
 
 

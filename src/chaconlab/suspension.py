@@ -11,13 +11,15 @@ Everything here is exact except sampling itself: exponential gaps are
 drawn in double precision and snapped to multiples of 2**-53, after which
 the whole pipeline is integer arithmetic.  Every suite samples through one
 block kernel, ``snapped_arrivals``: each stream of a block is one keyed
-PCG64 stream (``stats.keyed_exponentials``), and the block is snapped,
-summed and cut into chains in 2-D passes.  A sampled block is flat from
-the sampler to every consumer: all its positions, configuration after
-configuration, and each one's atom count, x / 2**53 held as an int64
-cell x // 2**53 and an int64 offset x % 2**53.  ``sample_windows`` serves
-the suspension and Poisson suites, ``joining.sample_family`` the joining
-suite, and ``sample_poisson`` is a one-stream call of the same kernel.
+PCG64 stream (``stats.keyed_exponentials``), and each chain is snapped and
+summed from its own start in a 2-D pass over about one chunk of draws per
+stream, widened only where the chain is longer.  A sampled block is flat
+from the sampler to every consumer: all its positions, configuration
+after configuration, and each one's atom count, x / 2**53 held as an
+int64 cell x // 2**53 and an int64 offset x % 2**53.  ``sample_windows``
+serves the suspension and Poisson suites, ``joining.sample_family`` the
+joining suite, and ``sample_poisson`` is a one-stream call of the same
+kernel.
 
 A configuration's positions and window are integers over its lattice
 denominator ``denom``; pushed through a tower system they live on the
@@ -198,81 +200,71 @@ def snapped_arrivals(draw, n: int, bound: int, chunk: int, sides: int = 1, nonem
     arrivals x = cell * 2**53 + off, off in [0, 2**53), of all rows flat in
     row order, and each row's number of such redraws.
 
-    All rows run in 2-D passes over running sums along each row, in the
-    same form.  When a searched row has no crossing in the drawn prefix,
-    every row of the block draws a prefix twice as wide; a row's prefix
-    is a fixed function of its stream, so the sums found so far still
-    hold.  A gap's whole units sum in int64 and its 53-bit part in uint64
-    modulo 2**53, a divisor of 2**64; a part is below 2**53, so the offset
-    drops exactly where the parts carry one into the cell.  A chain's
-    sums are the running sums less the one before its start, an offset
-    below 0 borrowing one from the cell.
+    Each chain is summed from its own start, in a 2-D pass over a window
+    of one chunk per row, and a row whose chain does not cross in its
+    window is summed again over one twice as wide.  Every row draws
+    (sides + 2) * chunk values at first.  A row whose window runs past its
+    draws drops out and, once the others are done, starts over alone with
+    twice as many; its chains are a fixed function of its stream, so they
+    come out the same.  A gap's whole units sum in int64 and its 53-bit
+    part in uint64 modulo 2**53, a divisor of 2**64; a part is below 2**53,
+    so the offset drops exactly where the parts carry one into the cell.
     """
     bound_cell, bound_off = divmod(bound, SNAP_DENOM)
 
-    def running_sums(exps):
-        gaps = np.rint(exps * _SNAP_FLOAT)
+    def window(draws, at, start, size):
+        """Sums over ``size`` columns from the rows' starts, and how many lie below the bound."""
+        gaps = draws[at[:, None], start[:, None] + np.arange(size)]
+        np.rint(np.multiply(gaps, _SNAP_FLOAT, out=gaps), out=gaps)
         np.maximum(gaps, 1.0, out=gaps)
         cells = (gaps * 2.0**-53).astype(np.int64)  # exact: 2**53 is a power of two
         gaps -= cells * _SNAP_FLOAT
         offs = (gaps.astype(np.uint64).cumsum(axis=1) & np.uint64(SNAP_DENOM - 1)).view(np.int64)
         cells[:, 1:] += offs[:, 1:] < offs[:, :-1]  # the carries
-        return cells.cumsum(axis=1), offs
+        cells = cells.cumsum(axis=1)
+        # sums ascend along a row, so a row that reaches the bound has reached it at its end
+        reached = (cells > bound_cell) | ((cells == bound_cell) & (offs >= bound_off))
+        return cells, offs, np.where(reached[:, -1], reached.argmax(axis=1), size)
 
-    rows = np.arange(n)
-    cells, offs = running_sums(draw(rows, (sides + 2) * chunk))
-
-    def before(at, start):
-        """The rows' running sums just before their start columns, as (cells, offs)."""
-        col = np.maximum(start - 1, 0)  # a start is at most the width
-        cell, off = cells[at, col], offs[at, col]
-        cell[start == 0] = off[start == 0] = 0
-        return cell, off
-
-    def crossing(at, start):
-        """Each row's first column at or after its start where the chain reaches the bound."""
-        nonlocal cells, offs
-        while True:
-            # the chain reaches the bound where the running sum reaches the one before it plus bound
-            cell, off = before(at, start)
-            carry, off = np.divmod(off + bound_off, SNAP_DENOM)
-            cell += bound_cell + carry
-            # sums ascend along a row: count the columns below (cell, off)
-            row, cell, off = cells[at], cell[:, None], off[:, None]
-            below = (row < cell).sum(axis=1) + ((row == cell) & (offs[at] < off)).sum(axis=1)
-            end = np.maximum(below, start)  # past a bound <= 0 from the start
-            if (end < cells.shape[1]).all():
-                return end
-            cells, offs = running_sums(draw(rows, 2 * cells.shape[1]))
-
-    start = np.zeros(n, dtype=np.int64)
-    # per side: each row's first and past-the-end chain columns
-    spans = [[np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)] for _ in range(sides)]
-    # the first pass draws every row; with nonempty, rows with an empty side go round again
-    redraws = np.full(n, -1, dtype=np.int64)
-    retry = rows
-    while retry.size:
-        if redraws[retry[0]] == MAX_ATTEMPTS - 1:
-            raise InsufficientDataError("window too small: sides keep coming up empty")
-        redraws[retry] += 1
-        first, empty = start[retry], np.zeros(retry.size, dtype=bool)
-        for span in spans:
-            end = crossing(retry, first)
-            span[0][retry], span[1][retry] = first, end
-            empty |= end == first
-            first = (end // chunk + 1) * chunk
-        start[retry] = first
-        retry = retry[empty] if nonempty else retry[:0]
+    # per side, every row's last chain: its window's cells and offsets, and its count
+    found = [[np.zeros((n, 0), dtype=np.int64)] * 2 + [np.zeros(n, dtype=np.int64)]
+             for _ in range(sides)]
+    redraws = np.zeros(n, dtype=np.int64)
+    rows, width = np.arange(n), (sides + 2) * chunk
+    while rows.size:
+        draws, short = draw(rows, width), np.zeros(rows.size, dtype=bool)
+        start, tries = np.zeros(rows.size, dtype=np.int64), np.zeros(rows.size, dtype=np.int64)
+        # the first pass takes every row; with nonempty, rows with an empty side go round again
+        retry = np.arange(rows.size)
+        while retry.size:
+            if tries[retry[0]] == MAX_ATTEMPTS:
+                raise InsufficientDataError("window too small: sides keep coming up empty")
+            tries[retry] += 1
+            empty = np.zeros(rows.size, dtype=bool)
+            for side in found:
+                at, size = retry, chunk
+                while at.size:
+                    short[at[start[at] + size > width]] = True
+                    at = at[~short[at]]
+                    cells, offs, count = window(draws, at, start[at], size)
+                    for i, part in ((0, cells), (1, offs)):  # over the row's, widened with zeros
+                        if size > side[i].shape[1]:
+                            pad = np.zeros((n, size - side[i].shape[1]), dtype=np.int64)
+                            side[i] = np.concatenate([side[i], pad], axis=1)
+                        side[i][rows[at], :size] = part
+                    side[2][rows[at]] = count
+                    at, size = at[count == size], 2 * size
+                count = side[2][rows[retry]]
+                empty[retry] |= count == 0
+                start[retry] = ((start[retry] + count) // chunk + 1) * chunk
+            retry = retry[(empty[retry] if nonempty else False) & ~short[retry]]
+        redraws[rows] = tries - 1
+        rows, width = rows[short], 2 * width
 
     out = []
-    cols = np.arange(cells.shape[1])
-    for first, end in spans:
-        taken = (cols >= first[:, None]) & (cols < end[:, None])
-        owner = np.repeat(rows, end - first)
-        cell, off = before(rows, first)
-        off = offs[taken] - off[owner]
-        borrow = off < 0
-        out.append((cells[taken] - cell[owner] - borrow, off + borrow * SNAP_DENOM, end - first))
+    for cells, offs, counts in found:
+        taken = np.arange(cells.shape[1]) < counts[:, None]
+        out.append((cells[taken], offs[taken], counts))
     return out, redraws
 
 

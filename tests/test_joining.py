@@ -378,6 +378,16 @@ _EDGES = [-D, -D // 2, -1, 0, D // 2]
      _edge_pair(1, [-D // 2, 0, D - 1], [-D, -D // 2, 0, D - 1])],
     2, 2**63, 0,
 )
+# five first-family atoms in one (sample, cell) unit, below, at, between and
+# above t(n) and t(n + 1) there; atoms in cells -W and W - 1; and a last
+# sample whose first family is empty
+@example(
+    [_edge_pair(3, [-3 * D, D // 8, D // 4, 3 * D // 8, D // 2, 5 * D // 8, 2 * D + 5],
+                [-3 * D + 7, -1, D // 4, D // 2, 2 * D, 3 * D - 1]),
+     _edge_pair(3, [-3 * D + 1, -D, 2 * D], [-3 * D, 0, 2 * D + 9]),
+     _edge_pair(3, [], [-3 * D, -D // 2, 0, 3 * D - 1])],
+    2, 11, 7,
+)
 @example(_wide_block(1022), 9, 3, 64)
 @example(_wide_block(1023), 3, 5, 63)
 def test_block_kernel_matches_the_oracle(block, alphabet, seed, first_sample):

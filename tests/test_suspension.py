@@ -653,6 +653,13 @@ exp_values = st.one_of(
 # a row that runs past its first prefix of (sides + 2) * chunk draws and redraws
 @example([[0.25] * 30, [0.5, 2.0], []], 4 * D, 2, 1)
 @example([[0.25] * 30, [0.5, 2.0], []], 2**70, 2, 2)  # the same past 2**63
+# a chain longer than its first summed window of one chunk, beside one that
+# crosses inside it; the same pair at a bound past 2**63, where the first row
+# also runs past its drawn prefix
+@example([[0.25] * 12, [0.5, 2.0]], 2 * D, 4, 1)
+@example([[0.25] * 12, [0.5, 2.0]], 2**63 + 1, 4, 1)
+# a crossing on the summed window's last column, beside one a column later
+@example([[0.5, 0.5, 1.0], [0.5, 0.5, 0.5, 0.5]], 2 * D, 3, 2)
 def test_snapped_arrivals_match_the_loop(rows, bound, chunk, sides):
     rngs = [ScriptedRng(values) for values in rows]
     _assert_rows_match(scripted_draw(rows), rngs, bound, chunk, sides)
@@ -676,9 +683,10 @@ def test_nonempty_sides_redraw_as_the_loop_does(rows, bound, chunk, sides):
     _assert_rows_match(scripted_draw(rows), rngs, bound, chunk, sides, nonempty=True)
 
 
-def test_a_short_row_redraws_the_whole_block_at_twice_the_width():
+def test_a_short_row_redraws_alone_at_twice_its_width():
     # row 0 comes up empty, and on its retry round its second side runs past
-    # the first prefix of 4 draws; row 1 is settled by the first pass
+    # the first prefix of 4 draws; row 1 is settled by the first pass and
+    # never drawn again
     rows = [[3.0, 3.0, 0.5, 3.0] + [0.5] * 60, [0.5, 3.0, 0.5, 3.0]]
     calls = []
 
@@ -688,7 +696,7 @@ def test_a_short_row_redraws_the_whole_block_at_twice_the_width():
 
     rngs = [ScriptedRng(values) for values in rows]
     _assert_rows_match(draw, rngs, 2 * D, 1, sides=2, nonempty=True)
-    assert calls == [([0, 1], 4), ([0, 1], 8)]
+    assert calls == [([0, 1], 4), ([0], 8)]
     assert [loop_chains(ScriptedRng(v), 2 * D, 1, 2, True)[1] for v in rows] == [1, 0]
 
 
