@@ -37,18 +37,18 @@ Coupling counts the first-family atoms left of every second-family atom
 at once, from the first family's counts per (sample, cell) unit, about
 one unit per atom at any W, and a short walk over the offsets in the unit
 for the slots that still walk; a first-family atom at t(n) falls in the
-interval [t(n), t(n+1)), and one at t(n+1) does not.  Advancing is one
-+1 on the cells and a window mask.  The two exact checks stay independent:
-``transport`` keeps the slots of the atoms that survive the shift and
-climbs copied sources by the first family's cocycle, a fresh count
-couples the advanced pair, and ``marks_differ`` compares the two, slot
-counts first; rank tracking compares index plus cocycle with the
+interval [t(n), t(n+1)), and one at t(n+1) does not.  Advancing adds one
+to the cells and applies a window mask.  The two exact checks stay
+independent: ``transport`` keeps the slots of the atoms that survive the
+shift and climbs copied sources by the first family's cocycle, a fresh
+count couples the advanced pair, and ``marks_differ`` compares the two,
+slot counts first; rank tracking compares index plus cocycle with the
 advanced configurations.  Blocks are small and fixed so that peak memory
-does not grow with the sample count (a block of 64 samples at W = 50 peaks
-at about 1.2 MB of arrays).  The four single-pair entry points (``_sample_biconfig_counted``,
-``couple_marks``, ``advance_joint``, ``rank_tracking_consistent``) remain
-only as the names the benchmark's tracer wraps; each calls the kernel on
-a one-sample family.
+does not grow with the sample count (a block of 64 samples at W = 50
+peaks at about 1.2 MB of arrays).  The four single-pair entry points
+(``_sample_biconfig_counted``, ``couple_marks``, ``advance_joint``,
+``rank_tracking_consistent``) remain only as the names the benchmark's
+tracer wraps; each calls the kernel on a one-sample family.
 """
 
 from __future__ import annotations
