@@ -52,6 +52,10 @@ EXIT_CENSORED = 3
 # depth: at depth 9 the report holds 209 MB and the run peaks near 1.6 GB
 MAX_BUILD_N = 9
 
+# a block's arrays grow linearly with the window: one 64-sample joining block
+# peaks near 25 MB per 1000 of half-width (tracemalloc), about 250 MB here
+MAX_WINDOW = 10_000
+
 
 # every report's run_config holds these fields, null unless its command sets them
 RUN_CONFIG = dict.fromkeys(
@@ -269,6 +273,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     window_hi = None
     if window is not None:
         window_hi = _parse_window(window)
+        if window_hi > MAX_WINDOW:
+            raise UsageError(f"--window must be at most {MAX_WINDOW}, not {window!r}")
         if window_hi.denominator == 1:
             window_hi = int(window_hi)
         elif args.suite != "suspension":

@@ -27,7 +27,7 @@ on p < alpha) and the test's parameters.
 
 Each statistic and p-value is computed as SciPy's stats module computes
 it, through the same scipy.special function (chdtrc, kolmogorov, pdtr,
-pdtrik, ndtr), without importing that module, which takes about a
+pdtrik, ndtr), without importing ``scipy.stats``, which takes about a
 second. tests/test_stats.py checks on generated inputs that statistic
 and p-value are bit-identical to SciPy's.
 
@@ -347,7 +347,10 @@ def _poisson_ppf(q: float, mean: float) -> int:
 
 
 def ks_exponential(samples, alpha: float = 0.01, name: str = "ks_exponential") -> dict:
-    """Kolmogorov-Smirnov against the unit exponential, asymptotic p-value."""
+    """Kolmogorov-Smirnov against the unit exponential, asymptotic p-value.
+
+    No suite calls it; it remains as a name the benchmark's tracer wraps.
+    """
     arr = np.asarray(samples, dtype=float)
     if arr.size < 8:
         raise InsufficientDataError(f"{name}: need at least 8 samples, got {arr.size}")
@@ -461,7 +464,10 @@ def mc_mean(
     tol_sigmas: float = 3.0,
     name: str = "mc_mean",
 ) -> dict:
-    """Monte-Carlo mean against a target, pass iff |z| <= tol_sigmas."""
+    """Monte-Carlo mean against a target, pass iff |z| <= tol_sigmas.
+
+    No suite calls it; it remains as a name the benchmark's tracer wraps.
+    """
     arr = np.asarray(values, dtype=float)
     if arr.size < 2:
         raise InsufficientDataError(f"{name}: need at least 2 samples")

@@ -9,17 +9,16 @@ for any worker count and any block size.  Each ``collect_*`` function
 tallies the one block ``[start, stop)`` it is given, which
 ``sample_windows`` draws as flat positions and per-sample counts.
 
-The ``poisson`` suite checks the sampler's distributional contract: the
-first atom is Exp(1), the first five inter-atom gaps are Exp(1),
-superposed pairs have Poisson(2·width) counts, and E[t_1^k/k!] = 1 for
-small k.  The gap test keeps gaps only from windows that hold more than
-five atoms, so it sees the first five gaps given that the sixth atom
-falls inside the window, which shortens them.  A window of width W is
-skipped with probability P(Poisson(W) <= 5): 6.7% at W = 10, 2.3e-8 at
-the default W = 30.  At 10^4 samples on seeds 0 and 1 it rejects a
-correct sampler at widths 2 to 10 and passes at 15, so it is safe only
-on wide windows; ROADMAP item 6 replaces it with tests exact at every
-width.
+The ``poisson`` suite checks the sampler's law on its window.  A rate-1
+Poisson process on [0, W) is exactly two facts: a Poisson(W) count, and
+positions i.i.d. uniform given that count (J. F. C. Kingman, *Poisson
+Processes*, 1993).  So ``window_counts`` tests each window's count against
+Poisson(W), ``uniform_given_count`` tests every position, pooled over
+windows, against the uniform law on ``UNIFORM_CELLS`` equal cells of
+[0, W), and ``superposition_counts`` tests that superposed pairs of
+windows [0, ``SUP_HI``) have Poisson(2·``SUP_HI``) counts.  All three are
+exact at every width.  ``UNIFORM_CELLS`` is a module constant, not an
+option.
 
 The ``suspension`` suite checks the induced-map conjugacy exactly, sample
 by sample: splitting off the k lowest atoms, advancing by the induced
@@ -47,7 +46,6 @@ reports hold it as it is.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from fractions import Fraction
 from operator import add
@@ -65,8 +63,6 @@ from .stats import (
     chi2_independence,
     chi2_poisson,
     keyed_symbols,
-    ks_exponential,
-    mc_mean,
 )
 from .suspension import (
     TowerCoords,
@@ -76,7 +72,7 @@ from .suspension import (
     walk_orbits,
 )
 
-GAPS_PER_CONFIG = 5
+UNIFORM_CELLS = 20  # equal cells of [0, W) in the uniform_given_count test
 SUP_HI = 10  # superposed pairs are drawn on [0, SUP_HI)
 MARK_STEPS = 3  # skew steps before the suspension suite reads the marks
 # a k whose censored fraction reaches this fails, and the CLI exits 3
@@ -87,19 +83,16 @@ FAILURE_KEYS = ("conjugacy_failures", "return_time_mismatches", "phi_transport_f
 
 
 def collect_poisson(start: int, stop: int, seed: int, window_hi: int, sup_hi: int) -> dict:
-    """Raw draws for the distributional suite, three streams per sample.
+    """Window counts, uniform cell counts and pair counts, three streams per sample.
 
     The samples' windows come from one ``sample_windows`` call and their
     superposed pairs from another; each tally is one array pass.
     """
     samples = np.arange(start, stop)
     cells, offs, counts = sample_windows(window_hi * SNAP_DENOM, seed, 3 * samples)
-    first = np.cumsum(counts) - counts
-    # cell + off / 2**53 adds two exact float64s: the value x / 2**53, rounded once
-    t1 = cells[first[counts > 0]] + offs[first[counts > 0]] / SNAP_DENOM
-    # the first GAPS_PER_CONFIG gaps of every window holding more atoms than that
-    rows = first[counts > GAPS_PER_CONFIG][:, None] + np.arange(GAPS_PER_CONFIG + 1)
-    gaps = np.diff(cells[rows], axis=1) + np.diff(offs[rows], axis=1) / SNAP_DENOM
+    # the uniform cell of position cell + off / 2**53 is floor(UNIFORM_CELLS * position / W),
+    # and flooring UNIFORM_CELLS * off / 2**53 first leaves it unchanged, as W is an integer
+    uniform = (UNIFORM_CELLS * cells + ((UNIFORM_CELLS * offs) >> 53)) // window_hi
     pair_cells, pair_offs, pair_counts = sample_windows(
         sup_hi * SNAP_DENOM, seed, (3 * samples[:, None] + (1, 2)).ravel()
     )
@@ -109,11 +102,9 @@ def collect_poisson(start: int, stop: int, seed: int, window_hi: int, sup_hi: in
     if (np.diff(np.stack((pair, pair_cells, pair_offs))[:, ordered]) == 0).all(axis=0).any():
         raise AssertionError("superposition collision at identical positions")
     return {
-        "t1": t1.tolist(),
-        "gaps": gaps.ravel().tolist(),
+        "counts": counts.tolist(),
+        "uniform_cells": np.bincount(uniform, minlength=UNIFORM_CELLS),
         "sup_counts": (pair_counts[::2] + pair_counts[1::2]).tolist(),
-        "skipped_empty": int((counts == 0).sum()),
-        "skipped_short": int(((counts > 0) & (counts <= GAPS_PER_CONFIG)).sum()),
     }
 
 
@@ -125,21 +116,15 @@ def run_poisson_suite(
     workers: int = 1,
 ) -> dict:
     tot = fan_out(collect_poisson, n_samples, workers, seed, window_hi, SUP_HI)
-    t1, gaps = tot["t1"], tot["gaps"]
-
-    tests = {
-        "t1_exponential": ks_exponential(t1, alpha=alpha, name="t1_exponential"),
-        "gaps_exponential": ks_exponential(gaps, alpha=alpha, name="gaps_exponential"),
-        "superposition_counts": chi2_poisson(
-            tot["sup_counts"], mean=2.0 * SUP_HI, alpha=alpha, name="superposition_counts"
-        ),
+    uniform = [1 / UNIFORM_CELLS] * UNIFORM_CELLS
+    # each check: its test, its tally and the law the tally must follow
+    checks = {
+        "window_counts": (chi2_poisson, tot["counts"], float(window_hi)),
+        "uniform_given_count": (chi2_gof, tot["uniform_cells"], uniform),
+        "superposition_counts": (chi2_poisson, tot["sup_counts"], 2.0 * SUP_HI),
     }
-    for k in range(1, 6):
-        fact = math.factorial(k)
-        tests[f"moment_k{k}"] = mc_mean(
-            [t**k / fact for t in t1], target=1.0, tol_sigmas=3.0, name=f"moment_k{k}"
-        )
-    holds = all(r["passed"] for r in tests.values())
+    tests = {name: test(tally, law, alpha=alpha, name=name)
+             for name, (test, tally, law) in checks.items()}
     return {
         "suite": "poisson",
         "samples": n_samples,
@@ -147,9 +132,8 @@ def run_poisson_suite(
         "alpha": alpha,
         "window": [0, window_hi],
         "superposition_window": [0, SUP_HI],
-        "skipped": {"empty": tot["skipped_empty"], "too_short_for_gaps": tot["skipped_short"]},
         "tests": tests,
-        "holds": bool(holds),
+        "holds": all(r["passed"] for r in tests.values()),
     }
 
 

@@ -20,6 +20,7 @@ from chaconlab.errors import (
 )
 from chaconlab.joining import Family
 from chaconlab.stats import KeyedStream, make_rng
+from chaconlab.suites import UNIFORM_CELLS
 from chaconlab.suspension import (
     SNAP_DENOM,
     MarkedConfig,
@@ -34,6 +35,13 @@ from chaconlab.suspension import (
     skew_apply_group,
     superpose,
 )
+
+
+def binom_interval(n: int, p: float, conf: float = 0.99) -> tuple[int, int]:
+    """Central exact-binomial interval, used to calibrate rejection rates."""
+    lo = int(sps.binom.ppf((1 - conf) / 2, n, p))
+    hi = int(sps.binom.ppf(1 - (1 - conf) / 2, n, p))
+    return lo, hi
 
 
 def scipy_chi2_poisson(counts, mean: float, min_expected: float = 5.0):
@@ -383,35 +391,25 @@ def loop_collect_poisson(start, stop, seed, window_hi, sup_hi):
     """``suites.collect_poisson`` one sample at a time and one atom at a time.
 
     Stream 3i draws sample i's window [0, window_hi) and streams 3i + 1 and
-    3i + 2 its pair on [0, sup_hi), each chain by ``loop_snapped_arrivals``;
-    the pair count is that of ``superpose``, which refuses a shared position.
+    3i + 2 its pair on [0, sup_hi), each chain by ``loop_snapped_arrivals``.
+    Each position x / 2**53 falls in uniform cell
+    floor(UNIFORM_CELLS · x / (window_hi · 2**53)), on Python ints; the pair
+    count is that of ``superpose``, which refuses a shared position.
     """
 
     def chain(stream, hi):
         return loop_snapped_arrivals(make_rng(seed, stream), hi * SNAP_DENOM, max(16, hi + 8))
 
     pair_window = Interval(0, sup_hi * SNAP_DENOM)
-    t1, gaps, sup_counts = [], [], []
-    skipped_empty = skipped_short = 0
+    counts, uniform_cells, sup_counts = [], [0] * UNIFORM_CELLS, []
     for i in range(start, stop):
         pos = chain(3 * i, window_hi)
-        if not pos:
-            skipped_empty += 1
-        else:
-            t1.append(pos[0] / SNAP_DENOM)
-            if len(pos) > 5:
-                gaps += [(b - a) / SNAP_DENOM for a, b in zip(pos, pos[1:6])]
-            else:
-                skipped_short += 1
+        counts.append(len(pos))
+        for x in pos:
+            uniform_cells[UNIFORM_CELLS * x // (window_hi * SNAP_DENOM)] += 1
         a, b = (PointConfig.numbered(pair_window, chain(3 * i + j, sup_hi)) for j in (1, 2))
         sup_counts.append(superpose(a, b).count)
-    return {
-        "t1": t1,
-        "gaps": gaps,
-        "sup_counts": sup_counts,
-        "skipped_empty": skipped_empty,
-        "skipped_short": skipped_short,
-    }
+    return {"counts": counts, "uniform_cells": uniform_cells, "sup_counts": sup_counts}
 
 
 # -- the joining suite as first written: tuples, dicts and one atom at a time

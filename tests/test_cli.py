@@ -112,7 +112,8 @@ def test_cli_main_imports_no_numpy_or_scipy_module():
 ], ids=["fallback", "reuse", "direct"])
 def test_stats_special_paths_keep_the_pinned_reports(prelude, package):
     digests = {tuple(argv): digest for argv, digest in PINNED_SUITES}
-    runs = [("joining", "--samples", "100"), ("suspension", "--samples", "40")]
+    runs = [("joining", "--samples", "100"), ("suspension", "--samples", "40"),
+            ("poisson", "--samples", "200")]
     code = prelude + "\n" + textwrap.dedent(f"""
         import contextlib, hashlib, io, json, sys
         import chaconlab.cli
@@ -379,7 +380,7 @@ def test_verify_out_writes_csv_rows_and_keeps_stdout_quiet(tmp_path, capsys):
     with open(tmp_path / "poisson.csv") as fh:
         rows = list(csv.DictReader(fh))
     names = {r["test"] for r in rows}
-    assert "t1_exponential" in names
+    assert "uniform_given_count" in names
     assert "superposition_counts" in names
     for r in rows:
         float(r["p_value"])  # every row carries a parseable p-value
@@ -458,7 +459,8 @@ def test_verify_all_runs_every_suite(capsys):
 
 
 def test_starved_statistics_report_as_usage_error():
-    # a unit window rarely yields 6 atoms, so the gap test has no data
+    # 40 unit windows pool about 40 positions, fewer than the 100 that give
+    # each of the 20 uniform cells an expected count of 5
     with pytest.raises(SystemExit) as exc:
         main(["verify", "poisson", "--samples", "40", "--window", "1"])
     assert exc.value.code == EXIT_USAGE
@@ -467,15 +469,18 @@ def test_starved_statistics_report_as_usage_error():
 # SHA-256 of json.dumps(report["suites"], sort_keys=True) for small runs.
 # Pinned before the suspension walk and the fan-out merge were rewritten;
 # the last two suspension runs censor for every reason the suite knows.
+# The poisson and all runs were pinned again when the Poisson suite moved to
+# its three window checks, after the previous sampler gave the same window
+# counts and uniform cell counts on every one of them.
 PINNED_SUITES = [
     (["poisson", "--samples", "200"],
-     "43f4452ea1b2861e7452911ec2ed6234cd7590288016bc8dd3b7a9529e7ff7d4"),
+     "da7efe745f236131b2a19e3446144daba72bcc498e9c94b574c1e5a084f8273b"),
     (["suspension", "--samples", "40"],
      "7064d5984d53d3e46f3f0c4ae846fd7db88f764678073b3396e01091fcef7efb"),
     (["joining", "--samples", "100"],
      "376b790d064c9258bdb0db028fec8761222d56328aa3b8e337a3c7faee11cdec"),
     (["all", "--samples", "60"],
-     "cfde5999761851155618b4cf167e8e107c62a9dc1ecb2af844b51ed2e45d8975"),
+     "12f27568205c7d911247b4b19c206ef9fa28e26c257e61a9b2daccdf319502dc"),
     (["suspension", "--samples", "60", "--n-max", "3", "--p-max", "10",
       "--window", "5", "--k", "0,1,2,3"],
      "d74e3885d6f583c390ca4b017e78853f76235ff146ee92dd4da124c309970132"),
@@ -531,23 +536,23 @@ PINNED_SUITES = [
     (["suspension", "--n-max", "25", "--k", "1,2", "--samples", "30", "--p-max", "2000"],
      "d62942f8743d9af3a23741d5137df69dd8c9cce586de074c9853879b910dd431"),
     # pinned before the block loop moved into fan_out: 2000 samples on a
-    # short window (its gap test rejects, since skipping windows of under six
-    # atoms biases the gaps short), 150 samples (a two-worker split inside a
-    # block), and a window whose lattice positions pass int64
+    # short window (where the gap test of the time rejected), 150 samples (a
+    # two-worker split inside a block), and a window whose lattice positions
+    # pass int64
     (["poisson", "--samples", "2000", "--window", "10", "--seed", "3"],
-     "26b0282586f3a9628176a406c336ab86078edd081956fd4065a0938410041e37"),
+     "6fb2591ab29f7812895cc9d301a95b084f5c3125a6912d7e1c32c13bc9c8246c"),
     (["poisson", "--samples", "150"],
-     "31ac4069d2af2e4af63aed05c653d57be073a05d049f64beff8d69277328da7c"),
+     "946ac39fcbad49886d925cf4d83cf7b2877dacffdc0f377677bf9b1deae26a01"),
     (["poisson", "--samples", "40", "--window", "1100"],
-     "369624b2143aa3af825399947a68406368b316af135d487cd9377ee21bd20ff4"),
+     "bfef39f6015c9e04030b0332ebdf5507a20c0b7a4ec5d9988f3e0195c0a4703e"),
     # pinned before positions moved to an int64 cell and a 53-bit offset: a
     # bound of exactly 2**63 lattice units (then summed in uint64 and held as
     # Python ints), a window whose sums of 53-bit parts wrap uint64, and
     # joining one past the widest window of int64 numerators
     (["poisson", "--samples", "40", "--window", "1024"],
-     "2d526c4843c11d5a357d82a2f7d7db70f865c288c7af5bb36ea4fe172773866c"),
+     "b77efa12c5b66adf74587bccba7e16d68a067312674d17a61046759d98a5d245"),
     (["poisson", "--samples", "20", "--window", "5000"],
-     "bf41f6dce3637e9a56b7704d3e7d3e1a29b2ec179923a2f3a8ec55f2f5c3de12"),
+     "1d0ee2fa73312ad567e51746c5aded6ad41c780a32b5459830128ecca6069f1f"),
     (["joining", "--samples", "4", "--window", "1023"],
      "8c398bb8587dae2d000f197865c87d7d51a62570a9bdff886cac0de76ba8791c"),
 ]
@@ -582,14 +587,15 @@ def test_build_chacon_matches_pinned_hash(capsys, n_max, digest):
 
 
 # report_digest of whole verify reports and their exit codes, run_config
-# included, pinned before the CLI resolved its options from one table;
+# included, pinned before the CLI resolved its options from one table (the
+# two all runs again with the Poisson suite's three window checks);
 # run.json sets an integer window, a k list and two workers
 PINNED_VERIFY_REPORTS = [
     pytest.param(["all", "--samples", "60"], EXIT_FAIL,
-                 "f34046dea064aaea8fcdd9735f512b46f501efc265d3723bc4f918304214de0a",
+                 "357c7e44f4c19183b5f935d7d75f8d419c0ca062eecea3c7c50c2d9da0f09ea7",
                  id="all-60"),
     pytest.param(["all", "--config", "run.json"], EXIT_FAIL,
-                 "68efa8ac41466ac8bae4a9aea0c702d2f5ffbd0cced73406b9ffc217b6af062f",
+                 "2c5e3bd28e31e615e31fb3279c7201744f64892b0b1b1b9927d5a439bba1eda2",
                  id="all-config"),
     pytest.param(["suspension", "--samples", "60", "--n-max", "3", "--window", "10/7"],
                  EXIT_CENSORED,
@@ -616,8 +622,8 @@ def test_verify_out_twins_match_pinned_hashes(tmp_path):
     out = tmp_path / "all.json"
     assert main(["verify", "all", "--samples", "60", "--out", str(out)]) == EXIT_FAIL
     assert report_digest(json.loads(out.read_text())) == (
-        "f34046dea064aaea8fcdd9735f512b46f501efc265d3723bc4f918304214de0a"
+        "357c7e44f4c19183b5f935d7d75f8d419c0ca062eecea3c7c50c2d9da0f09ea7"
     )
     assert hashlib.sha256((tmp_path / "all.csv").read_bytes()).hexdigest() == (
-        "44a0e68d6d51dc36da32e251377abc26b04a9d27bb45c18bd91934294e72f3bb"
+        "352e8026c024b7c59dc21f0158d474494e901e5572756c76ac53525f5d452e27"
     )

@@ -356,6 +356,22 @@ def test_window_not_positive_exits_2(scratch, suite, window):
     assert "--window" in exits_with_usage([*argv, "--config", path])
 
 
+@pytest.mark.parametrize("suite", ["poisson", "suspension", "joining", "all"])
+def test_window_past_the_bound_exits_2_before_any_suite_runs(scratch, monkeypatch, suite):
+    # a block's arrays grow with the window (one 64-sample joining block by
+    # about 25 MB per 1000 of half-width), and depth 25 covers windows near 10**7
+    monkeypatch.setattr(suites, "fan_out", refuse_to_sample)
+    monkeypatch.setattr(joining, "fan_out", refuse_to_sample)
+    argv = ["verify", suite, "--n-max", str(MAX_WALK_DEPTH)]
+    for window in (str(cli.MAX_WINDOW + 1), f"{2 * cli.MAX_WINDOW + 1}/2"):
+        message = exits_with_usage([*argv, "--window", window])
+        assert "--window" in message and str(cli.MAX_WINDOW) in message
+    path = write(scratch / "run.json", json.dumps({"window": cli.MAX_WINDOW + 1}).encode())
+    assert "--window" in exits_with_usage([*argv, "--config", path])
+    with pytest.raises(Sampled):
+        main([*argv, "--window", str(cli.MAX_WINDOW)])
+
+
 @pytest.mark.parametrize("suite", ["poisson", "joining", "all"])
 @pytest.mark.parametrize("window", ["2.5", "5/2", "1/3"])
 def test_window_not_an_integer_exits_2(scratch, suite, window):

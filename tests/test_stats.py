@@ -26,7 +26,7 @@ from chaconlab.stats import (
     splitmix64,
     splitmix64_array,
 )
-from oracles import scipy_chi2_poisson
+from oracles import binom_interval, scipy_chi2_poisson
 
 
 def test_splitmix64_reference_vector():
@@ -273,13 +273,6 @@ def test_mc_mean():
     assert not off["passed"]
     with pytest.raises(InsufficientDataError):
         mc_mean([1.0], target=1.0)
-
-
-def binom_interval(n: int, p: float, conf: float = 0.99) -> tuple[int, int]:
-    """Central exact-binomial interval, used to calibrate rejection rates."""
-    lo = int(sps.binom.ppf((1 - conf) / 2, n, p))
-    hi = int(sps.binom.ppf(1 - (1 - conf) / 2, n, p))
-    return lo, hi
 
 
 def test_binom_interval_hand_case():

@@ -3,6 +3,7 @@
 import json
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -20,18 +21,14 @@ from chaconlab.suites import (
     run_suspension_suite,
 )
 from chaconlab.suspension import MAX_WALK_DEPTH, SNAP_DENOM, RankPermutation
-from oracles import empty_first_family, four_walk_suspension, loop_collect_poisson
+from oracles import (
+    binom_interval,
+    empty_first_family,
+    four_walk_suspension,
+    loop_collect_poisson,
+)
 
-POISSON_TESTS = {
-    "t1_exponential",
-    "gaps_exponential",
-    "superposition_counts",
-    "moment_k1",
-    "moment_k2",
-    "moment_k3",
-    "moment_k4",
-    "moment_k5",
-}
+POISSON_TESTS = {"window_counts", "uniform_given_count", "superposition_counts"}
 
 
 def test_poisson_suite_small_run_holds():
@@ -49,7 +46,7 @@ def test_poisson_suite_deterministic():
     b = run_poisson_suite(n_samples=300, seed=11)
     assert a == b
     c = run_poisson_suite(n_samples=300, seed=12)
-    assert c["tests"]["t1_exponential"] != a["tests"]["t1_exponential"]
+    assert c["tests"]["uniform_given_count"] != a["tests"]["uniform_given_count"]
 
 
 def test_poisson_suite_worker_count_does_not_change_report():
@@ -58,12 +55,37 @@ def test_poisson_suite_worker_count_does_not_change_report():
     assert a == b
 
 
-def test_poisson_suite_counts_skipped_configs():
-    # a short window leaves many configs empty or with fewer than six atoms
-    rep = run_poisson_suite(n_samples=400, seed=7, window_hi=3)
-    assert rep["skipped"]["empty"] > 0
-    assert rep["skipped"]["too_short_for_gaps"] > rep["skipped"]["empty"]
-    assert set(rep["tests"]) == POISSON_TESTS
+def losing_the_top(sample_windows):
+    """A ``sample_windows`` that drops every position in the top 3% of its window."""
+
+    def sample(hi, seed, streams):
+        cells, offs, counts = sample_windows(hi, seed, streams)
+        keep = cells + offs / SNAP_DENOM < 0.97 * hi / SNAP_DENOM
+        owner = np.repeat(np.arange(counts.size), counts)
+        return cells[keep], offs[keep], np.bincount(owner[keep], minlength=counts.size)
+
+    return sample
+
+
+def poisson_rejections(seeds, **kw):
+    """How many of the seeds each check of ``run_poisson_suite`` rejects on, and all together."""
+    rejected = Counter()
+    for seed in seeds:
+        failed = [name for name, t in run_poisson_suite(seed=seed, **kw)["tests"].items()
+                  if not t["passed"]]
+        rejected.update(failed + ["any"] * bool(failed))
+    return rejected
+
+
+def test_poisson_suite_rejects_at_its_level_and_catches_a_lost_top(monkeypatch):
+    # each check rejects the sampler within the 99% binomial band of alpha;
+    # 300 windows of width 2 hold too few positions to see a lost top, width 10 enough
+    seeds = range(100)
+    lo, hi = binom_interval(len(seeds), 0.01)
+    rejected = poisson_rejections(seeds, n_samples=300, window_hi=2)
+    assert all(lo <= rejected[name] <= hi for name in POISSON_TESTS), rejected
+    monkeypatch.setattr(suites, "sample_windows", losing_the_top(suites.sample_windows))
+    assert poisson_rejections(seeds, n_samples=300, window_hi=10)["any"] >= 95
 
 
 def test_suspension_suite_small_run_holds(monkeypatch):
@@ -218,7 +240,7 @@ def test_oracle_settings_force_every_censor_reason():
 )
 def test_collect_poisson_matches_the_loop_oracle(window, start, stop):
     got = collect_poisson(start, stop, 5, window, 10)
-    assert got == loop_collect_poisson(start, stop, 5, window, 10)
+    assert _plain(got) == loop_collect_poisson(start, stop, 5, window, 10)
 
 
 def scripted_windows(blocks):
@@ -229,6 +251,19 @@ def scripted_windows(blocks):
         return positions // SNAP_DENOM, positions % SNAP_DENOM, counts
 
     return sample
+
+
+def test_uniform_cells_split_the_window_exactly(monkeypatch):
+    # the lattice points at or just above each cell edge j * 3/20 and just
+    # below it (edges 5, 10 and 15 lie on the 2**-53 grid, the others between
+    # grid points), with both ends of the window, put two atoms in every cell
+    hi = 3 * SNAP_DENOM
+    above = [-(-j * hi // 20) for j in range(1, 20)]
+    positions = sorted({0, hi - 1, *above, *(x - 1 for x in above)})
+    monkeypatch.setattr(suites, "sample_windows", scripted_windows(
+        {1: (positions, [len(positions)]), 2: ([5, 9], [1, 1])}
+    ))
+    assert collect_poisson(0, 1, 0, 3, 10)["uniform_cells"].tolist() == [2] * 20
 
 
 def test_collect_poisson_refuses_a_shared_position_in_a_pair(monkeypatch):
