@@ -84,6 +84,14 @@ def test_cli_import_loads_the_special_ufuncs_without_the_package():
     assert _import_cli(code).splitlines() == ["['numpy.random']", "[]"]
 
 
+def test_cli_import_loads_no_process_pool_module():
+    # fan_out forks its workers itself; the executor's modules were about
+    # 10 ms of every start-up, --workers 1 included
+    code = ("print(sorted(m for m in sys.modules if m.split('.')[:2] == ['concurrent', 'futures']"
+            " or m.split('.')[0] == 'multiprocessing'))")
+    assert _import_cli(code) == "[]"
+
+
 def test_cli_main_imports_no_numpy_or_scipy_module():
     # numpy imports numpy.random lazily: a first draw inside main would pay
     # for it in every run, and again in every forked worker

@@ -1,6 +1,7 @@
 """Distributional suites: report shape, determinism, worker invariance."""
 
 import json
+import os
 import re
 import sys
 from collections import Counter
@@ -11,6 +12,7 @@ import pytest
 
 from chaconlab import joining, parallel, suites, suspension
 from chaconlab.cocycle import single_spacer_indicator
+from chaconlab.errors import InsufficientDataError
 from chaconlab.joining import collect_joining
 from chaconlab.parallel import fan_out, merge
 from chaconlab.suites import (
@@ -347,20 +349,91 @@ def _plain(tally):
 )
 def test_tallies_do_not_depend_on_the_block_size(monkeypatch, collect, args, empty_first):
     # 130 samples as one collect call, and through fan_out in blocks of 1,
-    # 5 and 64 (64 + 64 + 2) on one and two workers: the tallies must agree
+    # 5 and 64 (64 + 64 + 2) on one, two and three workers: the tallies must agree
     if empty_first:  # forked workers inherit the patch
         monkeypatch.setattr(joining, "sample_family", empty_first_family(joining.sample_family))
     whole = _plain(collect(0, 130, *args))
     assert not empty_first or whole["copied"] == 0
     for block in (1, 5, 64):
         monkeypatch.setattr(parallel, "BLOCK", block)
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             assert _plain(fan_out(collect, 130, workers, *args)) == whole, (block, workers)
 
 
 def test_fan_out_refuses_an_empty_range():
     with pytest.raises(ValueError, match="n_samples"):
         fan_out(collect_poisson, 0, 1, 4, 30, 10)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every child fan_out forks, in order."""
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _reaped(pid):
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _block_pids(lo, hi):
+    return {"blocks": [(lo, hi, os.getpid())]}
+
+
+@pytest.mark.parametrize("n_samples, workers, expected", [
+    (130, 1, [(0, 64, 0), (64, 128, 0), (128, 130, 0)]),
+    (130, 3, [(0, 44, 0), (44, 88, 1), (88, 130, 2)]),
+    (3, 5, [(0, 1, 0), (1, 2, 1), (2, 3, 2)]),  # clamped to one sample a worker
+])
+def test_fan_out_forks_a_child_per_range_after_the_first(forks, n_samples, workers, expected):
+    # (lo, hi, i) per block: i = 0 for the caller, i = j for the j-th forked child
+    blocks = fan_out(_block_pids, n_samples, workers)["blocks"]
+    assert len(forks) == max(i for _, _, i in expected)
+    pids = [os.getpid(), *forks]
+    assert blocks == [(lo, hi, pids[i]) for lo, hi, i in expected]
+    assert all(_reaped(pid) for pid in forks)
+
+
+@pytest.mark.parametrize("error", [ValueError, InsufficientDataError, AssertionError])
+@pytest.mark.parametrize("workers, sample", [
+    (2, 10), (3, 10),  # in the caller's range
+    (2, 100), (3, 50), (3, 100),  # in a forked range
+])
+def test_fan_out_raises_a_blocks_error_from_either_side(forks, error, workers, sample):
+    def collect(lo, hi):
+        if lo <= sample < hi:
+            raise error(f"sample {sample} refused")
+        return {"n": hi - lo}
+
+    with pytest.raises(error) as info:
+        fan_out(collect, 130, workers)
+    assert type(info.value) is error and str(info.value) == f"sample {sample} refused"
+    assert len(forks) == workers - 1 and all(_reaped(pid) for pid in forks)
+
+
+def test_fan_out_names_a_child_that_dies_without_a_result(forks):
+    caller = os.getpid()
+
+    def collect(lo, hi):
+        if os.getpid() != caller:  # never in the caller: it would end the test run
+            os._exit(3)
+        return {"n": hi - lo}
+
+    with pytest.raises(RuntimeError, match=r"samples \[44, 88\) .*\(exit status 3\)"):
+        fan_out(collect, 130, 3)
+    assert len(forks) == 2 and all(_reaped(pid) for pid in forks)
 
 
 def late(m_steps, positions, sums):
